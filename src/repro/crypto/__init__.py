@@ -9,10 +9,12 @@ pure-Python equivalent:
 - :mod:`repro.crypto.aes` -- AES-128 block cipher (FIPS-197).
 - :mod:`repro.crypto.cmac` -- OMAC1/CMAC over AES (RFC 4493 compatible).
 - :mod:`repro.crypto.fastmac` -- a drop-in HMAC-SHA256-based MAC,
-  truncated to 128 bits, for tests and large benchmark sweeps where the
-  pure-Python AES would dominate wall-clock time.  The *simulated cycle
-  cost* charged by the kernel is identical for both providers, so
-  benchmark tables are unaffected by the choice.
+  truncated to 128 bits, that most unit tests and the older table and
+  wall-clock benches use to save host time.  CI runs the fault,
+  conformance and attack batteries and perfbench on AES-CMAC instead,
+  the provider the kernel ships with.  The *simulated cycle cost*
+  charged by the kernel is identical for both providers, so benchmark
+  tables are unaffected by the choice.
 - :mod:`repro.crypto.keyring` -- key generation and the installer/kernel
   key-sharing model (the key is available only to the installer and the
   kernel, never to applications).

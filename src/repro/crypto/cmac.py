@@ -5,26 +5,39 @@ The paper uses "AES-CBC-OMAC" [Iwata & Kurosawa 2002], which produces a
 CMAC (RFC 4493, NIST SP 800-38B).  The unit tests check the RFC 4493
 vectors, so this implementation is interoperable with any standard CMAC.
 
+CBC chaining runs on four 32-bit column words per block
+(:meth:`repro.crypto.aes.TableAES.encrypt_words`), with the subkeys K1
+and K2 held as words too, so a block costs one ``struct`` unpack and one
+cipher call.
+
 Two ways to MAC:
 
-- :meth:`AesCmac.tag` is the one-shot reference path.
+- :meth:`AesCmac.tag` is the one-shot path; it and
+  :meth:`AesCmac.verify` are all the installer and the kernel call.  It
+  memoizes the tags of single-block messages (see :class:`AesCmac`).
 - :class:`CmacState` (via :meth:`AesCmac.prefix`) is the incremental
   API: absorb a message prefix once, then finalize it many times with
-  different suffixes.  Repeated MACs over the same leading bytes skip
-  re-encrypting those blocks, which is what the installer and the
-  kernel fast path exploit for policy-section strings whose encoded
-  prefixes are immutable.
+  different suffixes, skipping re-encryption of the shared leading
+  blocks.  Nothing under :mod:`repro` calls it; it is kept as a tested
+  API for callers that MAC many messages sharing a long prefix, and
+  perfbench's traced run wraps its methods.
 """
 
 from __future__ import annotations
 
+import hmac
 from typing import Optional
 
-from repro.crypto.aes import AES, BLOCK_SIZE, TableAES
+from repro.crypto.aes import AES, BLOCK_SIZE, BLOCK_WORDS, TableAES
 
 MAC_SIZE = 16
 
 _R128 = 0x87  # the constant for doubling in GF(2^128)
+
+_ZERO = (0, 0, 0, 0)
+
+#: ``_PADDING[n]`` completes an ``n``-byte final block: 0x80, then zeros.
+_PADDING = tuple(b"\x80" + bytes(BLOCK_SIZE - 1 - n) for n in range(BLOCK_SIZE))
 
 
 def _dbl(block: bytes) -> bytes:
@@ -36,12 +49,13 @@ def _dbl(block: bytes) -> bytes:
     return value.to_bytes(16, "big")
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+def _last_block_start(length: int) -> int:
+    """Offset of the final block, which holds the last 1..16 bytes."""
+    return (length - 1) // BLOCK_SIZE * BLOCK_SIZE
 
 
 class AesCmac:
-    """Stateless CMAC tag generation and verification.
+    """CMAC tag generation and verification.
 
     >>> mac = AesCmac(bytes(16))
     >>> tag = mac.tag(b"hello")
@@ -53,46 +67,80 @@ class AesCmac:
     The block cipher defaults to the table-driven :class:`TableAES`;
     pass ``cipher=AES(key)`` to run over the byte-cell reference
     implementation instead (the equivalence tests do exactly that).
+
+    **Tag memo.**  The tags of messages of at most one block are kept
+    in a dict keyed by the exact message bytes, holding at most
+    :attr:`MEMO_ENTRIES` entries and cleared when full.  It caches the
+    pure function ``MAC_K(m)``, never a verdict: :meth:`verify` compares
+    the presented tag against ``MAC_K(message)`` in full on every call,
+    whether that tag came from the memo or from the cipher.  Its use is
+    §3.4's memory checker: a process's next trap verifies
+    ``MAC(lastBlock || counter)`` for exactly the 12-byte payload the
+    kernel tagged at its previous trap, so the verify is a dict hit and
+    a warm trap costs one AES block (the fresh tag) instead of two.
     """
 
     name = "aes-cmac"
 
+    #: Bound on the single-block tag memo; it is cleared when full.
+    MEMO_ENTRIES = 256
+
     def __init__(self, key: bytes, cipher: Optional[AES] = None):
-        self._aes = cipher if cipher is not None else TableAES(key)
-        zero = self._aes.encrypt_block(bytes(BLOCK_SIZE))
-        self._k1 = _dbl(zero)
-        self._k2 = _dbl(self._k1)
+        aes = cipher if cipher is not None else TableAES(key)
+        self._encrypt = aes.encrypt_words
+        k1 = _dbl(aes.encrypt_block(bytes(BLOCK_SIZE)))
+        self._k1 = BLOCK_WORDS.unpack(k1)
+        self._k2 = BLOCK_WORDS.unpack(_dbl(k1))
+        self._memo: dict[bytes, bytes] = {}
 
     def tag(self, message: bytes) -> bytes:
-        """Compute the 16-byte CMAC tag of ``message``."""
-        n_blocks = max(1, (len(message) + BLOCK_SIZE - 1) // BLOCK_SIZE)
-        complete = len(message) > 0 and len(message) % BLOCK_SIZE == 0
-        last_start = (n_blocks - 1) * BLOCK_SIZE
-        if complete:
-            last = _xor(message[last_start:], self._k1)
-        else:
-            padded = message[last_start:] + b"\x80"
-            padded += bytes(BLOCK_SIZE - len(padded))
-            last = _xor(padded, self._k2)
-        state = bytes(BLOCK_SIZE)
-        for i in range(n_blocks - 1):
-            block = message[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]
-            state = self._aes.encrypt_block(_xor(state, block))
-        return self._aes.encrypt_block(_xor(state, last))
+        """Compute the 16-byte CMAC tag of ``message`` (any bytes-like)."""
+        if type(message) is not bytes:
+            message = bytes(message)  # memo keys must be immutable
+        if len(message) > BLOCK_SIZE:
+            last = _last_block_start(len(message))
+            return self._finish(self._chain(_ZERO, message, last), message[last:])
+        memo = self._memo
+        tag = memo.get(message)
+        if tag is None:
+            if len(memo) >= self.MEMO_ENTRIES:
+                memo.clear()
+            tag = memo[message] = self._finish(_ZERO, message)
+        return tag
 
     def verify(self, message: bytes, tag: bytes) -> bool:
-        """Constant-time-style comparison of the expected tag."""
-        expected = self.tag(message)
-        if len(tag) != MAC_SIZE:
-            return False
-        diff = 0
-        for x, y in zip(expected, tag):
-            diff |= x ^ y
-        return diff == 0
+        """Constant-time comparison of ``tag`` with the expected tag."""
+        return len(tag) == MAC_SIZE and hmac.compare_digest(self.tag(message), tag)
 
     def prefix(self, prefix: bytes = b"") -> "CmacState":
         """Absorb ``prefix`` into a reusable incremental state."""
         return CmacState(self).update(prefix)
+
+    # -- CBC on column words -------------------------------------------------
+
+    def _chain(self, state: tuple, data: bytes, stop: int) -> tuple:
+        """CBC-encrypt the whole blocks of ``data[:stop]`` onto ``state``."""
+        encrypt = self._encrypt
+        unpack = BLOCK_WORDS.unpack_from
+        s0, s1, s2, s3 = state
+        for offset in range(0, stop, BLOCK_SIZE):
+            w0, w1, w2, w3 = unpack(data, offset)
+            s0, s1, s2, s3 = encrypt(s0 ^ w0, s1 ^ w1, s2 ^ w2, s3 ^ w3)
+        return s0, s1, s2, s3
+
+    def _finish(self, state: tuple, last: bytes) -> bytes:
+        """The tag: mask the final 0..16 bytes with K1 (a complete block)
+        or K2 (padded), then encrypt them onto ``state``."""
+        if len(last) == BLOCK_SIZE:
+            k0, k1, k2, k3 = self._k1
+        else:
+            last += _PADDING[len(last)]
+            k0, k1, k2, k3 = self._k2
+        w0, w1, w2, w3 = BLOCK_WORDS.unpack(last)
+        s0, s1, s2, s3 = state
+        return BLOCK_WORDS.pack(
+            *self._encrypt(s0 ^ w0 ^ k0, s1 ^ w1 ^ k1, s2 ^ w2 ^ k2, s3 ^ w3 ^ k3)
+        )
 
 
 class CmacState:
@@ -108,9 +156,9 @@ class CmacState:
 
     __slots__ = ("_mac", "_state", "_buffer")
 
-    def __init__(self, mac: AesCmac, state: bytes = b"", buffer: bytes = b""):
+    def __init__(self, mac: AesCmac, state: tuple = _ZERO, buffer: bytes = b""):
         self._mac = mac
-        self._state = state or bytes(BLOCK_SIZE)
+        self._state = state
         self._buffer = buffer
 
     def update(self, data: bytes) -> "CmacState":
@@ -119,13 +167,9 @@ class CmacState:
         if not data:
             return self
         buf = self._buffer + data
-        keep = len(buf) % BLOCK_SIZE or BLOCK_SIZE
-        state = self._state
-        encrypt = self._mac._aes.encrypt_block
-        for i in range(0, len(buf) - keep, BLOCK_SIZE):
-            state = encrypt(_xor(state, buf[i : i + BLOCK_SIZE]))
-        self._state = state
-        self._buffer = buf[len(buf) - keep :]
+        last = _last_block_start(len(buf))
+        self._state = self._mac._chain(self._state, buf, last)
+        self._buffer = buf[last:]
         return self
 
     def copy(self) -> "CmacState":
@@ -136,20 +180,7 @@ class CmacState:
         mutating this state."""
         if suffix:
             return self.copy().update(suffix).tag()
-        mac = self._mac
-        buf = self._buffer
-        if len(buf) == BLOCK_SIZE:
-            last = _xor(buf, mac._k1)
-        else:
-            padded = buf + b"\x80" + bytes(BLOCK_SIZE - len(buf) - 1)
-            last = _xor(padded, mac._k2)
-        return mac._aes.encrypt_block(_xor(self._state, last))
+        return self._mac._finish(self._state, self._buffer)
 
     def verify(self, tag: bytes, suffix: bytes = b"") -> bool:
-        expected = self.tag(suffix)
-        if len(tag) != MAC_SIZE:
-            return False
-        diff = 0
-        for x, y in zip(expected, tag):
-            diff |= x ^ y
-        return diff == 0
+        return len(tag) == MAC_SIZE and hmac.compare_digest(self.tag(suffix), tag)

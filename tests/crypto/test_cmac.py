@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto.aes import BLOCK_WORDS
 from repro.crypto.cmac import MAC_SIZE, AesCmac, _dbl
 
 RFC_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -32,10 +33,11 @@ class TestRfc4493Vectors:
         assert AesCmac(RFC_KEY).tag(RFC_MSG) == expected
 
     def test_subkey_generation(self):
-        # RFC 4493 section 4: K1/K2 for the all-zero AES output.
+        # RFC 4493 section 4: K1/K2 for the all-zero AES output, held
+        # as four column words each.
         mac = AesCmac(RFC_KEY)
-        assert mac._k1 == bytes.fromhex("fbeed618357133667c85e08f7236a8de")
-        assert mac._k2 == bytes.fromhex("f7ddac306ae266ccf90bc11ee46d513b")
+        assert BLOCK_WORDS.pack(*mac._k1) == bytes.fromhex("fbeed618357133667c85e08f7236a8de")
+        assert BLOCK_WORDS.pack(*mac._k2) == bytes.fromhex("f7ddac306ae266ccf90bc11ee46d513b")
 
 
 class TestDoubling:

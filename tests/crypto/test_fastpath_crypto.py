@@ -1,15 +1,19 @@
-"""Fast-path crypto: table-driven AES and the incremental CMAC API.
+"""Fast-path crypto: table-driven AES, the word-level CMAC core, its
+single-block tag memo, and the incremental CMAC API.
 
-The table-driven cipher and the prefix-state CMAC exist purely for
-speed; these tests pin them bit-for-bit to the reference implementations
-so the optimization can never drift from the spec.
+The table-driven cipher, the memo and the prefix-state CMAC exist purely
+for speed; these tests pin them bit-for-bit to the reference
+implementations so the optimization can never drift from the spec.
 """
 
+import struct
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES, BLOCK_SIZE, TableAES
-from repro.crypto.cmac import AesCmac, CmacState
+from repro.crypto.aes import AES, BLOCK_SIZE, BLOCK_WORDS, TableAES
+from repro.crypto.cmac import MAC_SIZE, AesCmac, CmacState
 
 RFC_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 RFC_MSG = bytes.fromhex(
@@ -50,6 +54,23 @@ class TestTableAes:
         key=st.binary(min_size=16, max_size=16),
         block=st.binary(min_size=BLOCK_SIZE, max_size=BLOCK_SIZE),
     )
+    def test_encrypt_words_matches_reference_aes(self, key, block):
+        words = BLOCK_WORDS.unpack(block)
+        expected = BLOCK_WORDS.unpack(AES(key).encrypt_block(block))
+        assert TableAES(key).encrypt_words(*words) == expected
+        # The reference's adapter, which lets it stand in under CMAC.
+        assert AES(key).encrypt_words(*words) == expected
+
+    def test_encrypt_words_fips197_appendix_c(self):
+        key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+        plaintext = BLOCK_WORDS.unpack(bytes.fromhex("00112233445566778899aabbccddeeff"))
+        expected = (0x69C4E0D8, 0x6A7B0430, 0xD8CDB780, 0x70B4C55A)
+        assert TableAES(key).encrypt_words(*plaintext) == expected
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        block=st.binary(min_size=BLOCK_SIZE, max_size=BLOCK_SIZE),
+    )
     def test_round_trip_through_reference_decrypt(self, key, block):
         cipher = TableAES(key)
         assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
@@ -65,6 +86,104 @@ class TestCmacDefaultCipher:
         table = AesCmac(RFC_KEY)
         reference = AesCmac(RFC_KEY, cipher=AES(RFC_KEY))
         assert table.tag(RFC_MSG) == reference.tag(RFC_MSG)
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        message=st.binary(max_size=80),
+        kind=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    def test_matches_reference_cipher_cold_and_memoized(self, key, message, kind):
+        expected = AesCmac(key, cipher=AES(key)).tag(message)
+        for mac in (AesCmac(key), AesCmac(key, cipher=AES(key))):
+            # Cold, then (for single-block messages) a memo hit.
+            assert mac.tag(kind(message)) == expected
+            assert mac.tag(kind(message)) == expected
+            assert mac.verify(kind(message), expected)
+
+    @pytest.mark.parametrize("length", sorted(RFC_TAGS))
+    def test_rfc4493_vectors_through_tag_verify_and_prefix(self, length):
+        mac = AesCmac(RFC_KEY)
+        message = RFC_MSG[:length]
+        expected = bytes.fromhex(RFC_TAGS[length])
+        for _ in range(2):  # the second round is served from the memo
+            assert mac.tag(message) == expected
+            assert mac.verify(message, expected)
+            assert not mac.verify(message, expected[:-1] + bytes([expected[-1] ^ 1]))
+        assert mac.prefix(message).tag() == expected
+        assert mac.prefix(memoryview(message)).verify(expected)
+        assert not mac.prefix(message).verify(expected[:15])
+        assert not mac.prefix(message).verify(expected + b"\x00")
+        for split in range(length + 1):
+            assert mac.prefix(message[:split]).verify(expected, message[split:])
+
+
+class TestTagMemo:
+    """The memo caches ``MAC_K(m)`` for exact single-block messages; it
+    must never change a tag or a verdict, only skip recomputing one."""
+
+    @staticmethod
+    def _count_blocks(mac):
+        calls = []
+        encrypt = mac._encrypt
+
+        def counting(*words):
+            calls.append(words)
+            return encrypt(*words)
+
+        mac._encrypt = counting
+        return calls
+
+    def test_verify_of_a_just_tagged_payload_needs_no_block(self):
+        # A warm trap verifies MAC(lastBlock || counter) for exactly the
+        # 12-byte payload the kernel tagged at the previous trap.
+        mac = AesCmac(RFC_KEY)
+        blocks = self._count_blocks(mac)
+        payload = struct.pack("<IQ", 3, 41)
+        tag = mac.tag(payload)
+        assert len(blocks) == 1
+        assert mac.verify(payload, tag)
+        assert len(blocks) == 1
+
+    def test_only_single_block_messages_are_memoized(self):
+        mac = AesCmac(RFC_KEY)
+        blocks = self._count_blocks(mac)
+        for message in (RFC_MSG[:17], RFC_MSG[:17]):
+            mac.tag(message)
+        assert len(blocks) == 4
+        assert mac._memo == {}
+
+    def test_memo_stays_within_its_bound(self):
+        mac = AesCmac(RFC_KEY)
+        bound = AesCmac.MEMO_ENTRIES
+        for counter in range(10 * bound):
+            mac.tag(struct.pack("<IQ", 7, counter))
+            assert len(mac._memo) <= bound
+        # Cleared when full, never left empty by it: the latest tag is
+        # always there for the next verify.
+        assert struct.pack("<IQ", 7, 10 * bound - 1) in mac._memo
+
+    def test_memo_keys_are_immutable_bytes(self):
+        mac = AesCmac(RFC_KEY)
+        buffer = bytearray(b"lastBlock+ctr")
+        tag = mac.tag(buffer)
+        buffer[0] ^= 1  # the caller reuses its buffer
+        assert all(type(key) is bytes for key in mac._memo)
+        assert mac.tag(buffer) != tag
+        assert mac.tag(b"lastBlock+ctr") == tag
+        assert mac.tag(memoryview(bytearray(b"lastBlock+ctr"))) == tag
+
+    @pytest.mark.parametrize("message", [b"", b"twelve bytes", RFC_MSG[:16]])
+    def test_verify_after_a_memo_hit_still_compares_the_full_tag(self, message):
+        mac = AesCmac(RFC_KEY)
+        tag = mac.tag(message)
+        assert mac.verify(message, tag)
+        for bit in range(MAC_SIZE * 8):
+            flipped = bytearray(tag)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            assert not mac.verify(message, bytes(flipped))
+        assert not mac.verify(message, tag[:15])
+        assert not mac.verify(message, tag + b"\x00")
+        assert mac.verify(message, tag)
 
 
 class TestCmacPrefix:

@@ -98,6 +98,15 @@ def test_metrics_and_spans_feed_the_obs_layer():
     assert "repro_faults_injected" in prom
 
 
+def test_zero_missed_under_aes_cmac():
+    # The default provider, whose tag memo serves the warm lbMAC
+    # verifies that the fast-hmac sweeps above never reach.
+    cmac = run_sweep(key=Key.from_passphrase("fault-sweep-tests"), seed=SEED, count=10)
+    assert cmac.ok, cmac.summary()
+    assert cmac.totals["missed"] == 0
+    assert cmac.totals["injected"] == 10 * 5
+
+
 def test_config_and_kind_filters():
     small = run_sweep(
         key=KEY, seed=5, count=6,

@@ -19,6 +19,9 @@ from repro.obs import TraceRecorder
 from repro.workloads.runtime import runtime_source
 
 KEY = Key.from_passphrase("verifier-jit", provider="fast-hmac")
+#: The default provider, whose single-block tag memo serves the warm
+#: thunks' lbMAC verifies.
+CMAC_KEY = Key.from_passphrase("verifier-jit")
 
 ITERATIONS = 30
 WARMUP_SYSCALLS = 10
@@ -69,6 +72,11 @@ def installed_loop():
 @pytest.fixture(scope="module")
 def installed_open():
     return install(assemble(OPEN_PROGRAM, metadata={"program": "vjopen"}), KEY)
+
+
+@pytest.fixture(scope="module")
+def installed_open_cmac():
+    return install(assemble(OPEN_PROGRAM, metadata={"program": "vjopen"}), CMAC_KEY)
 
 
 def _run(installed, **kernel_kwargs):
@@ -153,9 +161,9 @@ class TestObservability:
             assert recorder.counters.get(name, 0) == kernel.metrics.get(name)
 
 
-def _warm(installed, **kernel_kwargs):
+def _warm(installed, key=KEY, **kernel_kwargs):
     """Load and step until the thunks are provably warm."""
-    kernel = Kernel(key=KEY, **kernel_kwargs)
+    kernel = Kernel(key=key, **kernel_kwargs)
     kernel.vfs.write_file("/etc/motd", b"greetings")
     process, vm = kernel.load(installed.binary)
     while vm.syscall_count < WARMUP_SYSCALLS:
@@ -216,19 +224,16 @@ class TestTamperAfterWarmup:
     post-warm-up corruption must fail-stop identically with the JIT on
     and off (same kill reason, not merely both killed)."""
 
-    @pytest.mark.parametrize("mutation, fragment", [
-        ("string", "integrity"),
-        ("polstate", "policy state"),
-    ])
-    def test_tamper_killed_with_jit_on_and_off(
-        self, installed_open, mutation, fragment
-    ):
+    MUTATIONS = [("string", "integrity"), ("polstate", "policy state")]
+
+    @staticmethod
+    def _kill_reasons(installed, key, mutation, fragment):
         reasons = []
         for jit in (True, False):
-            kernel, process, vm = _warm(installed_open, verifier_jit=jit)
+            kernel, process, vm = _warm(installed, key, verifier_jit=jit)
             if jit:
                 assert kernel.metrics.get("verifier.thunk_hits") > 0
-            image = link(installed_open.binary)
+            image = link(installed.binary)
             if mutation == "string":
                 vm.memory.write(
                     image.address_of("path"), b"/etc/shad", force=True
@@ -240,7 +245,48 @@ class TestTamperAfterWarmup:
             vm.run()
             assert vm.killed and fragment in vm.kill_reason
             reasons.append(vm.kill_reason)
+        return reasons
+
+    @pytest.mark.parametrize("mutation, fragment", MUTATIONS)
+    def test_tamper_killed_with_jit_on_and_off(
+        self, installed_open, mutation, fragment
+    ):
+        reasons = self._kill_reasons(installed_open, KEY, mutation, fragment)
         assert reasons[0] == reasons[1]
+
+    @pytest.mark.parametrize("mutation, fragment", MUTATIONS)
+    def test_tamper_killed_under_aes_cmac(
+        self, installed_open_cmac, mutation, fragment
+    ):
+        # Warm lbMAC verifies are served by AesCmac's tag memo here; the
+        # tampered trap must still die exactly as without the JIT.
+        reasons = self._kill_reasons(installed_open_cmac, CMAC_KEY, mutation, fragment)
+        assert reasons[0] == reasons[1]
+
+
+class TestAesCmacWarmTrap:
+    def test_warm_trap_costs_one_aes_block(self, installed_open_cmac):
+        # Each warm open/close trap re-MACs lastBlock || counter (one
+        # block).  The lbMAC verify is for the payload tagged at the
+        # previous trap and the path string's tag for bytes already
+        # verified, so both are memo hits and cost no block.
+        kernel, process, vm = _warm(installed_open_cmac, CMAC_KEY)
+        blocks = []
+        encrypt = kernel.mac._encrypt
+
+        def counting(*words):
+            blocks.append(words)
+            return encrypt(*words)
+
+        kernel.mac._encrypt = counting
+        start = vm.syscall_count
+        hits = kernel.metrics.get("verifier.thunk_hits")
+        while vm.syscall_count < start + 20:
+            assert vm.step()
+        assert kernel.metrics.get("verifier.thunk_hits") - hits == 20
+        assert len(blocks) == 20
+        vm.run()
+        assert not vm.killed
 
 
 class TestProcessPartitions:
