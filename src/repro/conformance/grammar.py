@@ -7,9 +7,13 @@ where the five engine configurations could diverge:
 
 - ``write`` / ``openclose`` / ``getpid`` — straight-line syscall
   chains through the mini-libc stubs (file-family traps, warm sites).
-- ``spin`` — near-budget ALU loops whose trip counts are seeded around
+- ``spin`` — near-budget loops that bump a ``.data`` counter word
+  through ``ld``/``st`` every trip, with trip counts seeded around
   multiples of the sweep timeslice, so preemption points land on block
-  boundaries, mid-block, and mid-superblock.
+  boundaries and mid-block.  About half of the near-budget loops run
+  past the threaded engine's 256-execution fusion threshold, so their
+  tail runs as a compiled superblock (data-TLB loads and stores
+  included) and slices also end between its passes.
 - ``smc`` — a callable instruction slot in ``.data`` (writable, and
   executable because the paper's 2005-era testbed has no NX bit) that
   the program executes, patches with stores, and executes again: the
@@ -50,6 +54,9 @@ RECORD_MARKER = 0x43464D4B  # "CFMK"
 
 #: Bytes per pipe/socket record.
 RECORD_SIZE = 8
+
+#: Instructions per ``spin`` trip (ld, addi, st, subi, cmpi, bgt).
+SPIN_TRIP_INSNS = 6
 
 #: Constant messages the ``write`` op prints (lengths differ so seeded
 #: partial writes exercise distinct Immediate length constraints).
@@ -154,13 +161,17 @@ def _one_op(rng: random.Random) -> GenOp:
 
 
 def _near_budget_trips(rng: random.Random) -> int:
-    """Trip counts clustered around timeslice multiples: each trip is 3
-    instructions, so ``timeslice * k / 3 ± delta`` lands the loop's
-    preemption point just before, on, and just after block boundaries."""
-    if rng.random() < 0.7:
-        k = rng.randrange(1, 4)
+    """Trip counts clustered around timeslice multiples: each trip is
+    ``SPIN_TRIP_INSNS`` instructions, so ``timeslice * k / 6 ± delta``
+    lands the loop's preemption point just before, on, and just after
+    block boundaries.  Half of the clustered loops take k = 8..12
+    (264-402 trips), past the 256 executions that make the threaded
+    engine fuse the loop into a superblock."""
+    roll = rng.random()
+    if roll < 0.7:
+        k = rng.randrange(1, 4) if roll < 0.35 else rng.randrange(8, 13)
         delta = rng.randrange(-2, 3)
-        return max(1, (DEFAULT_TIMESLICE * k) // 3 + delta)
+        return max(1, (DEFAULT_TIMESLICE * k) // SPIN_TRIP_INSNS + delta)
     return rng.randrange(1, 64)
 
 
@@ -271,15 +282,24 @@ def _render_getpid(index: int, op: GenOp):
 
 
 def _render_spin(index: int, op: GenOp):
+    """Count ``extra`` trips down in a register and up in a ``.data``
+    word, then check the word."""
     fragment = [
         f"    ; op {index}: near-budget spin ({op.extra} trips)",
         f"    li r9, {op.extra}",
+        f"    li r10, cf_spinw{index}",
         f"cf_spin{index}:",
+        "    ld r11, [r10+0]",
+        "    addi r11, r11, 1",
+        "    st r11, [r10+0]",
         "    subi r9, r9, 1",
         "    cmpi r9, 0",
         f"    bgt cf_spin{index}",
+        "    ld r11, [r10+0]",
+        f"    cmpi r11, {op.extra}",
+        "    bne fail",
     ]
-    return fragment, [], set(), False
+    return fragment, [f"cf_spinw{index}:", "    .word 0"], set(), False
 
 
 def _encode_words(instruction: Instruction) -> tuple:

@@ -71,6 +71,9 @@ class ProgramOutcome:
     killed: bool
     kill_reasons: str
     exit_status: int
+    #: Superblocks the threaded engine fused during the run (coverage
+    #: evidence only; not compared, since it is config-dependent).
+    superblocks_fused: int = 0
 
     def comparable(self) -> tuple:
         """Everything the cross-config equality check compares."""
@@ -154,6 +157,7 @@ def run_program(
         killed=outcome.killed,
         kill_reasons=outcome.kill_reason,
         exit_status=multi.results[0].exit_status,
+        superblocks_fused=kernel.metrics.get("engine.superblocks_fused"),
     )
 
 

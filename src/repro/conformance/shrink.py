@@ -124,7 +124,9 @@ def _param_candidates(op: GenOp):
         if op.value > 0:
             yield GenOp(op.kind, 0)
     elif op.kind == "spin":
-        for trips in (1, 8):
+        # 264 trips is the shortest clustered count past the engine's
+        # superblock fusion threshold.
+        for trips in (1, 8, 264):
             if op.extra > trips:
                 yield GenOp(op.kind, extra=trips)
     elif op.kind == "smc":

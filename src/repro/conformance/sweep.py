@@ -81,7 +81,8 @@ class ConformanceReport:
         lines.append(
             f"  clean={totals.get('clean', 0)} "
             f"killed={totals.get('killed', 0)} "
-            f"divergent={len(self.divergent)}"
+            f"divergent={len(self.divergent)} "
+            f"superblocks_fused={totals.get('superblocks_fused', 0)}"
         )
         for entry in self.divergent:
             lines.append(
@@ -125,7 +126,10 @@ def run_conformance(
         seed=seed, count=count, configs=names, timeslice=timeslice
     )
     family_totals: dict = {}
-    totals = {"runs": 0, "clean": 0, "killed": 0, "shrink_evaluations": 0}
+    totals = {
+        "runs": 0, "clean": 0, "killed": 0, "shrink_evaluations": 0,
+        "superblocks_fused": 0,
+    }
 
     for spec in generate_specs(seed, count):
         if recorder is not None and recorder.enabled:
@@ -143,8 +147,11 @@ def run_conformance(
         totals["clean" if reference.clean else "killed"] += 1
         for family in spec.families():
             family_totals[family] = family_totals.get(family, 0) + 1
+        fused = sum(out.superblocks_fused for out in outcomes.values())
+        totals["superblocks_fused"] += fused
         _count(metrics, recorder, "conform.programs")
         _count(metrics, recorder, "conform.runs", len(outcomes))
+        _count(metrics, recorder, "conform.superblocks_fused", fused)
         report.programs.append(
             {
                 "program_id": spec.program_id,

@@ -1,4 +1,5 @@
-"""Threaded-code execution engine: a basic-block translation cache.
+"""Threaded-code execution engine: a basic-block translation cache with
+a compiled superblock tier.
 
 On first entry to a block the engine decodes the straight-line run of
 instructions up to the next control transfer, trap, or ``HALT`` and
@@ -23,16 +24,13 @@ per-block dispatch loop, surfaced as ``--no-chain`` in the CLI):
   when the remaining instruction budget covers the successor, so
   scheduler preemption points are bit-identical with the unchained
   engine and the interpreter.
-- **Superblocks.**  When a chain closes a hot cycle (per-block
-  execution counter), the member blocks are fused into a single
-  unrolled thunk list with one merged version-guard vector and one
-  batched cycle/budget decrement per pass.  Fused code is specialized:
-  adjacent compare+conditional-branch pairs become one thunk,
-  intra-cycle ``JMP``s are elided, and loads/stores run the one-entry
-  data-TLB fast path inline.  Off-cycle branch exits roll the batched
-  accounting back to the exact architectural state and return to the
-  dispatch loop, so every observable value (``RDTSC``, fault PCs,
-  preemption points) matches the interpreter.
+- **Compiled superblocks.**  When a chain closes a hot cycle (a
+  fusable block's execution count crosses a multiple of 256), the
+  member blocks are unrolled into one flat instruction list and
+  emitted as the source of one Python function, compiled once.  A pass
+  over the cycle is one call of that function, under one merged
+  version-guard vector and one batched cycle/budget update.  See
+  *The superblock tier* below.
 
 The invalidation invariant that makes chaining sound: **a chained or
 fused entry never re-validates its target's guards, so any write that
@@ -40,9 +38,10 @@ could stale a translation must eagerly drop it** (dropping severs the
 inbound links via the block's ``preds`` list and kills any superblock
 it belongs to).  Three mechanisms cooperate:
 
-- Engine fast-path stores call :meth:`BlockCache.note_write` *before*
-  the bytes land (pre-image invalidation), then perform the store,
-  then abort the running block/superblock if its own span was hit.
+- Engine stores (:meth:`BlockCache._store`) call
+  :meth:`BlockCache.note_write` *before* the bytes land (pre-image
+  invalidation), then perform the store; the caller then aborts the
+  running block/superblock if its own span was hit.
 - Canonical stores (``Memory.write`` — guest slow path, kernel
   syscalls writing guest buffers, ``brk`` growth) notify pre-mutation
   watchers that each cache registers on every region it compiles code
@@ -57,12 +56,12 @@ goal: registers, flags, memory, cycle counts (including the values
 instruction counts, fault PCs and messages, and fail-stop reasons must
 all be indistinguishable.  The pieces that make that work:
 
-- **Batched accounting with per-thunk corrections.**  A block's (or
-  superblock's) total cycles and instruction count are added on entry.
-  Thunks that can observe or abort mid-block (``RDTSC``, faults,
-  self-modifying stores, off-cycle branch exits) carry pre-computed
-  corrections (``total - prefix[i]``) so the architectural counters
-  are exact at every observation point.
+- **Batched accounting with per-instruction corrections.**  A block's
+  (or superblock pass's) total cycles and instruction count are added
+  on entry.  Every point that can observe or abort mid-block
+  (``RDTSC``, faults, self-modifying stores, off-cycle branch exits)
+  carries pre-computed corrections (``total - prefix[i]``) so the
+  architectural counters are exact there.
 - **Traps end blocks.**  ``SYS``/``ASYS`` only ever appear as a block
   terminator, so ``vm.cycles`` is exact when the kernel's
   :class:`~repro.cpu.vm.TrapHandler` runs, ``vm.pc`` names the call
@@ -93,14 +92,62 @@ TLB): a hit performs the access directly against the region bytearray
 ``Memory.write``); any miss — wrong region, out of bounds, protection
 — falls back to the canonical :class:`~repro.cpu.memory.Memory` path
 so every fault is produced by the same code that produces it under the
-interpreter.
+interpreter.  The miss path and every store live in two shared helpers
+(:meth:`BlockCache._load`, :meth:`BlockCache._store`) that block
+thunks and generated superblocks both call.
+
+The superblock tier
+-------------------
+
+``_fuse`` flattens up to 16 unrolled copies of the cycle (about 128
+instructions) and :func:`repro.cpu.codegen.pass_source` emits them as
+one straight-line function ``superblock(vm)`` that executes exactly
+one pass:
+
+- **Inline:** register and flag arithmetic for every straight-line
+  opcode, the data-TLB hit path of ``LD``/``LDB``/``POP`` (against
+  the TLB entry unpacked into locals at pass entry), ``RDTSC``/``RDTSCH`` (the
+  batched cycle total minus a literal correction), the exit test of
+  each mid-pass conditional branch, and the span check after each
+  store.  Intra-cycle ``JMP``s emit nothing; the pass-closing
+  terminator only sets ``vm.pc``, which the pass loop compares with
+  the head.
+- **Out of line,** through helpers shared with the block thunks: a
+  data-TLB miss, every store (pre-image ``note_write`` before the bytes
+  land), every fault, and every exit.  Each call passes the literal
+  rollback triple (cycle correction, instruction correction, PC), so
+  exits raise :class:`BlockAbort` and faults raise
+  :class:`~repro.cpu.vm.ExecutionFault` with the same state and
+  message as the thunks and the interpreter.
+- **Only ints enter the source.**  The generator interpolates register
+  indices from ``decode_fields``, masked immediates, PCs and
+  corrections into fixed templates, and rejects any value that is not
+  a plain ``int``.  Guest bytes and strings never become source text.
+  Each function gets a fresh globals dict holding only its helpers
+  (and no builtins).
+- **When codegen is paid.**  ``compile()`` of a 16x-unrolled pass takes
+  a few milliseconds.  Fusion only records the flat member list; the
+  source is generated and compiled on the superblock's first entry,
+  inside the ``block-chain`` span, so a superblock that is never
+  entered (a rotation of a cycle already fused at another head) or
+  dies first costs nothing.  No generated code is cached across
+  ``BlockCache`` instances: every process compiles its own
+  superblocks.  Plain blocks stay closures, because ``compile()`` of
+  even a tiny function costs more than translating a block that runs
+  once.
+- **Bounded re-fusion.**  Every superblock teardown counts against its
+  head PC in the cache, and a PC whose superblocks were killed
+  ``_SB_SMC_LIMIT`` times is never fused again by that cache, so a
+  guest that keeps rewriting a hot loop cannot force a ``compile()``
+  every 256 iterations.
 """
 
 from __future__ import annotations
 
-from struct import pack_into, unpack_from
+from struct import Struct, pack_into, unpack_from
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.cpu.codegen import pass_source, prefix_cycles
 from repro.cpu.memory import MemoryFault, PAGE_SHIFT, Region
 from repro.cpu.vm import ExecutionFault
 from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError, decode_fields
@@ -128,8 +175,32 @@ _SB_TARGET_INSNS = 128
 _SB_MAX_UNROLL = 16
 #: A superblock that keeps aborting on stores into its own span (a
 #: loop that writes its own code region every pass) is torn down after
-#: this many SMC aborts; each abort is exact, just slow.
+#: this many SMC aborts; each abort is exact, just slow.  The same
+#: number bounds how often one head PC may be fused and killed.
 _SB_SMC_LIMIT = 4
+
+# Opcode members as module globals.  ``Op.X`` is a descriptor lookup
+# on the enum class (hundreds of ns on Python 3.11), and translation
+# dispatches on the opcode once per instruction.
+_NOP, _HALT, _LI, _MOV = Op.NOP, Op.HALT, Op.LI, Op.MOV
+_ADD, _SUB, _MUL, _DIV, _MOD = Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD
+_AND, _OR, _XOR, _SHL, _SHR = Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR
+_ADDI, _SUBI, _MULI, _DIVI = Op.ADDI, Op.SUBI, Op.MULI, Op.DIVI
+_ANDI, _ORI, _XORI, _SHLI, _SHRI = Op.ANDI, Op.ORI, Op.XORI, Op.SHLI, Op.SHRI
+_LD, _ST, _LDB, _STB, _PUSH, _POP = Op.LD, Op.ST, Op.LDB, Op.STB, Op.PUSH, Op.POP
+_CMP, _CMPI = Op.CMP, Op.CMPI
+_BEQ, _BNE, _BLT, _BGE, _BLE, _BGT = Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT
+_JMP, _JR, _CALL, _CALLR, _RET = Op.JMP, Op.JR, Op.CALL, Op.CALLR, Op.RET
+_SYS, _ASYS, _RDTSC, _RDTSCH, _CPUWORK = Op.SYS, Op.ASYS, Op.RDTSC, Op.RDTSCH, Op.CPUWORK
+
+#: Opcodes that end a basic block.
+_ENDS_BLOCK = frozenset(
+    op for op, info in OPCODE_INFO.items()
+    if info.is_branch or info.is_trap or op is Op.HALT
+)
+_CONDITIONALS = frozenset((_BEQ, _BNE, _BLT, _BGE, _BLE, _BGT))
+
+_U32 = Struct("<I").unpack_from
 
 
 class BlockAbort(Exception):
@@ -142,6 +213,51 @@ class BlockAbort(Exception):
     def __init__(self, consumed: int, smc: bool = False):
         self.consumed = consumed
         self.smc = smc
+
+
+def _rollback(vm, cyc_corr: int, icnt_corr: int, pc: int) -> None:
+    """Unwind the batched accounting to an exact mid-block state."""
+    vm.cycles -= cyc_corr
+    vm.instructions_executed -= icnt_corr
+    vm.pc = pc
+
+
+def _leave(vm, cyc_corr: int, icnt_corr: int, pc: int, consumed: int):
+    """Off-cycle branch exit from a superblock pass."""
+    _rollback(vm, cyc_corr, icnt_corr, pc)
+    raise BlockAbort(consumed)
+
+
+def _smc_abort(vm, cyc_corr: int, icnt_corr: int, pc: int, consumed: int):
+    """Self-modification abort: a store clobbered code the running
+    translation would still execute.  ``pc`` is the instruction after
+    the store; the dispatch loop re-decodes the new bytes from there."""
+    _rollback(vm, cyc_corr, icnt_corr, pc)
+    raise BlockAbort(consumed, smc=True)
+
+
+def _div_zero(vm, cyc_corr: int, icnt_corr: int, pc: int):
+    _rollback(vm, cyc_corr, icnt_corr, pc)
+    raise ExecutionFault(pc, "division by zero")
+
+
+def _span_check(nxt: int, end: int, cyc_corr: int, icnt_corr: int, consumed: int):
+    """The post-store check of a block store at ``nxt - 8``: a store
+    landing in the block's unexecuted remainder ``[nxt, end)`` aborts
+    the block after the write (the window is empty for a block's last
+    instruction)."""
+    if nxt >= end:
+        return _no_span
+
+    def post_store(vm, address, size):
+        if address < end and address + size > nxt:
+            _smc_abort(vm, cyc_corr, icnt_corr, nxt, consumed)
+
+    return post_store
+
+
+def _no_span(vm, address, size) -> None:
+    return None
 
 
 class Block:
@@ -196,19 +312,26 @@ class Block:
 
 
 class Superblock:
-    """A fused, unrolled hot cycle: one guard vector, one batched
-    accounting update and budget decrement per pass."""
+    """A fused, unrolled hot cycle: one generated function per pass,
+    one guard vector, one batched accounting update and budget
+    decrement per pass."""
 
     __slots__ = (
-        "entry", "count", "total_cycles", "thunks", "guards", "blocks",
-        "dead", "smc_aborts",
+        "entry", "count", "total_cycles", "run", "flat", "span", "guards",
+        "blocks", "dead", "smc_aborts",
     )
 
-    def __init__(self, entry, count, total_cycles, thunks, guards, blocks):
+    def __init__(self, entry, count, total_cycles, flat, span, guards, blocks):
         self.entry = entry
         self.count = count
         self.total_cycles = total_cycles
-        self.thunks = thunks
+        #: The generated pass function ``run(vm)``, compiled from the
+        #: unrolled member list ``flat`` and the code ``span`` on first
+        #: entry, so a superblock that dies before it is entered (or is
+        #: never entered) costs no ``compile()``.
+        self.run: Optional[Callable] = None
+        self.flat = flat
+        self.span = span
         self.guards = guards
         self.blocks = blocks
         self.dead = False
@@ -236,6 +359,8 @@ class BlockCache:
         #: Regions (by id) this cache has registered a pre-mutation
         #: watcher on, so canonical writes invalidate eagerly too.
         self._watched: set[int] = set()
+        #: Head PC -> superblocks killed there (the re-fusion bound).
+        self._sb_kills: dict[int, int] = {}
         self.compiles = 0
         self.invalidations = 0
         self.chains_linked = 0
@@ -357,13 +482,14 @@ class BlockCache:
         entry = sb.entry
         count = sb.count
         cycles = sb.total_cycles
-        thunks = sb.thunks
+        run_pass = sb.run
+        if run_pass is None:
+            run_pass = self._codegen(sb)
         while count <= budget:
             vm.cycles += cycles
             vm.instructions_executed += count
             try:
-                for thunk in thunks:
-                    thunk(vm)
+                run_pass(vm)
             except BlockAbort as abort:
                 # The raiser already rolled the batched accounting
                 # back and set vm.pc; only the budget needs settling.
@@ -450,6 +576,7 @@ class BlockCache:
             return
         sb.dead = True
         self.superblocks_killed += 1
+        self._sb_kills[sb.entry] = self._sb_kills.get(sb.entry, 0) + 1
         head = sb.blocks[0]
         if head.sb is sb:
             head.sb = None
@@ -486,6 +613,71 @@ class BlockCache:
                 if address < block.end and end > block.entry:
                     self._drop(block)
                     self.invalidations += 1
+
+    # -- shared memory slow paths --------------------------------------
+
+    def _load(self, vm, address, size, stack, cyc_corr, icnt_corr, pc):
+        """A guest load of ``size`` (4 or 1) bytes: the data-TLB hit
+        path, else the canonical ``Memory`` read, which refills the
+        TLB or faults exactly like the interpreter (``stack`` selects
+        the ``POP``/``RET`` message prefix)."""
+        region = self._dregion
+        offset = address - region.start
+        if 0 <= offset and offset + size <= len(region.data) and region.prot & 1:
+            if size == 4:
+                return unpack_from("<I", region.data, offset)[0]
+            return region.data[offset]
+        memory = vm.memory
+        try:
+            value = memory.read_u32(address) if size == 4 else memory.read_u8(address)
+        except MemoryFault as err:
+            _rollback(vm, cyc_corr, icnt_corr, pc)
+            prefix = "stack underflow: " if stack else ""
+            raise ExecutionFault(pc, prefix + str(err)) from err
+        self._dregion = memory.region_at(address)
+        return value
+
+    def _store(self, vm, address, value, size, stack, cyc_corr, icnt_corr, pc):
+        """A guest store of ``size`` (4 or 1) bytes.  On a data-TLB hit
+        the overlapped translations are dropped *before* the bytes land
+        (pre-image invalidation); a miss takes the canonical ``Memory``
+        path, whose region watchers do the same, and refills the TLB
+        or faults like the interpreter (``stack`` selects the ``PUSH``/
+        ``CALL`` message prefix).  The caller runs its own span check
+        afterwards."""
+        region = self._dregion
+        offset = address - region.start
+        if 0 <= offset and offset + size <= len(region.data) and region.prot & 2:
+            index = self._page_index
+            if (address >> PAGE_SHIFT) in index or (
+                (address + size - 1) >> PAGE_SHIFT
+            ) in index:
+                self.note_write(address, size)
+            if size == 4:
+                pack_into("<I", region.data, offset, value & _MASK)
+            else:
+                region.data[offset] = value & 0xFF
+            region.version += 1
+            return
+        memory = vm.memory
+        try:
+            if size == 4:
+                memory.write_u32(address, value)
+            else:
+                memory.write_u8(address, value)
+        except MemoryFault as err:
+            _rollback(vm, cyc_corr, icnt_corr, pc)
+            prefix = "stack overflow: " if stack else ""
+            raise ExecutionFault(pc, prefix + str(err)) from err
+        self._dregion = memory.region_at(address)
+
+    def _tlb(self):
+        """The data-TLB entry unpacked for generated code's inline load
+        check: ``(start, data, readable length, readable length - 4)``."""
+        region = self._dregion
+        data = region.data
+        readable = len(data) if region.prot & 1 else 0
+        return region.start, data, readable, readable - 4
 
     # -- compilation ---------------------------------------------------
 
@@ -540,8 +732,7 @@ class BlockCache:
                 seen_regions.add(id(region))
                 guards.append((region, region.version))
             fetched.append((pc, op, regs, imm))
-            info = OPCODE_INFO[op]
-            if info.is_branch or info.is_trap or op is Op.HALT:
+            if op in _ENDS_BLOCK:
                 terminated = True
                 break
             pc += INSTRUCTION_SIZE
@@ -553,13 +744,8 @@ class BlockCache:
         # Cycle prefix sums: prefix[i] covers instructions 0..i
         # inclusive (the interpreter charges cycles *before* executing
         # an instruction, so a fault at i has paid for i).
-        prefix = []
-        total = 0
-        for _, op, _, imm in fetched:
-            total += OPCODE_INFO[op].cycles
-            if op is Op.CPUWORK:
-                total += imm
-            prefix.append(total)
+        prefix = prefix_cycles(fetched)
+        total = prefix[-1]
 
         thunks: list[Callable] = []
         stop = False
@@ -569,14 +755,11 @@ class BlockCache:
                 cyc_corr=total - prefix[i],
                 icnt_corr=count - (i + 1),
                 consumed=i + 1,
-                # Per-block SMC window: the not-yet-executed remainder
-                # [next pc, block end).  Empty for the terminator.
-                smc_lo=ipc + INSTRUCTION_SIZE,
-                smc_hi=end,
+                end=end,
             )
             if thunk is not None:
                 thunks.append(thunk)
-            if op is Op.HALT:
+            if op is _HALT:
                 stop = True
 
         # Static successor PCs for direct chaining, and superblock
@@ -588,16 +771,16 @@ class BlockCache:
         if terminated:
             tpc, top, _, timm = fetched[-1]
             tnxt = tpc + INSTRUCTION_SIZE
-            if top in _CONDITION_FLAGS:
+            if top in _CONDITIONALS:
                 s1_pc = timm & _MASK
                 s2_pc = tnxt
                 fusable = True
-            elif top is Op.JMP:
+            elif top is _JMP:
                 s1_pc = timm & _MASK
                 fusable = True
-            elif top is Op.CALL:
+            elif top is _CALL:
                 s1_pc = timm & _MASK
-            elif top is Op.SYS or top is Op.ASYS:
+            elif top is _SYS or top is _ASYS:
                 s1_pc = tnxt
         else:
             # Truncated block: fall through to the next PC; the next
@@ -635,6 +818,9 @@ class BlockCache:
         """If the chain out of ``head`` closes a cycle back to it,
         fuse the member blocks into a superblock.  Called every
         ``_HOT_MASK + 1`` executions of a fusable, unfused block."""
+        if self._sb_kills.get(head.entry, 0) >= _SB_SMC_LIMIT:
+            head.fusable = False  # re-fusion bound for this PC
+            return
         path = [head]
         seen = {id(head)}
         insns = head.count
@@ -692,501 +878,258 @@ class BlockCache:
                     guards.append((region, version))
 
         # Flatten `unroll` copies of the cycle.  Unrolled copies share
-        # the same guest PCs, so every pre-bound PC/fault value stays
-        # architecturally correct in any copy.
-        flat = []  # (pc, op, reg fields, imm, is_terminator, on_taken, block)
+        # the same guest PCs, so every literal PC/fault value stays
+        # architecturally correct in any copy.  Each member's
+        # terminator carries the PC of its off-cycle successor (-1 for
+        # JMP and for a branch whose both ways continue the cycle).
+        flat = []  # (pc, op, reg fields, imm, off-cycle pc, stays on taken)
         npath = len(path)
         for _ in range(unroll):
             for bi, member in enumerate(path):
                 chosen = path[bi + 1] if bi + 1 < npath else head
                 code = member.code
-                last = len(code) - 1
-                for k, (ipc, op, regs_f, imm) in enumerate(code):
-                    on_taken = k == last and chosen.entry == member.s1_pc
-                    flat.append((ipc, op, regs_f, imm, k == last, on_taken, member))
-
-        n = len(flat)
-        prefix = []
-        total = 0
-        for _, op, _, imm, _, _, _ in flat:
-            total += OPCODE_INFO[op].cycles
-            if op is Op.CPUWORK:
-                total += imm
-            prefix.append(total)
-
-        thunks: list[Callable] = []
-        j = 0
-        while j < n:
-            ipc, op, regs_f, imm, is_term, on_taken, member = flat[j]
-            final = j == n - 1
-            if is_term:
-                if final:
-                    # The pass-closing terminator runs unspecialized
-                    # with zero corrections: it sets vm.pc on both
-                    # paths and the pass loop checks it against the
-                    # superblock entry.
-                    thunks.append(self._make_thunk(
-                        ipc, op, regs_f, imm,
-                        cyc_corr=0, icnt_corr=0, consumed=n,
-                        smc_lo=span_lo, smc_hi=span_hi,
-                    ))
-                elif op is Op.JMP or member.s1_pc == member.s2_pc:
-                    pass  # intra-cycle jump: control simply continues
-                else:
+                for ipc, op, regs, imm in code[:-1]:
+                    flat.append((ipc, op, regs, imm, -1, False))
+                tpc, top, tregs, timm = code[-1]
+                off_pc = -1
+                on_taken = chosen.entry == member.s1_pc
+                if top is not _JMP and member.s1_pc != member.s2_pc:
                     off_pc = member.s2_pc if on_taken else member.s1_pc
-                    thunks.append(self._branch_exit(
-                        op, on_taken, off_pc,
-                        cyc_corr=total - prefix[j],
-                        icnt_corr=n - (j + 1),
-                        consumed=j + 1,
-                    ))
-                j += 1
-                continue
-            if (op is Op.CMP or op is Op.CMPI) and j + 1 < n - 1:
-                (nipc, nop, nregs, nimm, nterm, non_taken, nmember) = flat[j + 1]
-                if nterm and nop in _CONDITION_FLAGS and nmember.s1_pc != nmember.s2_pc:
-                    # Fused compare+branch: one thunk sets the
-                    # architectural flags and takes the exit decision.
-                    thunks.append(self._fused_compare_branch(
-                        op, regs_f, imm, nop, non_taken,
-                        nmember.s2_pc if non_taken else nmember.s1_pc,
-                        cyc_corr=total - prefix[j + 1],
-                        icnt_corr=n - (j + 2),
-                        consumed=j + 2,
-                    ))
-                    j += 2
-                    continue
-            thunk = self._make_thunk(
-                ipc, op, regs_f, imm,
-                cyc_corr=total - prefix[j],
-                icnt_corr=n - (j + 1),
-                consumed=j + 1,
-                smc_lo=span_lo, smc_hi=span_hi,
-            )
-            if thunk is not None:
-                thunks.append(thunk)
-            j += 1
+                flat.append((tpc, top, tregs, timm, off_pc, on_taken))
 
-        sb = Superblock(head.entry, n, total, thunks, tuple(guards), tuple(path))
+        sb = Superblock(
+            head.entry, len(flat), prefix_cycles(flat)[-1], flat,
+            (span_lo, span_hi), tuple(guards), tuple(path),
+        )
         head.sb = sb
         for member in path:
             member.sbs.append(sb)
         self.superblocks_fused += 1
 
-    # -- thunk factories -----------------------------------------------
+    def _codegen(self, sb: Superblock) -> Callable:
+        """Generate and compile a superblock's pass function (on its
+        first entry), attributed to the ``block-chain`` span."""
+        recorder = self.vm.recorder
+        if not recorder.enabled:
+            return self._compile_pass(sb)
+        recorder.begin("block-chain", "engine")
+        try:
+            return self._compile_pass(sb)
+        finally:
+            recorder.end()
 
-    def _branch_exit(
-        self, op, on_taken, off_pc, cyc_corr, icnt_corr, consumed
-    ) -> Callable:
-        """A mid-superblock conditional branch whose flags were set by
-        an earlier (non-adjacent) compare: continue on the fused path,
-        or roll back the batched accounting and exit."""
-        family, invert = _BRANCH_FAMILY[op]
-        want = on_taken ^ invert
+    def _compile_pass(self, sb: Superblock) -> Callable:
+        source = pass_source(sb.flat, *sb.span)
+        # A fresh namespace per function: the helpers it calls and the
+        # register file, nothing else (no builtins either).
+        namespace = {
+            "__builtins__": {},
+            "regs": self.vm.regs,
+            "tlb": self._tlb,
+            "load": self._load,
+            "store": self._store,
+            "leave": _leave,
+            "smc_abort": _smc_abort,
+            "div_zero": _div_zero,
+            "U32": _U32,
+        }
+        exec(compile(source, f"<superblock {sb.entry:#010x}>", "exec"), namespace)
+        sb.run = namespace.pop("superblock")
+        sb.flat = None
+        return sb.run
 
-        if family == "z":
-
-            def thunk(vm):
-                if vm.flag_zero != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-        elif family == "n":
-
-            def thunk(vm):
-                if vm.flag_neg != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-        else:  # "nz"
-
-            def thunk(vm):
-                if (vm.flag_neg or vm.flag_zero) != want:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = off_pc
-                    raise BlockAbort(consumed)
-
-        return thunk
-
-    def _fused_compare_branch(
-        self, cmp_op, cmp_regs, cmp_imm, br_op, on_taken, off_pc,
-        cyc_corr, icnt_corr, consumed,
-    ) -> Callable:
-        """One thunk for an adjacent CMP/CMPI + conditional branch
-        pair inside a superblock.  The architectural flags are always
-        set (a later exit must observe them exactly as the interpreter
-        would); corrections are the *branch's*, since both
-        instructions have executed when the exit is taken."""
-        regs = self.vm.regs
-        family, invert = _BRANCH_FAMILY[br_op]
-        want = on_taken ^ invert
-
-        if cmp_op is Op.CMPI:
-            a = cmp_regs[0]
-            value = cmp_imm & _MASK
-            signed_value = _signed(value)
-
-            if family == "z":
-
-                def thunk(vm):
-                    x = regs[a]
-                    z = x == value
-                    vm.flag_zero = z
-                    vm.flag_neg = (x - _WRAP if x & _SIGN else x) < signed_value
-                    if z != want:
-                        vm.cycles -= cyc_corr
-                        vm.instructions_executed -= icnt_corr
-                        vm.pc = off_pc
-                        raise BlockAbort(consumed)
-
-            elif family == "n":
-
-                def thunk(vm):
-                    x = regs[a]
-                    neg = (x - _WRAP if x & _SIGN else x) < signed_value
-                    vm.flag_zero = x == value
-                    vm.flag_neg = neg
-                    if neg != want:
-                        vm.cycles -= cyc_corr
-                        vm.instructions_executed -= icnt_corr
-                        vm.pc = off_pc
-                        raise BlockAbort(consumed)
-
-            else:  # "nz"
-
-                def thunk(vm):
-                    x = regs[a]
-                    z = x == value
-                    neg = (x - _WRAP if x & _SIGN else x) < signed_value
-                    vm.flag_zero = z
-                    vm.flag_neg = neg
-                    if (neg or z) != want:
-                        vm.cycles -= cyc_corr
-                        vm.instructions_executed -= icnt_corr
-                        vm.pc = off_pc
-                        raise BlockAbort(consumed)
-
-        else:  # CMP ra, rb
-            a, b = cmp_regs
-
-            if family == "z":
-
-                def thunk(vm):
-                    x = regs[a]
-                    y = regs[b]
-                    z = x == y
-                    vm.flag_zero = z
-                    vm.flag_neg = (x - _WRAP if x & _SIGN else x) < (
-                        y - _WRAP if y & _SIGN else y
-                    )
-                    if z != want:
-                        vm.cycles -= cyc_corr
-                        vm.instructions_executed -= icnt_corr
-                        vm.pc = off_pc
-                        raise BlockAbort(consumed)
-
-            elif family == "n":
-
-                def thunk(vm):
-                    x = regs[a]
-                    y = regs[b]
-                    neg = (x - _WRAP if x & _SIGN else x) < (
-                        y - _WRAP if y & _SIGN else y
-                    )
-                    vm.flag_zero = x == y
-                    vm.flag_neg = neg
-                    if neg != want:
-                        vm.cycles -= cyc_corr
-                        vm.instructions_executed -= icnt_corr
-                        vm.pc = off_pc
-                        raise BlockAbort(consumed)
-
-            else:  # "nz"
-
-                def thunk(vm):
-                    x = regs[a]
-                    y = regs[b]
-                    z = x == y
-                    neg = (x - _WRAP if x & _SIGN else x) < (
-                        y - _WRAP if y & _SIGN else y
-                    )
-                    vm.flag_zero = z
-                    vm.flag_neg = neg
-                    if (neg or z) != want:
-                        vm.cycles -= cyc_corr
-                        vm.instructions_executed -= icnt_corr
-                        vm.pc = off_pc
-                        raise BlockAbort(consumed)
-
-        return thunk
+    # -- block thunks --------------------------------------------------
 
     def _make_thunk(
-        self, pc, op, regs_f, imm, cyc_corr, icnt_corr, consumed,
-        smc_lo, smc_hi,
+        self, pc, op, regs_f, imm, cyc_corr, icnt_corr, consumed, end,
     ) -> Optional[Callable]:
-        """Compile one instruction into a pre-bound closure.
+        """Compile one instruction of the block ending at ``end`` into a
+        pre-bound closure.
 
-        ``[smc_lo, smc_hi)`` is the self-modification window: a store
-        landing in it aborts the running translation after the write.
-        For a plain block that is the unexecuted remainder; for a
-        superblock it is the whole member span (conservative: every PC
-        in a cycle is "not yet executed" from the next pass's point of
-        view).  Returns ``None`` for instructions whose entire effect
-        lives in the batched accounting (``NOP``, ``CPUWORK``)."""
+        A store landing in the block's unexecuted remainder
+        ``[pc + 8, end)`` aborts the block after the write (empty for
+        the terminator).  Returns ``None`` for instructions whose
+        entire effect lives in the batched accounting (``NOP``,
+        ``CPUWORK``)."""
         vm = self.vm
         regs = vm.regs  # the register file list is never reassigned
-        memory = vm.memory
         cache = self
+        load = self._load
+        store = self._store
         nxt = pc + INSTRUCTION_SIZE
-
-        def fault(vm, message, cause=None):
-            """Roll the batched accounting back to 'this instruction
-            faulted' and raise, mirroring interpreter state exactly."""
-            vm.cycles -= cyc_corr
-            vm.instructions_executed -= icnt_corr
-            vm.pc = pc
-            raise ExecutionFault(pc, message) from cause
-
-        def pre_store(address, size):
-            """Pre-image invalidation: drop overlapped translations
-            (severing their chain links) before the bytes change."""
-            index = cache._page_index
-            if (address >> PAGE_SHIFT) in index or (
-                (address + size - 1) >> PAGE_SHIFT
-            ) in index:
-                cache.note_write(address, size)
-
-        if smc_lo < smc_hi:
-
-            def post_store(vm, address, size):
-                """Self-modification abort: the store clobbered code
-                this translation would still execute.  Unwind the
-                batched accounting past this instruction and return to
-                the dispatch loop, which re-decodes the new bytes."""
-                if address < smc_hi and address + size > smc_lo:
-                    vm.cycles -= cyc_corr
-                    vm.instructions_executed -= icnt_corr
-                    vm.pc = nxt
-                    raise BlockAbort(consumed, smc=True)
-
-        else:  # empty window (a terminator's own store can't SMC-abort)
-
-            def post_store(vm, address, size):
-                return
-
-        def read_u32(vm, address, message_prefix=""):
-            region = cache._dregion
-            offset = address - region.start
-            if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 1:
-                return unpack_from("<I", region.data, offset)[0]
-            try:
-                value = memory.read_u32(address)
-            except MemoryFault as err:
-                fault(vm, message_prefix + str(err), err)
-            cache._dregion = memory.region_at(address)
-            return value
-
-        def write_u32(vm, address, value, message_prefix=""):
-            region = cache._dregion
-            offset = address - region.start
-            if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 2:
-                pre_store(address, 4)
-                pack_into("<I", region.data, offset, value & _MASK)
-                region.version += 1
-            else:
-                # The canonical path notifies this cache's region
-                # watcher before mutating, so invalidation ordering is
-                # identical to the fast path.
-                try:
-                    memory.write_u32(address, value)
-                except MemoryFault as err:
-                    fault(vm, message_prefix + str(err), err)
-                cache._dregion = memory.region_at(address)
-            post_store(vm, address, 4)
 
         # -- straight-line operations ---------------------------------
 
-        if op is Op.NOP or op is Op.CPUWORK:
+        if op is _NOP or op is _CPUWORK:
             return None  # effect folded into the batched cycle total
 
-        if op is Op.LI:
+        if op is _LI:
             d = regs_f[0]
             value = imm & _MASK
 
             def thunk(vm):
                 regs[d] = value
 
-        elif op is Op.MOV:
+        elif op is _MOV:
             d, s = regs_f
 
             def thunk(vm):
                 regs[d] = regs[s]
 
-        elif op is Op.ADD:
+        elif op is _ADD:
             d, a, b = regs_f
 
             def thunk(vm):
                 regs[d] = (regs[a] + regs[b]) & _MASK
 
-        elif op is Op.SUB:
+        elif op is _SUB:
             d, a, b = regs_f
 
             def thunk(vm):
                 regs[d] = (regs[a] - regs[b]) & _MASK
 
-        elif op is Op.MUL:
+        elif op is _MUL:
             d, a, b = regs_f
 
             def thunk(vm):
                 regs[d] = (regs[a] * regs[b]) & _MASK
 
-        elif op is Op.DIV or op is Op.MOD:
+        elif op is _DIV or op is _MOD:
             d, a, b = regs_f
-            is_div = op is Op.DIV
+            is_div = op is _DIV
 
             def thunk(vm):
                 divisor = regs[b]
                 if divisor == 0:
-                    fault(vm, "division by zero")
+                    _div_zero(vm, cyc_corr, icnt_corr, pc)
                 regs[d] = (
                     regs[a] // divisor if is_div else regs[a] % divisor
                 ) & _MASK
 
-        elif op is Op.AND:
+        elif op is _AND:
             d, a, b = regs_f
 
             def thunk(vm):
                 regs[d] = regs[a] & regs[b]
 
-        elif op is Op.OR:
+        elif op is _OR:
             d, a, b = regs_f
 
             def thunk(vm):
                 regs[d] = regs[a] | regs[b]
 
-        elif op is Op.XOR:
+        elif op is _XOR:
             d, a, b = regs_f
 
             def thunk(vm):
                 regs[d] = regs[a] ^ regs[b]
 
-        elif op is Op.SHL:
+        elif op is _SHL:
             d, a, b = regs_f
 
             def thunk(vm):
                 regs[d] = (regs[a] << (regs[b] & 31)) & _MASK
 
-        elif op is Op.SHR:
+        elif op is _SHR:
             d, a, b = regs_f
 
             def thunk(vm):
                 regs[d] = regs[a] >> (regs[b] & 31)
 
-        elif op is Op.ADDI:
+        elif op is _ADDI:
             d, a = regs_f
             value = imm & _MASK
 
             def thunk(vm):
                 regs[d] = (regs[a] + value) & _MASK
 
-        elif op is Op.SUBI:
+        elif op is _SUBI:
             d, a = regs_f
             value = imm & _MASK
 
             def thunk(vm):
                 regs[d] = (regs[a] - value) & _MASK
 
-        elif op is Op.MULI:
+        elif op is _MULI:
             d, a = regs_f
             value = imm & _MASK
 
             def thunk(vm):
                 regs[d] = (regs[a] * value) & _MASK
 
-        elif op is Op.DIVI:
+        elif op is _DIVI:
             d, a = regs_f
             value = imm & _MASK
             if value == 0:
 
                 def thunk(vm):
-                    fault(vm, "division by zero")
+                    _div_zero(vm, cyc_corr, icnt_corr, pc)
 
             else:
 
                 def thunk(vm):
                     regs[d] = (regs[a] // value) & _MASK
 
-        elif op is Op.ANDI:
+        elif op is _ANDI:
             d, a = regs_f
             value = imm & _MASK
 
             def thunk(vm):
                 regs[d] = regs[a] & value
 
-        elif op is Op.ORI:
+        elif op is _ORI:
             d, a = regs_f
             value = imm & _MASK
 
             def thunk(vm):
                 regs[d] = regs[a] | value
 
-        elif op is Op.XORI:
+        elif op is _XORI:
             d, a = regs_f
             value = imm & _MASK
 
             def thunk(vm):
                 regs[d] = regs[a] ^ value
 
-        elif op is Op.SHLI:
+        elif op is _SHLI:
             d, a = regs_f
             shift = imm & 31
 
             def thunk(vm):
                 regs[d] = (regs[a] << shift) & _MASK
 
-        elif op is Op.SHRI:
+        elif op is _SHRI:
             d, a = regs_f
             shift = imm & 31
 
             def thunk(vm):
                 regs[d] = regs[a] >> shift
 
-        elif op is Op.LD:
+        elif op is _LD:
             d, base = regs_f
             disp = imm
 
             def thunk(vm):
-                # Data-TLB fast path inlined (no nested call on hit).
+                # Data-TLB hit path inlined (no nested call on hit).
                 address = (regs[base] + disp) & _MASK
                 region = cache._dregion
                 offset = address - region.start
                 if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 1:
                     regs[d] = unpack_from("<I", region.data, offset)[0]
                 else:
-                    regs[d] = read_u32(vm, address)
+                    regs[d] = load(vm, address, 4, 0, cyc_corr, icnt_corr, pc)
 
-        elif op is Op.ST:
+        elif op is _ST:
             s, base = regs_f
             disp = imm
+            post_store = _span_check(nxt, end, cyc_corr, icnt_corr, consumed)
 
             def thunk(vm):
                 address = (regs[base] + disp) & _MASK
-                region = cache._dregion
-                offset = address - region.start
-                if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 2:
-                    pre_store(address, 4)
-                    pack_into("<I", region.data, offset, regs[s] & _MASK)
-                    region.version += 1
-                    post_store(vm, address, 4)
-                else:
-                    write_u32(vm, address, regs[s])
+                store(vm, address, regs[s], 4, 0, cyc_corr, icnt_corr, pc)
+                post_store(vm, address, 4)
 
-        elif op is Op.LDB:
+        elif op is _LDB:
             d, base = regs_f
             disp = imm
 
@@ -1196,52 +1139,39 @@ class BlockCache:
                 offset = address - region.start
                 if 0 <= offset < len(region.data) and region.prot & 1:
                     regs[d] = region.data[offset]
-                    return
-                try:
-                    value = memory.read_u8(address)
-                except MemoryFault as err:
-                    fault(vm, str(err), err)
-                cache._dregion = memory.region_at(address)
-                regs[d] = value
+                else:
+                    regs[d] = load(vm, address, 1, 0, cyc_corr, icnt_corr, pc)
 
-        elif op is Op.STB:
+        elif op is _STB:
             s, base = regs_f
             disp = imm
+            post_store = _span_check(nxt, end, cyc_corr, icnt_corr, consumed)
 
             def thunk(vm):
                 address = (regs[base] + disp) & _MASK
-                region = cache._dregion
-                offset = address - region.start
-                if 0 <= offset < len(region.data) and region.prot & 2:
-                    pre_store(address, 1)
-                    region.data[offset] = regs[s] & 0xFF
-                    region.version += 1
-                else:
-                    try:
-                        memory.write_u8(address, regs[s])
-                    except MemoryFault as err:
-                        fault(vm, str(err), err)
-                    cache._dregion = memory.region_at(address)
+                store(vm, address, regs[s], 1, 0, cyc_corr, icnt_corr, pc)
                 post_store(vm, address, 1)
 
-        elif op is Op.PUSH:
+        elif op is _PUSH:
             s = regs_f[0]
+            post_store = _span_check(nxt, end, cyc_corr, icnt_corr, consumed)
 
             def thunk(vm):
                 value = regs[s]
                 sp = (regs[15] - 4) & _MASK
                 regs[15] = sp
-                write_u32(vm, sp, value, "stack overflow: ")
+                store(vm, sp, value, 4, 1, cyc_corr, icnt_corr, pc)
+                post_store(vm, sp, 4)
 
-        elif op is Op.POP:
+        elif op is _POP:
             d = regs_f[0]
 
             def thunk(vm):
-                value = read_u32(vm, regs[15], "stack underflow: ")
+                value = load(vm, regs[15], 4, 1, cyc_corr, icnt_corr, pc)
                 regs[15] = (regs[15] + 4) & _MASK
                 regs[d] = value
 
-        elif op is Op.CMP:
+        elif op is _CMP:
             a, b = regs_f
 
             def thunk(vm):
@@ -1252,7 +1182,7 @@ class BlockCache:
                     y - _WRAP if y & _SIGN else y
                 )
 
-        elif op is Op.CMPI:
+        elif op is _CMPI:
             a = regs_f[0]
             value = imm & _MASK
             signed_value = _signed(value)
@@ -1262,12 +1192,12 @@ class BlockCache:
                 vm.flag_zero = x == value
                 vm.flag_neg = (x - _WRAP if x & _SIGN else x) < signed_value
 
-        elif op is Op.RDTSC or op is Op.RDTSCH:
+        elif op is _RDTSC or op is _RDTSCH:
             # The batched cycle total was added at block entry; subtract
             # the pre-computed suffix so the guest observes exactly the
             # interpreter's mid-block counter value.
             d = regs_f[0]
-            high = op is Op.RDTSCH
+            high = op is _RDTSCH
 
             def thunk(vm):
                 cycles = vm.cycles - cyc_corr
@@ -1275,30 +1205,30 @@ class BlockCache:
 
         # -- terminators ----------------------------------------------
 
-        elif op in _CONDITION_FLAGS:
+        elif op in _CONDITIONALS:
             target = imm & _MASK
 
-            if op is Op.BEQ:
+            if op is _BEQ:
 
                 def thunk(vm):
                     vm.pc = target if vm.flag_zero else nxt
 
-            elif op is Op.BNE:
+            elif op is _BNE:
 
                 def thunk(vm):
                     vm.pc = nxt if vm.flag_zero else target
 
-            elif op is Op.BLT:
+            elif op is _BLT:
 
                 def thunk(vm):
                     vm.pc = target if vm.flag_neg else nxt
 
-            elif op is Op.BGE:
+            elif op is _BGE:
 
                 def thunk(vm):
                     vm.pc = nxt if vm.flag_neg else target
 
-            elif op is Op.BLE:
+            elif op is _BLE:
 
                 def thunk(vm):
                     vm.pc = target if (vm.flag_neg or vm.flag_zero) else nxt
@@ -1308,45 +1238,45 @@ class BlockCache:
                 def thunk(vm):
                     vm.pc = nxt if (vm.flag_neg or vm.flag_zero) else target
 
-        elif op is Op.JMP:
+        elif op is _JMP:
             target = imm & _MASK
 
             def thunk(vm):
                 vm.pc = target
 
-        elif op is Op.JR:
+        elif op is _JR:
             r = regs_f[0]
 
             def thunk(vm):
                 vm.pc = regs[r]
 
-        elif op is Op.CALL:
+        elif op is _CALL:
             target = imm & _MASK
 
             def thunk(vm):
                 sp = (regs[15] - 4) & _MASK
                 regs[15] = sp
-                write_u32(vm, sp, nxt, "stack overflow: ")
+                store(vm, sp, nxt, 4, 1, cyc_corr, icnt_corr, pc)
                 vm.pc = target
 
-        elif op is Op.CALLR:
+        elif op is _CALLR:
             r = regs_f[0]
 
             def thunk(vm):
                 sp = (regs[15] - 4) & _MASK
                 regs[15] = sp
-                write_u32(vm, sp, nxt, "stack overflow: ")
+                store(vm, sp, nxt, 4, 1, cyc_corr, icnt_corr, pc)
                 vm.pc = regs[r]  # read after the push, like the interpreter
 
-        elif op is Op.RET:
+        elif op is _RET:
 
             def thunk(vm):
-                value = read_u32(vm, regs[15], "stack underflow: ")
+                value = load(vm, regs[15], 4, 1, cyc_corr, icnt_corr, pc)
                 regs[15] = (regs[15] + 4) & _MASK
                 vm.pc = value
 
-        elif op is Op.SYS or op is Op.ASYS:
-            authenticated = op is Op.ASYS
+        elif op is _SYS or op is _ASYS:
+            authenticated = op is _ASYS
 
             def thunk(vm):
                 # The kernel reads vm.pc (call site), vm.regs, and
@@ -1360,7 +1290,7 @@ class BlockCache:
                 vm.cycles += handler.handle_trap(vm, authenticated)
                 vm.pc = nxt
 
-        elif op is Op.HALT:
+        elif op is _HALT:
 
             def thunk(vm):
                 vm.exit_status = regs[1] & _MASK
@@ -1368,32 +1298,7 @@ class BlockCache:
 
         else:  # pragma: no cover - opcode table is exhaustive
             def thunk(vm):
-                fault(vm, f"unimplemented opcode {op!r}")
+                _rollback(vm, cyc_corr, icnt_corr, pc)
+                raise ExecutionFault(pc, f"unimplemented opcode {op!r}")
 
         return thunk
-
-
-#: Marker table for the conditional branches (the tuple payload is
-#: unused — membership drives the dispatch above, mirroring the
-#: interpreter's _CONDITIONS table).
-_CONDITION_FLAGS = {
-    Op.BEQ: (True, False, False, False),
-    Op.BNE: (True, False, False, True),
-    Op.BLT: (False, True, False, False),
-    Op.BGE: (False, True, False, True),
-    Op.BLE: (False, False, True, False),
-    Op.BGT: (False, False, True, True),
-}
-
-#: Conditional-branch decomposition for superblock specialization:
-#: which flag family the predicate reads ("z" = zero, "n" = negative,
-#: "nz" = negative-or-zero) and whether the branch takes on the
-#: *false* value of that family.
-_BRANCH_FAMILY = {
-    Op.BEQ: ("z", False),
-    Op.BNE: ("z", True),
-    Op.BLT: ("n", False),
-    Op.BGE: ("n", True),
-    Op.BLE: ("nz", False),
-    Op.BGT: ("nz", True),
-}

@@ -17,25 +17,25 @@ from __future__ import annotations
 import struct
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OPCODE_INFO, Op, OperandKind
+from repro.isa.opcodes import OPCODE_INFO, OperandKind
 
 INSTRUCTION_SIZE = 8
 IMM_OFFSET = 4  # byte offset of the immediate field within an instruction
 
-_VALID_OPCODES = {int(op) for op in Op}
-
-#: Per-opcode operand shape, precomputed once so the decoders do not
-#: re-derive it from the operand-kind tuples on every instruction.
-_N_REGS = {
-    op: sum(
-        1 for kind in info.operands if kind in (OperandKind.REG, OperandKind.MEM)
+#: Opcode byte -> ``(op, register field count, has immediate)``, or
+#: ``None`` for an unassigned byte.  Precomputed once so decoding maps
+#: the byte with one tuple index: the enum call ``Op(byte)`` alone
+#: costs about half of a decode.
+_SHAPES = {
+    int(op): (
+        op,
+        sum(1 for kind in info.operands if kind in (OperandKind.REG, OperandKind.MEM)),
+        any(kind in (OperandKind.IMM, OperandKind.MEM) for kind in info.operands),
     )
     for op, info in OPCODE_INFO.items()
 }
-_HAS_IMM = {
-    op: any(kind in (OperandKind.IMM, OperandKind.MEM) for kind in info.operands)
-    for op, info in OPCODE_INFO.items()
-}
+_DECODE = tuple(_SHAPES.get(code) for code in range(256))
+_FIELDS = struct.Struct("<BBBBI").unpack_from
 
 
 class EncodingError(ValueError):
@@ -71,11 +71,12 @@ def decode_fields(data: bytes, offset: int = 0):
             f"truncated instruction at offset {offset}: "
             f"{len(data) - offset} bytes remain"
         )
-    opcode, ra, rb, rc, imm = struct.unpack_from("<BBBBI", data, offset)
-    if opcode not in _VALID_OPCODES:
+    opcode, ra, rb, rc, imm = _FIELDS(data, offset)
+    shape = _DECODE[opcode]
+    if shape is None:
         raise EncodingError(f"unknown opcode 0x{opcode:02x} at offset {offset}")
-    op = Op(opcode)
-    regs = (ra, rb, rc)[: _N_REGS[op]]
+    op, n_regs, has_imm = shape
+    regs = (ra, rb, rc)[:n_regs]
     # Register fields above the architectural register count are
     # illegal encodings (a fuzzed or corrupted instruction stream must
     # fault, not index past the register file).
@@ -84,7 +85,7 @@ def decode_fields(data: bytes, offset: int = 0):
             raise EncodingError(
                 f"register field {reg} out of range at offset {offset}"
             )
-    return op, regs, imm if _HAS_IMM[op] else None
+    return op, regs, imm if has_imm else None
 
 
 def decode_instruction(data: bytes, offset: int = 0) -> Instruction:

@@ -53,6 +53,7 @@ COUNTER_HELP = {
     "conform.runs": "per-config conformance runs (programs x configs)",
     "conform.divergences": "programs whose signature differed across configs (hard failure)",
     "conform.shrink_evaluations": "candidate programs executed while minimizing a divergence",
+    "conform.superblocks_fused": "superblocks the threaded engine fused across conformance runs",
 }
 
 

@@ -36,6 +36,15 @@ def test_generated_programs_cover_every_kind():
     assert kinds == set(OP_KINDS)
 
 
+def test_spin_trip_counts_cross_the_fusion_threshold():
+    trips = [
+        op.extra for spec in generate_specs(0, 100)
+        for op in spec.ops if op.kind == "spin"
+    ]
+    assert any(264 <= count <= 402 for count in trips)
+    assert any(count < 256 for count in trips)
+
+
 def test_every_kind_has_a_family():
     assert set(FAMILIES) == set(OP_KINDS)
 

@@ -43,6 +43,18 @@ def test_metrics_and_summary():
     assert "OK: 0 divergences" in report.summary()
 
 
+def test_default_sweep_fuses_superblocks_under_chained():
+    # The CI smoke sweep's shape (25 programs, seed 0): some spin ops
+    # run past the 256-execution fusion threshold, so the oracle also
+    # compares the compiled superblock tier against the interpreter.
+    report = run_conformance(
+        key=KEY, seed=0, count=25, config_names=["interp", "chained"]
+    )
+    assert report.ok
+    assert report.totals["superblocks_fused"] >= 1
+    assert "superblocks_fused=" in report.summary()
+
+
 def test_config_subset():
     report = run_conformance(
         key=KEY, seed=0, count=3, config_names=["interp", "chained"]
