@@ -1,7 +1,7 @@
 """Fault-injection detection coverage as a regression bench.
 
-A reduced seeded sweep (scaled via ``REPRO_BENCH_SCALE``) across all
-five engine configurations; the bench reports the per-kind and
+A reduced seeded sweep (scaled via ``REPRO_BENCH_SCALE``) across every
+roster configuration (:mod:`repro.configs`); the bench reports the per-kind and
 per-config coverage table and asserts the battery's contract — zero
 MISSED faults, identical detection counts on every configuration.  The
 full-volume run is the CI ``faults-battery`` job; this keeps coverage

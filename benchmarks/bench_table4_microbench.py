@@ -8,8 +8,8 @@ reported alongside, and the authenticated binaries are installed
 
 Each authenticated call is measured twice: cold (``fastpath=False``,
 every trap pays the full CMAC — the paper's configuration) and cached
-(the default kernel, where the per-site verification cache turns the
-steady-state check into a bytes compare).  Both columns are archived so
+(the default kernel, where a compiled per-site verifier turns the
+steady-state check into compares against the call it verified).  Both columns are archived so
 regressions in either mode are visible.
 """
 
@@ -256,7 +256,7 @@ def test_table4_microbenchmark(benchmark, report):
             rows,
             title=f"Table 4: effect of authentication "
                   f"(cycles/call, {iterations} iterations; cold = "
-                  f"--no-fastpath, cached = per-site verification cache)",
+                  f"--no-fastpath, cached = compiled per-site verifier)",
         ),
     )
 

@@ -4,8 +4,8 @@ Each program in the Table 5 suite runs three times — as a
 PLTO-processed unauthenticated binary (the paper's baseline), as a
 fully installed binary on a ``--no-fastpath`` kernel (every trap pays
 the full CMAC — the paper's configuration, compared against Table 6),
-and as the same installed binary on the default kernel where the
-per-site verification cache absorbs the steady-state call-MAC work.
+and as the same installed binary on the default kernel, where the
+compiled per-site verifiers absorb the steady-state call-MAC work.
 
 Times are reported in scaled seconds (2.4e6 cycles per second; see
 repro.workloads.spec).  The runs are deterministic, so the paper's
@@ -108,7 +108,7 @@ def test_table5_table6_macro(benchmark, report):
          "ovh(cached)"],
         rows,
         title="Table 6: performance overhead (scaled seconds; cold = "
-              "--no-fastpath, cached = per-site verification cache; "
+              "--no-fastpath, cached = compiled per-site verifier; "
               "deterministic, std.dev = 0)",
     )
     report("table5_table6_macro", table5 + "\n\n" + table6)

@@ -38,6 +38,7 @@ from typing import Optional
 
 from repro.asm import assemble
 from repro.binfmt import SefBinary, link
+from repro.configs import DEFAULT_CONFIG, EngineConfig
 from repro.crypto import Key
 from repro.installer import InstallerOptions, install
 from repro.isa import Instruction
@@ -140,10 +141,7 @@ msg:
 
 def cross_process_replay_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Run three instances of one installed program; after the first
     instance's counter advances, copy its live lastBlock/lbMAC into
@@ -153,9 +151,7 @@ def cross_process_replay_attack(
     while A and C run on."""
     key = key or Key.generate()
     installed = install(_looper_binary(), key, InstallerOptions())
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
+    kernel = _prepare_kernel(key, config)
     polstate = link(installed.binary).address_of("__asc_polstate")
 
     scheduler = Scheduler(kernel, timeslice=1000)
@@ -200,10 +196,7 @@ def cross_process_replay_attack(
 
 def fork_counter_confusion_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """At fork, parent and child hold byte-identical polstate and equal
     counters — a mutually consistent pair, by construction.  Once the
@@ -212,9 +205,7 @@ def fork_counter_confusion_attack(
     so the MAC fails and only the child is fail-stopped."""
     key = key or Key.generate()
     installed = install(_forker_binary(), key, InstallerOptions())
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
+    kernel = _prepare_kernel(key, config)
     polstate = link(installed.binary).address_of("__asc_polstate")
 
     scheduler = Scheduler(kernel, timeslice=800)
@@ -389,18 +380,13 @@ pfd2:
 def _find_pipe_buffer_address(
     key: Key,
     victim_bytes: bytes,
-    fastpath: bool,
-    engine: str,
-    chain: bool,
-    verifier_jit: bool,
+    config: EngineConfig,
 ) -> int:
     """Discovery run: launch the full pipe-fed setup with dummy
     payloads and capture r2 at the victim's stdin read.  The address
     only depends on the victim image and argv, so it holds for the
     real run."""
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
+    kernel = _prepare_kernel(key, config)
     kernel.vfs.write_file("/bin/victim", victim_bytes)
     launcher = _launcher_binary(b"/etc/motd\x00", b"/etc/motd\x00")
     captured: list[int] = []
@@ -427,10 +413,7 @@ def _find_pipe_buffer_address(
 
 def pipe_fed_tamper_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Feed a stack-smashing payload through a kernel pipe into a
     protected victim's blocking read, while an identical sibling gets
@@ -440,9 +423,7 @@ def pipe_fed_tamper_attack(
     key = key or Key.generate()
     installed = install(build_victim(), key, InstallerOptions())
     victim_bytes = installed.binary.to_bytes()
-    buffer_address = _find_pipe_buffer_address(
-        key, victim_bytes, fastpath, engine, chain, verifier_jit
-    )
+    buffer_address = _find_pipe_buffer_address(key, victim_bytes, config)
 
     string_address = buffer_address + 48
     code = _encode([
@@ -455,9 +436,7 @@ def pipe_fed_tamper_attack(
     payload = code.ljust(48, b"\x00") + b"/bin/sh\x00".ljust(16, b"\x00")
     payload += struct.pack("<I", buffer_address)  # smashed return address
 
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
+    kernel = _prepare_kernel(key, config)
     kernel.vfs.write_file("/bin/victim", victim_bytes)
     launcher = _launcher_binary(payload, b"/etc/motd\x00")
     multi = kernel.run_many([launcher], timeslice=700)
@@ -486,19 +465,15 @@ def pipe_fed_tamper_attack(
 
 def run_cross_process_attacks(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[AttackResult]:
     """The multiprogramming battery.  Separate from
     :func:`repro.attacks.scenarios.run_all_attacks` (whose length is a
     published experiment shape) but with the same contract: outcomes
-    must be identical with the fast path off and under either engine."""
+    must be identical on every roster configuration."""
     key = key or Key.generate()
-    common = dict(fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit)
     return [
-        cross_process_replay_attack(key, **common),
-        fork_counter_confusion_attack(key, **common),
-        pipe_fed_tamper_attack(key, **common),
+        cross_process_replay_attack(key, config),
+        fork_counter_confusion_attack(key, config),
+        pipe_fed_tamper_attack(key, config),
     ]

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from repro.asm import assemble
 from repro.binfmt import link
+from repro.configs import DEFAULT_CONFIG, EngineConfig
 from repro.cpu.vm import VM, ProcessExit
 from repro.crypto import Key
 from repro.installer import InstalledProgram, InstallerOptions, install
@@ -64,14 +65,10 @@ msg:
 
 def _prepare_kernel(
     key: Key,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> Kernel:
     kernel = Kernel(
-        key=key, mode=EnforcementMode.PERMISSIVE, fastpath=fastpath, engine=engine,
-        chain=chain, verifier_jit=verifier_jit,
+        key=key, mode=EnforcementMode.PERMISSIVE, **config.kernel_kwargs()
     )
     kernel.vfs.write_file("/bin/sh", _marker_program(_SH_MARKER))
     kernel.vfs.write_file("/bin/ls", _marker_program(_LS_MARKER))
@@ -108,14 +105,9 @@ def _run_with_payload(
     installed: InstalledProgram,
     payload: bytes,
     mutate: Optional[Callable[[Kernel, VM], None]] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ):
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
+    kernel = _prepare_kernel(key, config)
     process, vm = kernel.load(installed.binary, stdin=payload)
     if mutate:
         mutate(kernel, vm)
@@ -134,10 +126,7 @@ def _encode(instructions) -> bytes:
 
 def shellcode_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Overflow the buffer, run injected code that issues a raw
     execve("/bin/sh") system call."""
@@ -159,10 +148,7 @@ def shellcode_attack(
     payload = code.ljust(48, b"\x00") + b"/bin/sh\x00".ljust(16, b"\x00")
     payload += struct.pack("<I", buffer_address)  # smashed return address
 
-    kernel, process, vm = _run_with_payload(
-        key, installed, payload, fastpath=fastpath, engine=engine, chain=chain,
-        verifier_jit=verifier_jit,
-    )
+    kernel, process, vm = _run_with_payload(key, installed, payload, config=config)
     return AttackResult(
         name="shellcode",
         blocked=vm.killed,
@@ -180,10 +166,7 @@ def shellcode_attack(
 def mimicry_attack(
     key: Optional[Key] = None,
     variant: str = "call-graph",
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Reuse the victim's *authenticated* execve call out of context.
 
@@ -225,10 +208,7 @@ def mimicry_attack(
         detail = "issued ASYS from injected code with a stolen record"
 
     payload = code.ljust(BUFFER_SIZE, b"\x00") + struct.pack("<I", buffer_address)
-    kernel, process, vm = _run_with_payload(
-        key, installed, payload, fastpath=fastpath, engine=engine, chain=chain,
-        verifier_jit=verifier_jit,
-    )
+    kernel, process, vm = _run_with_payload(key, installed, payload, config=config)
     return AttackResult(
         name=f"mimicry/{variant}",
         blocked=vm.killed,
@@ -245,10 +225,7 @@ def mimicry_attack(
 
 def non_control_data_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Swap the constant "/bin/ls" for "/bin/sh" in memory.
 
@@ -263,8 +240,7 @@ def non_control_data_attack(
         vm.memory.write(exec_path, b"/bin/sh", force=True)
 
     kernel, process, vm = _run_with_payload(
-        key, installed, b"/etc/motd\x00", mutate=corrupt, fastpath=fastpath,
-        engine=engine, verifier_jit=verifier_jit,
+        key, installed, b"/etc/motd\x00", mutate=corrupt, config=config
     )
     return AttackResult(
         name="non-control-data",
@@ -283,10 +259,7 @@ def non_control_data_attack(
 def frankenstein_attack(
     key: Optional[Key] = None,
     defense: bool = True,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Transplant program B's authenticated execve (of /bin/sh) into
     program A.  Both programs are legitimately installed on the same
@@ -325,8 +298,7 @@ def frankenstein_attack(
             vm.memory.write(address, blob, force=True)
 
     kernel, process, vm = _run_with_payload(
-        key, installed_a, b"/etc/motd\x00", mutate=transplant, fastpath=fastpath,
-        engine=engine, verifier_jit=verifier_jit,
+        key, installed_a, b"/etc/motd\x00", mutate=transplant, config=config
     )
     spawned_shell = _SH_MARKER in process.stdout
     return AttackResult(
@@ -348,10 +320,7 @@ def frankenstein_attack(
 
 def replay_attack(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> AttackResult:
     """Snapshot lastBlock/lbMAC *before* the open executes; let the
     open run (advancing the kernel counter); then restore the stale
@@ -361,9 +330,7 @@ def replay_attack(
     counter and fail-stops instead."""
     key = key or Key.generate()
     installed = _install_victim(key)
-    kernel = _prepare_kernel(
-        key, fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit
-    )
+    kernel = _prepare_kernel(key, config)
     process, vm = kernel.load(installed.binary, stdin=b"/etc/motd\x00")
 
     image = link(installed.binary)
@@ -403,28 +370,25 @@ def replay_attack(
 
 def run_all_attacks(
     key: Optional[Key] = None,
-    fastpath: bool = True,
-    engine: str = "threaded",
-    chain: bool = True,
-    verifier_jit: bool = True,
+    config: EngineConfig = DEFAULT_CONFIG,
 ) -> list[AttackResult]:
-    """The full §4.1 + §5.5 battery.
+    """The full §4.1 + §5.5 battery on one roster configuration.
 
-    ``fastpath=False`` runs every scenario on a ``--no-fastpath``
-    kernel; the outcomes must be identical — the verification cache is
-    an optimization, never a policy change.  Likewise ``engine``:
-    the battery must report the same verdicts under the interpreter
-    and the threaded translation cache (the §4.1 shellcode executes
-    freshly written stack bytes, which exercises the threaded engine's
-    invalidation protocol end to end)."""
+    The outcomes must be identical on every entry of
+    :data:`repro.configs.CONFIGS`: the ``no-fastpath`` config runs the
+    paper's full check on every trap (verifier thunks are an
+    optimization, never a policy change), and the battery must report
+    the same verdicts under the interpreter and the threaded
+    translation cache (the §4.1 shellcode executes freshly written
+    stack bytes, which exercises the threaded engine's invalidation
+    protocol end to end)."""
     key = key or Key.generate()
-    common = dict(fastpath=fastpath, engine=engine, chain=chain, verifier_jit=verifier_jit)
     return [
-        shellcode_attack(key, **common),
-        mimicry_attack(key, "call-graph", **common),
-        mimicry_attack(key, "call-site", **common),
-        non_control_data_attack(key, **common),
-        frankenstein_attack(key, defense=True, **common),
-        frankenstein_attack(key, defense=False, **common),
-        replay_attack(key, **common),
+        shellcode_attack(key, config),
+        mimicry_attack(key, "call-graph", config),
+        mimicry_attack(key, "call-site", config),
+        non_control_data_attack(key, config),
+        frankenstein_attack(key, defense=True, config=config),
+        frankenstein_attack(key, defense=False, config=config),
+        replay_attack(key, config),
     ]

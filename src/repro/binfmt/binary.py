@@ -156,6 +156,18 @@ class SefBinary:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SefBinary":
+        """Parse SEF bytes.  Malformed input of any kind — truncated
+        fields, bad UTF-8, inconsistent sections or symbols — raises
+        :class:`BinaryFormatError`, never another exception type."""
+        try:
+            return cls._parse(data)
+        except BinaryFormatError:
+            raise
+        except (struct.error, ValueError) as err:  # UnicodeDecodeError too
+            raise BinaryFormatError(f"malformed SEF binary: {err}") from err
+
+    @classmethod
+    def _parse(cls, data: bytes) -> "SefBinary":
         if data[:4] != MAGIC:
             raise BinaryFormatError("bad magic: not a SEF binary")
         offset = 4

@@ -1,9 +1,9 @@
 """The conformance oracle: one program, every engine configuration.
 
-A program is installed once and executed under each of the five
-:data:`repro.faults.plan.CONFIGS` (interp / chained / no-chain /
-no-verifier-jit / no-fastpath).  Each run is reduced to a *portable
-conformance signature*:
+A program is installed once and executed under each of the
+:data:`repro.configs.CONFIGS` (interp / chained / no-chain /
+no-fastpath).  Each run is reduced to a *portable conformance
+signature*:
 
 - the per-process result tuples of :func:`repro.faults.harness.process_signature`
   with the config-dependent cycle slot stripped by
@@ -17,8 +17,11 @@ conformance signature*:
 
 The enforced property is the paper's: every engine configuration
 implements the *same* authenticated-syscall semantics, so the
-signature must be bit-identical across all of them.  Any mismatch is a
-divergence, which the sweep hands to the shrinker.
+signature must be bit-identical across all of them.  Within each run
+the shadow oracle (:mod:`repro.faults.shadow`) re-verifies every trap
+a verifier thunk accepted with the paper's full check.  A signature
+mismatch or a shadow disagreement is a divergence, which the sweep
+hands to the shrinker.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from repro.configs import configs_named
 from repro.crypto import Key
 from repro.faults.harness import RunOutcome, portable_signature, process_signature
-from repro.faults.plan import CONFIGS, configs_named
+from repro.faults.shadow import ShadowVerifier
 from repro.installer import InstalledProgram, InstallerOptions, install
 from repro.kernel import EnforcementMode, Kernel
 from repro.kernel.auth import violation_family
@@ -74,6 +78,11 @@ class ProgramOutcome:
     #: Superblocks the threaded engine fused during the run (coverage
     #: evidence only; not compared, since it is config-dependent).
     superblocks_fused: int = 0
+    #: Thunk-accepted traps the shadow oracle re-verified, and the
+    #: ones its full check did not confirm (not compared; any
+    #: disagreement is a divergence on its own).
+    shadow_checked: int = 0
+    shadow_disagreements: tuple = ()
 
     def comparable(self) -> tuple:
         """Everything the cross-config equality check compares."""
@@ -120,6 +129,7 @@ def run_program(
     single-process programs, and a fixed timeslice makes preemption
     points part of the compared semantics)."""
     kernel = make_kernel(key, config, recorder=recorder)
+    shadow = ShadowVerifier(kernel)
     tracer = SyscallTraceRecorder()
     kernel.tracer = tracer
     multi = kernel.run_many(
@@ -158,6 +168,8 @@ def run_program(
         kill_reasons=outcome.kill_reason,
         exit_status=multi.results[0].exit_status,
         superblocks_fused=kernel.metrics.get("engine.superblocks_fused"),
+        shadow_checked=shadow.checked,
+        shadow_disagreements=tuple(shadow.disagreements),
     )
 
 
@@ -192,12 +204,13 @@ def run_all_configs(
 
 def divergences(outcomes: dict[str, ProgramOutcome]) -> list[str]:
     """Names of configs whose comparable differs from the first
-    config's (empty list == conformant)."""
+    config's or whose shadow oracle disagreed (empty list ==
+    conformant)."""
     names = list(outcomes)
     reference = outcomes[names[0]].comparable()
     return [
-        name for name in names[1:]
-        if outcomes[name].comparable() != reference
+        name for name, outcome in outcomes.items()
+        if outcome.shadow_disagreements or outcome.comparable() != reference
     ]
 
 
@@ -213,7 +226,3 @@ def spec_diverges(
         key, installed, config_names=config_names, timeslice=timeslice
     )))
 
-
-#: Re-exported so callers can enumerate the roster without importing
-#: the faults package themselves.
-ENGINE_CONFIGS = CONFIGS

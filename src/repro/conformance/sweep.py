@@ -4,8 +4,10 @@ The contract the CI gate enforces:
 
 1. **Zero divergences.**  Every generated program must produce a
    bit-identical portable conformance signature (per-process results,
-   syscall trace, kill families, final memory digests) on all five
-   engine configurations.  One divergence fails the sweep.
+   syscall trace, kill families, final memory digests) on every roster
+   configuration (:mod:`repro.configs`), and the shadow oracle must
+   confirm every trap a verifier thunk accepted.  One divergence fails
+   the sweep.
 2. **Determinism.**  Same seed + same key -> byte-identical report
    JSON, run to run and machine to machine.  Nothing time- or
    path-dependent goes into the report.
@@ -23,8 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.configs import configs_named
 from repro.crypto import Key
-from repro.faults.plan import configs_named
 
 from repro.conformance.corpus import make_entry, write_entry
 from repro.conformance.grammar import DEFAULT_TIMESLICE, generate_specs
@@ -49,6 +51,11 @@ class ConformanceReport:
     divergent: list = field(default_factory=list)
     reproducers: list = field(default_factory=list)
     totals: dict = field(default_factory=dict)
+    #: Thunk-accepted traps the shadow oracle re-verified, and how many
+    #: it did not confirm (summary only; the JSON report is the same
+    #: with or without the oracle).
+    shadow_checked: int = 0
+    shadow_disagreements: int = 0
 
     @property
     def ok(self) -> bool:
@@ -83,6 +90,10 @@ class ConformanceReport:
             f"killed={totals.get('killed', 0)} "
             f"divergent={len(self.divergent)} "
             f"superblocks_fused={totals.get('superblocks_fused', 0)}"
+        )
+        lines.append(
+            f"  shadow-verified {self.shadow_checked} thunk-accepted traps, "
+            f"{self.shadow_disagreements} disagreements"
         )
         for entry in self.divergent:
             lines.append(
@@ -149,6 +160,9 @@ def run_conformance(
             family_totals[family] = family_totals.get(family, 0) + 1
         fused = sum(out.superblocks_fused for out in outcomes.values())
         totals["superblocks_fused"] += fused
+        for out in outcomes.values():
+            report.shadow_checked += out.shadow_checked
+            report.shadow_disagreements += len(out.shadow_disagreements)
         _count(metrics, recorder, "conform.programs")
         _count(metrics, recorder, "conform.runs", len(outcomes))
         _count(metrics, recorder, "conform.superblocks_fused", fused)
@@ -173,6 +187,12 @@ def run_conformance(
                 name: out.fingerprint() for name, out in outcomes.items()
             },
         }
+        shadow = {
+            name: list(out.shadow_disagreements)
+            for name, out in outcomes.items() if out.shadow_disagreements
+        }
+        if shadow:
+            entry["shadow_disagreements"] = shadow
         result = shrink_spec(
             spec,
             lambda candidate: spec_diverges(

@@ -11,13 +11,9 @@ outcome taxonomy, and ``python -m repro.tools faults`` for the CLI.
 from repro.faults.harness import RunOutcome, classify, run_workload
 from repro.faults.plan import (
     ALLOWED_FAMILIES,
-    CONFIG_NAMES,
-    CONFIGS,
     EXPECTATIONS,
-    EngineConfig,
     FaultPlan,
     KINDS,
-    configs_named,
     generate_plans,
 )
 from repro.faults.sweep import SweepReport, run_sweep
@@ -25,17 +21,13 @@ from repro.faults.targets import build_workloads, make_kernel
 
 __all__ = [
     "ALLOWED_FAMILIES",
-    "CONFIG_NAMES",
-    "CONFIGS",
     "EXPECTATIONS",
-    "EngineConfig",
     "FaultPlan",
     "KINDS",
     "RunOutcome",
     "SweepReport",
     "build_workloads",
     "classify",
-    "configs_named",
     "generate_plans",
     "make_kernel",
     "run_sweep",

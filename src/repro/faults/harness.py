@@ -14,8 +14,11 @@ run of the same workload on the same config:
   perturbations (where it is *required*).
 - **missed** — everything else: a run that diverged without being
   killed, a must-detect fault that was silently swallowed, a
-  misattributed kill, or a scheduler perturbation that changed any
-  per-process result.  Any miss is a hard failure of the sweep.
+  misattributed kill, a scheduler perturbation that changed any
+  per-process result, or a trap a verifier thunk accepted that the
+  shadow oracle's full check did not confirm
+  (:mod:`repro.faults.shadow`).  Any miss is a hard failure of the
+  sweep.
 
 Reference signatures double as an engine-equivalence check: the sweep
 asserts the clean signature of every workload is identical across all
@@ -31,6 +34,7 @@ from repro.cpu.vm import ExecutionFault
 from repro.crypto import Key
 from repro.faults.inject import TrapSpy, make_injector
 from repro.faults.plan import ALLOWED_FAMILIES, SCHED_KINDS, FaultPlan
+from repro.faults.shadow import ShadowVerifier
 from repro.faults.targets import SCHED_INSTANCES, VICTIM_STDIN, make_kernel
 from repro.kernel.auth import violation_family
 from repro.kernel.sched.scheduler import Scheduler
@@ -50,6 +54,10 @@ class RunOutcome:
     killed: bool
     kill_reason: str
     traps: int = 0
+    #: Thunk-accepted traps the shadow oracle re-verified, and the
+    #: ones its full check did not confirm (never part of the signature).
+    shadow_checked: int = 0
+    shadow_disagreements: tuple = ()
 
 
 def run_workload(
@@ -74,6 +82,7 @@ def _run_single(
 ) -> RunOutcome:
     installed = workloads[workload]
     kernel = make_kernel(key, config, recorder=recorder)
+    shadow = ShadowVerifier(kernel)
     stdin = VICTIM_STDIN if workload == "victim" else b""
     process, vm = kernel.load(installed.binary, stdin=stdin)
     injector = None
@@ -103,11 +112,17 @@ def _run_single(
         bytes(process.stdout), bytes(process.stderr),
         vm.cycles, vm.instructions_executed,
     )
+    return _outcome(
+        shadow, signature=signature, killed=vm.killed,
+        kill_reason=vm.kill_reason, traps=spy.seen,
+    )
+
+
+def _outcome(shadow: ShadowVerifier, **fields) -> RunOutcome:
     return RunOutcome(
-        signature=signature,
-        killed=vm.killed,
-        kill_reason=vm.kill_reason,
-        traps=spy.seen,
+        shadow_checked=shadow.checked,
+        shadow_disagreements=tuple(shadow.disagreements),
+        **fields,
     )
 
 
@@ -144,6 +159,7 @@ def _run_scheduled(key, config, workloads, plan, recorder) -> RunOutcome:
     per-task results must be invariant under any preemption order."""
     installed = workloads["loop"]
     kernel = make_kernel(key, config, recorder=recorder)
+    shadow = ShadowVerifier(kernel)
     timeslice = plan.timeslice if plan is not None else REFERENCE_TIMESLICE
     scheduler = Scheduler(kernel, timeslice=timeslice)
     tasks = [
@@ -170,7 +186,9 @@ def _run_scheduled(key, config, workloads, plan, recorder) -> RunOutcome:
     )
     killed = any(task.killed for task in tasks)
     reasons = "; ".join(task.kill_reason for task in tasks if task.killed)
-    return RunOutcome(signature=per_task, killed=killed, kill_reason=reasons)
+    return _outcome(
+        shadow, signature=per_task, killed=killed, kill_reason=reasons
+    )
 
 
 #: The socket data-transfer calls the netserver spy counts: plans for
@@ -188,6 +206,7 @@ def _run_netserver(key, config, workloads, plan, recorder) -> RunOutcome:
     covers the first VM; forked children get fresh ones)."""
     installed = workloads["netserver"]
     kernel = make_kernel(key, config, recorder=recorder)
+    shadow = ShadowVerifier(kernel)
     injector = None
     if plan is not None:
         injector = make_injector(plan, _image_of(installed))
@@ -212,8 +231,9 @@ def _run_netserver(key, config, workloads, plan, recorder) -> RunOutcome:
     )
     killed = any(task.killed for task in tasks)
     reasons = "; ".join(task.kill_reason for task in tasks if task.killed)
-    return RunOutcome(
-        signature=per_task, killed=killed, kill_reason=reasons, traps=spy.seen
+    return _outcome(
+        shadow, signature=per_task, killed=killed, kill_reason=reasons,
+        traps=spy.seen,
     )
 
 
@@ -237,6 +257,8 @@ def portable_signature(outcome: RunOutcome) -> tuple:
 def classify(plan: FaultPlan, reference: RunOutcome, outcome: RunOutcome) -> str:
     """Map one faulted run to detected / benign / missed (see module
     docstring)."""
+    if outcome.shadow_disagreements:
+        return "missed"
     identical = outcome.signature == reference.signature
     if plan.expected == "benign":
         return "benign" if identical and not outcome.killed else "missed"

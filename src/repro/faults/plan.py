@@ -23,7 +23,7 @@ replay nonces, and perturbed preemption points — not crafted inputs
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Every fault kind the battery injects.  ``expected`` outcome classes:
 #:
@@ -103,9 +103,9 @@ SCHED_KINDS = ("sched-jitter", "sched-preempt")
 NET_KINDS = ("sock-reg-tamper",)
 
 #: Traps to let pass before a prewarm flip, so every loop-workload site
-#: has been fully verified at least once (authcache entries stored,
-#: verifier thunks compiled) and the flip genuinely stresses the
-#: write-version guards over pre-verified spans.
+#: has been fully verified at least once (its verifier thunk compiled)
+#: and the flip genuinely stresses the write-version guards and the
+#: thunk refresh over pre-verified spans.
 WARMUP_TRAPS = 7
 
 
@@ -137,52 +137,6 @@ class FaultPlan:
     def describe(self) -> str:
         where = self.section or f"trap {self.trap_index}"
         return f"{self.kind} on {self.workload} ({where})"
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """One kernel/engine configuration the sweep replays every plan on."""
-
-    name: str
-    engine: str
-    chain: bool = True
-    verifier_jit: bool = True
-    fastpath: bool = True
-
-    def kernel_kwargs(self) -> dict:
-        return {
-            "engine": self.engine,
-            "chain": self.chain,
-            "verifier_jit": self.verifier_jit,
-            "fastpath": self.fastpath,
-        }
-
-
-#: The five configurations of the verification/execution stack: the
-#: reference interpreter, the chained threaded engine, chaining
-#: disabled, the verifier JIT disabled, and the fast-path cache
-#: disabled (which also disables the JIT that rides on it).  Detection
-#: coverage is a security property and must be identical on all five.
-CONFIGS = (
-    EngineConfig("interp", "interp"),
-    EngineConfig("chained", "threaded"),
-    EngineConfig("no-chain", "threaded", chain=False),
-    EngineConfig("no-verifier-jit", "threaded", verifier_jit=False),
-    EngineConfig("no-fastpath", "threaded", fastpath=False),
-)
-
-CONFIG_NAMES = tuple(config.name for config in CONFIGS)
-
-
-def configs_named(names=None) -> tuple:
-    """Resolve config names to :data:`CONFIGS` entries (all when None)."""
-    if not names:
-        return CONFIGS
-    by_name = {config.name: config for config in CONFIGS}
-    unknown = [name for name in names if name not in by_name]
-    if unknown:
-        raise ValueError(f"unknown engine config(s): {', '.join(unknown)}")
-    return tuple(by_name[name] for name in names)
 
 
 def generate_plans(

@@ -6,9 +6,12 @@ The contract the CI battery enforces:
 1. **Zero misses.**  Every injected fault is either detected with a
    correctly attributed kill reason or provably benign (bit-identical
    run).  One MISSED outcome fails the sweep.
-2. **Config independence.**  The same plans run on all five engine
-   configurations; detection coverage must not depend on which
-   execution engine or which verification cache is in play.
+2. **Config independence.**  The same plans run on every roster
+   configuration (:mod:`repro.configs`); detection coverage must not
+   depend on which execution engine or verification path is in play.
+   Every trap a verifier thunk accepts is also re-verified by the
+   shadow oracle's full check (:mod:`repro.faults.shadow`); a
+   disagreement is a MISSED outcome, or an error in a clean run.
 3. **Determinism.**  Same seed + same key -> byte-identical report
    JSON.  The clean reference signatures are also asserted identical
    across configs before any fault runs, so the sweep doubles as an
@@ -20,13 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from repro.configs import configs_named
 from repro.crypto import Key
 from repro.faults.harness import classify, portable_signature, run_workload
-from repro.faults.plan import (
-    FaultPlan,
-    configs_named,
-    generate_plans,
-)
+from repro.faults.plan import generate_plans
 from repro.faults.targets import build_workloads, section_sizes
 
 OUTCOMES = ("detected", "benign", "missed")
@@ -53,6 +53,9 @@ class SweepReport:
     totals: dict = field(default_factory=dict)
     by_kind: dict = field(default_factory=dict)
     by_config: dict = field(default_factory=dict)
+    #: Thunk-accepted traps the shadow oracle re-verified (summary
+    #: only; the JSON report is the same with or without the oracle).
+    shadow_checked: int = 0
 
     @property
     def missed(self) -> int:
@@ -97,6 +100,9 @@ class SweepReport:
                 f"benign={counts.get('benign', 0)} "
                 f"missed={counts.get('missed', 0)}"
             )
+        lines.append(
+            f"  shadow-verified {self.shadow_checked} thunk-accepted traps"
+        )
         verdict = "OK: 0 missed" if self.ok else f"FAIL: {self.missed} MISSED"
         lines += ["", verdict]
         return "\n".join(lines)
@@ -133,6 +139,11 @@ def run_sweep(
                 raise RuntimeError(
                     f"clean {workload} run died on {config.name}: "
                     f"{outcome.kill_reason}"
+                )
+            if outcome.shadow_disagreements:
+                raise RuntimeError(
+                    f"shadow-verify disagreement in the clean {workload} "
+                    f"run on {config.name}: {outcome.shadow_disagreements[0]}"
                 )
             references[(config.name, workload)] = outcome
             first = references[(configs[0].name, workload)]
@@ -173,6 +184,7 @@ def run_sweep(
             )
             if recorder is not None and recorder.enabled:
                 recorder.end()
+            report.shadow_checked += outcome.shadow_checked
             tally_totals["injected"] += 1
             tally_totals[verdict] += 1
             by_kind.setdefault(plan.kind, dict.fromkeys(OUTCOMES, 0))[verdict] += 1
@@ -185,15 +197,16 @@ def run_sweep(
             if recorder is not None:
                 recorder.inc("faults.injected")
                 recorder.inc(f"faults.{verdict}")
-            report.runs.append(
-                {
-                    "plan": asdict(plan),
-                    "config": config.name,
-                    "outcome": verdict,
-                    "killed": outcome.killed,
-                    "kill_reason": outcome.kill_reason,
-                }
-            )
+            run = {
+                "plan": asdict(plan),
+                "config": config.name,
+                "outcome": verdict,
+                "killed": outcome.killed,
+                "kill_reason": outcome.kill_reason,
+            }
+            if outcome.shadow_disagreements:
+                run["shadow_disagreements"] = list(outcome.shadow_disagreements)
+            report.runs.append(run)
 
     report.totals = tally_totals
     report.by_kind = by_kind

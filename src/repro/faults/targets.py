@@ -5,9 +5,9 @@ authenticated material:
 
 - ``loop`` — a small iterative program whose four call sites (write,
   open, close, exit) each trap repeatedly.  Repetition is the point:
-  it warms the verified-site cache and the verifier JIT's thunks, so
-  post-warm-up faults stress the staleness guards over pre-verified
-  spans rather than the first-verification path.
+  it warms the verifier thunks, so post-warm-up faults stress the
+  staleness guards and the thunk refresh over pre-verified spans
+  rather than the first-verification path.
 - ``victim`` — the attack battery's §4.1 victim run with *benign*
   stdin: string-argument-rich (open path, execve path), includes an
   execve into an unauthenticated marker program.

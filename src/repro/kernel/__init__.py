@@ -16,18 +16,14 @@ Stands in for the paper's modified Linux kernel.  The pieces:
 - :mod:`repro.kernel.costs` -- the deterministic cycle-cost model,
   calibrated so unmodified system calls reproduce Table 4's baseline
   column.
-- :mod:`repro.kernel.authcache` -- the per-process verification fast
-  path (cached call-MAC checks; see DESIGN.md "Performance
-  architecture").
-- :mod:`repro.kernel.verifierjit` -- per-site verifier specialization
-  (compiled SiteThunks riding on the fast path's invalidation
-  machinery; see DESIGN.md "Verifier specialization").
+- :mod:`repro.kernel.verifierjit` -- the per-process verification fast
+  path: compiled per-site verifier thunks, guarded by region write
+  versions (see DESIGN.md "Performance architecture").
 """
 
 from repro.kernel.errors import Errno
 from repro.kernel.vfs import Vfs, VfsError
 from repro.kernel.audit import FastPathSnapshot, FastPathStats
-from repro.kernel.authcache import VerifiedSiteCache
 from repro.kernel.costs import CostModel
 from repro.kernel.kernel import EnforcementMode, Kernel, RunResult
 from repro.kernel.verifierjit import SiteThunk, VerifierJit
@@ -41,7 +37,6 @@ __all__ = [
     "Kernel",
     "RunResult",
     "SiteThunk",
-    "VerifiedSiteCache",
     "VerifierJit",
     "Vfs",
     "VfsError",

@@ -34,14 +34,13 @@ class FastPathSnapshot:
     """An immutable copy of the fast-path counters at one instant.
 
     :meth:`FastPathStats.reset` returns one of these so a caller that
-    resets between benchmark phases reads a consistent triple — reading
+    resets between benchmark phases reads a consistent pair — reading
     the live stats after the reset (or while another phase has already
     started accumulating) races.
     """
 
     hits: int = 0
     misses: int = 0
-    invalidations: int = 0
 
     @property
     def lookups(self) -> int:
@@ -54,11 +53,11 @@ class FastPathSnapshot:
 class FastPathStats:
     """Machine-wide verification fast-path counters.
 
-    ``hits``/``misses`` count per-site call-MAC cache probes (a miss
-    includes both cold sites and tampered re-probes that fell back to
-    the full CMAC); ``invalidations`` counts cache entries dropped at
-    process exit/exec.  Benchmarks and the audit trail use these to
-    report fast-path coverage alongside the timing tables.
+    Each verified trap counts once: ``hits`` are traps a compiled
+    per-site thunk accepted, ``misses`` traps the full check accepted
+    (a site's first trap, or one whose thunk was just dropped).  Both
+    stay 0 with the fast path off.  Benchmarks and the audit trail use
+    these to report fast-path coverage alongside the timing tables.
 
     Since the observability layer landed this is a *view* over a
     :class:`repro.obs.metrics.MetricsRegistry` (the kernel's, so the
@@ -73,7 +72,6 @@ class FastPathStats:
         self,
         hits: int = 0,
         misses: int = 0,
-        invalidations: int = 0,
         registry: Optional[MetricsRegistry] = None,
     ):
         self._registry = registry if registry is not None else MetricsRegistry()
@@ -81,8 +79,6 @@ class FastPathStats:
             self._registry.set("fastpath.hits", hits)
         if misses:
             self._registry.set("fastpath.misses", misses)
-        if invalidations:
-            self._registry.set("fastpath.invalidations", invalidations)
 
     # -- counter views ---------------------------------------------------
 
@@ -102,14 +98,6 @@ class FastPathStats:
     def misses(self, value: int) -> None:
         self._registry.set("fastpath.misses", value)
 
-    @property
-    def invalidations(self) -> int:
-        return self._registry.get("fastpath.invalidations")
-
-    @invalidations.setter
-    def invalidations(self, value: int) -> None:
-        self._registry.set("fastpath.invalidations", value)
-
     # -- derived ---------------------------------------------------------
 
     @property
@@ -120,7 +108,7 @@ class FastPathStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def snapshot(self) -> FastPathSnapshot:
-        return FastPathSnapshot(self.hits, self.misses, self.invalidations)
+        return FastPathSnapshot(self.hits, self.misses)
 
     def reset(self) -> FastPathSnapshot:
         """Zero the counters; returns the pre-reset snapshot so callers
@@ -128,14 +116,12 @@ class FastPathStats:
         snapshot = self.snapshot()
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
         return snapshot
 
     def render(self) -> str:
         return (
             f"fastpath: {self.hits} hits / {self.misses} misses "
-            f"({100.0 * self.hit_rate():.1f}% hit rate), "
-            f"{self.invalidations} entries invalidated"
+            f"({100.0 * self.hit_rate():.1f}% hit rate)"
         )
 
 

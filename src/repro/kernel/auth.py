@@ -26,11 +26,10 @@ from typing import Optional
 from repro.cpu.memory import MemoryFault
 from repro.cpu.vm import VM
 from repro.crypto import MacProvider
-from repro.kernel.authcache import VerifiedSiteCache
 from repro.kernel.costs import CostModel, mac_blocks
 from repro.kernel.process import Process
 from repro.obs import NULL_RECORDER, Recorder
-from repro.policy.authstrings import read_authenticated_string
+from repro.policy.authstrings import AuthenticatedString, read_authenticated_string
 from repro.policy.descriptor import PolicyDescriptor
 from repro.policy.encode import ParamEncoding, encode_policy, unpack_predecessor_set
 from repro.policy.patterns import Pattern, match_with_hint
@@ -100,13 +99,126 @@ def violation_family(reason: str) -> Optional[str]:
     return None
 
 
+@dataclass(frozen=True)
+class DecodedCall:
+    """Step 1 of §3.4 before any MAC: the live auth record, every
+    authenticated string it names, and the encoded call rebuilt from
+    them and the trap registers.
+
+    Built by :func:`decode_call` — the one decoder the full check, the
+    verifier-thunk compiler and the thunk refresh all share."""
+
+    record: AuthRecord
+    encoded_call: bytes
+    #: ((register index, value), ...) for constrained immediates.
+    immediates: tuple
+    #: ((param index, content address, AS), ...) for string arguments,
+    #: pattern-constrained ones included, in ascending index order.
+    strings: tuple
+    predset: Optional[AuthenticatedString] = None
+    fd_allowed: Optional[AuthenticatedString] = None
+
+    def authenticated_strings(self) -> tuple:
+        """((content address, AS), ...) for every AS the call names."""
+        pairs = [(address, auth_string) for _, address, auth_string in self.strings]
+        if self.predset is not None:
+            pairs.append((self.record.predset_ptr, self.predset))
+        if self.fd_allowed is not None:
+            pairs.append((self.record.fd_allowed_ptr, self.fd_allowed))
+        return tuple(pairs)
+
+    def verdict_bytes(self) -> tuple:
+        """Every byte the §3.4 verdict reads from policy memory: the
+        encoded call (which embeds each AS header), the call MAC and
+        the AS contents.  Two decodes with equal ``verdict_bytes`` get
+        the same step-1 and step-2 verdict."""
+        return (
+            self.encoded_call,
+            self.record.call_mac,
+            tuple(auth_string.content for _, auth_string in self.authenticated_strings()),
+        )
+
+
+def decode_call(vm: VM) -> DecodedCall:
+    """Read and decode the ASYS trap pending on ``vm`` (step 1 up to,
+    not including, the call-MAC comparison).  Raises
+    :class:`AuthViolation` on an unreadable record or AS."""
+    memory = vm.memory
+    regs = vm.regs
+    try:
+        record = read_auth_record(memory, regs[7])
+    except MemoryFault as fault:
+        raise AuthViolation(f"unreadable auth record: {fault}") from fault
+    descriptor = record.descriptor
+    params: list[ParamEncoding] = []
+    immediates: list[tuple[int, int]] = []
+    strings: list[tuple[int, int, AuthenticatedString]] = []
+    predset = None
+    fd_allowed = None
+    pattern_cursor = 0
+    try:
+        for index in range(6):
+            is_pattern = descriptor.param_is_pattern(index)
+            if not descriptor.param_constrained(index) and not is_pattern:
+                continue
+            if descriptor.param_is_string(index):
+                if is_pattern:
+                    address = record.pattern_ptrs[pattern_cursor]
+                    pattern_cursor += 1
+                else:
+                    address = regs[1 + index]
+                auth_string = read_authenticated_string(memory, address)
+                params.append(
+                    ParamEncoding.auth_string(
+                        index, address, auth_string.length, auth_string.mac
+                    )
+                )
+                strings.append((index, address, auth_string))
+            else:
+                params.append(ParamEncoding.immediate(index, regs[1 + index]))
+                immediates.append((1 + index, regs[1 + index]))
+
+        predset_triple = None
+        if descriptor.control_flow_constrained:
+            predset = read_authenticated_string(memory, record.predset_ptr)
+            predset_triple = (record.predset_ptr, predset.length, predset.mac)
+
+        capability_spec = None
+        if descriptor.capability_tracked:
+            fd_allowed = read_authenticated_string(memory, record.fd_allowed_ptr)
+            capability_spec = (
+                record.fd_mask,
+                (record.fd_allowed_ptr, fd_allowed.length, fd_allowed.mac),
+            )
+    except MemoryFault as fault:
+        raise AuthViolation(f"bad pointer in authenticated call: {fault}") from fault
+
+    encoded_call = encode_policy(
+        descriptor,
+        regs[0],
+        vm.pc,
+        record.block_id,
+        params,
+        predset=predset_triple,
+        lastblock_address=record.lastblock_ptr,
+        capability=capability_spec,
+    )
+    return DecodedCall(
+        record=record,
+        encoded_call=encoded_call,
+        immediates=tuple(immediates),
+        strings=tuple(strings),
+        predset=predset,
+        fd_allowed=fd_allowed,
+    )
+
+
 @dataclass
 class CheckResult:
     """Outcome of a successful check."""
 
     syscall_number: int
     block_id: int
-    record: AuthRecord
     #: Total AES blocks MAC'd during the check (drives the cycle cost).
     mac_blocks: int
     cycles: int
@@ -114,15 +226,9 @@ class CheckResult:
     #: bitmask and the permitted producing-site block ids.
     fd_mask: int = 0
     fd_allowed: frozenset = frozenset()
-    #: Fast-path accounting: call-MAC cache probes this check resolved
-    #: as hits/misses (0/0 when the kernel runs with fastpath disabled).
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @property
-    def fastpath(self) -> bool:
-        """True iff the call MAC was satisfied by the per-site cache."""
-        return self.cache_hits > 0
+    #: The decode the full check accepted (None for a thunk hit); the
+    #: verifier JIT compiles the site's thunk from it.
+    call: Optional[DecodedCall] = None
 
 
 class AuthChecker:
@@ -144,21 +250,10 @@ class AuthChecker:
 
     # -- the three checks of §3.4 ---------------------------------------
 
-    def check(
-        self,
-        vm: VM,
-        process: Process,
-        cache: Optional[VerifiedSiteCache] = None,
-    ) -> CheckResult:
-        """Validate the ASYS trap currently pending on ``vm``.
-
-        ``cache`` (when the kernel enables the fast path) may satisfy
-        the call-MAC comparison from a previously verified trap at the
-        same site; everything counter-dependent and every string-content
-        MAC is still checked in full.  Raises :class:`AuthViolation` if
-        any check fails."""
-        blocks = 0
-        memory = vm.memory
+    def check(self, vm: VM, process: Process) -> CheckResult:
+        """Validate the ASYS trap currently pending on ``vm`` with the
+        paper's full check: every MAC is computed.  Raises
+        :class:`AuthViolation` if any check fails."""
         syscall_number = vm.regs[0]
         # The encoded call packs the number in 16 bits, so a trapped
         # value with high bits set could never have been MAC'd — yet
@@ -172,8 +267,6 @@ class AuthChecker:
                 f"(exceeds the 16-bit encoded domain)"
             )
         call_site = vm.pc
-        record_ptr = vm.regs[7]
-        read_as = cache.read_as if cache is not None else read_authenticated_string
 
         # Observability: the four verification stages of the paper's
         # cost breakdown, as nested spans under the kernel's
@@ -186,113 +279,40 @@ class AuthChecker:
         if traced:
             rec.begin("policy-decode", "verify")
 
-        try:
-            record = read_auth_record(memory, record_ptr)
-        except MemoryFault as fault:
-            raise AuthViolation(f"unreadable auth record: {fault}") from fault
-        descriptor = record.descriptor
-
         # ---- Step 1: reconstruct the encoded call and check callMAC ----
-        params: list[ParamEncoding] = []
-        string_checks: list[tuple[int, object]] = []  # (index, AS)
-        pattern_cursor = 0
-        try:
-            for index in range(6):
-                is_pattern = descriptor.param_is_pattern(index)
-                if not descriptor.param_constrained(index) and not is_pattern:
-                    continue
-                if descriptor.param_is_string(index):
-                    if is_pattern:
-                        address = record.pattern_ptrs[pattern_cursor]
-                        pattern_cursor += 1
-                    else:
-                        address = vm.regs[1 + index]
-                    auth_string = read_as(memory, address)
-                    params.append(
-                        ParamEncoding.auth_string(
-                            index, address, auth_string.length, auth_string.mac
-                        )
-                    )
-                    string_checks.append((index, auth_string))
-                else:
-                    params.append(ParamEncoding.immediate(index, vm.regs[1 + index]))
-
-            predset_triple = None
-            predset_as = None
-            if descriptor.control_flow_constrained:
-                predset_as = read_as(memory, record.predset_ptr)
-                predset_triple = (
-                    record.predset_ptr,
-                    predset_as.length,
-                    predset_as.mac,
-                )
-
-            capability_spec = None
-            fd_allowed_as = None
-            if descriptor.capability_tracked:
-                fd_allowed_as = read_as(memory, record.fd_allowed_ptr)
-                capability_spec = (
-                    record.fd_mask,
-                    (record.fd_allowed_ptr, fd_allowed_as.length, fd_allowed_as.mac),
-                )
-        except MemoryFault as fault:
-            raise AuthViolation(f"bad pointer in authenticated call: {fault}") from fault
-
-        encoded_call = encode_policy(
-            descriptor,
-            syscall_number,
-            call_site,
-            record.block_id,
-            params,
-            predset=predset_triple,
-            lastblock_address=record.lastblock_ptr,
-            capability=capability_spec,
-        )
+        call = decode_call(vm)
+        record = call.record
+        descriptor = record.descriptor
         if traced:
             rec.end()  # policy-decode
             rec.begin("mac-check", "verify")
-        # Fast path: the encoded call is rebuilt from live state above,
-        # so if it (and the presented MAC) are byte-identical to a pair
-        # that already survived the full CMAC at this site, re-running
-        # the CMAC can only reproduce the same success.
-        cache_hits = 0
-        cache_misses = 0
-        if cache is not None and cache.probe(
-            call_site, descriptor, encoded_call, record.call_mac
-        ):
-            cache_hits = 1
-        else:
-            if cache is not None:
-                cache_misses = 1
-            blocks += mac_blocks(len(encoded_call))
-            if not self._provider.verify(encoded_call, record.call_mac):
-                raise AuthViolation(
-                    f"call MAC mismatch for syscall {syscall_number} "
-                    f"at {call_site:#010x}"
-                )
-            if cache is not None:
-                cache.store(call_site, descriptor, encoded_call, record.call_mac)
+        blocks = mac_blocks(len(call.encoded_call))
+        if not self._provider.verify(call.encoded_call, record.call_mac):
+            raise AuthViolation(
+                f"call MAC mismatch for syscall {syscall_number} "
+                f"at {call_site:#010x}"
+            )
 
         # ---- Step 2: verify authenticated string contents ----
         if traced:
             rec.end()  # mac-check
             rec.begin("string-auth", "verify")
-        for index, auth_string in string_checks:
+        for index, _, auth_string in call.strings:
             blocks += mac_blocks(auth_string.length)
             if not auth_string.verify(self._provider):
                 raise AuthViolation(
                     f"string argument {index} failed integrity check "
                     f"at {call_site:#010x}"
                 )
-        if predset_as is not None:
-            blocks += mac_blocks(predset_as.length)
-            if not predset_as.verify(self._provider):
+        if call.predset is not None:
+            blocks += mac_blocks(call.predset.length)
+            if not call.predset.verify(self._provider):
                 raise AuthViolation(
                     f"predecessor set failed integrity check at {call_site:#010x}"
                 )
-        if fd_allowed_as is not None:
-            blocks += mac_blocks(fd_allowed_as.length)
-            if not fd_allowed_as.verify(self._provider):
+        if call.fd_allowed is not None:
+            blocks += mac_blocks(call.fd_allowed.length)
+            if not call.fd_allowed.verify(self._provider):
                 raise AuthViolation(
                     f"capability producer set failed integrity check "
                     f"at {call_site:#010x}"
@@ -302,11 +322,11 @@ class AuthChecker:
         if traced:
             rec.end()  # string-auth
         if descriptor.control_flow_constrained:
-            assert predset_as is not None
+            assert call.predset is not None
             if traced:
                 rec.begin("memory-checker", "verify")
             blocks += self._check_control_flow(
-                vm, process, record, predset_as.content, call_site
+                vm, process, record, call.predset.content, call_site
             )
             if traced:
                 rec.end()
@@ -317,27 +337,21 @@ class AuthChecker:
             # their span shares the "string-auth" stage bucket.
             if traced:
                 rec.begin("string-auth", "verify")
-            self._check_patterns(vm, descriptor, string_checks, call_site)
+            self._check_patterns(vm, descriptor, call.strings, call_site)
             if traced:
                 rec.end()
 
-        if cache_hits:
-            cycles = self._costs.auth_cost_fastpath(blocks, cache_hits)
-        else:
-            cycles = self._costs.auth_cost_blocks(blocks)
         fd_allowed: frozenset = frozenset()
-        if fd_allowed_as is not None:
-            fd_allowed = unpack_predecessor_set(fd_allowed_as.content)
+        if call.fd_allowed is not None:
+            fd_allowed = unpack_predecessor_set(call.fd_allowed.content)
         return CheckResult(
             syscall_number=syscall_number,
             block_id=record.block_id,
-            record=record,
             mac_blocks=blocks,
-            cycles=cycles,
+            cycles=self._costs.auth_cost_blocks(blocks),
             fd_mask=record.fd_mask,
             fd_allowed=fd_allowed,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            call=call,
         )
 
     # -- control flow -----------------------------------------------------
@@ -397,12 +411,12 @@ class AuthChecker:
         self,
         vm: VM,
         descriptor: PolicyDescriptor,
-        string_checks: list,
+        strings: tuple,
         call_site: int,
     ) -> None:
         """Verify pattern-constrained arguments using the r8 hint block."""
         hints = self._read_hints(vm)
-        as_by_index = dict(string_checks)
+        as_by_index = {index: auth_string for index, _, auth_string in strings}
         hint_cursor = 0
         for index in descriptor.pattern_params():
             pattern_as = as_by_index[index]
@@ -432,8 +446,8 @@ class AuthChecker:
 
 
 def read_hint_words(vm: VM) -> tuple[int, ...]:
-    """Read the r8 proof-hint block (shared by the generic checker and
-    the verifier-JIT thunks; both must bound and fault identically)."""
+    """Read the r8 proof-hint block (shared by the full check and the
+    verifier thunks; both must bound and fault identically)."""
     hint_ptr = vm.regs[8]
     if not hint_ptr:
         return ()

@@ -61,12 +61,12 @@ WRITE_BYTE_COST = 9.0
 AUTH_FIXED = 3690
 MAC_BLOCK_COST = 214
 
-#: Fast-path accounting.  When the per-site cache satisfies the call
-#: MAC (see :mod:`repro.kernel.authcache`), the check performs no OMAC
-#: setup and no AES for that MAC: it copies the record in, rebuilds the
-#: encoded call, and compares it (plus the 16-byte MAC) against the
-#: verified pair.  AUTH_FIXED_HIT covers that copy/encode/bookkeeping
-#: work — much smaller than AUTH_FIXED, which also pays the CMAC
+#: Fast-path accounting.  When a compiled per-site verifier thunk
+#: accepts a trap (see :mod:`repro.kernel.verifierjit`), the check
+#: performs no OMAC setup and no AES for the call MAC: it compares the
+#: trap's arguments against the call the full check verified at that
+#: site.  AUTH_FIXED_HIT covers that copy/compare/bookkeeping work —
+#: much smaller than AUTH_FIXED, which also pays the CMAC
 #: subkey/finalisation overhead — and CACHE_HIT_COST is the per-hit
 #: compare itself (~48 bytes of sequential loads and xors).  Charging
 #: hits distinctly keeps the Table 4/6 numbers honest: cached and
@@ -120,10 +120,9 @@ class CostModel:
         return self.auth_fixed + self.mac_block_cost * blocks
 
     def auth_cost_fastpath(self, blocks: int, hits: int) -> int:
-        """Auth cost when the call MAC was satisfied by the per-site
-        cache: ``blocks`` counts only the MACs still computed in full
-        (string contents, memory-checker state), ``hits`` the cache
-        compares that replaced CMAC invocations."""
+        """Auth cost of a verifier-thunk hit: ``blocks`` counts only
+        the MACs still computed in full (string contents, memory-checker
+        state), ``hits`` the compares that replaced CMAC invocations."""
         return (
             self.auth_fixed_hit
             + self.mac_block_cost * blocks

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Optional
 
-from repro.binfmt import SefBinary, link
-from repro.binfmt.image import PAGE_SIZE
+from repro.binfmt import BinaryFormatError, SefBinary, link
+from repro.binfmt.image import PAGE_SIZE, LoadedImage
 from repro.cpu.memory import (
     Memory,
     PROT_EXEC,
@@ -26,7 +26,6 @@ from repro.crypto import Key, MacProvider, mac_provider_for_key
 from repro.isa import INSTRUCTION_SIZE
 from repro.kernel.audit import AuditEvent, AuditLog, FastPathStats
 from repro.kernel.auth import AuthChecker, AuthViolation
-from repro.kernel.authcache import VerifiedSiteCache
 from repro.kernel.costs import CostModel
 from repro.kernel.net import NetStack
 from repro.kernel.process import Process
@@ -47,6 +46,25 @@ from repro.policy.capability import CapabilityTable
 EPOCH = 1127692800
 
 KILL_STATUS = 128 + 9  # SIGKILL-style status for security terminations
+
+
+def fork_address_space(memory: Memory) -> Memory:
+    """Duplicate an address space the way fork does: writable regions
+    are copied, read-only ones (code, rodata, the MACed policy
+    sections) are shared by reference."""
+    copy = Memory()
+    for region in memory.regions():
+        if region.prot & PROT_WRITE:
+            copy.map_region(
+                region.start,
+                len(region.data),
+                region.prot,
+                name=region.name,
+                data=region.data,  # map_region copies it
+            )
+        else:
+            copy.adopt_region(region)
+    return copy
 
 
 @unique
@@ -99,7 +117,6 @@ class Kernel:
         fastpath: bool = True,
         engine: str = "threaded",
         chain: bool = True,
-        verifier_jit: bool = True,
         recorder: Optional[Recorder] = None,
     ):
         self.key = key or Key.generate()
@@ -122,9 +139,10 @@ class Kernel:
         #: NX bit (which is what makes stack shellcode expressible);
         #: enabling it supports the hardware-vs-authentication ablation.
         self.nx = nx
-        #: Verification fast path (per-process VerifiedSiteCache).  Off
-        #: (`fastpath=False`, the benchmarks' --no-fastpath escape
-        #: hatch) every trap pays the full CMAC, as the paper measured.
+        #: Verification fast path: per-process partitions of compiled
+        #: per-site verifier thunks (kernel/verifierjit.py).  Off
+        #: (`fastpath=False`, the --no-fastpath escape hatch) every trap
+        #: runs the paper's full check, as the paper measured.
         self.fastpath = fastpath
         #: CPU execution engine for guest processes: "threaded" (the
         #: basic-block translation cache, default) or "interp" (the
@@ -134,14 +152,7 @@ class Kernel:
         #: engine (`chain=False`, the --no-chain escape hatch, restores
         #: plain per-block dispatch).  Bit-identical either way.
         self.chain = chain
-        #: Verifier specialization (per-process SiteThunk partitions,
-        #: see kernel/verifierjit.py).  Rides on the fast path — only
-        #: active when ``fastpath`` is too — and `verifier_jit=False`
-        #: (the --no-verifier-jit escape hatch) restores the generic
-        #: checker for every trap.  Bit-identical either way.
-        self.verifier_jit = verifier_jit
         self._checker = AuthChecker(self.mac, self.costs, self.obs)
-        self._authcaches: dict[int, VerifiedSiteCache] = {}
         self._jits: dict[int, VerifierJit] = {}
         #: Optional syscall tracer (duck-typed: .record(ctx)); used by
         #: the training-based baseline monitors.
@@ -150,7 +161,7 @@ class Kernel:
         self._vm_process: dict[int, Process] = {}
         #: Per-pid kernel state.  Keyed by pid (not VM identity) so that
         #: fork and in-place execve keep a process's capability table,
-        #: mmap cursor, and verified-site cache attached to the process
+        #: mmap cursor, and thunk partition attached to the process
         #: across VM replacement.
         self._capabilities: dict[int, CapabilityTable] = {}
         self._mmap_cursor: dict[int, int] = {}
@@ -165,6 +176,12 @@ class Kernel:
         #: all queues are FIFO.
         self.net = NetStack(metrics=self.metrics)
 
+    @property
+    def verifier_jit(self) -> bool:
+        """Whether traps run through compiled per-site thunks: always
+        exactly when the fast path is on (read-only)."""
+        return self.fastpath
+
     # -- loading ----------------------------------------------------------
 
     def load(
@@ -175,7 +192,17 @@ class Kernel:
         cwd: str = "/",
     ) -> tuple[Process, VM]:
         """Link, map, and prepare one process (not yet run)."""
-        image = link(binary)
+        return self._load_image(binary, link(binary), argv, stdin, cwd)
+
+    def _load_image(
+        self,
+        binary: SefBinary,
+        image: LoadedImage,
+        argv: Optional[list[str]],
+        stdin: bytes,
+        cwd: str,
+    ) -> tuple[Process, VM]:
+        """Map an already linked ``binary`` and prepare its process."""
         memory, heap_base = self._map_image(image)
         process = Process(
             pid=self._allocate_pid(),
@@ -198,9 +225,7 @@ class Kernel:
         self._vm_process[id(vm)] = process
         self._capabilities[process.pid] = CapabilityTable()
         if self.fastpath:
-            self._authcaches[process.pid] = VerifiedSiteCache()
-            if self.verifier_jit:
-                self._jits[process.pid] = self._new_jit()
+            self._jits[process.pid] = self._new_jit()
         self._setup_argv(vm, argv or [process.name])
         return process, vm
 
@@ -208,12 +233,16 @@ class Kernel:
         """A fresh per-process thunk partition (load/fork/execve)."""
         return VerifierJit(self.mac, self.costs, self.metrics, self.obs)
 
-    def _drop_jit(self, pid: int) -> None:
+    def _drop_jit(self, pid: int, task: Optional[Task] = None) -> None:
         """Tear down a pid's thunk partition (exit/execve), folding its
-        dropped thunks into the invalidation counters."""
+        verified-trap tallies into the task (if any) and its dropped
+        thunks into the invalidation counters."""
         jit = self._jits.pop(pid, None)
         if jit is None:
             return
+        if task is not None:
+            task.fastpath_hits += jit.hits
+            task.fastpath_misses += jit.misses
         dropped = jit.invalidate()
         if dropped:
             self.metrics.inc("verifier.thunks_invalidated", dropped)
@@ -340,24 +369,13 @@ class Kernel:
     def release_process(self, process: Process, vm: VM, task: Optional[Task] = None) -> None:
         """Tear down a process's kernel-side state at exit.
 
-        Snapshots the per-pid fast-path cache traffic into the task (if
-        any) before invalidating — the cache never outlives the address
-        space it was observed in."""
+        Snapshots the pid's fast-path tallies into the task (if any)
+        before dropping its thunks — a thunk never outlives the address
+        space it was compiled against."""
         self._vm_process.pop(id(vm), None)
         self._capabilities.pop(process.pid, None)
         self._mmap_cursor.pop(process.pid, None)
-        authcache = self._authcaches.pop(process.pid, None)
-        if authcache is not None:
-            if task is not None:
-                task.fastpath_hits += authcache.hits
-                task.fastpath_misses += authcache.misses
-            # Exit/exec invalidation: cached verifications never
-            # outlive the address space they were observed in.
-            dropped = authcache.invalidate()
-            self.audit.fastpath.invalidations += dropped
-            if self.obs.enabled:
-                self.obs.inc("fastpath.invalidations", dropped)
-        self._drop_jit(process.pid)
+        self._drop_jit(process.pid, task)
         self._sync_engine_metrics(vm)
 
     def _allocate_pid(self) -> int:
@@ -425,19 +443,21 @@ class Kernel:
         """An authenticated ASYS trap: check, then dispatch.
 
         The kernel owns the "syscall-verify" root span (one per trap)
-        so the verifier-JIT fast path and the generic checker's staged
-        pipeline present the same span tree shape to the recorder."""
+        so a thunk hit and the full check's staged pipeline present the
+        same span tree shape to the recorder.  With the fast path on,
+        each verified trap counts once: a thunk hit in
+        ``fastpath.hits``, a full check in ``fastpath.misses``."""
         rec = self.obs
         traced = rec.enabled
         if traced:
             span_depth = rec.open_spans
             rec.begin("syscall-verify", "verify")
-        cache = self._authcaches.get(process.pid)
         jit = self._jits.get(process.pid)
-        result = jit.execute(vm, process, cache) if jit is not None else None
-        if result is None:
+        result = jit.execute(vm, process) if jit is not None else None
+        hit = result is not None
+        if not hit:
             try:
-                result = self._checker.check(vm, process, cache)
+                result = self._checker.check(vm, process)
             except AuthViolation as violation:
                 number = vm.regs[0]
                 name = SYSCALL_NAMES.get(number, f"syscall#{number}")
@@ -450,15 +470,20 @@ class Kernel:
                 raise AssertionError("unreachable")  # pragma: no cover
             if jit is not None:
                 # First full verification of this site (or its thunk
-                # just got voided): specialize it for the next trap.
-                jit.compile_site(vm, process, result, cache)
+                # just got dropped): specialize it for the next trap.
+                jit.compile_site(vm, process, result)
         if traced:
             rec.end()  # syscall-verify
-        self.audit.fastpath.hits += result.cache_hits
-        self.audit.fastpath.misses += result.cache_misses
-        if traced:
-            rec.inc("fastpath.hits", result.cache_hits)
-            rec.inc("fastpath.misses", result.cache_misses)
+        if jit is not None:
+            if hit:
+                jit.hits += 1
+                outcome = "fastpath.hits"
+            else:
+                jit.misses += 1
+                outcome = "fastpath.misses"
+            self.metrics.inc(outcome)
+            if traced:
+                rec.inc(outcome)
         if result.fd_mask and self.capability_tracking:
             self._check_capability(vm, process, result)
         try:
@@ -610,17 +635,18 @@ class Kernel:
 
     def _resolve_executable(
         self, process: Process, path: str, syscall: str = "execve"
-    ) -> SefBinary:
+    ) -> tuple[SefBinary, LoadedImage]:
         """Read and validate an executable for execve/spawn: must parse
-        as a SEF binary, and enforcing mode refuses unauthenticated
-        images (audited)."""
+        and link as a SEF binary (else ``EACCES``), and enforcing mode
+        refuses unauthenticated images (audited)."""
         from repro.kernel.errors import Errno
         from repro.kernel.vfs import VfsError
 
         data = self.vfs.read_file(path, cwd=process.cwd)
         try:
             binary = SefBinary.from_bytes(bytes(data))
-        except Exception:
+            image = link(binary)
+        except BinaryFormatError:
             raise VfsError(Errno.EACCES, path) from None
         if self.mode is EnforcementMode.ENFORCE and binary.metadata.get(
             "authenticated"
@@ -635,7 +661,7 @@ class Kernel:
                 )
             )
             raise VfsError(Errno.EPERM, path)
-        return binary
+        return binary, image
 
     def execve(self, ctx: SyscallContext, path: str, argv=None) -> int:
         """Model image replacement by running the target synchronously.
@@ -647,7 +673,7 @@ class Kernel:
 
         if self._exec_depth >= self.MAX_EXEC_DEPTH:
             raise VfsError(Errno.ELOOP, path)
-        binary = self._resolve_executable(ctx.process, path)
+        binary, _ = self._resolve_executable(ctx.process, path)
         self._exec_depth += 1
         try:
             result = self.run(binary, argv=argv or None, cwd=ctx.process.cwd)
@@ -667,8 +693,7 @@ class Kernel:
         :class:`ImageReplaced` on success (execve does not return)."""
         process = ctx.process
         old_vm = ctx.vm
-        binary = self._resolve_executable(process, path)
-        image = link(binary)
+        binary, image = self._resolve_executable(process, path)
         memory, heap_base = self._map_image(image)
         new_vm = VM(
             memory=memory,
@@ -691,25 +716,15 @@ class Kernel:
         process.auth_counter = 0
         process.signal_handlers.clear()
         task = self._scheduler.tasks[process.pid]
-        # Per-pid kernel state: the capability table and verified-site
-        # cache belong to the old image; drop and restart them.
+        # Per-pid kernel state: the capability table and thunk
+        # partition belong to the old image; drop and restart them.
         self._vm_process.pop(id(old_vm), None)
         self._vm_process[id(new_vm)] = process
         self._capabilities[process.pid] = CapabilityTable()
         self._mmap_cursor.pop(process.pid, None)
-        old_cache = self._authcaches.pop(process.pid, None)
-        if old_cache is not None:
-            task.fastpath_hits += old_cache.hits
-            task.fastpath_misses += old_cache.misses
-            dropped = old_cache.invalidate()
-            self.audit.fastpath.invalidations += dropped
-            if self.obs.enabled:
-                self.obs.inc("fastpath.invalidations", dropped)
-        self._drop_jit(process.pid)
+        self._drop_jit(process.pid, task)
         if self.fastpath:
-            self._authcaches[process.pid] = VerifiedSiteCache()
-            if self.verifier_jit:
-                self._jits[process.pid] = self._new_jit()
+            self._jits[process.pid] = self._new_jit()
         self._setup_argv(new_vm, argv or [process.name])
         task.vm = new_vm
         raise ImageReplaced(f"execve {path}")
@@ -727,25 +742,11 @@ class Kernel:
         — from here on the two processes' counters diverge
         independently, which is exactly the per-process isolation the
         paper's §3.2 checker provides."""
-        from repro.cpu.memory import PROT_WRITE as _W
-
         parent = ctx.process
         parent_vm = ctx.vm
         scheduler = self._scheduler
-        memory = Memory()
-        for region in parent_vm.memory.regions():
-            if region.prot & _W:
-                memory.map_region(
-                    region.start,
-                    len(region.data),
-                    region.prot,
-                    name=region.name,
-                    data=bytes(region.data),
-                )
-            else:
-                memory.adopt_region(region)
         child_vm = VM(
-            memory=memory,
+            memory=fork_address_space(parent_vm.memory),
             entry=parent_vm.pc,
             trap_handler=self,
             nx=self.nx,
@@ -786,14 +787,11 @@ class Kernel:
         if parent.pid in self._mmap_cursor:
             self._mmap_cursor[child.pid] = self._mmap_cursor[parent.pid]
         if self.fastpath:
-            # A fresh per-pid cache: verified sites never leak across
-            # pids, so a cross-process cache-poisoning angle does not
-            # exist by construction (tested).  Same for thunks — the
-            # child's partition starts empty; a sibling's compiled
-            # verifier is never consulted.
-            self._authcaches[child.pid] = VerifiedSiteCache()
-            if self.verifier_jit:
-                self._jits[child.pid] = self._new_jit()
+            # A fresh per-pid partition: the child's starts empty and a
+            # sibling's compiled verifier is never consulted, so a
+            # cross-process thunk-poisoning angle does not exist by
+            # construction (tested).
+            self._jits[child.pid] = self._new_jit()
         scheduler.adopt(child, child_vm, parent_pid=parent.pid)
         self.metrics.inc("sched.forks")
         return child.pid
@@ -802,8 +800,12 @@ class Kernel:
         """Asynchronous spawn for a scheduled process: load the target
         as a child task and return its pid immediately (the caller
         collects it with wait4)."""
-        binary = self._resolve_executable(ctx.process, path, syscall="spawn")
-        process, vm = self.load(binary, argv=argv or None, cwd=ctx.process.cwd)
+        binary, image = self._resolve_executable(
+            ctx.process, path, syscall="spawn"
+        )
+        process, vm = self._load_image(
+            binary, image, argv or None, b"", ctx.process.cwd
+        )
         self._scheduler.adopt(process, vm, parent_pid=ctx.process.pid)
         self.metrics.inc("sched.spawns")
         return process.pid

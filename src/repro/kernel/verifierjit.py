@@ -1,18 +1,19 @@
-"""Per-site verifier specialization: a threaded-code JIT for §3.4.
+"""Per-site verifier specialization: the kernel's one fast path for §3.4.
 
 The execution engines specialize *CPU* work per basic block (PR 2/6);
 this module applies the same move to the kernel's verification path.
 The paper's per-call-site policies are almost entirely static — the
 auth record, the encoded policy, the authenticated strings, and the
 predecessor set are burned into read-only sections at install time —
-yet the generic :class:`repro.kernel.auth.AuthChecker` re-parses and
-re-encodes all of them on every trap.  SFIP and SysPart exploit the
-same staticness with precomputed per-site/per-phase tables; here we
-compile it away.
+yet the paper's full check re-parses, re-encodes and re-MACs all of
+them on every trap.  SFIP and SysPart exploit the same staticness with
+precomputed per-site/per-phase lookup tables; here we compile it away.
 
-On the first *fully verified* trap at a ``(process, call site)`` pair
-the kernel asks :class:`VerifierJit` to compile a :class:`SiteThunk`:
-a pre-bound verifier that inlines exactly the checks that site needs —
+A site's first trap runs the full check
+(:meth:`repro.kernel.auth.AuthChecker.check`).  From the
+:class:`~repro.kernel.auth.DecodedCall` that check accepted,
+:class:`VerifierJit` compiles a :class:`SiteThunk`: a pre-bound
+verifier that inlines exactly the checks that site needs —
 
 - the record parse, parameter walk, and encoded-call reconstruction
   collapse into direct register comparisons against the verified
@@ -21,41 +22,41 @@ a pre-bound verifier that inlines exactly the checks that site needs —
   loop);
 - the predecessor-set decode collapses into a pre-resolved
   ``frozenset`` membership probe;
-- the expected MAC material (record bytes, AS headers and contents,
-  the pattern objects of §5.1) is covered by *write-version guards* on
-  every memory region the full verification read, instead of being
+- the policy material the check MAC'd (record bytes, AS headers and
+  contents, the pattern objects of §5.1) is covered by *write-version
+  guards* on every memory region it was read from, instead of being
   re-read and re-MAC'd.
 
-What stays live on every thunk execution — exactly the pieces the
-fast-path cache also refuses to cache — is everything bound to the
-per-process counter: the lastBlock/lbMAC state is read from guest
-memory, MAC-verified against the current counter, probed against the
-predecessor set, then advanced and re-MAC'd; pattern-constrained
-runtime arguments are re-matched against live memory and r8 hints.
+What stays live on every thunk execution is everything bound to the
+per-process counter or to runtime values: the lastBlock/lbMAC state is
+read from guest memory, MAC-verified against the current counter,
+probed against the predecessor set, then advanced and re-MAC'd;
+pattern-constrained runtime arguments are re-matched against live
+memory and r8 hints.
 
 Soundness mirrors the block-chaining pre-image invalidation story
-(DESIGN.md "Execution engines"): every byte the thunk *assumes* was
-covered by one full cryptographic verification, and any store into a
-region holding such bytes — legitimate or hostile — bumps that
-region's write version, fails the guard, drops the thunk, and falls
-back to the generic checker.  A thunk therefore accepts a trap iff the
-generic checker (with a warm fast-path cache) would accept it, and it
-never raises: *any* divergence returns ``None`` and the slow path
-reproduces the exact :class:`~repro.kernel.auth.AuthViolation` the
-un-JITted kernel raises.
+(DESIGN.md "Execution engines"): any store into a region holding
+policy material — legitimate or hostile — bumps that region's write
+version and fails a guard.  A stale thunk is then *refreshed*: it
+re-decodes the live call with the checker's own step-1 decoder
+(:func:`~repro.kernel.auth.decode_call`) and compares the encoded
+call, the call MAC and every AS content against what the full check
+accepted.  Only if all are byte-identical — so the full check would
+reach the same step-1/step-2 verdict — does it re-snapshot the guards
+and go on; anything else drops the thunk and the full check decides.
+A thunk never raises: *any* divergence returns ``None`` and the full
+check reproduces the exact :class:`~repro.kernel.auth.AuthViolation`.
+Since only a forged MAC can make a dropped site verify again, a
+dropped site never churns.
 
-Cycle accounting is bit-identical to the fast-path-hit cost the
-generic checker charges (same AES-block count, same
-``auth_cost_fastpath`` formula), so enabling or disabling the JIT
-changes host wall-clock only, never simulated time.
+A hit, fresh or refreshed, charges ``auth_cost_fastpath(blocks, 1)``:
+the full check's AES blocks minus the call MAC's, plus one compare.
 
-Thunks are per-process (the partition lives and dies with the pid,
-like the :class:`~repro.kernel.authcache.VerifiedSiteCache`): exit and
-execve drop the partition, fork children start empty — a sibling's
-thunk is never reused, so the cross-process counter divergence that
-isolates the fast-path cache isolates thunks by construction too.
-``Kernel(verifier_jit=False)`` / ``--no-verifier-jit`` is the escape
-hatch, mirroring ``--no-fastpath`` and ``--no-chain``.
+Thunks are per-process (the partition lives and dies with the pid):
+exit and execve drop the partition, fork children start empty — a
+sibling's thunk is never reused, so the cross-process counter
+divergence is isolated by construction.  ``Kernel(fastpath=False)``
+(``--no-fastpath``) runs the full check on every trap instead.
 """
 
 from __future__ import annotations
@@ -63,23 +64,24 @@ from __future__ import annotations
 import struct
 from typing import Optional
 
-from repro.cpu.memory import MemoryFault
+from repro.cpu.memory import Memory, MemoryFault
 from repro.cpu.vm import VM
 from repro.crypto import MacProvider
 from repro.kernel.auth import (
     MAX_RUNTIME_STRING,
     AuthViolation,
     CheckResult,
+    DecodedCall,
+    decode_call,
     read_hint_words,
 )
-from repro.kernel.authcache import VerifiedSiteCache
 from repro.kernel.costs import CostModel, mac_blocks
 from repro.kernel.process import Process
 from repro.obs import NULL_RECORDER, MetricsRegistry, Recorder
 from repro.policy.authstrings import AS_HEADER_SIZE
 from repro.policy.encode import unpack_predecessor_set
 from repro.policy.patterns import Pattern, match_with_hint
-from repro.policy.record import POLSTATE_SIZE, AuthRecord
+from repro.policy.record import POLSTATE_SIZE
 
 #: lastBlock/lbMAC payload layout (see ``state_mac_payload``); packed
 #: through a pre-compiled Struct so the hot path skips format parsing.
@@ -87,26 +89,22 @@ _STATE_PAYLOAD = struct.Struct("<IQ")
 _LASTBLOCK = struct.Struct("<I")
 
 
-class _Uncompilable(Exception):
-    """Site cannot be specialized; the generic path serves it."""
-
-
 class SiteThunk:
     """One compiled per-site verifier (see module docstring).
 
-    Everything here is immutable after compilation; per-call state
-    (the counter, the polstate bytes, runtime pattern arguments) is
-    read live in :meth:`VerifierJit.execute`.
+    Everything but ``guards`` is immutable after compilation; per-call
+    state (the counter, the polstate bytes, runtime pattern arguments)
+    is read live in :meth:`VerifierJit.execute`.
     """
 
     __slots__ = (
         "syscall_number",
         "record_ptr",
+        "call",
         "guards",
         "reg_checks",
         "patterns",
         "control",
-        "record",
         "block_id",
         "blocks",
         "cycles",
@@ -118,20 +116,22 @@ class SiteThunk:
         self,
         syscall_number: int,
         record_ptr: int,
+        call: DecodedCall,
         guards: tuple,
         reg_checks: tuple,
         patterns: tuple,
         control: Optional[tuple],
-        record: AuthRecord,
         blocks: int,
         cycles: int,
-        fd_mask: int,
         fd_allowed: frozenset,
     ):
         self.syscall_number = syscall_number
         self.record_ptr = record_ptr
-        #: ((region, version), ...) — every region one full verification
-        #: read policy material from; any mismatch voids the thunk.
+        #: The decode the full check accepted; a refresh compares the
+        #: live decode's verdict bytes against it.
+        self.call = call
+        #: ((region, version), ...) — every region the full check read
+        #: policy material from; any mismatch triggers a refresh.
         self.guards = guards
         #: ((register index, expected value), ...) — the encoded-call
         #: reconstruction, collapsed to equality checks.
@@ -141,25 +141,39 @@ class SiteThunk:
         #: (lastblock_ptr, predecessor frozenset, packed block id) for
         #: control-flow-constrained sites, else None.
         self.control = control
-        self.record = record
-        self.block_id = record.block_id
+        self.block_id = call.record.block_id
         self.blocks = blocks
         self.cycles = cycles
-        self.fd_mask = fd_mask
+        self.fd_mask = call.record.fd_mask
         self.fd_allowed = fd_allowed
+
+
+def _guards(memory: Memory, record_ptr: int, call: DecodedCall) -> tuple:
+    """Snapshot the write version of every region holding a byte of the
+    call's policy material: the record and each AS header and content.
+    Raises :class:`MemoryFault` if any of it is unmapped."""
+    guards: dict[int, tuple] = {}
+
+    def guard(address: int) -> None:
+        region = memory.region_at(address)
+        guards[id(region)] = (region, region.version)
+
+    guard(record_ptr)
+    guard(record_ptr + call.record.size - 1)
+    for address, auth_string in call.authenticated_strings():
+        guard(address - AS_HEADER_SIZE)
+        guard(address)
+        if auth_string.length:
+            guard(address + auth_string.length - 1)
+    return tuple(guards.values())
 
 
 class VerifierJit:
     """The per-process thunk partition."""
 
-    #: Site cap, matching VerifiedSiteCache: overflow is pathology and
-    #: answered with a full flush, never an eviction policy.
+    #: Site cap: overflow is pathology and answered with a full flush,
+    #: never an eviction policy.
     MAX_SITES = 4096
-
-    #: A site whose guards keep failing (its policy material lives in
-    #: memory that is legitimately written) stops being recompiled
-    #: after this many invalidations — the generic path serves it.
-    MAX_RECOMPILES = 8
 
     def __init__(
         self,
@@ -173,7 +187,11 @@ class VerifierJit:
         self._metrics = metrics
         self._recorder = recorder
         self._thunks: dict[int, SiteThunk] = {}
-        self._invalidations: dict[int, int] = {}
+        #: Verified traps of this partition's pid: thunk hits and full
+        #: checks (the kernel counts both; the scheduler reports them
+        #: per task).
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._thunks)
@@ -184,31 +202,27 @@ class VerifierJit:
 
     # -- the fast path ---------------------------------------------------
 
-    def execute(
-        self,
-        vm: VM,
-        process: Process,
-        cache: Optional[VerifiedSiteCache] = None,
-    ) -> Optional[CheckResult]:
+    def execute(self, vm: VM, process: Process) -> Optional[CheckResult]:
         """Run the compiled verifier for the pending trap, if any.
 
-        Returns a :class:`CheckResult` identical to what the generic
-        checker's fast-path-hit branch would produce, or ``None`` to
-        fall back.  Never raises and never mutates state (counter,
-        polstate) unless every check has already passed."""
+        Returns the :class:`CheckResult` of a hit, or ``None`` to fall
+        back to the full check.  Never raises and never mutates state
+        (counter, polstate) unless every check has already passed."""
         thunk = self._thunks.get(vm.pc)
         if thunk is None:
             return None
-        for region, version in thunk.guards:
-            if region.version != version:
-                # Policy material was written since compilation —
-                # legitimately or not.  Void the thunk; the generic
-                # checker re-reads live memory and decides.
-                self._drop(vm.pc)
-                return None
         regs = vm.regs
         if regs[0] != thunk.syscall_number or regs[7] != thunk.record_ptr:
             return None
+        for region, version in thunk.guards:
+            if region.version != version:
+                # Policy material was written since the last snapshot —
+                # legitimately or not.  Keep the thunk only if the live
+                # material is byte-identical to what the check accepted.
+                if not self._refresh(vm, thunk):
+                    self._drop(vm.pc)
+                    return None
+                break
         for index, expected in thunk.reg_checks:
             if regs[index] != expected:
                 return None
@@ -226,9 +240,9 @@ class VerifierJit:
                 last_block, counter & 0xFFFFFFFFFFFFFFFF
             )
             if not self._provider.verify(payload, bytes(state[4:])):
-                return None  # replay/corruption; slow path fail-stops
+                return None  # replay/corruption; the full check fail-stops
             if last_block not in predecessors:
-                return None  # control-flow violation; slow path reports
+                return None  # control-flow violation; the full check reports
         if thunk.patterns:
             try:
                 hints = read_hint_words(vm)
@@ -248,8 +262,8 @@ class VerifierJit:
                     pattern, argument, hint
                 ):
                     return None
-        # Every check passed; commit in the generic checker's order but
-        # only after nothing can fail, so a fallback never re-runs the
+        # Every check passed; commit in the full check's order but only
+        # after nothing can fail, so a fallback never re-runs the
         # memory checker against half-advanced state.
         if control is not None:
             new_counter = counter + 1
@@ -261,10 +275,8 @@ class VerifierJit:
             try:
                 memory.write(lastblock_ptr, block_prefix + new_mac, force=True)
             except MemoryFault:
-                return None  # unwritable polstate; slow path fail-stops
+                return None  # unwritable polstate; the full check fail-stops
             process.auth_counter = new_counter
-        if cache is not None:
-            cache.hits += 1
         metrics = self._metrics
         if metrics is not None:
             metrics.inc("verifier.thunk_hits")
@@ -274,38 +286,42 @@ class VerifierJit:
         return CheckResult(
             syscall_number=thunk.syscall_number,
             block_id=thunk.block_id,
-            record=thunk.record,
             mac_blocks=thunk.blocks,
             cycles=thunk.cycles,
             fd_mask=thunk.fd_mask,
             fd_allowed=thunk.fd_allowed,
-            cache_hits=1,
-            cache_misses=0,
         )
+
+    def _refresh(self, vm: VM, thunk: SiteThunk) -> bool:
+        """Re-validate a thunk whose guards went stale: True (with fresh
+        guards) iff the live call decodes to the verdict bytes the full
+        check accepted."""
+        try:
+            live = decode_call(vm)
+            if live.verdict_bytes() != thunk.call.verdict_bytes():
+                return False
+            thunk.guards = _guards(vm.memory, thunk.record_ptr, live)
+        except (AuthViolation, MemoryFault):
+            return False
+        self._count("verifier.thunks_refreshed")
+        return True
 
     # -- compilation -----------------------------------------------------
 
     def compile_site(
-        self,
-        vm: VM,
-        process: Process,
-        result: CheckResult,
-        cache: Optional[VerifiedSiteCache] = None,
+        self, vm: VM, process: Process, result: CheckResult
     ) -> Optional[SiteThunk]:
         """Specialize the site of the trap that ``result`` just fully
-        verified.  Reads the same policy material the check read (memoized
-        through the AS cache) and snapshots the write version of every
-        region it came from."""
-        call_site = vm.pc
-        if self._invalidations.get(call_site, 0) >= self.MAX_RECOMPILES:
-            return None
+        verified, from the decode the check already made (no policy
+        material is read twice), snapshotting the write version of
+        every region it came from."""
         rec = self._recorder
         traced = rec.enabled
         if traced:
             rec.begin("verifier-compile", "verify")
         try:
-            thunk = self._build(vm, result, cache)
-        except (_Uncompilable, MemoryFault):
+            thunk = self._build(vm, result)
+        except MemoryFault:
             thunk = None
         finally:
             if traced:
@@ -313,125 +329,60 @@ class VerifierJit:
         if thunk is None:
             return None
         if len(self._thunks) >= self.MAX_SITES:
-            self._note_invalidated(len(self._thunks))
+            self._count("verifier.thunks_invalidated", len(self._thunks))
             self._thunks.clear()
-        self._thunks[call_site] = thunk
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("verifier.thunks_compiled")
-        if traced:
-            rec.inc("verifier.thunks_compiled")
+        self._thunks[vm.pc] = thunk
+        self._count("verifier.thunks_compiled")
         return thunk
 
-    def _build(
-        self, vm: VM, result: CheckResult, cache: Optional[VerifiedSiteCache]
-    ) -> SiteThunk:
-        record = result.record
+    def _build(self, vm: VM, result: CheckResult) -> SiteThunk:
+        call = result.call
+        record = call.record
         descriptor = record.descriptor
-        memory = vm.memory
-        regs = vm.regs
-        record_ptr = regs[7]
-        read_as = cache.read_as if cache is not None else None
-        if read_as is None:
-            from repro.policy.authstrings import read_authenticated_string
-
-            def read_as(mem, address):
-                return read_authenticated_string(mem, address)
-
-        guards: dict[int, tuple] = {}
-
-        def guard(address: int) -> None:
-            region = memory.region_at(address)  # MemoryFault if unmapped
-            guards[id(region)] = (region, region.version)
-
-        def guard_as(address: int, length: int) -> None:
-            guard(address - AS_HEADER_SIZE)
-            guard(address)
-            if length:
-                guard(address + length - 1)
-
-        guard(record_ptr)
-        guard(record_ptr + record.size - 1)
-
-        reg_checks: list[tuple[int, int]] = []
-        patterns: list[tuple[int, Pattern, int]] = []
-        blocks = 0
-        pattern_cursor = 0
-        for index in range(6):
-            is_pattern = descriptor.param_is_pattern(index)
-            if not descriptor.param_constrained(index) and not is_pattern:
-                continue
-            if descriptor.param_is_string(index):
-                if is_pattern:
-                    address = record.pattern_ptrs[pattern_cursor]
-                    pattern_cursor += 1
-                else:
-                    address = regs[1 + index]
-                    reg_checks.append((1 + index, address))
-                auth_string = read_as(memory, address)
-                blocks += mac_blocks(auth_string.length)
-                guard_as(address, auth_string.length)
-                if is_pattern:
-                    try:
-                        pattern = Pattern.parse(
-                            auth_string.content.decode("utf-8")
-                        )
-                    except (UnicodeDecodeError, ValueError) as err:
-                        raise _Uncompilable(str(err)) from err
-                    patterns.append((1 + index, pattern, pattern.hint_slots))
+        reg_checks = list(call.immediates)
+        patterns = []
+        for index, address, auth_string in call.strings:
+            if descriptor.param_is_pattern(index):
+                # The full check just parsed this very content.
+                pattern = Pattern.parse(auth_string.content.decode("utf-8"))
+                patterns.append((1 + index, pattern, pattern.hint_slots))
             else:
-                reg_checks.append((1 + index, regs[1 + index]))
-
+                reg_checks.append((1 + index, address))
         control = None
         if descriptor.control_flow_constrained:
-            predset_as = read_as(memory, record.predset_ptr)
-            blocks += mac_blocks(predset_as.length)
-            guard_as(record.predset_ptr, predset_as.length)
-            predecessors = unpack_predecessor_set(predset_as.content)
-            blocks += 2 * mac_blocks(_STATE_PAYLOAD.size)
             control = (
                 record.lastblock_ptr,
-                predecessors,
+                unpack_predecessor_set(call.predset.content),
                 _LASTBLOCK.pack(record.block_id),
             )
-
-        fd_allowed: frozenset = frozenset()
-        if descriptor.capability_tracked:
-            fd_as = read_as(memory, record.fd_allowed_ptr)
-            blocks += mac_blocks(fd_as.length)
-            guard_as(record.fd_allowed_ptr, fd_as.length)
-            fd_allowed = unpack_predecessor_set(fd_as.content)
-
+        # A hit computes every MAC the full check did except the call's.
+        blocks = result.mac_blocks - mac_blocks(len(call.encoded_call))
         return SiteThunk(
             syscall_number=result.syscall_number,
-            record_ptr=record_ptr,
-            guards=tuple(guards.values()),
-            reg_checks=tuple(reg_checks),
+            record_ptr=vm.regs[7],
+            call=call,
+            guards=_guards(vm.memory, vm.regs[7], call),
+            reg_checks=tuple(sorted(reg_checks)),
             patterns=tuple(patterns),
             control=control,
-            record=record,
             blocks=blocks,
             cycles=self._costs.auth_cost_fastpath(blocks, 1),
-            fd_mask=record.fd_mask,
-            fd_allowed=fd_allowed,
+            fd_allowed=result.fd_allowed,
         )
 
     # -- lifecycle -------------------------------------------------------
 
-    def _drop(self, call_site: int) -> None:
-        del self._thunks[call_site]
-        self._invalidations[call_site] = (
-            self._invalidations.get(call_site, 0) + 1
-        )
-        self._note_invalidated(1)
-
-    def _note_invalidated(self, count: int) -> None:
+    def _count(self, name: str, delta: int = 1) -> None:
         metrics = self._metrics
         if metrics is not None:
-            metrics.inc("verifier.thunks_invalidated", count)
+            metrics.inc(name, delta)
         rec = self._recorder
         if rec.enabled:
-            rec.inc("verifier.thunks_invalidated", count)
+            rec.inc(name, delta)
+
+    def _drop(self, call_site: int) -> None:
+        del self._thunks[call_site]
+        self._count("verifier.thunks_invalidated")
 
     def invalidate(self) -> int:
         """Drop every thunk (process exit/execve); returns the count.
@@ -440,5 +391,4 @@ class VerifierJit:
         for teardown (it aggregates across the whole partition)."""
         dropped = len(self._thunks)
         self._thunks.clear()
-        self._invalidations.clear()
         return dropped

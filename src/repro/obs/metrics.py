@@ -1,7 +1,7 @@
 """The machine-wide counter registry.
 
 One :class:`MetricsRegistry` per :class:`~repro.kernel.kernel.Kernel`
-holds every runtime counter as a named integer: fast-path cache
+holds every runtime counter as a named integer: fast-path thunk
 traffic, decode-cache invalidations, translation-cache compiles and
 evictions, guest instructions retired.  Counters are plain dict slots
 — maintaining them costs an integer add, so unlike spans they are
@@ -20,11 +20,11 @@ from typing import Iterator, Optional
 #: lines in the Prometheus dump.  Counters not listed here still render
 #: (with no HELP line) — the registry is open.
 COUNTER_HELP = {
-    "fastpath.hits": "call-MAC checks satisfied by the per-site verification cache",
-    "fastpath.misses": "call-MAC checks that paid the full CMAC",
-    "fastpath.invalidations": "verified-site cache entries dropped at process exit/exec",
+    "fastpath.hits": "ASYS traps accepted by a compiled per-site verifier thunk",
+    "fastpath.misses": "ASYS traps accepted by the full check (fast path on)",
     "verifier.thunks_compiled": "call sites specialized into pre-bound verifier thunks",
-    "verifier.thunks_invalidated": "verifier thunks dropped by write-version guards or exit/exec",
+    "verifier.thunks_refreshed": "stale thunks revalidated byte-for-byte against live policy memory",
+    "verifier.thunks_invalidated": "verifier thunks dropped by a failed refresh or exit/exec",
     "verifier.thunk_hits": "ASYS traps verified entirely by a compiled thunk",
     "decode.invalidations": "interpreter decode-cache entries dropped by write-version guards",
     "engine.blocks_compiled": "basic blocks translated by the threaded engine",

@@ -18,7 +18,6 @@ from repro.policy.encode import encode_policy, ParamEncoding
 from repro.policy.authstrings import (
     AS_HEADER_SIZE,
     AuthenticatedString,
-    CachedASReader,
     build_authenticated_string,
     read_authenticated_string,
 )
@@ -29,7 +28,6 @@ from repro.policy.capability import CapabilityTable, CapabilityError
 __all__ = [
     "AS_HEADER_SIZE",
     "AuthenticatedString",
-    "CachedASReader",
     "CapabilityError",
     "CapabilityTable",
     "MetaPolicy",

@@ -67,49 +67,3 @@ def read_authenticated_string(
     content = memory.read(string_address, length, force=True)
     return AuthenticatedString(length=length, mac=mac, content=content)
 
-
-class CachedASReader:
-    """Memoized AS parsing for immutable policy-section strings.
-
-    Guest memory is hostile and mutable, so a parse result is only
-    reused while the write-version of every region it was read from is
-    unchanged (header and content can straddle a region boundary, hence
-    up to two regions per entry).  Any store into those regions — a
-    legitimate one or an attacker's corruption — makes the snapshot
-    stale and forces a fresh parse, so the cache can never hide a
-    mutation from the MAC checks that consume its output.
-    """
-
-    #: Entry cap; policy sections hold a bounded number of AS records,
-    #: so this is a safety valve, not a working-set tuning knob.
-    MAX_ENTRIES = 8192
-
-    def __init__(self) -> None:
-        self._entries: dict[int, tuple[tuple, AuthenticatedString]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def read(self, memory: Memory, string_address: int) -> AuthenticatedString:
-        entry = self._entries.get(string_address)
-        if entry is not None:
-            snapshot, auth_string = entry
-            if all(region.version == version for region, version in snapshot):
-                return auth_string
-        auth_string = read_authenticated_string(memory, string_address)
-        header_region = memory.region_at(string_address - AS_HEADER_SIZE)
-        content_region = memory.region_at(string_address)
-        if header_region is content_region:
-            snapshot = ((content_region, content_region.version),)
-        else:
-            snapshot = (
-                (header_region, header_region.version),
-                (content_region, content_region.version),
-            )
-        if len(self._entries) >= self.MAX_ENTRIES:
-            self._entries.clear()
-        self._entries[string_address] = (snapshot, auth_string)
-        return auth_string

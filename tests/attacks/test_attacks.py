@@ -14,6 +14,7 @@ from repro.attacks import (
     run_all_attacks,
     shellcode_attack,
 )
+from repro.configs import configs_named
 from repro.crypto import Key
 
 KEY = Key.from_passphrase("attack-tests", provider="fast-hmac")
@@ -84,7 +85,8 @@ class TestBattery:
     def test_verdicts_independent_of_chaining(self, results):
         # Block chaining is a pure engine optimisation; disabling it
         # must not change a single verdict or kill reason.
-        nochain = run_all_attacks(KEY, chain=False)
+        (no_chain,) = configs_named(["no-chain"])
+        nochain = run_all_attacks(KEY, no_chain)
         assert [(r.name, r.blocked, r.kill_reason) for r in nochain] == \
             [(r.name, r.blocked, r.kill_reason) for r in results]
 

@@ -8,6 +8,7 @@ from repro.attacks.crossproc import (
     fork_counter_confusion_attack,
     pipe_fed_tamper_attack,
 )
+from repro.configs import configs_named
 from repro.crypto import Key
 
 
@@ -34,18 +35,11 @@ class TestCrossProcessAttacks:
 
     def test_battery_engine_and_fastpath_independent(self, key):
         """Verdicts are a security property: identical under the
-        interpreter, with the verification cache disabled, and with
+        interpreter, with the fast path disabled, and with
         block chaining on or off."""
-        for engine, fastpath, chain in (
-            ("interp", True, True),
-            ("threaded", False, True),
-            ("threaded", True, False),
-        ):
-            results = run_cross_process_attacks(
-                key, fastpath=fastpath, engine=engine, chain=chain
-            )
-            assert [r.blocked for r in results] == [True, True, True], (
-                engine, fastpath, chain)
+        for config in configs_named(["interp", "no-fastpath", "no-chain"]):
+            results = run_cross_process_attacks(key, config)
+            assert [r.blocked for r in results] == [True, True, True], config.name
 
     def test_single_process_battery_shape_unchanged(self, key):
         """run_all_attacks keeps its published 7-scenario shape; the

@@ -1,21 +1,23 @@
-"""The verification cache must not weaken any check after warm-up.
+"""The verification fast path must not weaken any check after warm-up.
 
-The fast path skips re-running the call-MAC CMAC once a site's exact
-(encoded call, MAC) pair has been verified.  An attacker's best shot is
-therefore to let the cache warm up on honest traps and *then* corrupt
-something.  Every scenario here mutates guest memory only after the
-audit counters prove the cache is hot, and expects the very next trap
-to fail-stop exactly as it would on a cold kernel — because string
-contents, the counter-MAC'd lastBlock state, and predecessor sets are
-re-checked on every trap regardless of cache state, and any corruption
-that reaches the encoded call simply misses the cache into the full
-CMAC.
+Once a site's first trap passes the full check, later traps there are
+accepted by its compiled verifier thunk, which skips the call-MAC and
+string-content MACs.  An attacker's best shot is therefore to let the
+thunks warm up on honest traps and *then* corrupt something.  Every
+scenario here mutates guest memory only after the audit counters prove
+the fast path is hot, and expects the very next trap to fail-stop
+exactly as it would on a cold kernel — because the counter-MAC'd
+lastBlock state is re-checked on every trap, and any write into policy
+memory (strings, predecessor sets, records) fails a write-version
+guard, so the thunk is dropped unless the live bytes still equal what
+the full check accepted.
 """
 
 import pytest
 
 from repro.asm import assemble
 from repro.binfmt import link
+from repro.configs import DEFAULT_CONFIG, configs_named
 from repro.crypto import Key
 from repro.installer import install
 from repro.kernel import Kernel
@@ -55,7 +57,7 @@ def installed():
 
 
 def _warm_then_mutate(installed, mutate, fastpath=True):
-    """Run until the cache is provably hot, apply ``mutate``, resume."""
+    """Run until the fast path is provably hot, apply ``mutate``, resume."""
     kernel = Kernel(key=KEY, fastpath=fastpath)
     kernel.vfs.write_file("/etc/motd", b"greetings")
     process, vm = kernel.load(installed.binary)
@@ -63,7 +65,7 @@ def _warm_then_mutate(installed, mutate, fastpath=True):
     while vm.syscall_count < WARMUP_SYSCALLS:
         assert vm.step(), "program ended before warm-up completed"
     if fastpath:
-        assert kernel.audit.fastpath.hits > 0, "cache never became hot"
+        assert kernel.audit.fastpath.hits > 0, "fast path never became hot"
     mutate(vm, image, installed)
     vm.run()
     return kernel, vm
@@ -107,8 +109,9 @@ class TestPostWarmupTampering:
         assert vm.killed
 
     def test_call_mac_flip_misses_cache_and_dies(self, installed):
-        # Flipping the presented MAC diverges from the cached pair, so
-        # the probe misses and the full CMAC catches the forgery.
+        # Flipping the presented MAC fails the thunk's refresh (the MAC
+        # differs from the verified one), so the thunk is dropped and
+        # the full CMAC catches the forgery.
         kernel, vm = _warm_then_mutate(installed, _mutate_call_mac)
         assert vm.killed and "call MAC mismatch" in vm.kill_reason
 
@@ -134,8 +137,9 @@ class TestBatteryParity:
     def test_attack_battery_identical_without_fastpath(self):
         from repro.attacks import run_all_attacks
 
-        hot = run_all_attacks(KEY, fastpath=True)
-        cold = run_all_attacks(KEY, fastpath=False)
+        hot = run_all_attacks(KEY, DEFAULT_CONFIG)
+        (no_fastpath,) = configs_named(["no-fastpath"])
+        cold = run_all_attacks(KEY, no_fastpath)
         assert [(r.name, r.blocked) for r in hot] == [
             (r.name, r.blocked) for r in cold
         ]

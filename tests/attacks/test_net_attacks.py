@@ -16,6 +16,7 @@ from repro.attacks import (
     socket_state_reuse_attack,
     tampered_send_attack,
 )
+from repro.configs import CONFIGS
 from repro.crypto import Key
 from repro.kernel.auth import violation_family
 
@@ -43,22 +44,12 @@ class TestNetworkAttacks:
 
     def test_battery_engine_and_fastpath_independent(self, key):
         """Verdicts and kill reasons are a security property: identical
-        under the interpreter, with chaining off, and with the verifier
-        JIT off (CI's attacks job sweeps all five configs; this is the
-        tier-1 subset)."""
+        on every roster config (the interpreter, chaining on and off,
+        and the full check on every trap)."""
         reasons = {}
-        for engine, fastpath, chain, vjit in (
-            ("interp", True, True, True),
-            ("threaded", True, True, True),
-            ("threaded", True, False, True),
-            ("threaded", True, True, False),
-        ):
-            results = run_net_attacks(
-                key, fastpath=fastpath, engine=engine, chain=chain,
-                verifier_jit=vjit,
-            )
-            assert [r.blocked for r in results] == [True] * 3, (
-                engine, fastpath, chain, vjit)
+        for config in CONFIGS:
+            results = run_net_attacks(key, config)
+            assert [r.blocked for r in results] == [True] * 3, config.name
             for result in results:
                 reasons.setdefault(result.name, set()).add(result.kill_reason)
         # Same kill reason per scenario in every configuration.

@@ -1,9 +1,10 @@
 """Property tests over the binary container: serialization fidelity."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.binfmt import Relocation, SefBinary
+from repro.binfmt import BinaryFormatError, Relocation, SefBinary
 from repro.binfmt.symbols import BIND_GLOBAL, BIND_LOCAL
 
 _NAME = st.text(
@@ -76,3 +77,33 @@ class TestSerializationProperties:
         second = link(binary)
         assert first.symbol_addresses == second.symbol_addresses
         assert [s.data for s in first.segments] == [s.data for s in second.segments]
+
+
+class TestMalformedBytes:
+    """Hostile SEF bytes must surface only as :class:`BinaryFormatError`
+    (the kernel maps exactly that error to ``EACCES``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        binary=binaries(),
+        edits=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_mutated_bytes_raise_only_format_errors(self, binary, edits):
+        blob = bytearray(binary.to_bytes())
+        for position, value in edits:
+            blob[position % len(blob)] = value
+        try:
+            SefBinary.from_bytes(bytes(blob))
+        except BinaryFormatError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(binary=binaries(), cut=st.integers(min_value=0))
+    def test_truncated_bytes_raise_only_format_errors(self, binary, cut):
+        blob = binary.to_bytes()
+        with pytest.raises(BinaryFormatError):
+            SefBinary.from_bytes(blob[: cut % len(blob)])

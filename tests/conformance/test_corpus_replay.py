@@ -1,5 +1,5 @@
 """Pinned corpus replay: every checked-in entry must run clean and
-bit-identical on all five engine configurations, assembled from the
+bit-identical on every roster configuration, assembled from the
 *stored* source (generator drift cannot mask an old reproducer)."""
 
 from pathlib import Path

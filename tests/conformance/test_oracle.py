@@ -1,10 +1,12 @@
-"""Oracle behavior: five-config equality, signature contents,
+"""Oracle behavior: roster-wide equality, signature contents,
 divergence detection on synthetic outcomes."""
+
+import dataclasses
 
 from repro.crypto import Key
 from repro.conformance.grammar import GenOp, ProgramSpec
+from repro.configs import CONFIGS
 from repro.conformance.oracle import (
-    ENGINE_CONFIGS,
     ProgramOutcome,
     divergences,
     install_spec,
@@ -31,7 +33,7 @@ BROAD_SPEC = ProgramSpec(
 
 def test_all_five_configs_agree():
     outcomes = run_all_configs(KEY, install_spec(BROAD_SPEC, KEY))
-    assert set(outcomes) == {config.name for config in ENGINE_CONFIGS}
+    assert set(outcomes) == {config.name for config in CONFIGS}
     assert divergences(outcomes) == []
     for outcome in outcomes.values():
         assert outcome.clean
@@ -39,7 +41,7 @@ def test_all_five_configs_agree():
 
 
 def test_outcome_has_trace_digests_and_families():
-    config = ENGINE_CONFIGS[0]
+    config = CONFIGS[0]
     outcome = run_program(KEY, config, install_spec(BROAD_SPEC, KEY))
     # fork twice (pipe + socket ops) -> three processes.
     assert len(outcome.per_task) == 3
@@ -53,7 +55,7 @@ def test_outcome_has_trace_digests_and_families():
 
 def test_fingerprint_is_stable_across_runs():
     installed = install_spec(BROAD_SPEC, KEY)
-    config = ENGINE_CONFIGS[0]
+    config = CONFIGS[0]
     first = run_program(KEY, config, installed)
     second = run_program(KEY, config, installed)
     assert first.fingerprint() == second.fingerprint()
@@ -96,3 +98,23 @@ def test_comparable_excludes_noncompared_fields():
         outcome.per_task, outcome.trace, outcome.digests, outcome.families
     )
     assert "exit_status" not in repr(outcome.comparable())
+
+
+def test_shadow_disagreement_is_a_divergence():
+    """A config whose shadow oracle disagreed diverges even when its
+    signature matches — the reference config included."""
+    outcomes = {
+        "interp": _outcome(((1, "write"),)),
+        "chained": _outcome(((1, "write"),)),
+    }
+    outcomes["interp"] = dataclasses.replace(
+        outcomes["interp"], shadow_disagreements=("pid 100 site 0x08048000: x",)
+    )
+    assert divergences(outcomes) == ["interp"]
+
+
+def test_real_runs_are_shadow_verified():
+    outcomes = run_all_configs(KEY, install_spec(BROAD_SPEC, KEY))
+    assert outcomes["chained"].shadow_checked > 0
+    assert outcomes["no-fastpath"].shadow_checked == 0
+    assert all(not out.shadow_disagreements for out in outcomes.values())

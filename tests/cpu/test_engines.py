@@ -376,10 +376,11 @@ class TestKernelWorkloads:
 
     def test_attack_battery_verdicts_identical(self):
         from repro.attacks import run_all_attacks
+        from repro.configs import EngineConfig
 
         verdicts = {}
         for label, (engine, chain) in CONFIGS.items():
-            results = run_all_attacks(KEY, engine=engine, chain=chain)
+            results = run_all_attacks(KEY, EngineConfig(label, engine, chain=chain))
             verdicts[label] = [
                 (r.name, r.blocked, r.kill_reason) for r in results
             ]

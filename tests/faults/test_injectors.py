@@ -10,7 +10,8 @@ import pytest
 
 from repro.crypto import Key
 from repro.faults.harness import classify, run_workload
-from repro.faults.plan import CONFIGS, FaultPlan
+from repro.configs import CONFIGS
+from repro.faults.plan import FaultPlan
 from repro.faults.targets import build_workloads
 from repro.kernel.auth import violation_family
 

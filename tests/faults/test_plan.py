@@ -4,15 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro.configs import CONFIG_NAMES, CONFIGS, configs_named
 from repro.faults.plan import (
     ALLOWED_FAMILIES,
-    CONFIG_NAMES,
-    CONFIGS,
     EXPECTATIONS,
     KINDS,
     SCHED_KINDS,
     WARMUP_TRAPS,
-    configs_named,
     generate_plans,
 )
 from repro.kernel.auth import VIOLATION_FAMILIES
@@ -72,10 +70,8 @@ def test_plans_are_frozen_and_serializable():
 
 
 def test_config_roster():
-    # The five engine configurations the coverage contract names.
-    assert CONFIG_NAMES == (
-        "interp", "chained", "no-chain", "no-verifier-jit", "no-fastpath"
-    )
+    # The four engine configurations the coverage contract names.
+    assert CONFIG_NAMES == ("interp", "chained", "no-chain", "no-fastpath")
     assert configs_named() == CONFIGS
     assert [c.name for c in configs_named(["interp", "no-chain"])] == [
         "interp", "no-chain"

@@ -11,9 +11,9 @@ import pytest
 from repro.crypto import Key
 from repro.faults import run_sweep
 from repro.faults.harness import classify, run_workload
+from repro.configs import CONFIGS
 from repro.faults.plan import (
     ALLOWED_FAMILIES,
-    CONFIGS,
     EXPECTATIONS,
     KINDS,
     NET_KINDS,

@@ -1,20 +1,19 @@
-"""The per-site verification fast path (VerifiedSiteCache).
+"""The verification fast path as the kernel reports it.
 
-Covers the cache's unit semantics, the kernel-level counters surfaced
-through the audit log, the ``fastpath=False`` escape hatch, and the
-cycle accounting that makes a cached check visibly cheaper than a cold
-one.  The *security* boundary of the cache — tampering after warm-up —
-is exercised in tests/attacks/test_fastpath_boundary.py.
+Covers the kernel-level counters surfaced through the audit log, the
+``fastpath=False`` escape hatch, and the cycle accounting that makes a
+thunk hit visibly cheaper than the full check.  The thunks themselves
+are covered in tests/kernel/test_verifierjit.py; the *security*
+boundary — tampering after warm-up — in
+tests/attacks/test_fastpath_boundary.py.
 """
 
 import pytest
 
 from repro.asm import assemble
-from repro.binfmt import link
 from repro.crypto import Key
 from repro.installer import install
-from repro.kernel import FastPathStats, Kernel, VerifiedSiteCache
-from repro.policy.descriptor import PolicyDescriptor
+from repro.kernel import FastPathStats, Kernel
 from repro.workloads.runtime import runtime_source
 
 KEY = Key.from_passphrase("test-fastpath", provider="fast-hmac")
@@ -42,50 +41,6 @@ def installed():
     return install(binary, KEY)
 
 
-class TestCacheUnit:
-    DESC = PolicyDescriptor(bits=0x5)
-
-    def test_probe_misses_cold(self):
-        cache = VerifiedSiteCache()
-        assert not cache.probe(0x1000, self.DESC, b"encoded", b"mac")
-        assert cache.misses == 1 and cache.hits == 0
-
-    def test_store_then_probe_hits(self):
-        cache = VerifiedSiteCache()
-        cache.store(0x1000, self.DESC, b"encoded", b"mac")
-        assert cache.probe(0x1000, self.DESC, b"encoded", b"mac")
-        assert cache.hits == 1
-
-    def test_any_divergence_misses(self):
-        cache = VerifiedSiteCache()
-        cache.store(0x1000, self.DESC, b"encoded", b"mac")
-        assert not cache.probe(0x1000, self.DESC, b"Encoded", b"mac")
-        assert not cache.probe(0x1000, self.DESC, b"encoded", b"Mac")
-        assert not cache.probe(0x1004, self.DESC, b"encoded", b"mac")
-        assert not cache.probe(
-            0x1000, PolicyDescriptor(bits=0x7), b"encoded", b"mac"
-        )
-        # The verified pair itself is still intact.
-        assert cache.probe(0x1000, self.DESC, b"encoded", b"mac")
-
-    def test_invalidate_reports_dropped_entries(self):
-        cache = VerifiedSiteCache()
-        cache.store(0x1000, self.DESC, b"a", b"m1")
-        cache.store(0x2000, self.DESC, b"b", b"m2")
-        assert len(cache) == 2
-        assert cache.invalidate() == 2
-        assert len(cache) == 0
-        assert not cache.probe(0x1000, self.DESC, b"a", b"m1")
-
-    def test_overflow_flushes(self):
-        cache = VerifiedSiteCache()
-        for site in range(VerifiedSiteCache.MAX_SITES):
-            cache.store(site, self.DESC, b"e", b"m")
-        assert len(cache) == VerifiedSiteCache.MAX_SITES
-        cache.store(0xFFFFFF, self.DESC, b"e", b"m")
-        assert len(cache) == 1
-
-
 class TestFastPathStats:
     def test_hit_rate(self):
         stats = FastPathStats(hits=3, misses=1)
@@ -96,10 +51,10 @@ class TestFastPathStats:
         assert FastPathStats().hit_rate() == 0.0
 
     def test_render_and_reset(self):
-        stats = FastPathStats(hits=9, misses=1, invalidations=2)
+        stats = FastPathStats(hits=9, misses=1)
         assert "90.0% hit rate" in stats.render()
         stats.reset()
-        assert stats.lookups == 0 and stats.invalidations == 0
+        assert stats.lookups == 0
 
 
 class TestKernelCounters:
@@ -112,11 +67,6 @@ class TestKernelCounters:
         assert stats.hits >= LOOP_ITERATIONS - 2
         assert stats.misses <= 2
         assert stats.hit_rate() > 0.9
-
-    def test_cache_invalidated_at_exit(self, installed):
-        kernel = Kernel(key=KEY)
-        kernel.run(installed.binary)
-        assert kernel.audit.fastpath.invalidations > 0
 
     def test_no_fastpath_never_probes(self, installed):
         kernel = Kernel(key=KEY, fastpath=False)
@@ -148,27 +98,3 @@ class TestKernelCounters:
         assert kernel.audit.fastpath.lookups > 0
         kernel.audit.clear()
         assert kernel.audit.fastpath.lookups == 0
-
-
-class TestMemoizedAsParsing:
-    def test_write_into_as_region_forces_reparse(self, installed):
-        # The AS reader memoizes *parsing*; any store into the regions
-        # holding the header or content must drop the memo so the next
-        # trap re-reads live memory.
-        from repro.policy.record import read_auth_record
-
-        kernel = Kernel(key=KEY)
-        process, vm = kernel.load(installed.binary)
-        image = link(installed.binary)
-        site = installed.site_for_syscall("getpid")
-        record = read_auth_record(
-            vm.memory, image.address_of(installed.site_records[site])
-        )
-        cache = VerifiedSiteCache()
-        first = cache.read_as(vm.memory, record.predset_ptr)
-        assert cache.read_as(vm.memory, record.predset_ptr) is first
-        mutated = bytes([first.content[0] ^ 0xFF]) + first.content[1:]
-        vm.memory.write(record.predset_ptr, mutated, force=True)
-        reread = cache.read_as(vm.memory, record.predset_ptr)
-        assert reread is not first
-        assert reread.content == mutated

@@ -1,5 +1,6 @@
 """Long-tail syscall coverage: the calls the big profiles exercise."""
 
+import pytest
 
 from repro.kernel.errors import Errno
 from tests.kernel.conftest import run_guest
@@ -290,3 +291,68 @@ path:
         kernel.register_binary("/bin/loop", binary)
         result = kernel.run(binary)
         assert result.exit_status == 0  # bottoms out at ELOOP, unwinds
+
+
+class TestUnlinkableExecutable:
+    """A target that parses as SEF but cannot be linked (a relocation
+    pointing outside the address space) is refused with ``EACCES`` on
+    every execve/spawn path — it must never escape to the host."""
+
+    BODY = """
+    li r1, path
+    li r2, 0
+    li r3, 0
+    call sys_{call}
+    xori r1, r0, 0xFFFFFFFF
+    addi r1, r1, 1
+    call sys_exit
+"""
+    DATA = '.section .rodata\npath:\n  .asciz "/bin/bad"'
+
+    @staticmethod
+    def _register_unlinkable(kernel):
+        import dataclasses
+
+        from repro.asm import assemble
+        from repro.binfmt import BinaryFormatError, SefBinary, link
+        from repro.workloads.runtime import runtime_source
+
+        binary = assemble(
+            ".section .text\n.global _start\n_start:\n    li r1, msg\n"
+            "    call sys_exit\n.section .rodata\nmsg:\n  .asciz \"x\"\n"
+            + runtime_source("linux", ("exit",)),
+            metadata={"program": "bad"},
+        )
+        binary.relocations[0] = dataclasses.replace(
+            binary.relocations[0], addend=-0x80000000
+        )
+        blob = binary.to_bytes()
+        with pytest.raises(BinaryFormatError, match="out of range"):
+            link(SefBinary.from_bytes(blob))
+        kernel.vfs.write_file("/bin/bad", blob)
+        kernel.vfs.chmod("/bin/bad", 0o755)
+
+    @pytest.mark.parametrize("call", ["execve", "spawn"])
+    def test_run_returns_eacces(self, kernel, call):
+        self._register_unlinkable(kernel)
+        result = run_guest(
+            kernel, self.BODY.format(call=call), [call], data=self.DATA
+        )
+        assert not result.killed
+        assert result.exit_status == int(Errno.EACCES)
+
+    @pytest.mark.parametrize("call", ["execve", "spawn"])
+    def test_run_many_returns_eacces(self, kernel, call):
+        from repro.asm import assemble
+        from repro.workloads.runtime import runtime_source
+
+        self._register_unlinkable(kernel)
+        guest = assemble(
+            ".section .text\n.global _start\n_start:\n"
+            + self.BODY.format(call=call) + self.DATA + "\n"
+            + runtime_source("linux", (call, "exit")),
+            metadata={"program": "guest"},
+        )
+        multi = kernel.run_many([guest])
+        assert not multi.results[0].killed
+        assert multi.results[0].exit_status == int(Errno.EACCES)

@@ -1,12 +1,16 @@
-"""The verifier specialization engine (kernel/verifierjit.py).
+"""The per-site verifier thunks (kernel/verifierjit.py).
 
-Lifecycle: thunks are compiled on first full verification of a
-(process, call-site) pair, reused across repeated traps, voided by
-write-version guards, and partitioned per pid — exit and execve drop
-the partition, fork children start empty.  Soundness: everything here
-must be invisible except in host time, so cycle accounting and attack
-verdicts are asserted bit-identical with the JIT on and off.
+Lifecycle: thunks are compiled on the first full check of a
+(process, call-site) pair, reused across repeated traps, refreshed
+when a write-version guard goes stale but the live policy bytes are
+unchanged, dropped when they changed, and partitioned per pid — exit
+and execve drop the partition, fork children start empty.  Soundness:
+outcomes and kill reasons are asserted identical to the paper's full
+check on every trap (``fastpath=False``), and a refreshed hit costs
+exactly what a fresh one does.
 """
+
+import struct
 
 import pytest
 
@@ -15,6 +19,7 @@ from repro.binfmt import link
 from repro.crypto import Key
 from repro.installer import install
 from repro.kernel import Kernel
+from repro.kernel.auth import violation_family
 from repro.obs import TraceRecorder
 from repro.workloads.runtime import runtime_source
 
@@ -111,37 +116,65 @@ class TestThunkReuse:
         assert (kernel.metrics.get("verifier.thunks_invalidated")
                 == kernel.metrics.get("verifier.thunks_compiled"))
 
-    def test_escape_hatch_never_compiles(self, installed_loop):
-        kernel, _ = _run(installed_loop, verifier_jit=False)
-        assert kernel.metrics.get("verifier.thunks_compiled") == 0
-        assert kernel.metrics.get("verifier.thunk_hits") == 0
-
     def test_jit_rides_on_the_fastpath(self, installed_loop):
-        # No fast path, no thunks: the JIT extends the cache's
-        # invalidation machinery and never outlives it.
+        # No fast path, no thunks: every trap runs the full check and
+        # neither fast-path counter moves.
         kernel, _ = _run(installed_loop, fastpath=False)
         assert kernel.metrics.get("verifier.thunks_compiled") == 0
+        assert kernel.audit.fastpath.lookups == 0
+        assert not kernel.verifier_jit
+
+    def test_each_verified_trap_counts_once(self, installed_open):
+        kernel, result = _run(installed_open)
+        stats = kernel.audit.fastpath
+        # A full check per site (open, close, exit), a hit for the rest.
+        assert stats.misses == kernel.metrics.get("verifier.thunks_compiled") == 3
+        assert stats.hits + stats.misses == result.syscalls
+        assert kernel.verifier_jit
+
+
+def _run_churned(installed):
+    """Like :func:`_run`, but a same-value write into ``.authdata``
+    before every trap leaves every thunk's guards stale."""
+    kernel = Kernel(key=KEY)
+    kernel.vfs.write_file("/etc/motd", b"greetings")
+    process, vm = kernel.load(installed.binary)
+    authdata = link(installed.binary).segment(".authdata").vaddr
+
+    class Churn:
+        def handle_trap(self, inner, authenticated):
+            byte = inner.memory.read(authdata, 1, force=True)
+            inner.memory.write(authdata, byte, force=True)
+            return kernel.handle_trap(inner, authenticated)
+
+    vm.trap_handler = Churn()
+    vm.run()
+    kernel.release_process(process, vm)
+    assert not vm.killed, vm.kill_reason
+    return kernel, vm
 
 
 class TestBitIdentity:
     @pytest.mark.parametrize("fixture", ["installed_loop", "installed_open"])
     def test_cycles_and_accounting_identical(self, fixture, request):
         installed = request.getfixturevalue(fixture)
-        baseline = None
-        for jit in (True, False):
-            kernel, result = _run(installed, verifier_jit=jit)
-            snapshot = (
-                result.cycles,
-                result.instructions,
-                result.syscalls,
-                result.exit_status,
-                kernel.audit.fastpath.hits,
-                kernel.audit.fastpath.misses,
-            )
-            if baseline is None:
-                baseline = snapshot
-            else:
-                assert snapshot == baseline
+        kernel, result = _run(installed)
+        full_kernel, full = _run(installed, fastpath=False)
+        # The paper's full check on every trap: the same run, apart
+        # from the cheaper verification cycles of the thunk hits.
+        assert (result.instructions, result.syscalls, result.exit_status,
+                result.stdout) == (full.instructions, full.syscalls,
+                                   full.exit_status, full.stdout)
+        assert result.cycles < full.cycles
+        # Refreshing every thunk before every trap changes nothing at
+        # all: same cycles, same hits and misses.
+        churned_kernel, churned = _run_churned(installed)
+        assert churned_kernel.metrics.get("verifier.thunks_refreshed") > 0
+        assert (churned.cycles, churned.instructions_executed,
+                churned_kernel.audit.fastpath.hits,
+                churned_kernel.audit.fastpath.misses) == (
+            result.cycles, result.instructions,
+            kernel.audit.fastpath.hits, kernel.audit.fastpath.misses)
 
 
 class TestObservability:
@@ -171,58 +204,151 @@ def _warm(installed, key=KEY, **kernel_kwargs):
     return kernel, process, vm
 
 
+def _open_record(installed):
+    site = installed.site_for_syscall("open")
+    return site, link(installed.binary).address_of(installed.site_records[site])
+
+
+def _step_traps(vm, count):
+    start = vm.syscall_count
+    while vm.syscall_count < start + count:
+        assert vm.step(), "program ended early"
+
+
 class TestGuardInvalidation:
     def test_policy_record_write_voids_and_recompiles(self, installed_open):
+        # Re-sign the open site's policy with the installer's key, minus
+        # its call-site constraint: a different but valid record.  The
+        # refresh sees a different encoded call and drops the thunk;
+        # the full check accepts the new record and recompiles.
         kernel, process, vm = _warm(installed_open)
         jit = kernel._jits[process.pid]
-        open_site = installed_open.site_for_syscall("open")
-        assert jit.thunk_at(open_site) is not None
+        open_site, record = _open_record(installed_open)
+        call = jit.thunk_at(open_site).call
+        descriptor = int(call.record.descriptor)
+        assert call.record.descriptor.call_site_constrained
+        weaker = descriptor & ~1
+        # Encoded call: u16 number, u32 descriptor, u32 call site, ...
+        encoded = call.encoded_call[:2] + struct.pack("<I", weaker) + call.encoded_call[10:]
+        vm.memory.write_u32(record, weaker, force=True)
+        vm.memory.write(record + 16, kernel.mac.tag(encoded), force=True)
         compiled_before = kernel.metrics.get("verifier.thunks_compiled")
 
-        # Rewrite one record byte with its existing value: the bytes
-        # are unchanged but the region's write version advances, so the
-        # guard must fail closed and the thunk must be dropped.
-        image = link(installed_open.binary)
-        record = image.address_of(installed_open.site_records[open_site])
-        byte = vm.memory.read(record, 1, force=True)
-        vm.memory.write(record, byte, force=True)
-
         vm.run()
-        assert not vm.killed
+        assert not vm.killed, vm.kill_reason
         assert kernel.metrics.get("verifier.thunks_invalidated") >= 1
-        # The site re-verified in full and was specialized again.
-        assert kernel.metrics.get("verifier.thunks_compiled") > compiled_before
+        # The open site re-verified in full once and was specialized
+        # again (the close site refreshed); the exit site compiled at
+        # its first trap.
+        assert kernel.metrics.get("verifier.thunks_compiled") == compiled_before + 2
+        assert not jit.thunk_at(open_site).call.record.descriptor.call_site_constrained
+
+    def test_same_value_write_gives_refreshed_hit(self, installed_open):
+        kernel, process, vm = _warm(installed_open)
+        twin_kernel, _, twin = _warm(installed_open)
+        _, record = _open_record(installed_open)
+        vm.memory.write(record, vm.memory.read(record, 1, force=True), force=True)
+        before = dict(kernel.metrics)
+        _step_traps(vm, 2)
+        _step_traps(twin, 2)
+        after = dict(kernel.metrics)
+        assert after["verifier.thunks_refreshed"] == before.get("verifier.thunks_refreshed", 0) + 2
+        # Two thunk hits, no full check, nothing recompiled or dropped.
+        assert after["fastpath.hits"] == before["fastpath.hits"] + 2
+        assert after["fastpath.misses"] == before["fastpath.misses"]
+        assert after["verifier.thunks_compiled"] == before["verifier.thunks_compiled"]
+        assert after.get("verifier.thunks_invalidated", 0) == before.get("verifier.thunks_invalidated", 0)
+        # A refreshed hit costs exactly what a fresh one does.
+        assert vm.cycles == twin.cycles
+
+    def test_write_elsewhere_in_guarded_region_refreshes(self, installed_open):
+        # Corrupt the exit site's call MAC: same region as the open and
+        # close records, but no byte their verdicts depend on.
+        kernel, process, vm = _warm(installed_open)
+        exit_site = installed_open.site_for_syscall("exit")
+        exit_record = link(installed_open.binary).address_of(
+            installed_open.site_records[exit_site]
+        )
+        vm.memory.flip_bit(exit_record + 16, 0, force=True)
+        misses = kernel.audit.fastpath.misses
+        _step_traps(vm, 4)
+        assert kernel.audit.fastpath.misses == misses
+        assert kernel.metrics.get("verifier.thunks_refreshed") == 2
+        assert not vm.killed
 
     def test_guard_churn_stops_recompilation(self, installed_open):
-        # A site whose policy material is written before every trap
-        # must not recompile forever: after MAX_RECOMPILES guard
-        # failures the generic path serves it (correctness unchanged).
+        # A same-value write into the policy region before each of the
+        # 60 open/close traps: every trap refreshes, and each site is
+        # compiled exactly once (a refresh never recompiles).
         kernel, process, vm = _warm(installed_open)
-        jit = kernel._jits[process.pid]
-        open_site = installed_open.site_for_syscall("open")
-        image = link(installed_open.binary)
-        record = image.address_of(installed_open.site_records[open_site])
+        compiled = kernel.metrics.get("verifier.thunks_compiled")
+        _, record = _open_record(installed_open)
         byte = vm.memory.read(record, 1, force=True)
-
-        seen_none_while_running = False
-        while vm.syscall_count < ITERATIONS * 2:
+        start = vm.syscall_count
+        while vm.syscall_count < 60:
             vm.memory.write(record, byte, force=True)  # bump the version
-            if not vm.step():
-                break
-            if jit.thunk_at(open_site) is None and vm.syscall_count > 0:
-                seen_none_while_running = True
-        assert seen_none_while_running
-        # Both the open and close records live in the shared .authdata
-        # region, so both sites churn; each is capped independently and
-        # compilation stays far below the ~60 traps served.
-        assert (kernel.metrics.get("verifier.thunks_compiled")
-                <= 2 * (jit.MAX_RECOMPILES + 1) + 1)
+            assert vm.step()
+        assert kernel.metrics.get("verifier.thunks_compiled") == compiled
+        assert kernel.metrics.get("verifier.thunks_refreshed") == 60 - start
+        assert kernel.audit.fastpath.misses == compiled
+        vm.run()
+        assert not vm.killed
+
+
+def _mutate_record_field(vm, image, installed):
+    _, record = _open_record(installed)
+    vm.memory.flip_bit(record + 4, 0, force=True)  # blockID
+
+
+def _mutate_as_header(vm, image, installed):
+    vm.memory.flip_bit(image.address_of("path") - 1, 3, force=True)  # stringMAC
+
+
+def _mutate_as_content(vm, image, installed):
+    vm.memory.write(image.address_of("path"), b"/etc/shad", force=True)
+
+
+def _mutate_predset(vm, image, installed):
+    _, record = _open_record(installed)
+    predset = vm.memory.read_u32(record + 8, force=True)
+    vm.memory.write_u32(predset, 0xDEAD, force=True)
+
+
+class TestChangedPolicyDrops:
+    """A changed byte the thunk depends on drops it, and the full check
+    kills in the same violation family — with the same reason — as on
+    a kernel that runs the full check on every trap."""
+
+    @pytest.mark.parametrize(
+        "mutate, family",
+        [
+            (_mutate_record_field, "call-mac"),
+            (_mutate_as_header, "call-mac"),
+            (_mutate_as_content, "string-auth"),
+            (_mutate_predset, "string-auth"),
+        ],
+        ids=["record-field", "as-header", "as-content", "predset"],
+    )
+    def test_full_check_kills(self, installed_open, mutate, family):
+        reasons = []
+        for fastpath in (True, False):
+            kernel, process, vm = _warm(installed_open, fastpath=fastpath)
+            mutate(vm, link(installed_open.binary), installed_open)
+            vm.run()
+            assert vm.killed and violation_family(vm.kill_reason) == family
+            reasons.append(vm.kill_reason)
+            if fastpath:
+                open_site, _ = _open_record(installed_open)
+                assert kernel._jits[process.pid].thunk_at(open_site) is None
+                assert kernel.metrics.get("verifier.thunks_invalidated") == 1
+        assert reasons[0] == reasons[1]
 
 
 class TestTamperAfterWarmup:
     """The fastpath-boundary attack, re-run against warm *thunks*: a
-    post-warm-up corruption must fail-stop identically with the JIT on
-    and off (same kill reason, not merely both killed)."""
+    post-warm-up corruption must fail-stop identically with the thunks
+    on and with the full check on every trap (same kill reason, not
+    merely both killed)."""
 
     MUTATIONS = [("string", "integrity"), ("polstate", "policy state")]
 
@@ -230,7 +356,7 @@ class TestTamperAfterWarmup:
     def _kill_reasons(installed, key, mutation, fragment):
         reasons = []
         for jit in (True, False):
-            kernel, process, vm = _warm(installed, key, verifier_jit=jit)
+            kernel, process, vm = _warm(installed, key, fastpath=jit)
             if jit:
                 assert kernel.metrics.get("verifier.thunk_hits") > 0
             image = link(installed.binary)
@@ -259,7 +385,7 @@ class TestTamperAfterWarmup:
         self, installed_open_cmac, mutation, fragment
     ):
         # Warm lbMAC verifies are served by AesCmac's tag memo here; the
-        # tampered trap must still die exactly as without the JIT.
+        # tampered trap must still die exactly as under the full check.
         reasons = self._kill_reasons(installed_open_cmac, CMAC_KEY, mutation, fragment)
         assert reasons[0] == reasons[1]
 

@@ -56,7 +56,6 @@ class TestFastPathStatsFacade:
         stats = FastPathStats(hits=3, misses=1)
         assert stats.hits == 3
         assert stats.misses == 1
-        assert stats.invalidations == 0
         assert stats.lookups == 4
 
     def test_backed_by_shared_registry(self):
@@ -70,12 +69,12 @@ class TestFastPathStatsFacade:
         assert stats.hits == 6
 
     def test_reset_returns_snapshot(self):
-        stats = FastPathStats(hits=7, misses=3, invalidations=1)
+        stats = FastPathStats(hits=7, misses=3)
         snap = stats.reset()
-        assert (snap.hits, snap.misses, snap.invalidations) == (7, 3, 1)
+        assert (snap.hits, snap.misses) == (7, 3)
         assert snap.lookups == 10
         assert snap.hit_rate() == 0.7
-        assert stats.hits == stats.misses == stats.invalidations == 0
+        assert stats.hits == stats.misses == 0
         # The snapshot is immutable and detached from the live stats.
         stats.hits += 1
         assert snap.hits == 7

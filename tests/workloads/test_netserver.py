@@ -8,6 +8,7 @@ interleaving — sockets introduce no nondeterminism anywhere.
 
 import pytest
 
+from repro.configs import CONFIGS
 from repro.crypto import Key
 from repro.installer import install
 from repro.kernel import Kernel
@@ -18,14 +19,6 @@ CLIENTS = 3
 REQUESTS = 3
 TIMESLICE = 350
 
-#: The five engine configurations the security batteries sweep.
-ENGINE_CONFIGS = (
-    ("interp", dict(engine="interp")),
-    ("chained", dict(engine="threaded", chain=True)),
-    ("no-chain", dict(engine="threaded", chain=False)),
-    ("no-verifier-jit", dict(engine="threaded", verifier_jit=False)),
-    ("no-fastpath", dict(engine="threaded", fastpath=False)),
-)
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +71,10 @@ class TestNetserverCompletes:
 
 class TestEngineBitIdentity:
     def test_identical_across_all_five_configs(self, installed):
+        # Every roster config (repro.configs.CONFIGS).
         runs = {
-            name: _run(installed, **kwargs)
-            for name, kwargs in ENGINE_CONFIGS
+            config.name: _run(installed, **config.kernel_kwargs())
+            for config in CONFIGS
         }
         reference = runs["interp"]
         assert reference["statuses"] == (0,) + (REQUESTS,) * CLIENTS
