@@ -87,11 +87,14 @@ def _clients_of(scheduler: Scheduler, master: Task) -> list[Task]:
 
 def _survivors_contained(scheduler: Scheduler, master: Task) -> bool:
     """Fail-stop containment: every client ran to a normal exit (their
-    own failure paths included — the service died under them), and
-    none was killed by the checker or the deadlock breaker."""
+    own failure paths included — the service died under them), none
+    was killed by the checker, and no wait was left for the scheduler
+    to fail as unsatisfiable."""
     clients = _clients_of(scheduler, master)
-    return bool(clients) and all(
-        not task.killed and task.exit_status is not None for task in clients
+    return (
+        bool(clients)
+        and scheduler.kernel.metrics.get("sched.unsatisfiable_waits") == 0
+        and all(not task.killed and task.exit_status is not None for task in clients)
     )
 
 

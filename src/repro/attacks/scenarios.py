@@ -22,6 +22,7 @@ from repro.installer import InstalledProgram, InstallerOptions, install
 from repro.isa import Instruction, encode_instruction
 from repro.isa.opcodes import Op
 from repro.kernel import EnforcementMode, Kernel
+from repro.kernel.sched.scheduler import Scheduler, Task
 from repro.kernel.syscalls import SYSCALL_NUMBERS
 from repro.attacks.victim import BUFFER_SIZE, build_frankenstein_pair, build_victim
 
@@ -83,18 +84,17 @@ def _install_victim(key: Key, **options) -> InstalledProgram:
 def _find_buffer_address(key: Key, installed: InstalledProgram) -> int:
     """Dry-run the victim and capture r2 (the buffer) at the read trap."""
     kernel = _prepare_kernel(key)
-    process, vm = kernel.load(installed.binary, stdin=b"/etc/motd\x00")
     read_site = installed.site_for_syscall("read")
     captured: list[int] = []
+    forward = kernel.handle_trap
 
-    class Spy:
-        def handle_trap(self, inner_vm: VM, authenticated: bool) -> int:
-            if inner_vm.pc == read_site and not captured:
-                captured.append(inner_vm.regs[2])
-            return kernel.handle_trap(inner_vm, authenticated)
+    def spy(vm: VM, authenticated: bool) -> int:
+        if vm.pc == read_site and not captured:
+            captured.append(vm.regs[2])
+        return forward(vm, authenticated)
 
-    vm.trap_handler = Spy()
-    vm.run()
+    kernel.handle_trap = spy  # shadows the bound method for every VM
+    kernel.run(installed.binary, stdin=b"/etc/motd\x00")
     if not captured:
         raise RuntimeError("victim never reached its read call")
     return captured[0]
@@ -106,13 +106,16 @@ def _run_with_payload(
     payload: bytes,
     mutate: Optional[Callable[[Kernel, VM], None]] = None,
     config: EngineConfig = DEFAULT_CONFIG,
-):
+) -> Task:
+    """Run the victim on ``payload`` as a one-task scheduler run,
+    applying ``mutate`` to the loaded image first; returns its task."""
     kernel = _prepare_kernel(key, config)
-    process, vm = kernel.load(installed.binary, stdin=payload)
+    scheduler = Scheduler(kernel)
+    task = scheduler.spawn(installed.binary, stdin=payload)
     if mutate:
-        mutate(kernel, vm)
-    vm.run()
-    return kernel, process, vm
+        mutate(kernel, task.vm)
+    scheduler.run()
+    return task
 
 
 def _encode(instructions) -> bytes:
@@ -148,13 +151,13 @@ def shellcode_attack(
     payload = code.ljust(48, b"\x00") + b"/bin/sh\x00".ljust(16, b"\x00")
     payload += struct.pack("<I", buffer_address)  # smashed return address
 
-    kernel, process, vm = _run_with_payload(key, installed, payload, config=config)
+    task = _run_with_payload(key, installed, payload, config=config)
     return AttackResult(
         name="shellcode",
-        blocked=vm.killed,
+        blocked=task.killed,
         detail="injected raw SYS execve('/bin/sh') from the smashed stack",
-        kill_reason=vm.kill_reason,
-        stdout=bytes(process.stdout),
+        kill_reason=task.kill_reason,
+        stdout=bytes(task.process.stdout),
     )
 
 
@@ -208,13 +211,13 @@ def mimicry_attack(
         detail = "issued ASYS from injected code with a stolen record"
 
     payload = code.ljust(BUFFER_SIZE, b"\x00") + struct.pack("<I", buffer_address)
-    kernel, process, vm = _run_with_payload(key, installed, payload, config=config)
+    task = _run_with_payload(key, installed, payload, config=config)
     return AttackResult(
         name=f"mimicry/{variant}",
-        blocked=vm.killed,
+        blocked=task.killed,
         detail=detail,
-        kill_reason=vm.kill_reason,
-        stdout=bytes(process.stdout),
+        kill_reason=task.kill_reason,
+        stdout=bytes(task.process.stdout),
     )
 
 
@@ -239,15 +242,15 @@ def non_control_data_attack(
     def corrupt(kernel: Kernel, vm: VM) -> None:
         vm.memory.write(exec_path, b"/bin/sh", force=True)
 
-    kernel, process, vm = _run_with_payload(
+    task = _run_with_payload(
         key, installed, b"/etc/motd\x00", mutate=corrupt, config=config
     )
     return AttackResult(
         name="non-control-data",
-        blocked=vm.killed and _SH_MARKER not in process.stdout,
+        blocked=task.killed and _SH_MARKER not in task.process.stdout,
         detail="overwrote the authenticated execve argument in place",
-        kill_reason=vm.kill_reason,
-        stdout=bytes(process.stdout),
+        kill_reason=task.kill_reason,
+        stdout=bytes(task.process.stdout),
     )
 
 
@@ -297,19 +300,19 @@ def frankenstein_attack(
             address, blob = _as_record(content_address)
             vm.memory.write(address, blob, force=True)
 
-    kernel, process, vm = _run_with_payload(
+    task = _run_with_payload(
         key, installed_a, b"/etc/motd\x00", mutate=transplant, config=config
     )
-    spawned_shell = _SH_MARKER in process.stdout
+    spawned_shell = _SH_MARKER in task.process.stdout
     return AttackResult(
         name=f"frankenstein/{'defended' if defense else 'undefended'}",
-        blocked=vm.killed and not spawned_shell,
+        blocked=task.killed and not spawned_shell,
         detail=(
             "transplanted B's authenticated execve('/bin/sh') into A "
             f"({'with' if defense else 'without'} unique block ids)"
         ),
-        kill_reason=vm.kill_reason,
-        stdout=bytes(process.stdout),
+        kill_reason=task.kill_reason,
+        stdout=bytes(task.process.stdout),
     )
 
 

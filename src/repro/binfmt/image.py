@@ -23,6 +23,12 @@ from repro.binfmt.binary import BinaryFormatError, SefBinary
 DEFAULT_BASE = 0x08048000
 PAGE_SIZE = 0x1000
 
+#: The guest stack the VM maps below ``STACK_TOP``.  A linked image and
+#: the one-page heap the kernel maps after it must end below it.
+STACK_TOP = 0x0C000000
+STACK_SIZE = 0x40000
+STACK_BOTTOM = STACK_TOP - STACK_SIZE
+
 #: Layout order; unknown sections are appended alphabetically after these.
 _SECTION_ORDER = [
     ".text",
@@ -95,9 +101,26 @@ def assign_addresses(binary: SefBinary, base: int = DEFAULT_BASE) -> dict[str, i
 
 
 def link(binary: SefBinary, base: int = DEFAULT_BASE) -> LoadedImage:
-    """Assign addresses, apply relocations, and produce a LoadedImage."""
+    """Assign addresses, apply relocations, and produce a LoadedImage.
+
+    An image that could not be mapped is a format error here, before
+    anything is allocated: a section alignment that is not a power of
+    two (sections would overlap), or an extent that reaches the stack."""
     binary.validate()
+    for section in binary.sections.values():
+        if section.align & (section.align - 1):
+            raise BinaryFormatError(
+                f"section {section.name!r} alignment {section.align} is not a power of 2"
+            )
     section_bases = assign_addresses(binary, base)
+    end = max(
+        (section_bases[name] + section.size for name, section in binary.sections.items()),
+        default=base,
+    )
+    if _page_align(end) + PAGE_SIZE > STACK_BOTTOM:
+        raise BinaryFormatError(
+            f"image extent {end:#x} reaches the stack at {STACK_BOTTOM:#x}"
+        )
 
     symbol_addresses = {
         name: section_bases[sym.section] + sym.offset

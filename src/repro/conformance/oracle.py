@@ -7,8 +7,8 @@ signature*:
 
 - the per-process result tuples of :func:`repro.faults.harness.process_signature`
   with the config-dependent cycle slot stripped by
-  :func:`repro.faults.harness.portable_signature` (exit status, crash,
-  kill flag, kill reason, both output streams, instruction count);
+  :func:`repro.faults.harness.portable_signature` (exit status, kill
+  flag, kill reason, both output streams, instruction count);
 - the dispatched **syscall trace** — ``(pid, name)`` in dispatch
   order, captured through the kernel's ``tracer`` hook (retried
   blocking calls are not double-counted);
@@ -143,7 +143,7 @@ def run_program(
     families = []
     for task in tasks:
         entry = process_signature(
-            task.exit_status, "", task.killed, task.kill_reason,
+            task.exit_status, task.killed, task.kill_reason,
             bytes(task.process.stdout), bytes(task.process.stderr),
             task.vm.cycles, task.vm.instructions_executed,
         )

@@ -370,19 +370,19 @@ class BlockCache:
 
     # -- dispatch ------------------------------------------------------
 
-    def run(self, max_instructions: int, preempt: bool = False) -> None:
-        """Execute until HALT/exit; mirrors the interpreter's budget
-        semantics exactly (a block longer than the remaining budget is
-        single-stepped so exhaustion faults at the same PC).
+    def run(self, max_instructions: int) -> None:
+        """Execute until HALT/exit or until ``max_instructions`` are
+        spent; mirrors the interpreter's budget semantics exactly (a
+        block longer than the remaining budget is single-stepped so the
+        budget runs out at the same PC).
 
-        With ``preempt=True`` an exhausted budget is a timeslice end,
-        not a fault: the engine returns with the architectural state
+        On exhaustion the engine returns with the architectural state
         exactly as the interpreter leaves it after the same number of
         instructions, which is what makes scheduler interleavings
         engine-independent.  Chained successors and superblocks are
         only entered when the remaining budget covers them, so the
-        preemption point always lands on a block boundary the
-        interpreter would also stop at."""
+        stop always lands on a block boundary the interpreter would
+        also stop at."""
         vm = self.vm
         lookup = self.lookup
         step = vm.step
@@ -411,9 +411,7 @@ class BlockCache:
                 if block.stop:
                     return
                 budget -= count
-            if preempt:
-                return
-            raise ExecutionFault(vm.pc, "instruction budget exhausted")
+            return
 
         while budget > 0:
             block = lookup(vm.pc)
@@ -465,9 +463,6 @@ class BlockCache:
                 else:
                     break  # dynamic exit (JR/RET/...): full dispatch
                 block = succ
-        if preempt:
-            return
-        raise ExecutionFault(vm.pc, "instruction budget exhausted")
 
     def _run_superblock(self, sb: Superblock, budget: int):
         """Execute passes of a fused cycle while the budget covers a

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Protocol
 
+from repro.binfmt.image import STACK_SIZE, STACK_TOP
 from repro.cpu.memory import Memory, MemoryFault, PROT_READ, PROT_WRITE, Region
 from repro.isa import INSTRUCTION_SIZE, Instruction, decode_instruction
 from repro.isa.encoding import EncodingError
@@ -90,8 +91,8 @@ class VM:
         memory: Memory,
         entry: int,
         trap_handler: Optional[TrapHandler] = None,
-        stack_top: int = 0x0C000000,
-        stack_size: int = 0x40000,
+        stack_top: int = STACK_TOP,
+        stack_size: int = STACK_SIZE,
         nx: bool = False,
         engine: str = "interp",
         chain: bool = True,
@@ -275,47 +276,32 @@ class VM:
         return True
 
     def run(self, max_instructions: int = 50_000_000) -> int:
-        """Run to completion; returns the exit status.
+        """Run to completion; returns the exit status.  Exhausting
+        ``max_instructions`` first is an :class:`ExecutionFault`."""
+        self.run_slice(max_instructions)
+        if self.exit_status is None:
+            raise ExecutionFault(self.pc, "instruction budget exhausted")
+        return self.exit_status
+
+    def run_slice(self, max_instructions: int) -> None:
+        """Run for at most ``max_instructions``, returning on budget
+        exhaustion (a scheduler's preemption) or process end.  The
+        architectural state at a budget stop is exactly what the
+        interpreter leaves after the same number of instructions, in
+        every engine configuration.
 
         :class:`ProcessExit` raised by the kernel is absorbed here: a
         voluntary exit sets ``exit_status``; a security kill sets
-        ``killed``/``kill_reason`` as well (fail-stop semantics)."""
+        ``killed``/``kill_reason`` as well (fail-stop semantics).  The
+        multiprogramming control transfers (``ProcessBlocked``,
+        ``ImageReplaced``) propagate to the scheduler with the span
+        stack rebalanced."""
         rec = self.recorder
         traced = rec.enabled
         if traced:
             # The root engine span: every verification span nests under
             # it, so its inclusive duration is the traced wall clock of
-            # the run and the per-stage self times partition it.
-            span_depth = rec.open_spans
-            rec.begin("execute", "engine")
-        try:
-            if self.engine == "threaded":
-                self._run_threaded(max_instructions)
-            else:
-                self._run_interp(max_instructions)
-        except ProcessExit as exit_info:
-            self.exit_status = exit_info.status
-            self.killed = exit_info.killed
-            self.kill_reason = exit_info.reason
-        finally:
-            if traced:
-                rec.close_to(span_depth)
-        if self.exit_status is None:
-            raise ExecutionFault(self.pc, "process stopped without exiting")
-        return self.exit_status
-
-    def run_slice(self, max_instructions: int) -> None:
-        """Run for at most ``max_instructions``, returning on timeslice
-        exhaustion (preemption) or process end — the scheduler's entry
-        point.  Unlike :meth:`run`, budget exhaustion is not a fault.
-
-        :class:`ProcessExit` is absorbed into the exit fields exactly
-        as in :meth:`run`; the multiprogramming control transfers
-        (``ProcessBlocked``, ``ImageReplaced``) propagate to the
-        scheduler with the span stack rebalanced."""
-        rec = self.recorder
-        traced = rec.enabled
-        if traced:
+            # the slice and the per-stage self times partition it.
             span_depth = rec.open_spans
             rec.begin("execute", "engine")
         try:
@@ -325,7 +311,7 @@ class VM:
                 cache = self._block_cache
                 if cache is None:
                     cache = self._block_cache = BlockCache(self, chain=self.chain)
-                cache.run(max_instructions, preempt=True)
+                cache.run(max_instructions)
             else:
                 budget = max_instructions
                 while budget > 0:
@@ -339,22 +325,6 @@ class VM:
         finally:
             if traced:
                 rec.close_to(span_depth)
-
-    def _run_interp(self, max_instructions: int) -> None:
-        budget = max_instructions
-        while budget > 0:
-            if not self.step():
-                return
-            budget -= 1
-        raise ExecutionFault(self.pc, "instruction budget exhausted")
-
-    def _run_threaded(self, max_instructions: int) -> None:
-        from repro.cpu.threaded import BlockCache
-
-        cache = self._block_cache
-        if cache is None:
-            cache = self._block_cache = BlockCache(self, chain=self.chain)
-        cache.run(max_instructions)
 
     # -- internals -------------------------------------------------------
 

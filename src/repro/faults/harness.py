@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.binfmt import link
-from repro.cpu.vm import ExecutionFault
 from repro.crypto import Key
 from repro.faults.inject import TrapSpy, make_injector
 from repro.faults.plan import ALLOWED_FAMILIES, SCHED_KINDS, FaultPlan
@@ -40,9 +39,8 @@ from repro.kernel.auth import violation_family
 from repro.kernel.sched.scheduler import Scheduler
 from repro.kernel.syscalls import SYSCALL_NUMBERS
 
-#: Timeslice of the clean scheduled reference run.  Perturbed runs use
-#: the plan's seeded slice; both must produce identical per-task
-#: results.
+#: Timeslice of every run except the scheduler kinds', which use the
+#: plan's seeded slice; per-task results must be identical either way.
 REFERENCE_TIMESLICE = 200
 
 
@@ -68,76 +66,73 @@ def run_workload(
     plan: FaultPlan = None,
     recorder=None,
 ) -> RunOutcome:
-    """Execute ``workload`` on a fresh kernel; with a plan, arm its
-    injector.  ``plan=None`` is the clean reference run."""
-    if workload == "loop-sched":
-        return _run_scheduled(key, config, workloads, plan, recorder)
-    if workload == "netserver":
-        return _run_netserver(key, config, workloads, plan, recorder)
-    return _run_single(key, config, workloads, workload, plan, recorder)
+    """Execute ``workload`` on a fresh kernel under one scheduler run;
+    with a plan, arm its injector (or, for the scheduler kinds, its
+    timeslice and run-queue rotation).  ``plan=None`` is the clean
+    reference run.
 
-
-def _run_single(
-    key: Key, config, workloads, workload, plan, recorder
-) -> RunOutcome:
-    installed = workloads[workload]
+    The spy shadows the kernel's trap handler, so it sees every
+    process's traps: forked netserver clients and an exec'd image get
+    fresh VMs.  The signature holds one entry per task, in pid order."""
+    scheduled = workload == "loop-sched"
+    installed = workloads["loop" if scheduled else workload]
     kernel = make_kernel(key, config, recorder=recorder)
     shadow = ShadowVerifier(kernel)
-    stdin = VICTIM_STDIN if workload == "victim" else b""
-    process, vm = kernel.load(installed.binary, stdin=stdin)
     injector = None
-    if plan is not None:
+    if plan is not None and not is_sched_plan(plan):
         injector = make_injector(plan, _image_of(installed))
     spy = TrapSpy(
         kernel,
         trap_index=plan.trap_index if plan is not None else -1,
         injector=injector,
+        numbers=_SOCK_DATA_CALLS if workload == "netserver" else None,
     )
-    vm.trap_handler = spy
-    crash = ""
-    try:
-        status = vm.run()
-    except ExecutionFault as fault:
-        # The injected fault drove the *guest* into a machine fault
-        # (e.g. a corrupted value steered a later load).  That is a
-        # divergence the checks did not convert into an authenticated
-        # kill — record it so classification can flag the miss instead
-        # of aborting the whole sweep.
-        status = -1
-        crash = f"guest crash: {fault}"
-    finally:
-        kernel.release_process(process, vm)
-    signature = process_signature(
-        status, crash, vm.killed, vm.kill_reason,
-        bytes(process.stdout), bytes(process.stderr),
-        vm.cycles, vm.instructions_executed,
-    )
-    return _outcome(
-        shadow, signature=signature, killed=vm.killed,
-        kill_reason=vm.kill_reason, traps=spy.seen,
-    )
+    kernel.handle_trap = spy.handle_trap
+    timeslice = (plan.timeslice if plan is not None else 0) or REFERENCE_TIMESLICE
+    scheduler = Scheduler(kernel, timeslice=timeslice)
+    stdin = VICTIM_STDIN if workload == "victim" else b""
+    for _ in range(SCHED_INSTANCES if scheduled else 1):
+        scheduler.spawn(installed.binary, stdin=stdin)
+    if plan is not None and plan.rotate_every:
+        switches = [0]
 
+        def perturb(sched, task):
+            switches[0] += 1
+            if switches[0] % plan.rotate_every == 0:
+                sched.perturb_runq(1)
 
-def _outcome(shadow: ShadowVerifier, **fields) -> RunOutcome:
+        scheduler.on_switch = perturb
+    scheduler.run()
+    tasks = [scheduler.tasks[pid] for pid in sorted(scheduler.tasks)]
+    per_task = tuple(
+        process_signature(
+            task.exit_status, task.killed, task.kill_reason,
+            bytes(task.process.stdout), bytes(task.process.stderr),
+            task.vm.cycles, task.vm.instructions_executed,
+        )
+        for task in tasks
+    )
     return RunOutcome(
+        signature=per_task,
+        killed=any(task.killed for task in tasks),
+        kill_reason="; ".join(task.kill_reason for task in tasks if task.killed),
+        traps=spy.seen,
         shadow_checked=shadow.checked,
         shadow_disagreements=tuple(shadow.disagreements),
-        **fields,
     )
 
 
 def process_signature(
-    status, crash, killed, kill_reason, stdout, stderr, cycles, instructions
+    status, killed, kill_reason, stdout, stderr, cycles, instructions
 ) -> tuple:
-    """One process's comparable result.  A fixed 8-slot layout shared
-    by the single-run and per-task scheduled signatures here and by the
-    conformance oracle (:mod:`repro.conformance.oracle`);
-    ``_CYCLES_SLOT`` is the entry :func:`portable_signature` strips."""
-    return (status, crash, killed, kill_reason, stdout, stderr, cycles,
-            instructions)
+    """One process's comparable result.  A fixed 7-slot layout shared
+    by the fault harness and the conformance oracle
+    (:mod:`repro.conformance.oracle`); ``_CYCLES_SLOT`` is the entry
+    :func:`portable_signature` strips."""
+    return (status, killed, kill_reason, stdout, stderr, cycles, instructions)
 
 
-_CYCLES_SLOT = 6
+_CYCLES_SLOT = 5
 
 
 #: id(InstalledProgram) -> LoadedImage.  Injectors only need symbol and
@@ -154,87 +149,12 @@ def _image_of(installed):
     return image
 
 
-def _run_scheduled(key, config, workloads, plan, recorder) -> RunOutcome:
-    """The multiprogrammed workload: independent loop instances whose
-    per-task results must be invariant under any preemption order."""
-    installed = workloads["loop"]
-    kernel = make_kernel(key, config, recorder=recorder)
-    shadow = ShadowVerifier(kernel)
-    timeslice = plan.timeslice if plan is not None else REFERENCE_TIMESLICE
-    scheduler = Scheduler(kernel, timeslice=timeslice)
-    tasks = [
-        scheduler.adopt(*kernel.load(installed.binary))
-        for _ in range(SCHED_INSTANCES)
-    ]
-    if plan is not None and plan.rotate_every:
-        switches = [0]
-
-        def perturb(sched, task):
-            switches[0] += 1
-            if switches[0] % plan.rotate_every == 0:
-                sched.perturb_runq(1)
-
-        scheduler.on_switch = perturb
-    scheduler.run()
-    per_task = tuple(
-        process_signature(
-            task.exit_status, "", task.killed, task.kill_reason,
-            bytes(task.process.stdout), bytes(task.process.stderr),
-            task.vm.cycles, task.vm.instructions_executed,
-        )
-        for task in tasks
-    )
-    killed = any(task.killed for task in tasks)
-    reasons = "; ".join(task.kill_reason for task in tasks if task.killed)
-    return _outcome(
-        shadow, signature=per_task, killed=killed, kill_reason=reasons
-    )
-
-
 #: The socket data-transfer calls the netserver spy counts: plans for
 #: the sock kinds index into *these* traps only, so every seeded index
 #: lands on a send/recv with an Immediate-constrained buffer pointer.
 _SOCK_DATA_CALLS = frozenset(
     (SYSCALL_NUMBERS["send"], SYSCALL_NUMBERS["recv"])
 )
-
-
-def _run_netserver(key, config, workloads, plan, recorder) -> RunOutcome:
-    """The networking workload: the echo server and its forked clients
-    under the scheduler, with the spy shadowing the kernel's trap
-    handler so it sees every process's traps (``vm.trap_handler`` only
-    covers the first VM; forked children get fresh ones)."""
-    installed = workloads["netserver"]
-    kernel = make_kernel(key, config, recorder=recorder)
-    shadow = ShadowVerifier(kernel)
-    injector = None
-    if plan is not None:
-        injector = make_injector(plan, _image_of(installed))
-    spy = TrapSpy(
-        kernel,
-        trap_index=plan.trap_index if plan is not None else -1,
-        injector=injector,
-        numbers=_SOCK_DATA_CALLS,
-    )
-    kernel.handle_trap = spy.handle_trap  # shadow: covers forked clients
-    scheduler = Scheduler(kernel, timeslice=REFERENCE_TIMESLICE)
-    scheduler.adopt(*kernel.load(installed.binary))
-    scheduler.run()
-    tasks = [scheduler.tasks[pid] for pid in sorted(scheduler.tasks)]
-    per_task = tuple(
-        process_signature(
-            task.exit_status, "", task.killed, task.kill_reason,
-            bytes(task.process.stdout), bytes(task.process.stderr),
-            task.vm.cycles, task.vm.instructions_executed,
-        )
-        for task in tasks
-    )
-    killed = any(task.killed for task in tasks)
-    reasons = "; ".join(task.kill_reason for task in tasks if task.killed)
-    return _outcome(
-        shadow, signature=per_task, killed=killed, kill_reason=reasons,
-        traps=spy.seen,
-    )
 
 
 def portable_signature(outcome: RunOutcome) -> tuple:
@@ -245,13 +165,10 @@ def portable_signature(outcome: RunOutcome) -> tuple:
     cross-config engine-equivalence assertion compares everything
     except them.  Within one config, cycles stay in the signature:
     benign means bit-identical including cost."""
-    def strip(entry):
-        return entry[:_CYCLES_SLOT] + entry[_CYCLES_SLOT + 1:]
-
-    signature = outcome.signature
-    if signature and isinstance(signature[0], tuple):  # scheduled: per-task
-        return tuple(strip(entry) for entry in signature)
-    return strip(signature)
+    return tuple(
+        entry[:_CYCLES_SLOT] + entry[_CYCLES_SLOT + 1:]
+        for entry in outcome.signature
+    )
 
 
 def classify(plan: FaultPlan, reference: RunOutcome, outcome: RunOutcome) -> str:

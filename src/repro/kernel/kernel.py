@@ -27,17 +27,18 @@ from repro.isa import INSTRUCTION_SIZE
 from repro.kernel.audit import AuditEvent, AuditLog, FastPathStats
 from repro.kernel.auth import AuthChecker, AuthViolation
 from repro.kernel.costs import CostModel
+from repro.kernel.errors import Errno
 from repro.kernel.net import NetStack
-from repro.kernel.process import Process
+from repro.kernel.process import MMAP_BASE, Process
 from repro.kernel.sched.blocking import ImageReplaced, ProcessBlocked, WouldBlock
-from repro.kernel.sched.scheduler import MultiRunResult, Scheduler, Task
+from repro.kernel.sched.scheduler import MAX_TASKS, MultiRunResult, Scheduler, Task
 from repro.kernel.syscalls import (
     SYSCALL_NAMES,
     SyscallContext,
     dispatch,
 )
 from repro.kernel.verifierjit import VerifierJit
-from repro.kernel.vfs import Vfs
+from repro.kernel.vfs import Vfs, VfsError
 from repro.obs import NULL_RECORDER, MetricsRegistry, Recorder
 from repro.policy.capability import CapabilityTable
 
@@ -103,8 +104,6 @@ class RunResult:
 class Kernel:
     """The simulated operating system."""
 
-    MAX_EXEC_DEPTH = 8
-
     def __init__(
         self,
         key: Optional[Key] = None,
@@ -153,22 +152,15 @@ class Kernel:
         #: plain per-block dispatch).  Bit-identical either way.
         self.chain = chain
         self._checker = AuthChecker(self.mac, self.costs, self.obs)
-        self._jits: dict[int, VerifierJit] = {}
         #: Optional syscall tracer (duck-typed: .record(ctx)); used by
         #: the training-based baseline monitors.
         self.tracer = None
         self._next_pid = 100
+        #: The one VM -> process map (keyed by VM identity), probed once
+        #: per trap; everything per-process lives on the Process record.
         self._vm_process: dict[int, Process] = {}
-        #: Per-pid kernel state.  Keyed by pid (not VM identity) so that
-        #: fork and in-place execve keep a process's capability table,
-        #: mmap cursor, and thunk partition attached to the process
-        #: across VM replacement.
-        self._capabilities: dict[int, CapabilityTable] = {}
-        self._mmap_cursor: dict[int, int] = {}
-        self._exec_depth = 0
-        #: The active multiprogramming scheduler, if any.  A process is
-        #: "scheduled" when its pid is in the scheduler's task table;
-        #: everything else runs with the original synchronous semantics.
+        #: The scheduler of the current run: every process runs under
+        #: one (``run`` is a one-task run).
         self._scheduler: Optional[Scheduler] = None
         self._next_pipe_ident = 0
         #: Loopback network state (port table, connection idents); see
@@ -203,16 +195,22 @@ class Kernel:
         cwd: str,
     ) -> tuple[Process, VM]:
         """Map an already linked ``binary`` and prepare its process."""
+        process = Process(pid=self._allocate_pid(), name="", cwd=cwd, stdin=stdin)
+        return process, self._start_image(process, binary, image, argv)
+
+    def _start_image(
+        self,
+        process: Process,
+        binary: SefBinary,
+        image: LoadedImage,
+        argv: Optional[list[str]],
+    ) -> VM:
+        """Map ``image`` into a fresh VM and (re)start ``process`` on
+        it (load and in-place execve): the authentication context
+        (counter back to 0 — the new image's .polstate starts at its
+        installed epoch), capability table, mmap cursor and thunk
+        partition all belong to the image and begin anew."""
         memory, heap_base = self._map_image(image)
-        process = Process(
-            pid=self._allocate_pid(),
-            name=image.metadata.get("program", binary.entry),
-            cwd=cwd,
-            brk=heap_base,
-            initial_brk=heap_base,
-            authenticated=image.metadata.get("authenticated") == "yes",
-            stdin=stdin,
-        )
         vm = VM(
             memory=memory,
             entry=image.entry,
@@ -222,27 +220,31 @@ class Kernel:
             chain=self.chain,
             recorder=self.obs,
         )
-        self._vm_process[id(vm)] = process
-        self._capabilities[process.pid] = CapabilityTable()
+        process.name = image.metadata.get("program", binary.entry)
+        process.brk = process.initial_brk = heap_base
+        process.authenticated = image.metadata.get("authenticated") == "yes"
+        process.auth_counter = 0
+        process.signal_handlers.clear()
+        process.capabilities = CapabilityTable()
+        process.mmap_cursor = MMAP_BASE
+        self._drop_jit(process)
         if self.fastpath:
-            self._jits[process.pid] = self._new_jit()
+            process.jit = self._new_jit()
+        self._vm_process[id(vm)] = process
         self._setup_argv(vm, argv or [process.name])
-        return process, vm
+        return vm
 
     def _new_jit(self) -> VerifierJit:
         """A fresh per-process thunk partition (load/fork/execve)."""
         return VerifierJit(self.mac, self.costs, self.metrics, self.obs)
 
-    def _drop_jit(self, pid: int, task: Optional[Task] = None) -> None:
-        """Tear down a pid's thunk partition (exit/execve), folding its
-        verified-trap tallies into the task (if any) and its dropped
-        thunks into the invalidation counters."""
-        jit = self._jits.pop(pid, None)
+    def _drop_jit(self, process: Process) -> None:
+        """Tear down a process's thunk partition (exit/execve), folding
+        its dropped thunks into the invalidation counters."""
+        jit = process.jit
         if jit is None:
             return
-        if task is not None:
-            task.fastpath_hits += jit.hits
-            task.fastpath_misses += jit.misses
+        process.jit = None
         dropped = jit.invalidate()
         if dropped:
             self.metrics.inc("verifier.thunks_invalidated", dropped)
@@ -250,8 +252,7 @@ class Kernel:
                 self.obs.inc("verifier.thunks_invalidated", dropped)
 
     def _map_image(self, image) -> tuple[Memory, int]:
-        """Map a linked image's segments plus a fresh heap; shared by
-        initial load and scheduled (in-place) execve."""
+        """Map a linked image's segments plus a fresh heap."""
         memory = Memory()
         for segment in image.segments:
             if segment.size == 0:
@@ -297,24 +298,15 @@ class Kernel:
         cwd: str = "/",
         max_instructions: int = 50_000_000,
     ) -> RunResult:
-        """Load and execute a program to completion."""
-        process, vm = self.load(binary, argv=argv, stdin=stdin, cwd=cwd)
-        try:
-            status = vm.run(max_instructions=max_instructions)
-        finally:
-            self.release_process(process, vm)
-        return RunResult(
-            exit_status=status,
-            killed=vm.killed,
-            kill_reason=vm.kill_reason,
-            stdout=bytes(process.stdout),
-            stderr=bytes(process.stderr),
-            cycles=vm.cycles,
-            instructions=vm.instructions_executed,
-            syscalls=vm.syscall_count,
-            process=process,
-            vm=vm,
+        """Load and execute a program to completion: a one-task
+        scheduler run whose one slice covers the whole budget (the
+        program may still fork or spawn more tasks)."""
+        scheduler = Scheduler(
+            self, timeslice=max_instructions, max_instructions=max_instructions
         )
+        task = scheduler.spawn(binary, argv=argv, stdin=stdin, cwd=cwd)
+        scheduler.run()
+        return self._task_result(task)
 
     def run_many(
         self,
@@ -344,17 +336,14 @@ class Kernel:
                     stdin = spec[2]
             else:
                 binary = spec
-            process, vm = self.load(binary, argv=argv, stdin=stdin)
-            top.append(scheduler.adopt(process, vm))
+            top.append(scheduler.spawn(binary, argv=argv, stdin=stdin))
         scheduler.run()
         results = [self._task_result(task) for task in top]
         return MultiRunResult(results=results, scheduler=scheduler)
 
     def _task_result(self, task: Task) -> RunResult:
         return RunResult(
-            exit_status=(
-                task.exit_status if task.exit_status is not None else KILL_STATUS
-            ),
+            exit_status=task.exit_status,
             killed=task.killed,
             kill_reason=task.kill_reason,
             stdout=bytes(task.process.stdout),
@@ -366,16 +355,11 @@ class Kernel:
             vm=task.vm,
         )
 
-    def release_process(self, process: Process, vm: VM, task: Optional[Task] = None) -> None:
-        """Tear down a process's kernel-side state at exit.
-
-        Snapshots the pid's fast-path tallies into the task (if any)
-        before dropping its thunks — a thunk never outlives the address
-        space it was compiled against."""
+    def release_process(self, process: Process, vm: VM) -> None:
+        """Tear down a process's kernel-side state at exit.  A thunk
+        never outlives the address space it was compiled against."""
         self._vm_process.pop(id(vm), None)
-        self._capabilities.pop(process.pid, None)
-        self._mmap_cursor.pop(process.pid, None)
-        self._drop_jit(process.pid, task)
+        self._drop_jit(process)
         self._sync_engine_metrics(vm)
 
     def _allocate_pid(self) -> int:
@@ -452,7 +436,7 @@ class Kernel:
         if traced:
             span_depth = rec.open_spans
             rec.begin("syscall-verify", "verify")
-        jit = self._jits.get(process.pid)
+        jit = process.jit
         result = jit.execute(vm, process) if jit is not None else None
         hit = result is not None
         if not hit:
@@ -476,10 +460,10 @@ class Kernel:
             rec.end()  # syscall-verify
         if jit is not None:
             if hit:
-                jit.hits += 1
+                process.fastpath_hits += 1
                 outcome = "fastpath.hits"
             else:
-                jit.misses += 1
+                process.fastpath_misses += 1
                 outcome = "fastpath.misses"
             self.metrics.inc(outcome)
             if traced:
@@ -501,7 +485,7 @@ class Kernel:
     def _check_capability(self, vm: VM, process: Process, result) -> None:
         """§5.3: each tracked fd argument must descend from a permitted
         producing call site."""
-        table = self._capabilities.get(process.pid)
+        table = process.capabilities
         name = SYSCALL_NAMES.get(result.syscall_number, "?")
         for index in range(6):
             if not result.fd_mask & (1 << index):
@@ -509,7 +493,7 @@ class Kernel:
             fd = vm.regs[1 + index]
             if fd in (0, 1, 2):  # inherited standard descriptors
                 continue
-            if table is None or not table.check(fd, result.fd_allowed):
+            if not table.check(fd, result.fd_allowed):
                 self._kill(
                     vm, process, name,
                     f"capability violation: fd {fd} (arg {index}) not "
@@ -539,14 +523,9 @@ class Kernel:
         try:
             result = dispatch(ctx)
         except WouldBlock as would_block:
-            if self.scheduler_owns(process):
-                raise ProcessBlocked(
-                    would_block.wait, number, name, block_id, trap_pc=vm.pc
-                ) from None
-            # Synchronous mode: nobody can ever wake us, so complete
-            # with the handler's non-blocking fallback (which matches
-            # the pre-scheduler stub semantics).
-            result = would_block.fallback & 0xFFFFFFFF
+            raise ProcessBlocked(
+                would_block.wait, number, name, block_id, trap_pc=vm.pc
+            ) from None
         vm.regs[0] = result
         if self.capability_tracking and block_id is not None:
             self._track_capability(process, vm, name, result, block_id)
@@ -572,12 +551,6 @@ class Kernel:
         task.pending = None
         return True
 
-    def scheduler_owns(self, process: Process) -> bool:
-        """Is this process managed by an active scheduler (as opposed
-        to a synchronous ``Kernel.run`` invocation)?"""
-        scheduler = self._scheduler
-        return scheduler is not None and process.pid in scheduler.tasks
-
     def allocate_pipe_ident(self) -> int:
         self._next_pipe_ident += 1
         return self._next_pipe_ident
@@ -585,9 +558,7 @@ class Kernel:
     def _track_capability(
         self, process: Process, vm: VM, name: str, result: int, block_id: int
     ) -> None:
-        table = self._capabilities.get(process.pid)
-        if table is None:
-            return
+        table = process.capabilities
         if name in ("open", "socket", "dup", "dup2") and result < 0x8000_0000:
             if result not in table.owner:
                 table.grant(block_id, result)
@@ -595,7 +566,7 @@ class Kernel:
             table.revoke(vm.regs[1])
 
     def capability_table(self, vm: VM) -> CapabilityTable:
-        return self._capabilities[self._vm_process[id(vm)].pid]
+        return self._vm_process[id(vm)].capabilities
 
     def _kill(self, vm: VM, process: Process, syscall: str, reason: str) -> None:
         self.audit.record(
@@ -620,12 +591,6 @@ class Kernel:
         micros = (vm.cycles % self.cycles_per_second) * 1_000_000 // self.cycles_per_second
         return seconds, micros
 
-    def next_mmap_address(self, vm: VM, size: int) -> int:
-        pid = self._vm_process[id(vm)].pid
-        cursor = self._mmap_cursor.get(pid, 0x40000000)
-        self._mmap_cursor[pid] = cursor + size + PAGE_SIZE
-        return cursor
-
     # -- execve ----------------------------------------------------------------
 
     def register_binary(self, path: str, binary: SefBinary) -> None:
@@ -637,11 +602,9 @@ class Kernel:
         self, process: Process, path: str, syscall: str = "execve"
     ) -> tuple[SefBinary, LoadedImage]:
         """Read and validate an executable for execve/spawn: must parse
-        and link as a SEF binary (else ``EACCES``), and enforcing mode
-        refuses unauthenticated images (audited)."""
-        from repro.kernel.errors import Errno
-        from repro.kernel.vfs import VfsError
-
+        and link as a SEF binary (else ``EACCES``, before anything is
+        mapped), and enforcing mode refuses unauthenticated images
+        (audited)."""
         data = self.vfs.read_file(path, cwd=process.cwd)
         try:
             binary = SefBinary.from_bytes(bytes(data))
@@ -663,74 +626,33 @@ class Kernel:
             raise VfsError(Errno.EPERM, path)
         return binary, image
 
-    def execve(self, ctx: SyscallContext, path: str, argv=None) -> int:
-        """Model image replacement by running the target synchronously.
+    # -- multiprogramming services ------------------------------------------
 
-        Returns the status the calling process should exit with; raises
-        VfsError (mapped to -errno) if the target cannot be executed."""
-        from repro.kernel.errors import Errno
-        from repro.kernel.vfs import VfsError
-
-        if self._exec_depth >= self.MAX_EXEC_DEPTH:
-            raise VfsError(Errno.ELOOP, path)
-        binary, _ = self._resolve_executable(ctx.process, path)
-        self._exec_depth += 1
-        try:
-            result = self.run(binary, argv=argv or None, cwd=ctx.process.cwd)
-        finally:
-            self._exec_depth -= 1
-        ctx.process.stdout.extend(result.stdout)
-        ctx.process.stderr.extend(result.stderr)
-        return result.exit_status
-
-    # -- multiprogramming services (scheduled processes only) ---------------
+    def _room_for_task(self) -> Scheduler:
+        """The running scheduler, if it may hold one more task; at
+        :data:`MAX_TASKS` fork and spawn fail with ``EAGAIN``."""
+        scheduler = self._scheduler
+        if len(scheduler.tasks) >= MAX_TASKS:
+            raise VfsError(Errno.EAGAIN)
+        return scheduler
 
     def exec_replace(self, ctx: SyscallContext, path: str, argv=None) -> None:
-        """True in-place execve for a scheduled process: build a fresh
-        VM over a new image, reset the process's authentication context
-        (counter back to 0 — the new image's .polstate starts at its
-        installed epoch), and swap it into the task.  Raises
+        """In-place execve: restart the calling process on a fresh VM
+        over the new image (same pid, fds and output streams).  Raises
         :class:`ImageReplaced` on success (execve does not return)."""
-        process = ctx.process
         old_vm = ctx.vm
-        binary, image = self._resolve_executable(process, path)
-        memory, heap_base = self._map_image(image)
-        new_vm = VM(
-            memory=memory,
-            entry=image.entry,
-            trap_handler=self,
-            nx=self.nx,
-            engine=self.engine,
-            chain=self.chain,
-            recorder=self.obs,
-        )
+        binary, image = self._resolve_executable(ctx.process, path)
+        self._vm_process.pop(id(old_vm), None)
+        new_vm = self._start_image(ctx.process, binary, image, argv)
         # Accounting continuity: the scheduler's slice bookkeeping and
         # the guest-visible clock see one uninterrupted process.
         new_vm.cycles = old_vm.cycles
         new_vm.instructions_executed = old_vm.instructions_executed
         new_vm.syscall_count = old_vm.syscall_count
-        process.name = image.metadata.get("program", binary.entry)
-        process.brk = heap_base
-        process.initial_brk = heap_base
-        process.authenticated = image.metadata.get("authenticated") == "yes"
-        process.auth_counter = 0
-        process.signal_handlers.clear()
-        task = self._scheduler.tasks[process.pid]
-        # Per-pid kernel state: the capability table and thunk
-        # partition belong to the old image; drop and restart them.
-        self._vm_process.pop(id(old_vm), None)
-        self._vm_process[id(new_vm)] = process
-        self._capabilities[process.pid] = CapabilityTable()
-        self._mmap_cursor.pop(process.pid, None)
-        self._drop_jit(process.pid, task)
-        if self.fastpath:
-            self._jits[process.pid] = self._new_jit()
-        self._setup_argv(new_vm, argv or [process.name])
-        task.vm = new_vm
-        raise ImageReplaced(f"execve {path}")
+        raise ImageReplaced(new_vm, path)
 
     def fork_process(self, ctx: SyscallContext) -> int:
-        """Real fork for a scheduled process.
+        """Real fork.
 
         The address space is duplicated copy-on-reference: read-only
         regions (code, rodata — including the image's MACed policy
@@ -742,9 +664,9 @@ class Kernel:
         — from here on the two processes' counters diverge
         independently, which is exactly the per-process isolation the
         paper's §3.2 checker provides."""
+        scheduler = self._room_for_task()
         parent = ctx.process
         parent_vm = ctx.vm
-        scheduler = self._scheduler
         child_vm = VM(
             memory=fork_address_space(parent_vm.memory),
             entry=parent_vm.pc,
@@ -764,6 +686,7 @@ class Kernel:
         child_vm.stack_top = parent_vm.stack_top
         child_vm.pc = parent_vm.pc + INSTRUCTION_SIZE  # resume past the trap
         child_vm.regs[0] = 0  # fork() returns 0 in the child
+        parent_caps = parent.capabilities
         child = Process(
             pid=self._allocate_pid(),
             name=parent.name,
@@ -776,36 +699,33 @@ class Kernel:
             stdin=parent.stdin,
             stdin_offset=parent.stdin_offset,
             signal_handlers=dict(parent.signal_handlers),
-        )
-        self._vm_process[id(child_vm)] = child
-        parent_caps = self._capabilities.get(parent.pid)
-        if parent_caps is not None:
-            self._capabilities[child.pid] = CapabilityTable(
+            capabilities=CapabilityTable(
                 by_site={site: set(fds) for site, fds in parent_caps.by_site.items()},
                 owner=dict(parent_caps.owner),
-            )
-        if parent.pid in self._mmap_cursor:
-            self._mmap_cursor[child.pid] = self._mmap_cursor[parent.pid]
-        if self.fastpath:
-            # A fresh per-pid partition: the child's starts empty and a
+            ),
+            mmap_cursor=parent.mmap_cursor,
+            # A fresh partition: the child's starts empty and a
             # sibling's compiled verifier is never consulted, so a
             # cross-process thunk-poisoning angle does not exist by
             # construction (tested).
-            self._jits[child.pid] = self._new_jit()
+            jit=self._new_jit() if self.fastpath else None,
+        )
+        self._vm_process[id(child_vm)] = child
         scheduler.adopt(child, child_vm, parent_pid=parent.pid)
         self.metrics.inc("sched.forks")
         return child.pid
 
     def spawn_process(self, ctx: SyscallContext, path: str, argv=None) -> int:
-        """Asynchronous spawn for a scheduled process: load the target
-        as a child task and return its pid immediately (the caller
-        collects it with wait4)."""
-        binary, image = self._resolve_executable(
-            ctx.process, path, syscall="spawn"
-        )
-        process, vm = self._load_image(
-            binary, image, argv or None, b"", ctx.process.cwd
-        )
-        self._scheduler.adopt(process, vm, parent_pid=ctx.process.pid)
+        """Asynchronous spawn: load the target as a child task and
+        return its pid immediately (the caller collects it with wait4).
+        The child's console output goes to its parent's stdout and
+        stderr."""
+        scheduler = self._room_for_task()
+        parent = ctx.process
+        binary, image = self._resolve_executable(parent, path, syscall="spawn")
+        process, vm = self._load_image(binary, image, argv or None, b"", parent.cwd)
+        process.stdout = parent.stdout
+        process.stderr = parent.stderr
+        scheduler.adopt(process, vm, parent_pid=parent.pid)
         self.metrics.inc("sched.spawns")
         return process.pid

@@ -18,9 +18,9 @@ the *name a server listens on* is part of its signed policy.
 Stream semantics mirror the kernel pipe object (bounded buffer,
 refcounted ends, writer-close EOF, reader-close EPIPE analog) but per
 direction: a :class:`Connection` is two bounded byte queues, one per
-flow direction, with per-side close and shutdown flags.  In
-synchronous single-process mode (no scheduler) buffers are unbounded
-and empty reads return 0 bytes, matching the pipe fallback contract.
+flow direction, with per-side close and shutdown flags.  A wait that no
+process can ever satisfy (say, a lone process reading its own empty
+connection) completes with ``-EAGAIN``, as it does for pipes.
 """
 
 from __future__ import annotations
@@ -103,35 +103,27 @@ class Connection:
     def space_toward(self, side: int) -> int:
         return self.capacity - len(self.buffers[side])
 
-    def send(self, side: int, data: bytes, blocking: bool) -> int:
-        """Queue ``data`` toward the peer; returns bytes accepted.
-
-        A full buffer blocks under a scheduler (the guest loops on the
-        short count for the remainder); in synchronous mode capacity is
-        not enforced — nobody could ever drain it — matching the pipe
-        fallback contract.
-        """
+    def send(self, side: int, data: bytes) -> int:
+        """Queue what fits of ``data`` toward the peer; returns bytes
+        accepted.  A full buffer blocks (the guest loops on the short
+        count for the remainder)."""
         peer = 1 - side
         if self.wr_shutdown[side] or not self.open_ends[side]:
             raise SendOnShutdown(self.ident)
         if not self.open_ends[peer] or self.rd_shutdown[peer]:
             raise SendOnShutdown(self.ident)
-        if not blocking:
-            self.buffers[peer].extend(data)
-            return len(data)
         space = self.space_toward(peer)
         if space <= 0:
-            raise WouldBlock(f"sock:{self.ident}:send", fallback=0)
+            raise WouldBlock(f"sock:{self.ident}:send")
         accepted = data[:space]
         self.buffers[peer].extend(accepted)
         return len(accepted)
 
-    def recv(self, side: int, count: int, blocking: bool) -> bytes:
+    def recv(self, side: int, count: int) -> bytes:
         """Drain up to ``count`` bytes flowing toward ``side``.
 
         Empty queue: EOF (``b""``) once the peer can never send again
-        (closed or SHUT_WR), otherwise block.  The synchronous fallback
-        (0 bytes) matches pipes.
+        (closed or SHUT_WR), otherwise block.
         """
         if self.rd_shutdown[side]:
             return b""
@@ -140,9 +132,7 @@ class Connection:
             peer = 1 - side
             if not self.open_ends[peer] or self.wr_shutdown[peer]:
                 return b""
-            if blocking:
-                raise WouldBlock(f"sock:{self.ident}:recv", fallback=0)
-            return b""
+            raise WouldBlock(f"sock:{self.ident}:recv")
         data = bytes(buffer[:count])
         del buffer[: len(data)]
         return data
@@ -327,7 +317,7 @@ class NetStack:
 
     # -- stream establishment ------------------------------------------
 
-    def connect(self, sock: Socket, address: str, blocking: bool) -> None:
+    def connect(self, sock: Socket, address: str) -> None:
         """Establish a stream to ``address`` (handshake completes at
         connect time; accept() later hands the server its side, as with
         a real SYN queue).  A full backlog blocks the connector."""
@@ -343,11 +333,8 @@ class NetStack:
             self._inc("net.connect_refused")
             raise VfsError(Errno.ECONNREFUSED)
         queue = target.listener
-        if blocking and len(queue.pending) >= queue.backlog:
-            raise WouldBlock(
-                f"sock:{queue.ident}:connect",
-                fallback=Errno.EAGAIN.as_result(),
-            )
+        if len(queue.pending) >= queue.backlog:
+            raise WouldBlock(f"sock:{queue.ident}:connect")
         conn = Connection(self._ident())
         sock.conn = conn
         sock.side = 0
@@ -355,17 +342,12 @@ class NetStack:
         queue.pending.append(conn)
         self._inc("net.connections")
 
-    def accept(self, sock: Socket, blocking: bool) -> Socket:
+    def accept(self, sock: Socket) -> Socket:
         if sock.listener is None:
             raise VfsError(Errno.EINVAL)
         queue = sock.listener
         if not queue.pending:
-            if blocking:
-                raise WouldBlock(
-                    f"sock:{queue.ident}:accept",
-                    fallback=Errno.EAGAIN.as_result(),
-                )
-            raise VfsError(Errno.EAGAIN)
+            raise WouldBlock(f"sock:{queue.ident}:accept")
         conn = queue.pending.popleft()
         child = Socket(self, self._ident(), sock.domain, sock.type)
         child.conn = conn
@@ -376,25 +358,23 @@ class NetStack:
 
     # -- datagrams -----------------------------------------------------
 
-    def send_dgram(self, sock: Socket, address: str, data: bytes, blocking: bool) -> int:
+    def send_dgram(self, sock: Socket, address: str, data: bytes) -> int:
         target = self.ports.get((SOCK_DGRAM, address))
         if target is None:
             raise VfsError(Errno.ECONNREFUSED)
-        if blocking and len(target.dgrams) >= DGRAM_QUEUE_MAX:
-            raise WouldBlock(f"sock:{target.ident}:dgram", fallback=0)
+        if len(target.dgrams) >= DGRAM_QUEUE_MAX:
+            raise WouldBlock(f"sock:{target.ident}:dgram")
         target.dgrams.append((sock.address or "", bytes(data)))
         self._inc("net.dgrams_sent")
         self._inc("net.bytes_sent", len(data))
         return len(data)
 
-    def recv_dgram(self, sock: Socket, count: int, blocking: bool):
+    def recv_dgram(self, sock: Socket, count: int):
         """Pop one datagram: returns (source address, payload truncated
         to ``count``).  Datagram boundaries are preserved; excess bytes
         of a truncated datagram are discarded (POSIX SOCK_DGRAM)."""
         if not sock.dgrams:
-            if blocking:
-                raise WouldBlock(f"sock:{sock.ident}:recvfrom", fallback=0)
-            return ("", b"")
+            raise WouldBlock(f"sock:{sock.ident}:recvfrom")
         source, payload = sock.dgrams.popleft()
         self._inc("net.dgrams_received")
         return (source, payload[:count])

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.kernel.errors import Errno
 from repro.kernel.vfs import Inode, VfsError
+from repro.policy.capability import CapabilityTable
+
+if TYPE_CHECKING:
+    from repro.kernel.verifierjit import VerifierJit
 
 MAX_FDS = 256
+
+#: Where a fresh image's anonymous mmap allocations start.
+MMAP_BASE = 0x40000000
 
 O_RDONLY = 0
 O_WRONLY = 1
@@ -72,7 +79,10 @@ class FileDescription:
 
 @dataclass
 class Process:
-    """Kernel-side state for one running program."""
+    """Kernel-side state for one running program: the one per-process
+    record.  Load and fork create it, in-place execve resets its
+    per-image fields, and exit tears down its thunk partition, so each
+    of them touches this object and nothing keyed by pid."""
 
     pid: int
     name: str
@@ -95,6 +105,16 @@ class Process:
     network: list[bytes] = field(default_factory=list)
     #: Signal dispositions recorded by sigaction (number -> handler addr).
     signal_handlers: dict[int, int] = field(default_factory=dict)
+    #: §5.3 capability tracking: live fds per producing call site.
+    capabilities: CapabilityTable = field(default_factory=CapabilityTable)
+    #: Next anonymous mmap address.
+    mmap_cursor: int = MMAP_BASE
+    #: The compiled per-site verifier thunks of the current image (None
+    #: with the fast path off, and after exit).
+    jit: Optional["VerifierJit"] = None
+    #: Verified traps: thunk hits and full checks, across execs.
+    fastpath_hits: int = 0
+    fastpath_misses: int = 0
 
     def __post_init__(self) -> None:
         if not self.fds:

@@ -25,17 +25,14 @@ from typing import Optional
 class WouldBlock(Exception):
     """Raised by a syscall handler whose wait condition is not ready.
 
-    Under a scheduler the kernel converts this into
-    :class:`ProcessBlocked` and the task is parked.  In the synchronous
-    single-process mode (plain ``Kernel.run``) there is nobody to wake
-    us, so the kernel completes the call with ``fallback`` instead —
-    which is chosen to match the pre-scheduler stub semantics, keeping
-    single-process programs bit-compatible."""
+    The kernel converts this into :class:`ProcessBlocked` and the
+    scheduler parks the task until a wake poll's retry succeeds — or,
+    if no task could ever satisfy the wait, completes the call with
+    ``-EAGAIN``."""
 
-    def __init__(self, wait: str, fallback: int = 0):
+    def __init__(self, wait: str):
         super().__init__(f"would block on {wait}")
         self.wait = wait
-        self.fallback = fallback
 
 
 class ProcessBlocked(Exception):
@@ -68,9 +65,13 @@ class ProcessBlocked(Exception):
 
 
 class ImageReplaced(Exception):
-    """``execve`` under a scheduler replaced the task's VM in place.
+    """``execve`` replaced the calling process's image in place.
 
-    The old VM is dead; the scheduler re-queues the task, whose
-    ``task.vm`` already points at the fresh image.  Instruction and
-    cycle counters carry over to the new VM, so slice accounting and
-    wall-clock budgets see one continuous process."""
+    The old VM is dead; ``vm`` is the fresh image's, which the
+    scheduler swaps into the task before re-queueing it.  Instruction
+    and cycle counters carry over to the new VM, so slice accounting
+    and budgets see one continuous process."""
+
+    def __init__(self, vm, path: str):
+        super().__init__(f"execve {path}")
+        self.vm = vm

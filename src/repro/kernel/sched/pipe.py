@@ -7,9 +7,8 @@ empty pipe returns 0 (EOF) only once *every* write end is closed, and a
 write with no read ends left raises EPIPE.
 
 Blocking is expressed with :class:`~repro.kernel.sched.blocking.WouldBlock`
-and resolved by the scheduler; in synchronous single-process mode the
-kernel falls back to the non-blocking result (read → 0, write →
-unbounded buffer) so pre-scheduler guests behave exactly as before.
+and resolved by the scheduler: a wake poll retries the call, and a wait
+no task can ever satisfy completes with ``-EAGAIN``.
 """
 
 from __future__ import annotations
@@ -52,45 +51,33 @@ class Pipe:
         else:
             self.readers -= 1
 
-    def read(self, count: int, blocking: bool) -> bytes:
+    def read(self, count: int) -> bytes:
         """Drain up to ``count`` bytes.
 
         Empty pipe: EOF (``b""``) once all writers are gone, otherwise
-        block.  The synchronous fallback (read → 0 bytes) matches the
-        old file-backed pipe, whose reads past the written extent also
-        returned 0.
+        block.
         """
         if not self.buffer:
             if self.writers <= 0:
                 return b""
-            if blocking:
-                raise WouldBlock(f"pipe:{self.ident}:read", fallback=0)
-            return b""
+            raise WouldBlock(f"pipe:{self.ident}:read")
         data = bytes(self.buffer[:count])
         del self.buffer[: len(data)]
         return data
 
-    def write(self, data: bytes, blocking: bool) -> int:
-        """Append ``data``; returns bytes accepted.
+    def write(self, data: bytes) -> int:
+        """Append what fits of ``data``; returns bytes accepted.
 
-        Raises ``BrokenPipe`` when no readers remain.  A full pipe
-        blocks under a scheduler; in synchronous mode capacity is not
-        enforced (there is no one to drain it), preserving the old
-        unbounded file-backed behaviour.
+        Raises ``BrokenPipe`` when no readers remain and blocks on a
+        full pipe.  A partial write returns the short count and the
+        guest is expected to loop.
         """
         if self.readers <= 0:
             raise BrokenPipe(self.ident)
-        if not blocking:
-            self.buffer.extend(data)
-            return len(data)
         if self.space <= 0:
-            raise WouldBlock(f"pipe:{self.ident}:write", fallback=0)
+            raise WouldBlock(f"pipe:{self.ident}:write")
         accepted = data[: self.space]
         self.buffer.extend(accepted)
-        if len(accepted) < len(data):
-            # Partial write: the guest observes a short count and is
-            # expected to loop; no blocking needed for the accepted part.
-            pass
         return len(accepted)
 
 

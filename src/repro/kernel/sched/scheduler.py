@@ -23,29 +23,45 @@ that.
 
 The scheduler owns no verification state.  Each task's
 :class:`~repro.kernel.process.Process` carries its own ``auth_counter``
-and its image carries its own lastBlock/lbMAC region, so a context
-switch swaps authentication context implicitly; the per-pid fast-path
-caches live in the kernel, keyed by pid.
+and verifier-thunk partition, and its image carries its own
+lastBlock/lbMAC region, so a context switch swaps authentication
+context implicitly.
+
+It is the kernel's only process model: ``Kernel.run`` is a one-task
+run whose single slice covers the whole instruction budget, and
+``Kernel.run_many`` a multi-task one.  Every run is bounded twice: by
+its instruction budget (each slice is clamped to what remains, so the
+survivors are killed at exactly ``max_instructions``) and by
+:data:`MAX_TASKS`.  A wait no task can ever satisfy ends one way: when
+nothing is runnable and a full wake poll moved nobody, the oldest
+blocked call completes with ``-EAGAIN``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Callable, Optional
 
 from repro.cpu.vm import VM, ExecutionFault, ProcessExit
+from repro.isa import INSTRUCTION_SIZE
+from repro.kernel.errors import Errno
 from repro.kernel.process import Process
 
 from .blocking import ImageReplaced, ProcessBlocked
 
-#: Exit status for scheduler-imposed terminations (deadlock breaker,
-#: instruction-budget exhaustion); matches the kernel's KILL_STATUS.
+#: Exit status for scheduler-imposed terminations (instruction-budget
+#: exhaustion); matches the kernel's KILL_STATUS.
 SCHED_KILL_STATUS = 128 + 9
 
-#: Fault terminations (guest execution faults under a scheduler)
-#: surface as a SIGSEGV-style status.
+#: Most tasks one scheduler run may hold, reaped ones included (a
+#: reaped task keeps its VM for the caller to inspect).  At the cap,
+#: fork and spawn return ``-EAGAIN``.
+MAX_TASKS = 256
+
+#: Fault terminations (guest machine faults: divide by zero, bad fetch,
+#: protection) surface as a SIGSEGV-style status.
 FAULT_STATUS = 128 + 11
 
 
@@ -94,10 +110,6 @@ class Task:
     exit_status: Optional[int] = None
     killed: bool = False
     kill_reason: str = ""
-    #: Per-pid fast-path cache traffic, snapshotted at teardown (the
-    #: cache itself is dropped with the address space).
-    fastpath_hits: int = 0
-    fastpath_misses: int = 0
 
     @property
     def alive(self) -> bool:
@@ -129,9 +141,9 @@ class Scheduler:
             raise ValueError("timeslice must be positive")
         self.kernel = kernel
         self.timeslice = timeslice
-        #: Machine-wide instruction budget across all tasks; survivors
-        #: are killed when it runs out (the multi-process analogue of
-        #: the VM's budget fault).
+        #: Machine-wide instruction budget across all tasks.  Each slice
+        #: is clamped to what remains, so survivors are killed after
+        #: exactly this many instructions.
         self.max_instructions = max_instructions
         self.tasks: dict[int, Task] = {}
         self._runq: deque[int] = deque()
@@ -219,26 +231,24 @@ class Scheduler:
         """Schedule until every task has exited."""
         metrics = self.kernel.metrics
         while self._runq or self._blocked:
+            if self._instructions >= self.max_instructions:
+                self._kill_survivors("scheduler instruction budget exhausted")
+                break
             woke = self._wake_blocked()
             peak = len(self._runq)
             if peak > metrics.get("sched.runq_peak"):
                 metrics.set("sched.runq_peak", peak)
             if not self._runq:
-                if not self._blocked:
-                    break
-                if woke == 0:
+                if self._blocked and woke == 0:
                     # Every live task is blocked and a full wake poll
-                    # moved nobody: nothing can ever make progress.
-                    self._break_deadlock()
+                    # moved nobody: no task can ever satisfy any wait.
+                    self._fail_oldest_wait()
                 continue
             pid = self._runq.popleft()
             task = self.tasks.get(pid)
             if task is None or task.state is not TaskState.RUNNABLE:
                 continue
             self._run_slice(task)
-            if self._instructions > self.max_instructions:
-                self._kill_survivors("scheduler instruction budget exhausted")
-                break
 
     # -- internals -----------------------------------------------------
 
@@ -294,8 +304,9 @@ class Scheduler:
             depth = rec.open_spans
             rec.begin(f"pid{pid}", "sched")
         before = task.vm.instructions_executed
+        budget = min(self.timeslice, self.max_instructions - self._instructions)
         try:
-            task.vm.run_slice(self.timeslice)
+            task.vm.run_slice(budget)
         except ProcessBlocked as blocked:
             task.pending = PendingSyscall(
                 wait=blocked.wait,
@@ -308,9 +319,10 @@ class Scheduler:
             task.state = TaskState.BLOCKED
             self._blocked.append(pid)
             metrics.inc("sched.blocks")
-        except ImageReplaced:
-            # exec_replace already swapped task.vm; counters carried
-            # over, so the consumed computation below stays exact.
+        except ImageReplaced as replaced:
+            # The new image's VM carries the old one's counters, so the
+            # consumed computation below stays exact.
+            task.vm = replaced.vm
             self._runq.append(pid)
             metrics.inc("sched.execs")
         except ExecutionFault as fault:
@@ -355,7 +367,7 @@ class Scheduler:
         task.kill_reason = reason
         for fd in list(task.process.fds):
             task.process.close_fd(fd)
-        self.kernel.release_process(task.process, task.vm, task)
+        self.kernel.release_process(task.process, task.vm)
         task.state = TaskState.ZOMBIE
         metrics.inc("sched.exits")
         # Reparenting: our children become orphans; orphan zombies are
@@ -374,30 +386,24 @@ class Scheduler:
         else:
             metrics.inc("sched.zombies")
 
-    def _break_deadlock(self) -> None:
-        """Nothing is runnable and nothing can wake: fail-stop every
-        blocked task rather than spin forever."""
-        from repro.kernel.audit import AuditEvent
-
-        metrics = self.kernel.metrics
-        for pid in list(self._blocked):
-            task = self.tasks[pid]
-            if task.state is not TaskState.BLOCKED:
-                continue
-            wait = task.pending.wait if task.pending else "?"
-            reason = f"deadlock: blocked on {wait} with no runnable process"
-            self.kernel.audit.record(
-                AuditEvent(
-                    kind="killed",
-                    pid=task.pid,
-                    program=task.process.name,
-                    syscall=task.pending.name if task.pending else None,
-                    reason=reason,
-                )
-            )
-            metrics.inc("sched.deadlock_kills")
-            self._finish(task, SCHED_KILL_STATUS, killed=True, reason=reason)
-        self._blocked = []
+    def _fail_oldest_wait(self) -> None:
+        """The unsatisfiable-wait rule: complete the oldest blocked call
+        with ``-EAGAIN``, charged as a zero-byte completion (the call's
+        cost plus its deferred verification cycles), and resume it
+        past the trap."""
+        pid = self._blocked.pop(0)
+        task = self.tasks[pid]
+        pending = task.pending
+        vm = task.vm
+        vm.regs[0] = Errno.EAGAIN.as_result()
+        vm.cycles += (
+            self.kernel.costs.syscall_cost(pending.name, 0) + pending.auth_cycles
+        )
+        vm.pc = pending.trap_pc + INSTRUCTION_SIZE
+        task.pending = None
+        task.state = TaskState.RUNNABLE
+        self._runq.append(pid)
+        self.kernel.metrics.inc("sched.unsatisfiable_waits")
 
     def _kill_survivors(self, reason: str) -> None:
         for task in list(self.tasks.values()):

@@ -152,7 +152,6 @@ SEEK_SET, SEEK_CUR, SEEK_END = 0, 1, 2
 F_DUPFD, F_GETFL, F_SETFL = 0, 3, 4
 
 MAX_RW = 1 << 20  # single-call transfer cap, a sanity bound
-MMAP_BASE = 0x40000000
 PAGE = 0x1000
 
 
@@ -245,11 +244,6 @@ def _getpid(ctx: SyscallContext) -> int:
 
 @syscall("fork")
 def _fork(ctx: SyscallContext) -> int:
-    """Real fork — only meaningful under a scheduler (there is no one
-    to run the child otherwise); synchronous mode reports EAGAIN like a
-    kernel that is out of processes."""
-    if not ctx.kernel.scheduler_owns(ctx.process):
-        return Errno.EAGAIN.as_result()
     return ctx.kernel.fork_process(ctx)
 
 
@@ -285,17 +279,16 @@ def _kill(ctx: SyscallContext) -> int:
         if sig == 0:
             return 0
         raise ProcessExit(128 + (sig & 0x7F), killed=True, reason=f"signal {sig}")
-    if ctx.kernel.scheduler_owns(ctx.process):
-        # Cross-process delivery: the target is terminated at its next
-        # schedule point (or wake poll, if blocked).
-        scheduler = ctx.kernel._scheduler
-        if sig == 0:
-            target = scheduler.tasks.get(pid)
-            if target is not None and target.alive:
-                return 0
-            return Errno.ESRCH.as_result()
-        if scheduler.post_signal(pid, sig):
+    # Cross-process delivery: the target is terminated at its next
+    # schedule point (or wake poll, if blocked).
+    scheduler = ctx.kernel._scheduler
+    if sig == 0:
+        target = scheduler.tasks.get(pid)
+        if target is not None and target.alive:
             return 0
+        return Errno.ESRCH.as_result()
+    if scheduler.post_signal(pid, sig):
+        return 0
     return Errno.ESRCH.as_result()
 
 
@@ -394,25 +387,18 @@ def _read(ctx: SyscallContext) -> int:
     elif description.kind == "socket":
         sock = description.sock
         if sock is not None and sock.conn is not None:
-            data = sock.conn.recv(sock.side, count, _sock_blocking(ctx))
+            data = sock.conn.recv(sock.side, count)
         elif (
             sock is not None
             and sock.type == SOCK_DGRAM
             and sock.address is not None
         ):
-            _, data = ctx.kernel.net.recv_dgram(sock, count, _sock_blocking(ctx))
+            _, data = ctx.kernel.net.recv_dgram(sock, count)
         else:
             data = b""  # unconnected legacy sink: immediate EOF
     elif description.kind == "pipe":
         assert description.pipe is not None
-        if count == 0:
-            data = b""
-        else:
-            # Blocking read under a scheduler; the synchronous fallback
-            # (0 bytes) matches the old file-backed pipe semantics.
-            data = description.pipe.read(
-                count, blocking=ctx.kernel.scheduler_owns(ctx.process)
-            )
+        data = description.pipe.read(count) if count else b""
     else:
         inode = description.inode
         assert inode is not None
@@ -448,9 +434,7 @@ def _do_write(ctx: SyscallContext, fd: int, data: bytes) -> int:
     elif description.kind == "pipe":
         assert description.pipe is not None
         try:
-            written = description.pipe.write(
-                data, blocking=ctx.kernel.scheduler_owns(ctx.process)
-            )
+            written = description.pipe.write(data)
         except BrokenPipe:
             return Errno.EPIPE.as_result()
         ctx.transferred = written
@@ -746,7 +730,10 @@ def _mmap(ctx: SyscallContext) -> int:
     if length == 0:
         return Errno.EINVAL.as_result()
     size = (length + PAGE - 1) & ~(PAGE - 1)
-    base = ctx.kernel.next_mmap_address(ctx.vm, size)
+    base = ctx.process.mmap_cursor
+    if base + size > 0x1_0000_0000:
+        return Errno.ENOMEM.as_result()  # past the top of the address space
+    ctx.process.mmap_cursor = base + size + PAGE
     from repro.cpu.memory import PROT_READ, PROT_WRITE
 
     region = ctx.vm.memory.map_region(
@@ -787,10 +774,6 @@ def _sock_of(ctx: SyscallContext, fd: int):
     if description.kind != "socket" or description.sock is None:
         raise VfsError(Errno.ENOTSOCK)
     return description.sock
-
-
-def _sock_blocking(ctx: SyscallContext) -> bool:
-    return ctx.kernel.scheduler_owns(ctx.process)
 
 
 def _read_sockaddr(ctx: SyscallContext, address: int) -> str:
@@ -861,11 +844,11 @@ def _connect(ctx: SyscallContext) -> int:
     if rec.enabled:
         rec.begin("net-connect", "net")
         try:
-            ctx.kernel.net.connect(sock, address, _sock_blocking(ctx))
+            ctx.kernel.net.connect(sock, address)
         finally:
             rec.end()
     else:
-        ctx.kernel.net.connect(sock, address, _sock_blocking(ctx))
+        ctx.kernel.net.connect(sock, address)
     return 0
 
 
@@ -878,11 +861,11 @@ def _accept(ctx: SyscallContext) -> int:
     if rec.enabled:
         rec.begin("net-accept", "net")
         try:
-            child = ctx.kernel.net.accept(sock, _sock_blocking(ctx))
+            child = ctx.kernel.net.accept(sock)
         finally:
             rec.end()
     else:
-        child = ctx.kernel.net.accept(sock, _sock_blocking(ctx))
+        child = ctx.kernel.net.accept(sock)
     fd = ctx.process.allocate_fd(
         FileDescription(None, O_RDWR, kind="socket", path="<socket>", sock=child)
     )
@@ -894,7 +877,7 @@ def _accept(ctx: SyscallContext) -> int:
 
 def _conn_send(ctx: SyscallContext, sock, data: bytes) -> int:
     try:
-        written = sock.conn.send(sock.side, data, _sock_blocking(ctx))
+        written = sock.conn.send(sock.side, data)
     except SendOnShutdown:
         return Errno.EPIPE.as_result()
     ctx.kernel.metrics.inc("net.bytes_sent", written)
@@ -910,9 +893,7 @@ def _send(ctx: SyscallContext) -> int:
     if sock.conn is not None:
         return _conn_send(ctx, sock, data)
     if sock.type == SOCK_DGRAM and sock.peer_address:
-        written = ctx.kernel.net.send_dgram(
-            sock, sock.peer_address, data, _sock_blocking(ctx)
-        )
+        written = ctx.kernel.net.send_dgram(sock, sock.peer_address, data)
         ctx.transferred = written
         return written
     return Errno.ENOTCONN.as_result()
@@ -923,9 +904,9 @@ def _recv(ctx: SyscallContext) -> int:
     fd, buf, count = ctx.args[0], ctx.args[1], min(ctx.args[2], MAX_RW)
     sock = _sock_of(ctx, fd)
     if sock.conn is not None:
-        data = sock.conn.recv(sock.side, count, _sock_blocking(ctx))
+        data = sock.conn.recv(sock.side, count)
     elif sock.type == SOCK_DGRAM and sock.address is not None:
-        _, data = ctx.kernel.net.recv_dgram(sock, count, _sock_blocking(ctx))
+        _, data = ctx.kernel.net.recv_dgram(sock, count)
     else:
         return Errno.ENOTCONN.as_result()
     if data:
@@ -952,9 +933,7 @@ def _sendto(ctx: SyscallContext) -> int:
             address = (
                 _read_sockaddr(ctx, dest) if dest else sock.peer_address
             )
-            written = ctx.kernel.net.send_dgram(
-                sock, address, data, _sock_blocking(ctx)
-            )
+            written = ctx.kernel.net.send_dgram(sock, address, data)
             ctx.transferred = written
             return written
         if sock.type == SOCK_STREAM and dest:
@@ -971,10 +950,10 @@ def _recvfrom(ctx: SyscallContext) -> int:
     fd, buf, count = ctx.args[0], ctx.args[1], min(ctx.args[2], MAX_RW)
     sock = _sock_of(ctx, fd)
     if sock.conn is not None:
-        data = sock.conn.recv(sock.side, count, _sock_blocking(ctx))
+        data = sock.conn.recv(sock.side, count)
         source = sock.peer_address or f"conn:{sock.conn.ident}"
     elif sock.type == SOCK_DGRAM and sock.address is not None:
-        source, data = ctx.kernel.net.recv_dgram(sock, count, _sock_blocking(ctx))
+        source, data = ctx.kernel.net.recv_dgram(sock, count)
     else:
         return Errno.ENOTCONN.as_result()
     if data:
@@ -1038,31 +1017,22 @@ def _read_argv(ctx: SyscallContext, table: int) -> list:
 
 @syscall("execve")
 def _execve(ctx: SyscallContext) -> int:
+    """True image replacement: raises ImageReplaced on success, so
+    execve never returns to the old image."""
     path = ctx.read_path(ctx.args[0])
     argv = _read_argv(ctx, ctx.args[1]) if ctx.args[1] else []
-    if ctx.kernel.scheduler_owns(ctx.process):
-        # True image replacement: raises ImageReplaced on success, so
-        # execve never returns to the old image.
-        ctx.kernel.exec_replace(ctx, path, argv)
-        raise AssertionError("unreachable")  # pragma: no cover
-    status = ctx.kernel.execve(ctx, path, argv)
-    # Synchronous mode models "replace the image" by running the new
-    # program to completion and exiting the caller with its status.
-    raise ProcessExit(status, reason=f"execve {path}")
+    ctx.kernel.exec_replace(ctx, path, argv)
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 @syscall("spawn")
 def _spawn(ctx: SyscallContext) -> int:
-    """posix_spawn-style child execution.  Under a scheduler the child
-    runs asynchronously and the pid is returned for wait4 to collect;
-    synchronously the child runs to completion and the low byte of its
-    exit status is returned (the historical stub semantics).  The
+    """posix_spawn-style child execution: the child runs as its own
+    task and its pid is returned for wait4 to collect.  The
     enforcement-mode rules of execve apply to the target binary."""
     path = ctx.read_path(ctx.args[0])
     argv = _read_argv(ctx, ctx.args[1]) if ctx.args[1] else []
-    if ctx.kernel.scheduler_owns(ctx.process):
-        return ctx.kernel.spawn_process(ctx, path, argv)
-    return ctx.kernel.execve(ctx, path, argv) & 0xFF
+    return ctx.kernel.spawn_process(ctx, path, argv)
 
 
 @syscall("__syscall")
@@ -1361,8 +1331,8 @@ def _select(ctx: SyscallContext) -> int:
         if want_write & bit and _fd_writable(ctx, description):
             ready_write |= bit
             count += 1
-    if count == 0 and timeout == 0 and _sock_blocking(ctx):
-        raise WouldBlock("select", fallback=0)
+    if count == 0 and timeout == 0:
+        raise WouldBlock("select")
     _write_fdset(ctx, readfds, words, ready_read)
     _write_fdset(ctx, writefds, words, ready_write)
     _write_fdset(ctx, exceptfds, words, 0)
@@ -1402,8 +1372,8 @@ def _poll(ctx: SyscallContext) -> int:
             count += 1
         struct.pack_into("<iHH", raw, index * 8, fd, events, revents)
     blocking_forever = timeout & 0x8000_0000  # negative: wait indefinitely
-    if count == 0 and blocking_forever and _sock_blocking(ctx):
-        raise WouldBlock("poll", fallback=0)
+    if count == 0 and blocking_forever:
+        raise WouldBlock("poll")
     ctx.write_buffer(fds_ptr, bytes(raw))
     return count
 
@@ -1449,12 +1419,12 @@ def _getgroups(ctx: SyscallContext) -> int:
 
 @syscall("sched_yield")
 def _sched_yield(ctx: SyscallContext) -> int:
-    if ctx.kernel.scheduler_owns(ctx.process) and not ctx.retry:
+    if not ctx.retry:
         # Park once; the very next wake poll completes the call (the
         # retry path returns 0 below), re-queueing the caller at the
         # tail of the run queue — a real yield, not a no-op.
         ctx.kernel.metrics.inc("sched.yields")
-        raise WouldBlock("yield", fallback=0)
+        raise WouldBlock("yield")
     return 0
 
 
@@ -1468,8 +1438,6 @@ def _encode_wstatus(task) -> int:
 
 @syscall("wait4")
 def _wait4(ctx: SyscallContext) -> int:
-    if not ctx.kernel.scheduler_owns(ctx.process):
-        return Errno.ECHILD.as_result()  # no children without a scheduler
     scheduler = ctx.kernel._scheduler
     pid_arg = ctx.args[0]
     status_ptr = ctx.args[1]
@@ -1481,9 +1449,7 @@ def _wait4(ctx: SyscallContext) -> int:
     if found == "waiting":
         if options & 1:  # WNOHANG
             return 0
-        raise WouldBlock(
-            f"wait:{pid_spec}", fallback=Errno.ECHILD.as_result()
-        )
+        raise WouldBlock(f"wait:{pid_spec}")
     from repro.kernel.sched.scheduler import TaskState
 
     if status_ptr:

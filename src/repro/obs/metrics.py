@@ -43,7 +43,7 @@ COUNTER_HELP = {
     "sched.zombies": "exited processes held for a parent's wait4",
     "sched.zombies_reaped": "zombies collected by wait4 or orphan auto-reap",
     "sched.signal_kills": "processes terminated by a cross-process signal",
-    "sched.deadlock_kills": "blocked processes fail-stopped by the deadlock breaker",
+    "sched.unsatisfiable_waits": "blocked calls no task could satisfy, completed with -EAGAIN",
     "sched.runq_peak": "largest observed run-queue length",
     "faults.injected": "seeded fault runs executed by the injection sweep",
     "faults.detected": "injected faults killed with a correctly attributed violation",

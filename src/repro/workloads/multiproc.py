@@ -9,12 +9,8 @@ the preemptive timeslice fires mid-request), echoes the record to its
 own stdout, and exits with its handled count.  The master feeds
 ``requests`` records round-robin, closes the write ends (delivering
 EOF), reaps every child with ``wait4(-1)``, and exits 0 iff the summed
-handled counts equal the number of requests fed.
-
-The program only works under the scheduler: ``fork`` returns EAGAIN in
-single-process (synchronous) mode and the program exits 1.  That is
-deliberate — it is the regression canary that ``run --procs`` actually
-engaged multiprogramming.
+handled counts equal the number of requests fed.  If ``fork`` fails
+(``-EAGAIN`` once a run holds ``MAX_TASKS`` tasks) the program exits 1.
 """
 
 from __future__ import annotations

@@ -20,10 +20,7 @@ a multiple of 8, so sends and receives never split a record: a client
 call site passes its buffer pointer and length as ``li`` constants —
 the installer derives Immediate constraints for them, which is what the
 tampered-send attack and the ``sock-reg-tamper`` fault kind rely on.
-
-Like multiproc, the program requires a scheduler: ``fork`` fails
-synchronously and the program exits 1, the canary that ``run --net``
-actually engaged multiprogramming.
+Like multiproc, the program exits 1 if a ``fork`` fails.
 """
 
 from __future__ import annotations

@@ -936,10 +936,11 @@ def _tool_sh() -> str:
 
     Reads a script from stdin (one command per line, words separated by
     single spaces; the first word is the program path), spawns each
-    command synchronously, and reports ``ok``/``ERR`` per line.  With a
-    fully installed toolchain this is the paper's "system as a whole is
-    protected" configuration: the shell and everything it launches are
-    authenticated binaries."""
+    command, waits for it, and reports ``ok`` (exit 0) or ``ERR`` per
+    line.  A spawned command writes into the shell's own stdout.  With
+    a fully installed toolchain this is the paper's "system as a whole
+    is protected" configuration: the shell and everything it launches
+    are authenticated binaries."""
     return (
         _PROLOGUE
         + """
@@ -1004,6 +1005,15 @@ line_end:
     mov r2, r9
     call sys_spawn
     cmpi r0, 0
+    ble report_err       ; -errno: nothing was spawned
+    mov r1, r0           ; wait for exactly that child
+    li r2, wstatus
+    li r3, 0
+    li r4, 0
+    call sys_wait4
+    li r9, wstatus
+    ld r10, [r9+0]
+    cmpi r10, 0          ; exited 0 and was not killed
     bne report_err
     li r1, 1
     li r2, msg_ok
@@ -1025,6 +1035,9 @@ msg_ok:
     .asciz "ok\\n"
 msg_err:
     .asciz "ERR\\n"
+.section .data
+wstatus:
+    .word 0
 """
         + _BSS
     )
@@ -1196,7 +1209,7 @@ _BUILDERS = {
     "gunzip": (_tool_gunzip, ("open", "read", "write", "close", "unlink", "exit")),
     "sort": (_tool_sort, ("open", "read", "write", "close", "exit")),
     "wc": (_tool_wc, ("open", "read", "write", "close", "exit")),
-    "sh": (_tool_sh, ("read", "write", "spawn", "exit")),
+    "sh": (_tool_sh, ("read", "write", "spawn", "wait4", "exit")),
     "head": (_tool_head, ("open", "read", "write", "close", "exit")),
     "grep": (_tool_grep, ("open", "read", "write", "close", "exit")),
 }

@@ -35,85 +35,73 @@ def _errno(excinfo) -> Errno:
 class TestConnection:
     def test_roundtrip_both_directions(self):
         conn = Connection(ident=1)
-        assert conn.send(0, b"to-server", blocking=False) == 9
-        assert conn.recv(1, 64, blocking=False) == b"to-server"
-        assert conn.send(1, b"to-client", blocking=False) == 9
-        assert conn.recv(0, 64, blocking=False) == b"to-client"
+        assert conn.send(0, b"to-server") == 9
+        assert conn.recv(1, 64) == b"to-server"
+        assert conn.send(1, b"to-client") == 9
+        assert conn.recv(0, 64) == b"to-client"
 
     def test_recv_respects_count_and_keeps_remainder(self):
         conn = Connection(ident=1)
-        conn.send(0, b"abcdef", blocking=False)
-        assert conn.recv(1, 4, blocking=False) == b"abcd"
-        assert conn.recv(1, 4, blocking=False) == b"ef"
+        conn.send(0, b"abcdef")
+        assert conn.recv(1, 4) == b"abcd"
+        assert conn.recv(1, 4) == b"ef"
 
     def test_blocking_send_on_full_buffer_raises_wouldblock(self):
         conn = Connection(ident=7, capacity=4)
-        assert conn.send(0, b"xxxx", blocking=True) == 4
+        assert conn.send(0, b"xxxx") == 4
         with pytest.raises(WouldBlock) as excinfo:
-            conn.send(0, b"y", blocking=True)
+            conn.send(0, b"y")
         assert excinfo.value.wait == "sock:7:send"
-        assert excinfo.value.fallback == 0
 
     def test_blocking_send_takes_partial_fill(self):
         # Short counts, not splits across records: the guest loops.
         conn = Connection(ident=1, capacity=4)
-        conn.send(0, b"ab", blocking=True)
-        assert conn.send(0, b"cdEFG", blocking=True) == 2
+        conn.send(0, b"ab")
+        assert conn.send(0, b"cdEFG") == 2
         assert bytes(conn.buffers[1]) == b"abcd"
-
-    def test_nonblocking_send_is_unbounded(self):
-        # Synchronous mode: nobody could ever drain the buffer, so
-        # capacity is not enforced (the pipe fallback contract).
-        conn = Connection(ident=1, capacity=4)
-        assert conn.send(0, b"x" * 100, blocking=False) == 100
 
     def test_blocking_recv_on_empty_raises_wouldblock(self):
         conn = Connection(ident=9)
         with pytest.raises(WouldBlock) as excinfo:
-            conn.recv(0, 8, blocking=True)
+            conn.recv(0, 8)
         assert excinfo.value.wait == "sock:9:recv"
-        assert excinfo.value.fallback == 0
-
-    def test_nonblocking_recv_on_empty_returns_no_bytes(self):
-        conn = Connection(ident=1)
-        assert conn.recv(0, 8, blocking=False) == b""
 
     def test_peer_close_drains_inflight_then_eof(self):
         conn = Connection(ident=1)
-        conn.send(0, b"last", blocking=False)
+        conn.send(0, b"last")
         conn.close(0)
-        assert conn.recv(1, 64, blocking=True) == b"last"
-        # Graceful close: once drained, EOF even for a blocking reader.
-        assert conn.recv(1, 64, blocking=True) == b""
+        assert conn.recv(1, 64) == b"last"
+        # Graceful close: once drained, EOF instead of blocking.
+        assert conn.recv(1, 64) == b""
 
     def test_peer_shut_wr_is_eof_for_reader(self):
         conn = Connection(ident=1)
         conn.shutdown(0, SHUT_WR)
-        assert conn.recv(1, 8, blocking=True) == b""
+        assert conn.recv(1, 8) == b""
 
     def test_send_after_own_shut_wr_raises(self):
         conn = Connection(ident=3)
         conn.shutdown(0, SHUT_WR)
         with pytest.raises(SendOnShutdown):
-            conn.send(0, b"x", blocking=True)
+            conn.send(0, b"x")
 
     def test_send_to_closed_peer_raises(self):
         conn = Connection(ident=3)
         conn.close(1)
         with pytest.raises(SendOnShutdown):
-            conn.send(0, b"x", blocking=False)
+            conn.send(0, b"x")
 
     def test_send_to_peer_with_shut_rd_raises(self):
         conn = Connection(ident=3)
         conn.shutdown(1, SHUT_RD)
         with pytest.raises(SendOnShutdown):
-            conn.send(0, b"x", blocking=False)
+            conn.send(0, b"x")
 
     def test_shut_rd_discards_buffered_inbound(self):
         conn = Connection(ident=1)
-        conn.send(0, b"stale", blocking=False)
+        conn.send(0, b"stale")
         conn.shutdown(1, SHUT_RD)
-        assert conn.recv(1, 64, blocking=True) == b""
+        assert conn.recv(1, 64) == b""
 
     def test_shut_rdwr_sets_both_directions(self):
         conn = Connection(ident=1)
@@ -122,18 +110,18 @@ class TestConnection:
 
     def test_close_discards_own_unread_but_outbound_survives(self):
         conn = Connection(ident=1)
-        conn.send(0, b"from-client", blocking=False)
-        conn.send(1, b"to-client", blocking=False)
+        conn.send(0, b"from-client")
+        conn.send(1, b"to-client")
         conn.close(0)  # client gone: its unread inbound is dropped
         assert not conn.buffers[0]
-        assert conn.recv(1, 64, blocking=False) == b"from-client"
+        assert conn.recv(1, 64) == b"from-client"
 
     def test_recv_readiness_transitions(self):
         conn = Connection(ident=1)
         assert not conn.recv_ready(1)
-        conn.send(0, b"x", blocking=False)
+        conn.send(0, b"x")
         assert conn.recv_ready(1)
-        conn.recv(1, 8, blocking=False)
+        conn.recv(1, 8)
         assert not conn.recv_ready(1)
         conn.close(0)
         assert conn.recv_ready(1)  # EOF counts as readable
@@ -141,9 +129,9 @@ class TestConnection:
     def test_send_readiness_tracks_space_and_errors(self):
         conn = Connection(ident=1, capacity=2)
         assert conn.send_ready(0)
-        conn.send(0, b"ab", blocking=True)
+        conn.send(0, b"ab")
         assert not conn.send_ready(0)
-        conn.recv(1, 2, blocking=False)
+        conn.recv(1, 2)
         assert conn.send_ready(0)
         conn.close(1)
         # An immediate EPIPE analog counts as "ready": the guest must
@@ -171,12 +159,12 @@ class TestNetStack:
         stack = NetStack()
         server = self._listener(stack)
         client = stack.create(AF_INET, SOCK_STREAM)
-        stack.connect(client, "svc:echo", blocking=False)
-        child = stack.accept(server, blocking=False)
+        stack.connect(client, "svc:echo")
+        child = stack.accept(server)
         assert child.side == 1 and client.side == 0
         assert child.conn is client.conn
-        client.conn.send(client.side, b"ping", blocking=False)
-        assert child.conn.recv(child.side, 8, blocking=False) == b"ping"
+        client.conn.send(client.side, b"ping")
+        assert child.conn.recv(child.side, 8) == b"ping"
 
     def test_bind_claims_port_and_rejects_reuse(self):
         stack = NetStack()
@@ -219,37 +207,37 @@ class TestNetStack:
         stack = NetStack()
         client = stack.create(AF_INET, SOCK_STREAM)
         with pytest.raises(VfsError) as excinfo:
-            stack.connect(client, "svc:ghost", blocking=False)
+            stack.connect(client, "svc:ghost")
         assert _errno(excinfo) == Errno.ECONNREFUSED
 
     def test_connect_twice_is_eisconn(self):
         stack = NetStack()
         self._listener(stack)
         client = stack.create(AF_INET, SOCK_STREAM)
-        stack.connect(client, "svc:echo", blocking=False)
+        stack.connect(client, "svc:echo")
         with pytest.raises(VfsError) as excinfo:
-            stack.connect(client, "svc:echo", blocking=False)
+            stack.connect(client, "svc:echo")
         assert _errno(excinfo) == Errno.EISCONN
 
     def test_connect_on_listener_is_einval(self):
         stack = NetStack()
         server = self._listener(stack)
         with pytest.raises(VfsError) as excinfo:
-            stack.connect(server, "svc:echo", blocking=False)
+            stack.connect(server, "svc:echo")
         assert _errno(excinfo) == Errno.EINVAL
 
     def test_full_backlog_parks_blocking_connector(self):
         stack = NetStack()
         server = self._listener(stack, backlog=1)
         first = stack.create(AF_INET, SOCK_STREAM)
-        stack.connect(first, "svc:echo", blocking=True)
+        stack.connect(first, "svc:echo")
         second = stack.create(AF_INET, SOCK_STREAM)
         with pytest.raises(WouldBlock) as excinfo:
-            stack.connect(second, "svc:echo", blocking=True)
+            stack.connect(second, "svc:echo")
         assert excinfo.value.wait == f"sock:{server.listener.ident}:connect"
         # accept drains the queue; the retried connect then succeeds.
-        stack.accept(server, blocking=False)
-        stack.connect(second, "svc:echo", blocking=True)
+        stack.accept(server)
+        stack.connect(second, "svc:echo")
         assert second.connected
 
     def test_accept_semantics(self):
@@ -257,15 +245,11 @@ class TestNetStack:
         server = self._listener(stack)
         not_listening = stack.create(AF_INET, SOCK_STREAM)
         with pytest.raises(VfsError) as excinfo:
-            stack.accept(not_listening, blocking=False)
+            stack.accept(not_listening)
         assert _errno(excinfo) == Errno.EINVAL
-        with pytest.raises(VfsError) as excinfo:
-            stack.accept(server, blocking=False)
-        assert _errno(excinfo) == Errno.EAGAIN
         with pytest.raises(WouldBlock) as excinfo:
-            stack.accept(server, blocking=True)
+            stack.accept(server)
         assert excinfo.value.wait == f"sock:{server.listener.ident}:accept"
-        assert excinfo.value.fallback == Errno.EAGAIN.as_result()
 
     def test_accept_order_is_fifo(self):
         stack = NetStack()
@@ -273,9 +257,9 @@ class TestNetStack:
         clients = []
         for _ in range(3):
             client = stack.create(AF_INET, SOCK_STREAM)
-            stack.connect(client, "svc:echo", blocking=False)
+            stack.connect(client, "svc:echo")
             clients.append(client)
-        accepted = [stack.accept(server, blocking=False) for _ in range(3)]
+        accepted = [stack.accept(server) for _ in range(3)]
         assert [a.conn for a in accepted] == [c.conn for c in clients]
 
     def test_release_frees_port_for_rebinding(self):
@@ -298,14 +282,14 @@ class TestNetStack:
         stack = NetStack()
         server = self._listener(stack)
         client = stack.create(AF_INET, SOCK_STREAM)
-        stack.connect(client, "svc:echo", blocking=False)
+        stack.connect(client, "svc:echo")
         server.release()
         # The never-accepted connection reads EOF, and a parked client
         # would wake to it instead of hanging.
-        assert client.conn.recv(client.side, 8, blocking=True) == b""
+        assert client.conn.recv(client.side, 8) == b""
         with pytest.raises(VfsError) as excinfo:
             dialer = stack.create(AF_INET, SOCK_STREAM)
-            stack.connect(dialer, "svc:echo", blocking=False)
+            stack.connect(dialer, "svc:echo")
         assert _errno(excinfo) == Errno.ECONNREFUSED
 
     def test_dgram_delivery_carries_source_address(self):
@@ -314,25 +298,25 @@ class TestNetStack:
         stack.bind(receiver, "svc:a")
         sender = stack.create(AF_INET, SOCK_DGRAM)
         stack.bind(sender, "svc:b")
-        assert stack.send_dgram(sender, "svc:a", b"hello", blocking=False) == 5
-        assert stack.recv_dgram(receiver, 64, blocking=False) == ("svc:b", b"hello")
+        assert stack.send_dgram(sender, "svc:a", b"hello") == 5
+        assert stack.recv_dgram(receiver, 64) == ("svc:b", b"hello")
 
     def test_dgram_truncation_preserves_boundaries(self):
         stack = NetStack()
         receiver = stack.create(AF_INET, SOCK_DGRAM)
         stack.bind(receiver, "svc:a")
         sender = stack.create(AF_INET, SOCK_DGRAM)
-        stack.send_dgram(sender, "svc:a", b"0123456789", blocking=False)
-        stack.send_dgram(sender, "svc:a", b"next", blocking=False)
+        stack.send_dgram(sender, "svc:a", b"0123456789")
+        stack.send_dgram(sender, "svc:a", b"next")
         # Truncated datagram: excess bytes discarded, not re-queued.
-        assert stack.recv_dgram(receiver, 4, blocking=False) == ("", b"0123")
-        assert stack.recv_dgram(receiver, 64, blocking=False) == ("", b"next")
+        assert stack.recv_dgram(receiver, 4) == ("", b"0123")
+        assert stack.recv_dgram(receiver, 64) == ("", b"next")
 
     def test_dgram_to_unbound_address_is_refused(self):
         stack = NetStack()
         sender = stack.create(AF_INET, SOCK_DGRAM)
         with pytest.raises(VfsError) as excinfo:
-            stack.send_dgram(sender, "svc:ghost", b"x", blocking=False)
+            stack.send_dgram(sender, "svc:ghost", b"x")
         assert _errno(excinfo) == Errno.ECONNREFUSED
 
     def test_dgram_queue_is_bounded_for_blocking_senders(self):
@@ -341,18 +325,23 @@ class TestNetStack:
         stack.bind(receiver, "svc:a")
         sender = stack.create(AF_INET, SOCK_DGRAM)
         for _ in range(DGRAM_QUEUE_MAX):
-            stack.send_dgram(sender, "svc:a", b"x", blocking=True)
+            stack.send_dgram(sender, "svc:a", b"x")
         with pytest.raises(WouldBlock) as excinfo:
-            stack.send_dgram(sender, "svc:a", b"x", blocking=True)
+            stack.send_dgram(sender, "svc:a", b"x")
         assert excinfo.value.wait == f"sock:{receiver.ident}:dgram"
 
     def test_empty_dgram_queue_blocks_or_returns_nothing(self):
+        # An empty queue blocks; a drained one blocks again rather than
+        # returning an empty datagram.
         stack = NetStack()
         receiver = stack.create(AF_INET, SOCK_DGRAM)
         stack.bind(receiver, "svc:a")
-        assert stack.recv_dgram(receiver, 8, blocking=False) == ("", b"")
         with pytest.raises(WouldBlock):
-            stack.recv_dgram(receiver, 8, blocking=True)
+            stack.recv_dgram(receiver, 8)
+        stack.send_dgram(receiver, "svc:a", b"x")
+        assert stack.recv_dgram(receiver, 8) == ("svc:a", b"x")
+        with pytest.raises(WouldBlock):
+            stack.recv_dgram(receiver, 8)
 
     def test_readiness_over_stack_objects(self):
         stack = NetStack()
@@ -360,9 +349,9 @@ class TestNetStack:
         assert not stack.recv_ready(server)  # empty accept queue
         assert not stack.send_ready(server)  # listeners never send
         client = stack.create(AF_INET, SOCK_STREAM)
-        stack.connect(client, "svc:echo", blocking=False)
+        stack.connect(client, "svc:echo")
         assert stack.recv_ready(server)  # pending connection
-        child = stack.accept(server, blocking=False)
+        child = stack.accept(server)
         assert not stack.recv_ready(child)
         assert stack.send_ready(child)
 
@@ -371,6 +360,6 @@ class TestNetStack:
         for stack in (a, b):
             self._listener(stack)
             client = stack.create(AF_INET, SOCK_STREAM)
-            stack.connect(client, "svc:echo", blocking=False)
+            stack.connect(client, "svc:echo")
         assert a._next_ident == b._next_ident
         assert isinstance(a.create(AF_INET, SOCK_STREAM), Socket)

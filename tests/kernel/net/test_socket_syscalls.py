@@ -1,9 +1,9 @@
 """The socket system calls, exercised by real guest programs.
 
-Synchronous single-process mode: blocking falls back to the
-non-blocking semantics (see kernel/net/socket.py), so a guest can
-stand up a listener, dial it, and echo through the accepted end all
-in one program — which is exactly what these tests do.
+The handshake completes at ``connect`` and a send never waits while
+the buffer has room, so one process under plain ``Kernel.run`` can
+stand up a listener, dial it, and echo through the accepted end —
+which is exactly what these tests do.
 """
 
 from repro.kernel.errors import Errno
@@ -230,8 +230,8 @@ class TestStreamErrors:
 
 class TestLoopbackEcho:
     def test_single_process_echo_through_accepted_end(self, kernel):
-        # Listener, dialer, and accepted end all in one program: the
-        # synchronous fallback semantics make this legal.
+        # Listener, dialer, and accepted end all in one program: no
+        # step of it has to wait for another process.
         result = run_guest(kernel, _socket(2, 1, 0) + """
     mov r12, r0            ; r12 = listen fd
     mov r1, r12

@@ -97,17 +97,20 @@ class TestFastpathPartitioning:
             [installed.binary, installed.binary], timeslice=1000
         )
         assert all(r.exit_status == 0 for r in multi.results)
-        tasks = sorted(multi.scheduler.tasks.values(), key=lambda t: t.pid)
-        for task in tasks:
+        processes = [
+            task.process
+            for task in sorted(multi.scheduler.tasks.values(), key=lambda t: t.pid)
+        ]
+        for process in processes:
             # Each process paid its own cold misses (one per distinct
             # site) and then hit within its own partition.
-            assert task.fastpath_misses >= 1
-            assert task.fastpath_hits > 0
+            assert process.fastpath_misses >= 1
+            assert process.fastpath_hits > 0
         # A leak would show as the machine-wide miss total collapsing
         # to a single process's worth.
-        total_misses = sum(task.fastpath_misses for task in tasks)
+        total_misses = sum(process.fastpath_misses for process in processes)
         assert total_misses == kernel.metrics.get("fastpath.misses")
-        assert tasks[0].fastpath_misses == tasks[1].fastpath_misses
+        assert processes[0].fastpath_misses == processes[1].fastpath_misses
 
 
 class TestFailStopContainment:

@@ -17,57 +17,48 @@ class TestPipePrimitive:
 
     def test_roundtrip(self):
         pipe = self._pipe()
-        assert pipe.write(b"hello", blocking=True) == 5
-        assert pipe.read(5, blocking=True) == b"hello"
+        assert pipe.write(b"hello") == 5
+        assert pipe.read(5) == b"hello"
 
     def test_short_read_drains_what_is_there(self):
         pipe = self._pipe()
-        pipe.write(b"abc", blocking=True)
-        assert pipe.read(100, blocking=True) == b"abc"
+        pipe.write(b"abc")
+        assert pipe.read(100) == b"abc"
 
     def test_empty_read_blocks_while_writers_exist(self):
         pipe = self._pipe()
         with pytest.raises(WouldBlock):
-            pipe.read(1, blocking=True)
+            pipe.read(1)
 
     def test_empty_read_is_eof_after_writers_close(self):
         pipe = self._pipe()
         pipe.release(writer=True)
-        assert pipe.read(1, blocking=True) == b""
+        assert pipe.read(1) == b""
 
     def test_buffered_data_survives_writer_close(self):
         pipe = self._pipe()
-        pipe.write(b"tail", blocking=True)
+        pipe.write(b"tail")
         pipe.release(writer=True)
-        assert pipe.read(10, blocking=True) == b"tail"
-        assert pipe.read(10, blocking=True) == b""
+        assert pipe.read(10) == b"tail"
+        assert pipe.read(10) == b""
 
     def test_write_without_readers_breaks(self):
         pipe = self._pipe()
         pipe.release(writer=False)
         with pytest.raises(BrokenPipe):
-            pipe.write(b"x", blocking=True)
+            pipe.write(b"x")
 
     def test_full_pipe_blocks_blocking_writer(self):
         pipe = self._pipe()
-        pipe.write(b"x" * PIPE_CAPACITY, blocking=True)
+        pipe.write(b"x" * PIPE_CAPACITY)
         with pytest.raises(WouldBlock):
-            pipe.write(b"y", blocking=True)
+            pipe.write(b"y")
 
     def test_partial_write_accepts_available_space(self):
         pipe = self._pipe()
-        pipe.write(b"x" * (PIPE_CAPACITY - 3), blocking=True)
-        assert pipe.write(b"abcdef", blocking=True) == 3
+        pipe.write(b"x" * (PIPE_CAPACITY - 3))
+        assert pipe.write(b"abcdef") == 3
 
-    def test_nonblocking_read_returns_empty(self):
-        pipe = self._pipe()
-        assert pipe.read(8, blocking=False) == b""
-
-    def test_nonblocking_write_is_unbounded(self):
-        pipe = self._pipe()
-        assert pipe.write(b"z" * (PIPE_CAPACITY + 10), blocking=False) == (
-            PIPE_CAPACITY + 10
-        )
 
 
 PIPE_DATA = """
@@ -85,8 +76,8 @@ buf:
 
 class TestPipeSyscalls:
     def test_sync_roundtrip(self, kernel):
-        """The same fd API works without a scheduler (the old
-        file-backed pipe contract): write then read back."""
+        """Under plain ``Kernel.run`` a process can write its own pipe
+        and read the bytes back."""
         from tests.kernel.conftest import run_guest
 
         result = run_guest(kernel, """
@@ -108,11 +99,16 @@ class TestPipeSyscalls:
         assert result.exit_status == 2
 
     def test_sync_empty_read_returns_zero(self, kernel):
+        """Under plain ``Kernel.run``, an empty pipe whose write end is
+        closed reads as EOF: 0 bytes."""
         from tests.kernel.conftest import run_guest
 
         result = run_guest(kernel, """
     li r1, pfd
     call sys_pipe
+    li r9, pfd
+    ld r1, [r9+4]
+    call sys_close
     li r9, pfd
     ld r1, [r9+0]
     li r2, buf
@@ -120,7 +116,8 @@ class TestPipeSyscalls:
     call sys_read
     mov r1, r0
     call sys_exit
-""", ["pipe", "read"], data=PIPE_DATA)
+""", ["pipe", "close", "read"], data=PIPE_DATA)
+        assert not result.killed
         assert result.exit_status == 0
 
     def test_scheduled_roundtrip(self, kernel):
@@ -143,9 +140,9 @@ class TestPipeSyscalls:
         assert multi.results[0].exit_status == 2
 
     def test_dup_keeps_write_end_alive(self, kernel):
-        """dup the write end, close the original: the reader must NOT
-        see EOF (refcount 1 remains), so a sync read returns 0 bytes
-        rather than failing."""
+        """dup the write end, close the original: the write end stays
+        open (refcount 1 remains), so bytes written through the dup
+        reach the reader."""
         from tests.kernel.conftest import run_guest
 
         result = run_guest(kernel, """

@@ -4,7 +4,12 @@ import pytest
 
 from repro.kernel import Kernel
 from repro.kernel.errors import Errno
-from repro.kernel.sched.scheduler import SCHED_KILL_STATUS, TaskState
+from repro.kernel.sched.scheduler import (
+    FAULT_STATUS,
+    MAX_TASKS,
+    SCHED_KILL_STATUS,
+    TaskState,
+)
 from repro.workloads.multiproc import build_server
 
 from tests.kernel.sched.conftest import guest_binary, run_sched_guest
@@ -123,16 +128,59 @@ child:
 """, ["fork", "wait4"])
         assert multi.results[0].exit_status == 0
 
-    def test_fork_fails_without_scheduler(self, kernel):
+    def test_fork_under_plain_run(self, kernel):
+        """Plain ``Kernel.run`` forks for real: the parent writes to its
+        child through a pipe and reaps it with wait4."""
         from tests.kernel.conftest import run_guest
 
         result = run_guest(kernel, """
+    li r1, pfd
+    call sys_pipe
     call sys_fork
-    xori r1, r0, 0xFFFFFFFF
-    addi r1, r1, 1
+    cmpi r0, 0
+    beq child
+    blt bad
+    mov r14, r0
+    li r9, pfd
+    ld r1, [r9+4]
+    li r2, msg
+    li r3, 2
+    call sys_write
+    mov r1, r14
+    li r2, wstatus
+    li r3, 0
+    li r4, 0
+    call sys_wait4
+    li r9, wstatus
+    ld r1, [r9+0]
+    shri r1, r1, 8       ; the child's status: bytes it read
+    subi r1, r1, 2
     call sys_exit
-""", ["fork"])
-        assert result.exit_status == int(Errno.EAGAIN)
+child:
+    li r9, pfd
+    ld r1, [r9+0]
+    li r2, buf
+    li r3, 16
+    call sys_read
+    mov r1, r0
+    call sys_exit
+bad:
+    li r1, 99
+    call sys_exit
+""", ["pipe", "fork", "write", "read", "wait4"], data=WSTATUS_DATA + """
+.section .rodata
+msg:
+    .ascii "hi"
+.section .data
+pfd:
+    .space 8
+.section .bss
+buf:
+    .space 16
+""")
+        assert not result.killed
+        assert result.exit_status == 0
+        assert kernel.metrics.get("sched.forks") == 1
 
     def test_getppid_in_child(self, kernel):
         multi = run_sched_guest(kernel, """
@@ -204,35 +252,163 @@ child:
         assert kernel.metrics.get("sched.context_switches") > 2
 
 
-class TestBlockingAndDeadlock:
-    def test_read_own_empty_pipe_is_deadlock_killed(self, kernel):
-        multi = run_sched_guest(kernel, """
-    li r1, pfd
-    call sys_pipe
-    li r9, pfd
-    ld r1, [r9+0]
-    li r2, buf
-    li r3, 8
-    call sys_read        ; our own write end is open: blocks forever
-    li r1, 0
-    call sys_exit
-""", ["pipe", "read"], data="""
+OWN_PIPE_DATA = """
 .section .data
 pfd:
     .space 8
 .section .bss
 buf:
     .space 8
-""")
+"""
+
+#: Read our own empty pipe (the write end stays open: no task can ever
+#: satisfy the read), then exit with -r0.
+READ_OWN_PIPE = """
+    li r1, pfd
+    call sys_pipe
+    li r9, pfd
+    ld r1, [r9+0]
+    li r2, buf
+    li r3, 8
+    call sys_read
+    xori r1, r0, 0xFFFFFFFF
+    addi r1, r1, 1
+    call sys_exit
+"""
+
+
+class TestBlockingAndDeadlock:
+    def test_read_own_empty_pipe_returns_eagain(self, kernel):
+        multi = run_sched_guest(kernel, READ_OWN_PIPE, ["pipe", "read"], data=OWN_PIPE_DATA)
         result = multi.results[0]
+        assert not result.killed
+        assert result.exit_status == int(Errno.EAGAIN)
+        assert kernel.metrics.get("sched.unsatisfiable_waits") == 1
+        assert kernel.audit.alerts() == []
+
+    def test_unsatisfiable_read_under_plain_run_is_eagain(self, kernel):
+        from tests.kernel.conftest import run_guest
+
+        result = run_guest(kernel, READ_OWN_PIPE, ["pipe", "read"], data=OWN_PIPE_DATA)
+        assert not result.killed
+        assert result.exit_status == int(Errno.EAGAIN)
+        assert kernel.metrics.get("sched.unsatisfiable_waits") == 1
+
+    @pytest.mark.parametrize("entry", ["run", "run_many"])
+    def test_eagain_completion_costs_a_zero_byte_read(self, entry):
+        """The completion charges what a zero-byte read costs: the same
+        instruction stream reading empty stdin instead of the pipe
+        ends on the same cycle count."""
+        source = """
+    li r1, pfd
+    call sys_pipe
+    li r9, {src}
+    ld r10, [r9+0]
+    li r9, fdslot
+    st r10, [r9+0]
+    ld r1, [r9+0]
+    li r2, buf
+    li r3, 8
+    call sys_read
+    mov r1, r0
+    halt
+"""
+        data = OWN_PIPE_DATA + """
+.section .data
+fdslot:
+    .word 0
+zero:
+    .word 0
+"""
+        runs = {}
+        for src in ("pfd", "zero"):
+            kernel = Kernel()
+            binary = guest_binary(source.format(src=src), ["pipe", "read"], data)
+            if entry == "run":
+                result = kernel.run(binary)
+            else:
+                result = kernel.run_many([binary]).results[0]
+            runs[src] = result
+        assert runs["pfd"].exit_status == Errno.EAGAIN.as_result()
+        assert runs["zero"].exit_status == 0
+        assert runs["pfd"].instructions == runs["zero"].instructions
+        assert runs["pfd"].cycles == runs["zero"].cycles
+
+    def test_oldest_blocked_call_completes_first(self, kernel):
+        """Two tasks each wait on their own empty pipe; only the one
+        that blocked first is failed, and its exit lets nothing else
+        proceed, so the second is failed on the next empty poll."""
+        binary = guest_binary(READ_OWN_PIPE, ["pipe", "read"], OWN_PIPE_DATA)
+        multi = kernel.run_many([binary, binary], timeslice=100_000)
+        assert [r.exit_status for r in multi.results] == [int(Errno.EAGAIN)] * 2
+        assert kernel.metrics.get("sched.unsatisfiable_waits") == 2
+        # The first task blocked first, so it resumed (and exited) first.
+        pids = [pid for pid, _ in multi.scheduler.interleaving]
+        first, second = (r.process.pid for r in multi.results)
+        assert pids.index(first, 2) < pids.index(second, 2)
+
+
+#: Under plain run the one slice covers the budget; under run_many a
+#: timeslice that does not divide it leaves a clamped last slice.
+ENTRY_POINTS = ["run", "run_many"]
+
+
+def _run_entry(kernel, binary, entry, max_instructions=50_000_000):
+    """Run ``binary`` through one entry point; returns (result, tasks)."""
+    if entry == "run":
+        result = kernel.run(binary, max_instructions=max_instructions)
+    else:
+        result = kernel.run_many(
+            [binary], timeslice=3000, max_instructions=max_instructions
+        ).results[0]
+    return result, kernel._scheduler.tasks
+
+
+class TestOneProcessModel:
+    """Both entry points end every run the same way, and never with a
+    host exception or unbounded growth."""
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_guest_fault_is_a_fault_kill(self, kernel, entry):
+        binary = guest_binary("""
+    li r1, 7
+    li r2, 0
+    div r3, r1, r2
+    li r1, 0
+    call sys_exit
+""")
+        result, _ = _run_entry(kernel, binary, entry)
+        assert result.killed
+        assert result.exit_status == FAULT_STATUS
+        assert "division by zero" in result.kill_reason
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_budget_kills_at_exactly_max_instructions(self, kernel, entry):
+        binary = guest_binary("""
+spin:
+    jmp spin
+""")
+        result, _ = _run_entry(kernel, binary, entry, max_instructions=100_000)
         assert result.killed
         assert result.exit_status == SCHED_KILL_STATUS
-        assert "deadlock" in result.kill_reason
-        assert kernel.metrics.get("sched.deadlock_kills") == 1
-        assert any(
-            "deadlock" in event.reason for event in kernel.audit.alerts()
-        )
+        assert "budget" in result.kill_reason
+        assert result.instructions == 100_000
 
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_fork_bomb_stops_at_task_cap(self, kernel, entry):
+        binary = guest_binary("""
+bomb:
+    call sys_fork
+    jmp bomb
+""", ["fork"])
+        result, tasks = _run_entry(kernel, binary, entry, max_instructions=20_000)
+        assert len(tasks) == MAX_TASKS
+        assert kernel.metrics.get("sched.forks") == MAX_TASKS - 1
+        assert result.exit_status == SCHED_KILL_STATUS
+        assert all(task.state is TaskState.REAPED for task in tasks.values())
+        assert sum(
+            consumed for _, consumed in kernel._scheduler.interleaving
+        ) == 20_000
 
 class TestSpawnExec:
     CHILD_SOURCE = """

@@ -7,15 +7,13 @@ nothing against mimicry or non-control-data attacks, which is exactly
 why authenticated calls matter even on NX hardware.
 """
 
-import pytest
-
 from repro.attacks import (
     non_control_data_attack,
     shellcode_attack,
 )
 from repro.attacks.scenarios import _install_victim, _prepare_kernel
 from repro.crypto import Key
-from repro.cpu import ExecutionFault
+from repro.kernel.sched.scheduler import FAULT_STATUS
 from tests.kernel.conftest import run_guest
 
 KEY = Key.from_passphrase("nx-tests", provider="fast-hmac")
@@ -23,8 +21,7 @@ KEY = Key.from_passphrase("nx-tests", provider="fast-hmac")
 
 class TestMprotect:
     def test_mprotect_revokes_write(self, kernel):
-        with pytest.raises(ExecutionFault, match="protection"):
-            run_guest(kernel, """
+        result = run_guest(kernel, """
     li r9, cell
     li r10, 1
     st r10, [r9+0]       ; writable before
@@ -36,6 +33,10 @@ class TestMprotect:
     li r1, 0
     call sys_exit
 """, ["mprotect"], data=".section .data\ncell:\n  .word 0")
+        # The machine fault fail-stops the process with a SIGSEGV status.
+        assert result.killed
+        assert result.exit_status == FAULT_STATUS
+        assert "protection" in result.kill_reason
 
     def test_mprotect_bad_bits(self, kernel):
         from repro.kernel.errors import Errno
@@ -85,9 +86,10 @@ class TestNxAblation:
 
         kernel = _prepare_kernel(KEY)
         kernel.nx = True
-        process, vm = kernel.load(installed.binary, stdin=payload)
-        with pytest.raises(ExecutionFault, match="NX"):
-            vm.run()
+        result = kernel.run(installed.binary, stdin=payload)
+        assert result.killed
+        assert result.exit_status == FAULT_STATUS
+        assert "NX" in result.kill_reason
 
     def test_nx_does_not_stop_non_control_data(self):
         # NX is irrelevant here: no injected code executes.  Only the

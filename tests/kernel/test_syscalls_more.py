@@ -247,12 +247,28 @@ class TestSpawn:
             metadata={"program": "child"},
         )
         kernel.register_binary("/bin/child", child)
+        # spawn returns the child's pid; wait4 on it yields the status.
         result = run_guest(kernel, """
     li r1, path
     li r2, 0
     call sys_spawn
-""" + _exit_r0(), ["spawn"],
-                  data='.section .rodata\npath:\n  .asciz "/bin/child"')
+    cmpi r0, 0
+    ble bad
+    mov r1, r0
+    li r2, wstatus
+    li r3, 0
+    li r4, 0
+    call sys_wait4
+    li r9, wstatus
+    ld r1, [r9+0]
+    shri r1, r1, 8
+    call sys_exit
+bad:
+    li r1, 1
+    call sys_exit
+""", ["spawn", "wait4"],
+                  data='.section .rodata\npath:\n  .asciz "/bin/child"\n'
+                       '.section .data\nwstatus:\n  .word 0')
         assert result.exit_status == 7
 
     def test_spawn_missing_program(self, kernel):
@@ -268,13 +284,7 @@ class TestSpawn:
         # low byte of -ENOENT... check it is nonzero and not a crash.
         assert result.exit_status != 7
 
-    def test_exec_depth_limited(self, kernel):
-        # A self-spawning program must hit the kernel's depth cap, not
-        # recurse the host interpreter to death.
-        from repro.asm import assemble
-        from repro.workloads.runtime import runtime_source
-
-        source = """
+    SELF_SPAWN = """
 .section .text
 .global _start
 _start:
@@ -286,11 +296,38 @@ _start:
 .section .rodata
 path:
     .asciz "/bin/loop"
-""" + runtime_source("linux", ("spawn", "exit"))
-        binary = assemble(source, metadata={"program": "loop"})
+"""
+
+    def _self_spawner(self, kernel):
+        from repro.asm import assemble
+        from repro.workloads.runtime import runtime_source
+
+        binary = assemble(
+            self.SELF_SPAWN + runtime_source("linux", ("spawn", "exit")),
+            metadata={"program": "loop"},
+        )
         kernel.register_binary("/bin/loop", binary)
-        result = kernel.run(binary)
-        assert result.exit_status == 0  # bottoms out at ELOOP, unwinds
+        return binary
+
+    def test_exec_depth_limited(self, kernel):
+        # A program that spawns itself and exits stops at the task cap:
+        # the last spawn fails with EAGAIN instead of growing forever.
+        from repro.kernel.sched.scheduler import MAX_TASKS
+
+        result = kernel.run(self._self_spawner(kernel))
+        assert result.exit_status == 0
+        tasks = kernel._scheduler.tasks
+        assert len(tasks) == MAX_TASKS
+        assert kernel.metrics.get("sched.spawns") == MAX_TASKS - 1
+        assert all(not task.killed and task.exit_status == 0 for task in tasks.values())
+
+    def test_self_spawn_chain_capped_under_run_many(self, kernel):
+        from repro.kernel.sched.scheduler import MAX_TASKS
+
+        multi = kernel.run_many([self._self_spawner(kernel)], timeslice=200)
+        assert multi.results[0].exit_status == 0
+        assert len(multi.scheduler.tasks) == MAX_TASKS
+        assert kernel.metrics.get("sched.spawns") == MAX_TASKS - 1
 
 
 class TestUnlinkableExecutable:
@@ -356,3 +393,42 @@ class TestUnlinkableExecutable:
         multi = kernel.run_many([guest])
         assert not multi.results[0].killed
         assert multi.results[0].exit_status == int(Errno.EACCES)
+
+    @staticmethod
+    def _register_oversized(kernel, reserve):
+        """A well-formed image whose .bss reserve reaches the stack."""
+        from repro.asm import assemble
+        from repro.binfmt import BinaryFormatError, link
+        from repro.workloads.runtime import runtime_source
+
+        binary = assemble(
+            ".section .text\n.global _start\n_start:\n    li r1, 0\n"
+            "    call sys_exit\n.section .bss\nbig:\n  .space 16\n"
+            + runtime_source("linux", ("exit",)),
+            metadata={"program": "big"},
+        )
+        binary.sections[".bss"].reserve = reserve
+        with pytest.raises(BinaryFormatError, match="reaches the stack"):
+            link(binary)
+        kernel.register_binary("/bin/bad", binary)
+
+    @pytest.mark.parametrize("reserve", [0xF0000000, 0x08000000])
+    @pytest.mark.parametrize("call", ["execve", "spawn"])
+    @pytest.mark.parametrize("entry", ["run", "run_many"])
+    def test_image_reaching_the_stack_returns_eacces(self, kernel, entry, call, reserve):
+        from repro.asm import assemble
+        from repro.workloads.runtime import runtime_source
+
+        self._register_oversized(kernel, reserve)
+        guest = assemble(
+            ".section .text\n.global _start\n_start:\n"
+            + self.BODY.format(call=call) + self.DATA + "\n"
+            + runtime_source("linux", (call, "exit")),
+            metadata={"program": "guest"},
+        )
+        if entry == "run":
+            result = kernel.run(guest)
+        else:
+            result = kernel.run_many([guest]).results[0]
+        assert not result.killed
+        assert result.exit_status == int(Errno.EACCES)

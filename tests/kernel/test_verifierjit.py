@@ -110,8 +110,8 @@ class TestThunkReuse:
         assert kernel.audit.fastpath.misses == 2
 
     def test_partition_dropped_at_exit(self, installed_loop):
-        kernel, _ = _run(installed_loop)
-        assert kernel._jits == {}
+        kernel, result = _run(installed_loop)
+        assert result.process.jit is None
         # Every compiled thunk was eventually invalidated (at exit).
         assert (kernel.metrics.get("verifier.thunks_invalidated")
                 == kernel.metrics.get("verifier.thunks_compiled"))
@@ -222,7 +222,7 @@ class TestGuardInvalidation:
         # refresh sees a different encoded call and drops the thunk;
         # the full check accepts the new record and recompiles.
         kernel, process, vm = _warm(installed_open)
-        jit = kernel._jits[process.pid]
+        jit = process.jit
         open_site, record = _open_record(installed_open)
         call = jit.thunk_at(open_site).call
         descriptor = int(call.record.descriptor)
@@ -339,7 +339,7 @@ class TestChangedPolicyDrops:
             reasons.append(vm.kill_reason)
             if fastpath:
                 open_site, _ = _open_record(installed_open)
-                assert kernel._jits[process.pid].thunk_at(open_site) is None
+                assert process.jit.thunk_at(open_site) is None
                 assert kernel.metrics.get("verifier.thunks_invalidated") == 1
         assert reasons[0] == reasons[1]
 
@@ -458,12 +458,10 @@ cloop:
 
         def spy(vm, authenticated):
             process = kernel._vm_process.get(id(vm))
-            if process is not None:
-                jit = kernel._jits.get(process.pid)
-                if jit is not None:
-                    observations.setdefault(process.pid, []).append(
-                        (id(jit), len(jit))
-                    )
+            if process is not None and process.jit is not None:
+                observations.setdefault(process.pid, []).append(
+                    (id(process.jit), len(process.jit))
+                )
             return original(vm, authenticated)
 
         kernel.handle_trap = spy
@@ -515,8 +513,8 @@ path:
 
         def spy(vm, authenticated):
             process = kernel._vm_process.get(id(vm))
-            if process is not None and process.pid in kernel._jits:
-                lens.append(len(kernel._jits[process.pid]))
+            if process is not None and process.jit is not None:
+                lens.append(len(process.jit))
             return original(vm, authenticated)
 
         kernel.handle_trap = spy

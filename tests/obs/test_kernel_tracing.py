@@ -51,17 +51,19 @@ def traced(installed):
 
 class TestTracedRun:
     def test_spans_balanced_and_nested(self, traced):
-        recorder, _, _ = traced
+        recorder, _, result = traced
         assert recorder.open_spans == 0
         names = {s.name for s in recorder.spans}
         assert {"execute", "syscall-verify", "policy-decode", "mac-check",
                 "string-auth"} <= names
         # Verification stages sit strictly inside syscall-verify, which
-        # sits inside the engine's execute span.
+        # sits inside the engine's execute span, inside the scheduler's
+        # span for the process's slice.
         depth = {s.name: s.depth for s in recorder.spans}
-        assert depth["execute"] == 0
-        assert depth["syscall-verify"] == 1
-        assert depth["mac-check"] == 2
+        assert depth[f"pid{result.process.pid}"] == 0
+        assert depth["execute"] == 1
+        assert depth["syscall-verify"] == 2
+        assert depth["mac-check"] == 3
         # Replaying spans in start order against an interval stack
         # proves proper containment: children end before parents.
         stack = []

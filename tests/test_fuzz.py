@@ -15,16 +15,32 @@ from repro.binfmt import BinaryFormatError, SefBinary
 from repro.cpu import ExecutionFault, Memory, PROT_EXEC, PROT_READ, PROT_WRITE, VM
 from repro.crypto import Key
 from repro.kernel import Kernel
+from repro.kernel.sched.scheduler import Scheduler, TaskState
 
 KEY = Key.from_passphrase("fuzz", provider="fast-hmac")
+
+
+def _run_one_task(kernel, process, vm, max_instructions):
+    """Run a kernel-loaded process as a one-task scheduler run and
+    check it ended by exit or kill (a Python exception fails the
+    property by propagating)."""
+    scheduler = Scheduler(
+        kernel, timeslice=max_instructions, max_instructions=max_instructions
+    )
+    task = scheduler.adopt(process, vm)
+    scheduler.run()
+    assert task.state is TaskState.REAPED
+    assert task.exit_status is not None
+    return task
 
 
 class TestVmFuzz:
     @settings(max_examples=80, deadline=None)
     @given(code=st.binary(min_size=8, max_size=256))
     def test_random_code_faults_cleanly(self, code):
-        """Arbitrary bytes as .text: the VM either runs to a HALT/exit
-        or raises ExecutionFault — never anything else."""
+        """Arbitrary bytes as .text, trapping into a real kernel: the
+        process exits or is killed (a machine fault is a fault kill) —
+        never anything else."""
         memory = Memory()
         memory.map_region(
             0x1000, max(len(code), 16) + 16,
@@ -32,13 +48,9 @@ class TestVmFuzz:
         )
         kernel = Kernel(key=KEY)
         vm = VM(memory=memory, entry=0x1000, trap_handler=kernel)
-        kernel._vm_process[id(vm)] = kernel.load(
-            _trivial_binary()
-        )[0]  # give traps a process to charge
-        try:
-            vm.run(max_instructions=2000)
-        except ExecutionFault:
-            pass
+        process = kernel.load(_trivial_binary())[0]
+        kernel._vm_process[id(vm)] = process  # give traps a process to charge
+        _run_one_task(kernel, process, vm, 2000)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -57,11 +69,7 @@ class TestVmFuzz:
         entry = vm.pc
         vm.regs[:] = [r & 0xFFFFFFFF for r in regs]
         vm.pc = entry  # entry unchanged by the register clobber
-        try:
-            vm.run(max_instructions=100)
-        except ExecutionFault:
-            return
-        assert vm.killed
+        assert _run_one_task(kernel, process, vm, 100).killed
 
     @settings(max_examples=25, deadline=None)
     @given(record=st.binary(min_size=0, max_size=64))
@@ -78,11 +86,7 @@ class TestVmFuzz:
 
         rec = link(binary).address_of("rec")
         vm.memory.write(rec, record, force=True)
-        try:
-            vm.run(max_instructions=100)
-        except ExecutionFault:
-            return
-        assert vm.killed
+        assert _run_one_task(kernel, process, vm, 100).killed
 
 
 def _trivial_binary():
@@ -252,8 +256,8 @@ class TestBinaryFormatFuzz:
     )
     def test_mutated_valid_binary(self, flip, value):
         """Bit-flipped serialized binaries parse or fail cleanly; if
-        they parse, the kernel refuses or fail-stops rather than
-        crashing."""
+        they parse, the kernel refuses them with a BinaryFormatError or
+        runs them to an exit or a kill — never another exception."""
         import struct as struct_module
 
         base = bytearray(
@@ -269,6 +273,7 @@ class TestBinaryFormatFuzz:
             return
         kernel = Kernel(key=KEY)
         try:
-            kernel.run(binary, max_instructions=1000)
-        except (ExecutionFault, BinaryFormatError, ValueError):
-            pass
+            result = kernel.run(binary, max_instructions=1000)
+        except BinaryFormatError:
+            return
+        assert result.exit_status is not None

@@ -62,11 +62,15 @@ class TestNetserverCompletes:
         assert run["metrics"]["net.bytes_sent"] == payload
         assert run["metrics"]["net.bytes_received"] == payload
 
-    def test_sync_mode_canary(self, installed):
-        # Without a scheduler, fork fails and the program exits 1: the
-        # guard that `run --net` really engaged multiprogramming.
-        result = Kernel(key=KEY).run(installed)
-        assert result.exit_status == 1
+    def test_plain_run_serves_every_client(self, installed):
+        # Plain Kernel.run is a one-task scheduler run: the server
+        # forks its clients and serves them exactly as under run_many.
+        kernel = Kernel(key=KEY)
+        result = kernel.run(installed)
+        assert result.exit_status == 0
+        tasks = [kernel._scheduler.tasks[pid] for pid in sorted(kernel._scheduler.tasks)]
+        assert tuple(task.exit_status for task in tasks) == (0,) + (REQUESTS,) * CLIENTS
+        assert not any(task.killed for task in tasks)
 
 
 class TestEngineBitIdentity:
