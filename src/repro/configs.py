@@ -2,13 +2,13 @@
 the security batteries replay a workload on.
 
 Each entry exercises distinct code: the reference interpreter, the
-chained threaded engine (the kernel's defaults), the threaded engine
-with block chaining and superblock fusion disabled, and the fast path
-disabled (the paper's full §3.4 check on every trap, no verifier
-thunks).  Attack verdicts, fault-detection coverage and conformance
-signatures are security properties and must be identical on all four.
-The attack, fault and conformance batteries and the benchmarks all
-take their configurations from here.
+threaded engine with block chaining and superblock fusion (the
+kernel's defaults), and the fast path disabled (the paper's full §3.4
+check on every trap, no verifier thunks).  Attack verdicts,
+fault-detection coverage and conformance signatures are security
+properties and must be identical on all three.  The attack, fault and
+conformance batteries and the benchmark ratio gate all take their
+configurations from here.
 """
 
 from __future__ import annotations
@@ -22,18 +22,16 @@ class EngineConfig:
 
     name: str
     engine: str
-    chain: bool = True
     fastpath: bool = True
 
     def kernel_kwargs(self) -> dict:
         """The :class:`~repro.kernel.Kernel` keyword arguments."""
-        return {"engine": self.engine, "chain": self.chain, "fastpath": self.fastpath}
+        return {"engine": self.engine, "fastpath": self.fastpath}
 
 
 CONFIGS = (
     EngineConfig("interp", "interp"),
     EngineConfig("chained", "threaded"),
-    EngineConfig("no-chain", "threaded", chain=False),
     EngineConfig("no-fastpath", "threaded", fastpath=False),
 )
 

@@ -1,9 +1,8 @@
 """The conformance oracle: one program, every engine configuration.
 
 A program is installed once and executed under each of the
-:data:`repro.configs.CONFIGS` (interp / chained / no-chain /
-no-fastpath).  Each run is reduced to a *portable conformance
-signature*:
+:data:`repro.configs.CONFIGS` (interp / chained / no-fastpath).
+Each run is reduced to a *portable conformance signature*:
 
 - the per-process result tuples of :func:`repro.faults.harness.process_signature`
   with the config-dependent cycle slot stripped by

@@ -10,9 +10,8 @@ block pay one dictionary probe, one guard comparison, and one batched
 cycle/instruction update instead of per-instruction fetch, decode, and
 dispatch.
 
-On top of the translation cache sit two dispatch-elimination layers
-(both default-on; ``BlockCache(vm, chain=False)`` restores the plain
-per-block dispatch loop, surfaced as ``--no-chain`` in the CLI):
+On top of the translation cache sit two dispatch-elimination layers,
+always on:
 
 - **Direct block chaining.**  A block whose terminator has a static
   successor (fall-through, direct branch, ``CALL``, or the return path
@@ -22,8 +21,7 @@ per-block dispatch loop, surfaced as ``--no-chain`` in the CLI):
   executions invoke the successor directly, skipping the dispatch
   loop's dict probe and guard re-check.  Chained entry is only taken
   when the remaining instruction budget covers the successor, so
-  scheduler preemption points are bit-identical with the unchained
-  engine and the interpreter.
+  scheduler preemption points are bit-identical with the interpreter.
 - **Compiled superblocks.**  When a chain closes a hot cycle (a
   fusable block's execution count crosses a multiple of 256), the
   member blocks are unrolled into one flat instruction list and
@@ -345,9 +343,8 @@ def _signed(value: int) -> int:
 class BlockCache:
     """The per-VM translation cache and its dispatch loop."""
 
-    def __init__(self, vm: "VM", chain: bool = True):
+    def __init__(self, vm: "VM"):
         self.vm = vm
-        self.chain = chain
         self._blocks: dict[int, Block] = {}
         #: page number -> set of block entry PCs whose code touches it.
         #: Lets stores invalidate cached translations in O(1) in the
@@ -387,31 +384,6 @@ class BlockCache:
         lookup = self.lookup
         step = vm.step
         budget = max_instructions
-
-        if not self.chain:
-            # Plain per-block dispatch: one dict probe + guard check
-            # per block execution (the pre-chaining engine, kept as
-            # the `--no-chain` escape hatch and bench baseline).
-            while budget > 0:
-                block = lookup(vm.pc)
-                count = block.count
-                if count > budget:
-                    if not step():
-                        return
-                    budget -= 1
-                    continue
-                vm.cycles += block.total_cycles
-                vm.instructions_executed += count
-                try:
-                    for thunk in block.thunks:
-                        thunk(vm)
-                except BlockAbort as abort:
-                    budget -= abort.consumed
-                    continue
-                if block.stop:
-                    return
-                budget -= count
-            return
 
         while budget > 0:
             block = lookup(vm.pc)

@@ -95,17 +95,12 @@ class VM:
         stack_size: int = STACK_SIZE,
         nx: bool = False,
         engine: str = "interp",
-        chain: bool = True,
         recorder: Recorder = NULL_RECORDER,
         map_stack: bool = True,
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown execution engine {engine!r}")
         self.engine = engine
-        #: Direct block chaining + superblock fusion in the threaded
-        #: engine (no effect under interp).  The --no-chain escape
-        #: hatch flips this off, restoring plain per-block dispatch.
-        self.chain = chain
         #: Observability hook shared with the kernel; the default
         #: NullRecorder singleton keeps guest execution span-free.
         self.recorder = recorder
@@ -310,7 +305,7 @@ class VM:
 
                 cache = self._block_cache
                 if cache is None:
-                    cache = self._block_cache = BlockCache(self, chain=self.chain)
+                    cache = self._block_cache = BlockCache(self)
                 cache.run(max_instructions)
             else:
                 budget = max_instructions

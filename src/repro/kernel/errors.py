@@ -25,6 +25,7 @@ class Errno(IntEnum):
     EINVAL = 22
     ENFILE = 23
     EMFILE = 24
+    EFBIG = 27
     ENOSPC = 28
     ESPIPE = 29
     EROFS = 30

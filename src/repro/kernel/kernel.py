@@ -115,7 +115,6 @@ class Kernel:
         nx: bool = False,
         fastpath: bool = True,
         engine: str = "threaded",
-        chain: bool = True,
         recorder: Optional[Recorder] = None,
     ):
         self.key = key or Key.generate()
@@ -147,10 +146,6 @@ class Kernel:
         #: basic-block translation cache, default) or "interp" (the
         #: reference interpreter).  Both are bit-identical by contract.
         self.engine = engine
-        #: Direct block chaining + superblock fusion in the threaded
-        #: engine (`chain=False`, the --no-chain escape hatch, restores
-        #: plain per-block dispatch).  Bit-identical either way.
-        self.chain = chain
         self._checker = AuthChecker(self.mac, self.costs, self.obs)
         #: Optional syscall tracer (duck-typed: .record(ctx)); used by
         #: the training-based baseline monitors.
@@ -167,6 +162,12 @@ class Kernel:
         #: kernel/net/.  Deterministic: idents are a plain counter and
         #: all queues are FIFO.
         self.net = NetStack(metrics=self.metrics)
+
+    @property
+    def chain(self) -> bool:
+        """Whether the threaded engine chains blocks and fuses hot
+        loops: it always does (read-only)."""
+        return True
 
     @property
     def verifier_jit(self) -> bool:
@@ -217,7 +218,6 @@ class Kernel:
             trap_handler=self,
             nx=self.nx,
             engine=self.engine,
-            chain=self.chain,
             recorder=self.obs,
         )
         process.name = image.metadata.get("program", binary.entry)
@@ -673,7 +673,6 @@ class Kernel:
             trap_handler=self,
             nx=self.nx,
             engine=self.engine,
-            chain=self.chain,
             recorder=self.obs,
             map_stack=False,  # the copied image already contains [stack]
         )

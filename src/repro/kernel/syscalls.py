@@ -152,6 +152,12 @@ SEEK_SET, SEEK_CUR, SEEK_END = 0, 1, 2
 F_DUPFD, F_GETFL, F_SETFL = 0, 3, 4
 
 MAX_RW = 1 << 20  # single-call transfer cap, a sanity bound
+#: Largest regular file a guest write, truncate or ftruncate may leave
+#: behind; one that would end past it fails with EFBIG and changes
+#: nothing, so one trap cannot make the host allocate gigabytes.  The
+#: largest file the tests, batteries and full-scale benchmarks write
+#: is 262,906 bytes, so 16 MiB leaves them 64x headroom.
+MAX_FILE_SIZE = 1 << 24
 PAGE = 0x1000
 
 
@@ -443,6 +449,8 @@ def _do_write(ctx: SyscallContext, fd: int, data: bytes) -> int:
         inode = description.inode
         assert inode is not None
         end = description.offset + len(data)
+        if end > MAX_FILE_SIZE:
+            return Errno.EFBIG.as_result()
         if end > len(inode.data):
             inode.data.extend(bytes(end - len(inode.data)))
         inode.data[description.offset : end] = data
@@ -1160,17 +1168,24 @@ def _getrusage(ctx: SyscallContext) -> int:
     return 0
 
 
+def _resize(data: bytearray, length: int) -> int:
+    """Cut or zero-extend a file's bytes to ``length`` (truncate and
+    ftruncate); past :data:`MAX_FILE_SIZE` it is EFBIG, unchanged."""
+    if length > MAX_FILE_SIZE:
+        return Errno.EFBIG.as_result()
+    if length < len(data):
+        del data[length:]
+    else:
+        data.extend(bytes(length - len(data)))
+    return 0
+
+
 @syscall("truncate")
 def _truncate(ctx: SyscallContext) -> int:
     node = ctx.kernel.vfs.resolve(ctx.read_path(ctx.args[0]), cwd=ctx.process.cwd)
     if not node.is_file:
         return Errno.EISDIR.as_result()
-    length = ctx.args[1]
-    if length < len(node.data):
-        del node.data[length:]
-    else:
-        node.data.extend(bytes(length - len(node.data)))
-    return 0
+    return _resize(node.data, ctx.args[1])
 
 
 @syscall("ftruncate")
@@ -1178,13 +1193,7 @@ def _ftruncate(ctx: SyscallContext) -> int:
     description = ctx.process.fd(ctx.args[0])
     if description.inode is None or not description.inode.is_file:
         return Errno.EINVAL.as_result()
-    length = ctx.args[1]
-    data = description.inode.data
-    if length < len(data):
-        del data[length:]
-    else:
-        data.extend(bytes(length - len(data)))
-    return 0
+    return _resize(description.inode.data, ctx.args[1])
 
 
 @syscall("fchmod")

@@ -82,10 +82,10 @@ def test_divergences_flags_differing_configs():
     outcomes = {
         "interp": _outcome(((1, "write"),)),
         "chained": _outcome(((1, "write"),)),
-        "no-chain": _outcome(((1, "read"),)),
+        "no-fastpath": _outcome(((1, "read"),)),
     }
-    assert divergences(outcomes) == ["no-chain"]
-    outcomes["no-chain"] = _outcome(((1, "write"),))
+    assert divergences(outcomes) == ["no-fastpath"]
+    outcomes["no-fastpath"] = _outcome(((1, "write"),))
     assert divergences(outcomes) == []
 
 

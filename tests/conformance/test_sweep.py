@@ -18,7 +18,7 @@ def test_small_sweep_is_clean_and_deterministic():
     first = run_conformance(**SWEEP_ARGS)
     second = run_conformance(**SWEEP_ARGS)
     assert first.ok
-    assert first.totals["runs"] == 6 * 4  # programs x roster configs
+    assert first.totals["runs"] == 6 * 3  # programs x roster configs
     assert first.to_json() == second.to_json()
 
 
@@ -38,7 +38,7 @@ def test_metrics_and_summary():
     metrics = MetricsRegistry()
     report = run_conformance(metrics=metrics, **SWEEP_ARGS)
     assert metrics.get("conform.programs") == 6
-    assert metrics.get("conform.runs") == 24
+    assert metrics.get("conform.runs") == 18  # 6 programs x 3 roster configs
     assert metrics.get("conform.divergences") == 0
     assert "OK: 0 divergences" in report.summary()
 

@@ -3,10 +3,9 @@
 The threaded engine's contract is bit-identical architectural state —
 registers, flags, memory, cycle counts, instruction counts, syscall
 counts, fault PCs/messages, and fail-stop reasons — on *every* program,
-including self-modifying ones.  These tests run the same program under
-three configurations — the interpreter, the threaded engine with
-chaining disabled, and the threaded engine with direct block chaining
-and superblock fusion (the default) — and diff the complete observable
+including self-modifying ones.  These tests run the same program on
+the interpreter and on the threaded engine (direct block chaining and
+superblock fusion, the default) and diff the complete observable
 state.
 """
 
@@ -26,13 +25,10 @@ from repro.workloads.spec import build_spec_program
 
 KEY = Key.from_passphrase("engines", provider="fast-hmac")
 
-#: label -> (engine, chain).  ``threaded`` runs with chaining disabled
-#: so the plain per-block dispatcher keeps its own equivalence
-#: coverage; ``chained`` is the default configuration.
+#: label -> engine; ``chained`` is the default configuration.
 CONFIGS = {
-    "interp": ("interp", True),
-    "threaded": ("threaded", False),
-    "chained": ("threaded", True),
+    "interp": "interp",
+    "chained": "threaded",
 }
 
 
@@ -60,8 +56,7 @@ def _state(vm: VM, fault) -> dict:
     }
 
 
-def _vm_for_source(source: str, engine: str, nx: bool = False,
-                   chain: bool = True) -> VM:
+def _vm_for_source(source: str, engine: str, nx: bool = False) -> VM:
     image = link(assemble(source))
     memory = Memory()
     for segment in image.segments:
@@ -74,14 +69,12 @@ def _vm_for_source(source: str, engine: str, nx: bool = False,
             segment.vaddr, max(segment.size, 16), prot,
             name=segment.name, data=segment.data,
         )
-    return VM(memory=memory, entry=image.entry, nx=nx, engine=engine,
-              chain=chain)
+    return VM(memory=memory, entry=image.entry, nx=nx, engine=engine)
 
 
 def _run_source(source: str, engine: str, nx: bool = False,
-                chain: bool = True,
                 max_instructions: int = 100_000) -> dict:
-    vm = _vm_for_source(source, engine, nx=nx, chain=chain)
+    vm = _vm_for_source(source, engine, nx=nx)
     fault = None
     try:
         vm.run(max_instructions=max_instructions)
@@ -91,7 +84,6 @@ def _run_source(source: str, engine: str, nx: bool = False,
 
 
 def _run_raw(code: bytes, engine: str, nx: bool = False,
-             chain: bool = True,
              max_instructions: int = 100_000) -> dict:
     """Run raw encoded instructions from an RWX region (the shape the
     self-modifying-code cases need)."""
@@ -101,7 +93,7 @@ def _run_raw(code: bytes, engine: str, nx: bool = False,
         PROT_READ | PROT_WRITE | PROT_EXEC, data=code, name="rwx",
     )
     memory.map_region(0x8000, 4096, PROT_READ | PROT_WRITE, name="scratch")
-    vm = VM(memory=memory, entry=0x1000, nx=nx, engine=engine, chain=chain)
+    vm = VM(memory=memory, entry=0x1000, nx=nx, engine=engine)
     fault = None
     try:
         vm.run(max_instructions=max_instructions)
@@ -115,8 +107,7 @@ def _encode(instructions) -> bytes:
 
 
 def _assert_engines_agree(run) -> dict:
-    states = {label: run(engine, chain)
-              for label, (engine, chain) in CONFIGS.items()}
+    states = {label: run(engine) for label, engine in CONFIGS.items()}
     for label, state in states.items():
         assert state == states["interp"], (label, state, states["interp"])
     return states["interp"]
@@ -144,7 +135,7 @@ loop:
     rdtsch r12
     halt
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert state["exit_status"] is not None
 
     def test_calls_stack_and_memory(self):
@@ -176,7 +167,7 @@ fn:
 buf:
     .space 16
 """
-        _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        _assert_engines_agree(lambda e: _run_source(source, e))
 
     def test_mid_block_division_fault(self):
         # The fault happens in the middle of a straight-line run: the
@@ -192,7 +183,7 @@ _start:
     addi r5, r1, 2
     halt
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert "division by zero" in state["fault"]
 
     def test_mid_block_memory_fault(self):
@@ -205,8 +196,35 @@ _start:
     ld r3, [r1+0]
     halt
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert "memory fault" in state["fault"]
+
+    def test_load_after_store_to_write_only_region_faults(self):
+        # The store leaves a region the guest may write but not read in
+        # the data TLB; the load from it must still fault on the read
+        # protection, at the interpreter's PC and accounting.
+        code = _encode([
+            Instruction(Op.LI, regs=(2,), imm=0x9000),
+            Instruction(Op.LI, regs=(1,), imm=7),
+            Instruction(Op.ST, regs=(1, 2), imm=0),
+            Instruction(Op.LD, regs=(3, 2), imm=0),
+            Instruction(Op.HALT),
+        ])
+
+        def run(engine):
+            memory = Memory()
+            memory.map_region(0x1000, 4096, PROT_READ | PROT_EXEC, data=code, name="text")
+            memory.map_region(0x9000, 4096, PROT_WRITE, name="write-only")
+            vm = VM(memory=memory, entry=0x1000, engine=engine)
+            fault = None
+            try:
+                vm.run(max_instructions=1000)
+            except ExecutionFault as err:
+                fault = err
+            return _state(vm, fault)
+
+        state = _assert_engines_agree(run)
+        assert state["fault"] is not None and state["pc"] == 0x1018
 
     def test_stack_overflow_fault(self):
         source = """
@@ -217,7 +235,7 @@ _start:
     push r1
     halt
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert "stack overflow" in state["fault"]
 
     def test_trap_with_no_kernel(self):
@@ -227,7 +245,7 @@ _start:
     li r1, 1
     sys
 """
-        state = _assert_engines_agree(lambda e, c: _run_source(source, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_source(source, e))
         assert "trap with no kernel attached" in state["fault"]
 
     def test_budget_exhaustion_mid_block(self):
@@ -246,8 +264,7 @@ _start:
 """
         for budget in range(1, 7):
             state = _assert_engines_agree(
-                lambda e, c: _run_source(source, e, chain=c,
-                                         max_instructions=budget)
+                lambda e: _run_source(source, e, max_instructions=budget)
             )
             if budget < 6:
                 assert "instruction budget exhausted" in state["fault"]
@@ -256,8 +273,8 @@ _start:
 
     def test_pc_falls_off_text(self):
         state = _assert_engines_agree(
-            lambda e, c: _run_raw(_encode([Instruction(Op.NOP)] * 3), e,
-                                  chain=c, max_instructions=5000)
+            lambda e: _run_raw(_encode([Instruction(Op.NOP)] * 3), e,
+                               max_instructions=5000)
         )
         assert "instruction fetch" in state["fault"]
 
@@ -295,7 +312,7 @@ class TestSelfModifyingCode:
             Instruction(Op.JMP, imm=0x1000),
             Instruction(Op.HALT),
         ])
-        state = _assert_engines_agree(lambda e, c: _run_raw(code, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_raw(code, e))
         assert state["regs"][1] == 77
 
     def test_patch_within_running_block(self):
@@ -322,7 +339,7 @@ class TestSelfModifyingCode:
             Instruction(Op.LI, regs=(1,), imm=13),
             Instruction(Op.HALT),
         ])
-        state = _assert_engines_agree(lambda e, c: _run_raw(code, e, chain=c))
+        state = _assert_engines_agree(lambda e: _run_raw(code, e))
         assert state["regs"][1] == 77
 
     def test_smc_blocked_by_nx(self):
@@ -335,22 +352,22 @@ class TestSelfModifyingCode:
             Instruction(Op.ST, regs=(2, 3), imm=0),
             Instruction(Op.JR, regs=(3,)),
         ])
-        nx_state = _assert_engines_agree(lambda e, c: _run_raw(code, e, nx=True, chain=c))
+        nx_state = _assert_engines_agree(lambda e: _run_raw(code, e, nx=True))
         assert "NX violation" in nx_state["fault"]
         assert nx_state["pc"] == 0x8000
         # Without NX (the 2005 default) the same program executes its
         # injected HALT — still identically on both engines.
-        plain = _assert_engines_agree(lambda e, c: _run_raw(code, e, nx=False, chain=c))
+        plain = _assert_engines_agree(lambda e: _run_raw(code, e, nx=False))
         assert plain["fault"] is None
         assert plain["pc"] == 0x8000
 
 
 class TestKernelWorkloads:
-    def _run_macro(self, engine: str, chain: bool) -> dict:
+    def _run_macro(self, engine: str) -> dict:
         binary = install(
             build_spec_program("gzip-spec", iterations=5), KEY
         ).binary
-        kernel = Kernel(key=KEY, engine=engine, chain=chain)
+        kernel = Kernel(key=KEY, engine=engine)
         result = kernel.run(
             binary, argv=["gzip-spec"], max_instructions=100_000_000
         )
@@ -368,8 +385,8 @@ class TestKernelWorkloads:
         }
 
     def test_macro_workload_identical_through_kernel(self):
-        states = {label: self._run_macro(engine, chain)
-                  for label, (engine, chain) in CONFIGS.items()}
+        states = {label: self._run_macro(engine)
+                  for label, engine in CONFIGS.items()}
         for label, state in states.items():
             assert state == states["interp"], label
         assert states["interp"]["ok"]
@@ -379,13 +396,27 @@ class TestKernelWorkloads:
         from repro.configs import EngineConfig
 
         verdicts = {}
-        for label, (engine, chain) in CONFIGS.items():
-            results = run_all_attacks(KEY, EngineConfig(label, engine, chain=chain))
+        for label, engine in CONFIGS.items():
+            results = run_all_attacks(KEY, EngineConfig(label, engine))
             verdicts[label] = [
                 (r.name, r.blocked, r.kill_reason) for r in results
             ]
         for label, verdict in verdicts.items():
             assert verdict == verdicts["interp"], label
+
+    def test_chaining_is_always_on(self):
+        # No chain knob anywhere: the threaded engine always chains and
+        # fuses, and Kernel.chain reports it read-only.
+        from repro.cpu.threaded import BlockCache
+
+        memory = Memory()
+        memory.map_region(0x1000, 4096, PROT_READ | PROT_EXEC, name="t")
+        for make in (lambda: Kernel(chain=False),
+                     lambda: VM(memory=memory, entry=0x1000, chain=False),
+                     lambda: BlockCache(VM(memory=memory, entry=0x1000), chain=False)):
+            with pytest.raises(TypeError):
+                make()
+        assert Kernel().chain is True
 
     def test_unknown_engine_rejected(self):
         memory = Memory()

@@ -23,8 +23,8 @@ def report():
 def test_zero_missed_across_all_configs(report):
     assert report.ok, report.summary()
     assert report.totals["missed"] == 0
-    # COUNT plans x four roster configs, none dropped.
-    assert report.totals["injected"] == COUNT * 4
+    # COUNT plans x three roster configs, none dropped.
+    assert report.totals["injected"] == COUNT * 3
     for name, counts in report.by_config.items():
         assert counts["missed"] == 0, name
 
@@ -62,8 +62,8 @@ def test_report_json_shape(report):
     payload = json.loads(report.to_json())
     assert payload["seed"] == SEED
     assert payload["count"] == COUNT
-    assert payload["configs"] == ["interp", "chained", "no-chain", "no-fastpath"]
-    assert len(payload["runs"]) == COUNT * 4
+    assert payload["configs"] == ["interp", "chained", "no-fastpath"]
+    assert len(payload["runs"]) == COUNT * 3
     for run in payload["runs"]:
         assert run["outcome"] in OUTCOMES
         assert run["config"] in payload["configs"]
@@ -102,7 +102,7 @@ def test_zero_missed_under_aes_cmac():
     cmac = run_sweep(key=Key.from_passphrase("fault-sweep-tests"), seed=SEED, count=10)
     assert cmac.ok, cmac.summary()
     assert cmac.totals["missed"] == 0
-    assert cmac.totals["injected"] == 10 * 4
+    assert cmac.totals["injected"] == 10 * 3
 
 
 def test_config_and_kind_filters():

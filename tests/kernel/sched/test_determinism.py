@@ -2,9 +2,9 @@
 
 Two runs with the same programs and timeslice must produce identical
 interleavings, exit statuses, and scheduler metrics — and the property
-must hold ACROSS engine configurations (interpreter, plain threaded,
-threaded with direct block chaining and superblock fusion), because
-every configuration accounts instructions identically and only enters
+must hold ACROSS engines (the interpreter, and the threaded engine
+with direct block chaining and superblock fusion), because both
+account instructions identically and the threaded engine only enters
 chained successors or fused superblocks when the remaining timeslice
 covers them."""
 
@@ -13,16 +13,15 @@ import pytest
 from repro.kernel import Kernel
 from repro.workloads.multiproc import build_server
 
-#: label -> (engine, chain)
+#: label -> engine
 CONFIGS = {
-    "interp": ("interp", True),
-    "threaded": ("threaded", False),
-    "chained": ("threaded", True),
+    "interp": "interp",
+    "chained": "threaded",
 }
 
 
-def _run(engine: str, chain: bool = True, timeslice: int = 500):
-    kernel = Kernel(engine=engine, chain=chain)
+def _run(engine: str, timeslice: int = 500):
+    kernel = Kernel(engine=engine)
     multi = kernel.run_many(
         [build_server(workers=4, requests=16)], timeslice=timeslice
     )
@@ -40,20 +39,18 @@ def _run(engine: str, chain: bool = True, timeslice: int = 500):
 class TestDeterminism:
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_repeated_runs_identical(self, config):
-        engine, chain = CONFIGS[config]
-        first = _run(engine, chain)
-        second = _run(engine, chain)
+        first = _run(CONFIGS[config])
+        second = _run(CONFIGS[config])
         assert first == second
 
     def test_cross_engine_identical(self):
-        """The acceptance property: every engine configuration consumes
-        exactly the same instruction counts per slice, so a
-        multiprogrammed run schedules identically on all of them —
+        """The acceptance property: both engines consume exactly the
+        same instruction counts per slice, so a multiprogrammed run
+        schedules identically on both —
         preemption points land on the same boundaries even when they
         fall where the chained engine would otherwise hop a chain link
         or start a superblock pass."""
-        results = {label: _run(engine, chain)
-                   for label, (engine, chain) in CONFIGS.items()}
+        results = {label: _run(engine) for label, engine in CONFIGS.items()}
         for label, (interleaving, statuses, metrics) in results.items():
             assert interleaving == results["interp"][0], label
             assert statuses == results["interp"][1], label
@@ -71,7 +68,7 @@ class TestDeterminism:
         where chains and superblocks live; the interleaving must stay
         engine-invariant there too."""
         for timeslice in (37, 101):
-            results = {label: _run(engine, chain, timeslice=timeslice)
-                       for label, (engine, chain) in CONFIGS.items()}
+            results = {label: _run(engine, timeslice=timeslice)
+                       for label, engine in CONFIGS.items()}
             for label, result in results.items():
                 assert result == results["interp"], (label, timeslice)

@@ -3,12 +3,22 @@
 import pytest
 
 from repro.kernel.errors import Errno
+from repro.kernel.syscalls import MAX_FILE_SIZE
 from tests.kernel.conftest import run_guest
 
 EXIT0 = """
     li r1, 0
     call sys_exit
 """
+
+#: exit(-r0): a failing call's errno becomes the exit status.
+EXIT_ERRNO = """
+    xori r1, r0, 0xFFFFFFFF
+    addi r1, r1, 1
+    call sys_exit
+"""
+
+PATH_DATA = '.section .rodata\npath:\n  .asciz "/tmp/f"\nbyte:\n  .asciz "x"'
 
 
 def _exit_r0():
@@ -152,6 +162,91 @@ class TestFileTail:
                        '.section .data\niov:\n  .word b1, 3, b2, 5\n'
                        '.section .bss\nb1:\n  .space 3\nb2:\n  .space 8')
         assert result.stdout == b"ABCDEFGH"
+
+
+class TestFileSizeBound:
+    """A write, truncate or ftruncate that would leave a file larger
+    than MAX_FILE_SIZE fails with EFBIG and leaves the file as it was."""
+
+    def test_truncate_up_to_the_cap_then_past_it(self, kernel):
+        kernel.vfs.write_file("/tmp/f", b"0123")
+        result = run_guest(kernel, f"""
+    li r1, path
+    li r2, {MAX_FILE_SIZE}
+    call sys_truncate
+    cmpi r0, 0
+    bne done
+    li r1, path
+    li r2, {MAX_FILE_SIZE + 1}
+    call sys_truncate
+done:""" + EXIT_ERRNO, ["truncate"], data=PATH_DATA)
+        assert result.exit_status == int(Errno.EFBIG)
+        assert len(kernel.vfs.read_file("/tmp/f")) == MAX_FILE_SIZE
+
+    def test_ftruncate_past_the_cap(self, kernel):
+        kernel.vfs.write_file("/tmp/f", b"0123")
+        result = run_guest(kernel, """
+    li r1, path
+    li r2, 2
+    call sys_open
+    mov r1, r0
+    li r2, 0xFFFFFFFF
+    call sys_ftruncate
+""" + EXIT_ERRNO, ["open", "ftruncate"], data=PATH_DATA)
+        assert result.exit_status == int(Errno.EFBIG)
+        assert kernel.vfs.read_file("/tmp/f") == b"0123"
+
+    def test_write_ending_at_the_cap_then_past_it(self, kernel):
+        kernel.vfs.write_file("/tmp/f", b"0123")
+        result = run_guest(kernel, f"""
+    li r1, path
+    li r2, 2
+    call sys_open
+    mov r14, r0
+    mov r1, r14
+    li r2, {MAX_FILE_SIZE - 1}
+    li r3, 0
+    call sys_lseek
+    mov r1, r14
+    li r2, byte
+    li r3, 1
+    call sys_write
+    cmpi r0, 1
+    bne done
+    mov r1, r14
+    li r2, byte
+    li r3, 1
+    call sys_write
+done:""" + EXIT_ERRNO, ["open", "lseek", "write"], data=PATH_DATA)
+        assert result.exit_status == int(Errno.EFBIG)
+        data = kernel.vfs.read_file("/tmp/f")
+        assert len(data) == MAX_FILE_SIZE and data[-1:] == b"x"
+
+    def test_write_after_seeking_past_4_gib(self, kernel):
+        # Repeated SEEK_CUR moves the offset past what a 32-bit
+        # argument can name; the write there must not zero-fill.
+        kernel.vfs.write_file("/tmp/f", b"0123")
+        result = run_guest(kernel, """
+    li r1, path
+    li r2, 2
+    call sys_open
+    mov r14, r0
+    li r13, 3
+again:
+    mov r1, r14
+    li r2, 0x7FFFFFFF
+    li r3, 1
+    call sys_lseek
+    subi r13, r13, 1
+    cmpi r13, 0
+    bgt again
+    mov r1, r14
+    li r2, byte
+    li r3, 1
+    call sys_write
+""" + EXIT_ERRNO, ["open", "lseek", "write"], data=PATH_DATA)
+        assert result.exit_status == int(Errno.EFBIG)
+        assert kernel.vfs.read_file("/tmp/f") == b"0123"
 
 
 class TestResourceTail:

@@ -100,6 +100,13 @@ class TestRun:
         assert status == 128 + 9
         assert "MAC mismatch" in captured.err
 
+    def test_chaining_is_not_an_option(self, workspace, capsys):
+        installed = _install(workspace)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--fast-mac", "run", str(installed), "--no-chain"])
+        assert exit_info.value.code == 2
+        assert "--no-chain" in capsys.readouterr().err
+
     def test_enforce_refuses_legacy(self, workspace, capsys):
         binary = _assemble(workspace)
         capsys.readouterr()
