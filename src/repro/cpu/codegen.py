@@ -1,21 +1,51 @@
-"""Python source for compiled superblock passes.
+"""Python source for compiled superblock loops.
 
 :func:`pass_source` turns the flat, unrolled member list that
 :meth:`repro.cpu.threaded.BlockCache._fuse` builds into the source of
-one straight-line function, ``superblock(vm)``, that runs exactly one
-pass over the fused cycle.  The engine compiles that source once per
-superblock against a fresh namespace holding only the names the source
-reads: ``regs`` (the register file), ``tlb`` (the data-TLB unpacker),
-``load``/``store`` (the shared memory slow paths), ``leave``,
-``smc_abort`` and ``div_zero`` (exits and faults) and ``U32``.  The
-``threaded`` module docstring describes what a pass does inline and
-what it leaves to those helpers.
+one function, ``superblock(vm, b)``, that runs whole passes over the
+fused cycle for as long as the instruction budget ``b`` covers another
+one and returns how many instructions it ran.  The caller accounts the
+first pass before the call; the function accounts each later pass as it
+starts it.  A one-argument call runs exactly one pass.
+
+Inside the function the guest registers it touches are Python locals
+(``r0``..``r15``), loaded from the register file once per call:
+
+- **Constants propagate.**  A register set by ``LI`` (or computed from
+  known values only) is substituted into later code as a literal and
+  folded; its local is assigned only before something that can observe
+  it (any helper call or exit, and the end of the pass), so an ``LI``
+  the next instruction overwrites costs nothing.  An address with no
+  displacement is the base register itself.
+- **Flags are lazy.**  A compare only records its operands in ``fx``/
+  ``fy``; the branches after it test those with the compare's literal
+  folded in, and ``vm.flag_zero``/``vm.flag_neg`` are computed from
+  them once, at write-back.  A branch that runs before the pass's first
+  compare reads ``z``/``n``: the VM's flags on the first pass, the last
+  compare's on later ones.
+- **One write-back.**  The pass loop sits in one ``try``/``finally``
+  that stores the written registers and the flags back to ``vm``, so
+  every way out (the loop's end, an off-cycle ``leave``, an SMC abort,
+  a fault raised by ``div_zero`` or by the ``load``/``store`` helpers)
+  leaves the state the interpreter leaves.  No helper reads the
+  registers or flags, so writing them after the helper has run is
+  exact.
+
+The engine compiles that source once per superblock against a fresh
+namespace holding only the names the source reads: ``regs`` (the
+register file), ``tlb`` (the data-TLB unpacker), ``load``/``store``
+(the shared memory slow paths), ``leave``, ``smc_abort`` and
+``div_zero`` (exits and faults) and ``U32``.  The ``threaded`` module
+docstring describes what a pass does inline and what it leaves to
+those helpers.
 
 The source is assembled from fixed templates.  The only values
 formatted into them are integers the generator computed itself —
-register indices from ``decode_fields``, masked immediates, PCs and
-accounting corrections — and :func:`fill` rejects anything else, so no
-guest byte or string can become source text.
+register indices from ``decode_fields``, masked immediates and folded
+constants, PCs and accounting corrections — and :func:`fill` rejects
+anything else, so no guest byte or string can become source text.
+Operand texts (a register local or a literal) are themselves
+:func:`fill` output.
 """
 
 from __future__ import annotations
@@ -24,39 +54,37 @@ from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.opcodes import OPCODE_INFO, Op
 
 _MASK = 0xFFFFFFFF
+_SIGN = 0x8000_0000
 _CPUWORK = Op.CPUWORK
-_DIVI = Op.DIVI
 
-#: Register-only templates.  Fields: ``d`` destination, ``a``/``b``
-#: sources, ``v`` the masked immediate, ``c`` the cycle correction
-#: (``RDTSC`` subtracts it from the batched total).
-_ARITH = {
-    Op.LI: "R[{d}] = {v}",
-    Op.MOV: "R[{d}] = R[{a}]",
-    Op.ADD: "R[{d}] = (R[{a}] + R[{b}]) & 0xFFFFFFFF",
-    Op.SUB: "R[{d}] = (R[{a}] - R[{b}]) & 0xFFFFFFFF",
-    Op.MUL: "R[{d}] = (R[{a}] * R[{b}]) & 0xFFFFFFFF",
-    Op.AND: "R[{d}] = R[{a}] & R[{b}]",
-    Op.OR: "R[{d}] = R[{a}] | R[{b}]",
-    Op.XOR: "R[{d}] = R[{a}] ^ R[{b}]",
-    Op.SHL: "R[{d}] = (R[{a}] << (R[{b}] & 31)) & 0xFFFFFFFF",
-    Op.SHR: "R[{d}] = R[{a}] >> (R[{b}] & 31)",
-    Op.ADDI: "R[{d}] = (R[{a}] + {v}) & 0xFFFFFFFF",
-    Op.SUBI: "R[{d}] = (R[{a}] - {v}) & 0xFFFFFFFF",
-    Op.MULI: "R[{d}] = (R[{a}] * {v}) & 0xFFFFFFFF",
-    Op.DIVI: "R[{d}] = (R[{a}] // {v}) & 0xFFFFFFFF",
-    Op.ANDI: "R[{d}] = R[{a}] & {v}",
-    Op.ORI: "R[{d}] = R[{a}] | {v}",
-    Op.XORI: "R[{d}] = R[{a}] ^ {v}",
-    Op.SHLI: "R[{d}] = (R[{a}] << {v}) & 0xFFFFFFFF",
-    Op.SHRI: "R[{d}] = R[{a}] >> {v}",
-    Op.RDTSC: "R[{d}] = (vm.cycles - {c}) & 0xFFFFFFFF",
-    Op.RDTSCH: "R[{d}] = ((vm.cycles - {c}) >> 32) & 0xFFFFFFFF",
+#: Two-operand ALU ops -> (source template over the operand texts
+#: ``{a}``/``{b}``, the interpreter's semantics for constant folding).
+#: For the shifts ``{b}`` is the already-masked count.
+_ALU = {
+    Op.ADD: ("({a} + {b}) & 0xFFFFFFFF", lambda a, b: (a + b) & _MASK),
+    Op.SUB: ("({a} - {b}) & 0xFFFFFFFF", lambda a, b: (a - b) & _MASK),
+    Op.MUL: ("({a} * {b}) & 0xFFFFFFFF", lambda a, b: (a * b) & _MASK),
+    Op.DIV: ("({a} // {b}) & 0xFFFFFFFF", lambda a, b: (a // b) & _MASK),
+    Op.MOD: ("({a} % {b}) & 0xFFFFFFFF", lambda a, b: (a % b) & _MASK),
+    Op.AND: ("{a} & {b}", lambda a, b: a & b),
+    Op.OR: ("{a} | {b}", lambda a, b: a | b),
+    Op.XOR: ("{a} ^ {b}", lambda a, b: a ^ b),
+    Op.SHL: ("({a} << {b}) & 0xFFFFFFFF", lambda a, b: (a << b) & _MASK),
+    Op.SHR: ("{a} >> {b}", lambda a, b: a >> b),
 }
-#: Immediates narrower than 32 bits: shift counts.
-_IMM_MASK = {Op.SHLI: 31, Op.SHRI: 31}
-#: Division by a register -> Python operator (the divisor is checked).
-_DIVIDE = {Op.DIV: "//", Op.MOD: "%"}
+#: Immediate forms -> the register op they apply to ``(ra, imm)``.
+_IMMEDIATE = {
+    Op.ADDI: Op.ADD, Op.SUBI: Op.SUB, Op.MULI: Op.MUL, Op.DIVI: Op.DIV,
+    Op.ANDI: Op.AND, Op.ORI: Op.OR, Op.XORI: Op.XOR, Op.SHLI: Op.SHL,
+    Op.SHRI: Op.SHR,
+}
+_SHIFTS = frozenset((Op.SHL, Op.SHR))
+_DIVIDES = frozenset((Op.DIV, Op.MOD))
+#: Cycle-counter reads: ``c`` is the correction from the batched total.
+_RDTSC = {
+    Op.RDTSC: "(vm.cycles - {c}) & 0xFFFFFFFF",
+    Op.RDTSCH: "((vm.cycles - {c}) >> 32) & 0xFFFFFFFF",
+}
 #: Memory access -> (size, stack); ``stack`` selects the PUSH/POP
 #: fault-message prefix in the shared helpers.
 _LOADS = {Op.LD: (4, 0), Op.LDB: (1, 0), Op.POP: (4, 1)}
@@ -64,21 +92,25 @@ _STORES = {Op.ST: (4, 0), Op.STB: (1, 0), Op.PUSH: (4, 1)}
 _COMPARES = frozenset((Op.CMP, Op.CMPI))
 #: Accounting-only opcodes: their cycles are in the batched total.
 _NO_CODE = frozenset((Op.NOP, Op.CPUWORK))
-#: Control transfer -> (taken, not taken) predicates over the flag
-#: locals; ``None`` for ``JMP``.
-_BRANCHES = {
+#: Conditional branch -> the relation between the compare's operands
+#: (signed for the orderings) under which it is taken.
+_TAKEN = {
+    Op.BEQ: "==", Op.BNE: "!=", Op.BLT: "<", Op.BGE: ">=", Op.BLE: "<=", Op.BGT: ">",
+}
+_NEGATED = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
+#: The same conditions over the flag locals ``z``/``n``, for a branch
+#: that runs before the pass's first compare: (taken, not taken).
+_FROM_FLAGS = {
     Op.BEQ: ("z", "not z"),
     Op.BNE: ("not z", "z"),
     Op.BLT: ("n", "not n"),
     Op.BGE: ("not n", "n"),
     Op.BLE: ("n or z", "not (n or z)"),
     Op.BGT: ("not (n or z)", "n or z"),
-    Op.JMP: None,
 }
-
-_SIGNED_X = "(x - 0x100000000 if x & 0x80000000 else x)"
-_SIGNED_Y = "(y - 0x100000000 if y & 0x80000000 else y)"
-_FLAGS_FROM_VM = ("z = vm.flag_zero", "n = vm.flag_neg")
+#: The flags of the compare recorded in ``fx``/``fy``; XOR with the sign
+#: bit turns the signed order of two u32 values into their plain order.
+_FLAGS = ("fx == fy", "(fx ^ 0x80000000) < (fy ^ 0x80000000)")
 
 
 def prefix_cycles(code) -> list:
@@ -96,125 +128,246 @@ def prefix_cycles(code) -> list:
     return prefix
 
 
-def fill(template: str, **fields) -> str:
-    """Format a template with generator-computed integers only; any
-    other type (a string, bytes, a bool) is a generator bug."""
+class _Code(str):
+    """Source text that :func:`fill` built from ints: an operand (a
+    register local or a literal) that may go into another template."""
+
+
+def fill(template: str, **fields) -> _Code:
+    """Format a template with generator-computed integers (or text
+    :func:`fill` built from them) only; any other type (a string,
+    bytes, a bool) is a generator bug."""
     for value in fields.values():
-        if type(value) is not int:
+        if type(value) is not int and type(value) is not _Code:
             raise TypeError(f"superblock source takes ints, got {type(value).__name__}")
-    return template.format(**fields)
+    return _Code(template.format(**fields))
+
+
+#: The local each guest register lives in.
+_REG = tuple(fill("r{r}", r=reg) for reg in range(16))
+
+
+def _condition(op, taken: bool, compared) -> _Code:
+    """The test for branch ``op`` going the ``taken`` way, over the
+    operands of the compare before it in the pass: ``fx`` and the
+    literal ``compared``, or ``fy`` when that is ``None``."""
+    relation = _TAKEN[op] if taken else _NEGATED[_TAKEN[op]]
+    if relation in ("==", "!="):
+        if compared is None:
+            return fill("fx " + relation + " fy")
+        return fill("fx " + relation + " {v}", v=compared)
+    if compared is None:
+        return fill("(fx ^ 0x80000000) " + relation + " (fy ^ 0x80000000)")
+    return fill("(fx ^ 0x80000000) " + relation + " {v}", v=compared ^ _SIGN)
 
 
 def pass_source(flat: list, span_lo: int, span_hi: int):
-    """Emit one superblock pass as Python source.
+    """Emit a superblock's pass loop as Python source.
 
     ``flat`` is the unrolled member list ``(pc, op, regs, imm, off_pc,
     on_taken)``: ``off_pc`` is the off-cycle successor of a member's
     conditional terminator (-1 when control stays on the cycle either
     way) and ``on_taken`` whether the cycle continues on the taken
-    edge.  The last entry closes the pass.  ``[span_lo, span_hi)`` is
-    the fused code span a store must not touch.
+    edge.  The first entry is the head, the last closes the pass.
+    ``[span_lo, span_hi)`` is the fused code span a store must not
+    touch.
 
-    The function body uses the locals ``R`` (register file), ``z``/``n``
-    (flags, also written to ``vm`` at every compare), ``tb``/``td``/
-    ``tr``/``tr4`` (the data-TLB entry at pass entry: start, bytes,
-    readable length, readable length - 4) and scratch ``a``/``o``/
-    ``v``/``x``/``y``."""
+    Besides the register locals the function uses ``b`` (the budget),
+    ``d`` (instructions the call's finished passes ran), ``fx``/``fy``
+    (the last compare's operands; ``fx`` is None before the call's
+    first), ``z``/``n`` (the flags a branch ahead of the pass's first
+    compare reads), ``tb``/``td``/``tr``/``tr4`` (the data-TLB entry:
+    start, bytes, readable length, readable length - 4; re-read after
+    every load miss) and scratch ``a``/``o``/``v``."""
     prefix = prefix_cycles(flat)
     total = prefix[-1]
-    last = len(flat) - 1
-    body = ["R = regs"]
-    if any(entry[1] in _LOADS for entry in flat):
-        # The data-TLB entry as of pass entry.  A load that misses it
-        # calls the shared helper, which checks the live entry (and
-        # refills it) before the canonical path; either way the value
-        # is the memory's, so these locals never need refreshing.
-        body.append("tb, td, tr, tr4 = tlb()")
-    flags = False  # are the z/n locals bound yet?
+    count = len(flat)
+    last = count - 1
+    body = []
+    known = {}  # register -> the constant it holds here
+    pending = set()  # known registers whose local is not assigned yet
+    written = set()
+
+    def operand(reg: int) -> _Code:
+        value = known.get(reg)
+        return _REG[reg] if value is None else fill("{v}", v=value)
+
+    def overwritten(reg: int) -> None:
+        known.pop(reg, None)
+        pending.discard(reg)
+        written.add(reg)
+
+    def assign(reg: int, template: str, **fields) -> None:
+        overwritten(reg)
+        body.append(fill("r{r} = " + template, r=reg, **fields))
+
+    def constant(reg: int, value: int) -> None:
+        known[reg] = value
+        pending.add(reg)
+        written.add(reg)
+
+    def flush() -> None:
+        # Before anything that can leave the function, and at the end
+        # of the pass: every local holds its register's value.
+        for reg in sorted(pending):
+            body.append(fill("r{r} = {v}", r=reg, v=known[reg]))
+        pending.clear()
+
+    def address(reg: int, disp: int) -> _Code:
+        base = known.get(reg)
+        if base is not None:
+            return fill("{v}", v=(base + disp) & _MASK)
+        if disp & _MASK == 0:
+            return _REG[reg]
+        body.append(fill("a = (r{r} + {v}) & 0xFFFFFFFF", r=reg, v=disp & _MASK))
+        return fill("a")
+
+    compared = None  # the last compare's right operand, when a literal
+    seen_compare = False
+    reads_flags = False  # does a branch run before the pass's first compare?
+    closing = None
     for j, (pc, op, regs, imm, off_pc, on_taken) in enumerate(flat):
         if op in _NO_CODE:
             continue
         # The rollback triple every out-of-line call carries (cycle
         # correction, instruction correction, PC) and the count of
-        # instructions completed through this one.
+        # instructions this pass has completed through this one (the
+        # call's earlier passes, ``d``, are added at run time).
         corr = dict(c=total - prefix[j], i=last - j, p=pc, k=j + 1)
         d, a, b = (regs + (0, 0, 0))[:3]
 
-        if op in _BRANCHES:
-            predicate = _BRANCHES[op]
-            if predicate is not None and not flags and (j == last or off_pc >= 0):
-                body += _FLAGS_FROM_VM
-                flags = True
-            if j == last:
-                # Pass-closing terminator: set vm.pc either way; the
-                # pass loop compares it with the superblock entry.
-                target = fill("{t}", t=imm & _MASK)
-                if predicate is None:
-                    body.append(f"vm.pc = {target}")
-                else:
-                    nxt = fill("{x}", x=pc + INSTRUCTION_SIZE)
-                    body.append(f"vm.pc = {target} if {predicate[0]} else {nxt}")
-            elif off_pc >= 0:
-                leaves = predicate[1 if on_taken else 0]
-                body.append(f"if {leaves}: " + fill(
-                    "leave(vm, {c}, {i}, {t}, {k})", t=off_pc, **corr))
-            continue
-
-        template = _ARITH.get(op)
-        if template is not None:
-            v = (imm or 0) & _IMM_MASK.get(op, _MASK)
-            if op is _DIVI and v == 0:
-                body.append(fill("div_zero(vm, {c}, {i}, {p})", **corr))
+        if op in _TAKEN:
+            if off_pc < 0:
+                continue  # both ways stay on the cycle
+            leaves = not on_taken
+            if seen_compare:
+                test = _condition(op, leaves, compared)
             else:
-                body.append(fill(template, d=d, a=a, b=b, v=v, c=corr["c"]))
-        elif op in _DIVIDE:
-            body += [
-                fill("y = R[{b}]", b=b),
-                "if y == 0: " + fill("div_zero(vm, {c}, {i}, {p})", **corr),
-                fill("R[{d}] = (R[{a}] " + _DIVIDE[op] + " y) & 0xFFFFFFFF", d=d, a=a),
-            ]
+                test = fill(_FROM_FLAGS[op][0 if leaves else 1])
+                reads_flags = True
+            flush()
+            if j == last:
+                closing = fill("if {t}: vm.pc = {o}; break", t=test, o=off_pc)
+            else:
+                body.append(fill("if {t}: leave(vm, {c}, {i}, {o}, {k} + d)",
+                                 t=test, o=off_pc, **corr))
+        elif op is Op.JMP:
+            continue  # its target is the next member
         elif op in _COMPARES:
             if imm is None:  # CMP ra, rb
-                body += [fill("x = R[{d}]", d=d), fill("y = R[{a}]", a=a),
-                         "z = x == y", f"n = {_SIGNED_X} < {_SIGNED_Y}"]
+                compared = known.get(a)
+                right = operand(a)
             else:  # CMPI ra, imm
-                value = imm & _MASK
-                signed = value - 0x1_0000_0000 if value & 0x8000_0000 else value
-                body += [fill("x = R[{d}]", d=d), fill("z = x == {v}", v=value),
-                         f"n = {_SIGNED_X} < " + fill("{s}", s=signed)]
-            body += ["vm.flag_zero = z", "vm.flag_neg = n"]
-            flags = True
+                compared = imm & _MASK
+                right = fill("{v}", v=compared)
+            body.append(fill("fx = {x}; fy = {y}", x=operand(d), y=right))
+            seen_compare = True
+        elif op is Op.LI:
+            constant(d, imm & _MASK)
+        elif op is Op.MOV:
+            if a in known:
+                constant(d, known[a])
+            elif d != a:
+                assign(d, "{a}", a=_REG[a])
+        elif op in _RDTSC:
+            assign(d, _RDTSC[op], c=corr["c"])
+        elif op in _ALU or op in _IMMEDIATE:
+            base = _IMMEDIATE.get(op, op)
+            template, evaluate = _ALU[base]
+            left = known.get(a)
+            right = known.get(b) if imm is None else imm & _MASK
+            if base in _SHIFTS and right is not None:
+                right &= 31
+            if base in _DIVIDES and right == 0:  # a zero divisor the generator knows
+                flush()
+                body.append(fill("div_zero(vm, {c}, {i}, {p})", **corr))
+                continue
+            if base in _DIVIDES and right is None:
+                flush()
+                body.append(fill("if r{r} == 0: div_zero(vm, {c}, {i}, {p})", r=b, **corr))
+            if left is not None and right is not None:
+                constant(d, evaluate(left, right))
+            elif right is not None:
+                assign(d, template, a=operand(a), b=right)
+            elif base in _SHIFTS:
+                assign(d, template, a=operand(a), b=fill("(r{r} & 31)", r=b))
+            else:
+                assign(d, template, a=operand(a), b=operand(b))
         elif op in _LOADS:
             size, stack = _LOADS[op]
-            if stack:  # POP rd: load at SP, then bump SP
-                body.append("a = R[15]")
-                dest = "v"
-            else:  # LD/LDB rd, [ra + disp]
-                body.append(fill("a = (R[{a}] + {v}) & 0xFFFFFFFF", a=a, v=imm))
-                dest = fill("R[{d}]", d=d)
+            flush()
+            where = operand(15) if stack else address(a, imm)
+            into = fill("v") if stack else _REG[d]
+            fields = dict(w=where, v=into, s=size, st=stack, **corr)
             body += [
-                "o = a - tb",
-                f"if 0 <= o <= tr4: {dest} = U32(td, o)[0]" if size == 4
-                else f"if 0 <= o < tr: {dest} = td[o]",
-                f"else: {dest} = " + fill("load(vm, a, {s}, {st}, {c}, {i}, {p})",
-                                          s=size, st=stack, **corr),
+                fill("o = {w} - tb", w=where),
+                fill("if 0 <= o <= tr4: {v} = U32(td, o)[0]" if size == 4
+                     else "if 0 <= o < tr: {v} = td[o]", v=into),
+                fill("else: {v} = load(vm, {w}, {s}, {st}, {c}, {i}, {p}); "
+                     "tb, td, tr, tr4 = tlb()", **fields),
             ]
-            if stack:
-                body += ["R[15] = (R[15] + 4) & 0xFFFFFFFF", fill("R[{d}] = v", d=d)]
+            if stack:  # POP rd: bump SP, then set rd (which may be SP)
+                assign(15, "({s} + 4) & 0xFFFFFFFF", s=operand(15))
+                assign(d, "v")
+            else:
+                overwritten(d)
         elif op in _STORES:
             size, stack = _STORES[op]
-            if stack:  # PUSH rs: decrement SP, store there
-                body += [fill("v = R[{d}]", d=d), "a = (R[15] - 4) & 0xFFFFFFFF", "R[15] = a"]
-                value = "v"
+            flush()
+            value = operand(d)
+            if stack:  # PUSH rs: decrement SP, then store the old rs there
+                if value == "r15":
+                    body.append("v = r15")
+                    value = fill("v")
+                assign(15, "({s} - 4) & 0xFFFFFFFF", s=operand(15))
+                where = fill("r15")
             else:  # ST/STB rs, [ra + disp]
-                body.append(fill("a = (R[{a}] + {v}) & 0xFFFFFFFF", a=a, v=imm))
-                value = fill("R[{d}]", d=d)
-            body.append(f"store(vm, a, {value}, " + fill(
-                "{s}, {st}, {c}, {i}, {p})", s=size, st=stack, **corr))
+                where = address(a, imm)
+            body.append(fill("store(vm, {w}, {v}, {s}, {st}, {c}, {i}, {p})",
+                             w=where, v=value, s=size, st=stack, **corr))
             # Conservative span check: a store anywhere in the fused
             # span ends the pass right after the write.
-            body.append(fill("if {lo} < a < {hi}: smc_abort(vm, {c}, {i}, {x}, {k})",
-                             lo=span_lo - size, hi=span_hi, x=pc + INSTRUCTION_SIZE, **corr))
+            body.append(fill("if {lo} < {w} < {hi}: smc_abort(vm, {c}, {i}, {x}, {k} + d)",
+                             lo=span_lo - size, w=where, hi=span_hi,
+                             x=pc + INSTRUCTION_SIZE, **corr))
         else:  # pragma: no cover - fusable blocks hold no other opcode
             raise AssertionError(f"no superblock template for {op!r}")
-    return "def superblock(vm):\n" + "".join(f"    {line}\n" for line in body)
+
+    # The pass's end: every local current; leave the cycle, stop where
+    # the budget cannot cover another pass, or account the next one.
+    flush()
+    body.append(fill("d += {n}", n=count))
+    if closing is not None:
+        body.append(closing)
+    body.append(fill("if d + {n} > b: vm.pc = {h}; break", n=count, h=flat[0][0]))
+    if reads_flags and seen_compare:
+        body += ["z = " + _FLAGS[0], "n = " + _FLAGS[1]]
+    body += [fill("vm.cycles += {t}", t=total),
+             fill("vm.instructions_executed += {n}", n=count)]
+
+    touched = set()
+    for _, op, regs, *_ in flat:
+        touched.update(regs)
+        if op is Op.PUSH or op is Op.POP:
+            touched.add(15)
+    head = ["R = regs"] + [fill("r{r} = R[{r}]", r=reg) for reg in sorted(touched)]
+    if reads_flags:
+        head += ["z = vm.flag_zero", "n = vm.flag_neg"]
+    if seen_compare:
+        head.append("fx = None")
+    if any(entry[1] in _LOADS for entry in flat):
+        head.append("tb, td, tr, tr4 = tlb()")
+    head += ["d = 0", "try:", "    while True:"]
+    writeback = [fill("R[{r}] = r{r}", r=reg) for reg in sorted(written)]
+    if seen_compare:
+        writeback += ["if fx is not None:",
+                      "    vm.flag_zero = " + _FLAGS[0],
+                      "    vm.flag_neg = " + _FLAGS[1]]
+    return "".join([
+        fill("def superblock(vm, b={n}):\n", n=count),
+        *[f"    {line}\n" for line in head],
+        *[f"            {line}\n" for line in body],
+        "    finally:\n",
+        *[f"        {line}\n" for line in writeback or ["pass"]],
+        "    return d\n",
+    ])

@@ -25,10 +25,10 @@ always on:
 - **Compiled superblocks.**  When a chain closes a hot cycle (a
   fusable block's execution count crosses a multiple of 256), the
   member blocks are unrolled into one flat instruction list and
-  emitted as the source of one Python function, compiled once.  A pass
-  over the cycle is one call of that function, under one merged
-  version-guard vector and one batched cycle/budget update.  See
-  *The superblock tier* below.
+  emitted as the source of one Python function, compiled once.  One
+  call of that function runs as many passes over the cycle as the
+  budget covers, under one merged version-guard vector checked at
+  entry.  See *The superblock tier* below.
 
 The invalidation invariant that makes chaining sound: **a chained or
 fused entry never re-validates its target's guards, so any write that
@@ -98,18 +98,28 @@ The superblock tier
 -------------------
 
 ``_fuse`` flattens up to 16 unrolled copies of the cycle (about 128
-instructions) and :func:`repro.cpu.codegen.pass_source` emits them as
-one straight-line function ``superblock(vm)`` that executes exactly
-one pass:
+instructions, one *pass*) and :func:`repro.cpu.codegen.pass_source`
+emits them as one function ``superblock(vm, b)``.  The caller
+checks the guards and accounts the first pass; the function runs that
+pass, then accounts and runs each further pass while it ends back at
+the head and the budget covers another, and returns the instructions
+it ran (an exit's ``BlockAbort.consumed`` counts the call's finished
+passes too).  So ``_run_superblock`` is one call per entry, not one
+per pass:
 
-- **Inline:** register and flag arithmetic for every straight-line
-  opcode, the data-TLB hit path of ``LD``/``LDB``/``POP`` (against
-  the TLB entry unpacked into locals at pass entry), ``RDTSC``/``RDTSCH`` (the
-  batched cycle total minus a literal correction), the exit test of
-  each mid-pass conditional branch, and the span check after each
-  store.  Intra-cycle ``JMP``s emit nothing; the pass-closing
-  terminator only sets ``vm.pc``, which the pass loop compares with
-  the head.
+- **Inline, on locals:** the registers the cycle touches are Python
+  locals for the whole call, loaded once and written back once, in a
+  ``finally`` that every exit and fault passes through.  Register
+  arithmetic for every straight-line opcode, with ``LI`` constants
+  folded into their uses and assigned to their local only before
+  something can observe it; each compare only records its operands
+  and the branches after it test those, so the flags are computed
+  once, at write-back; ``RDTSC``/``RDTSCH`` (the batched cycle total
+  minus a literal correction); the data-TLB hit path of ``LD``/
+  ``LDB``/``POP`` against the TLB entry unpacked into locals at entry
+  and re-read after a miss; the exit test of each mid-pass conditional
+  branch; and the span check after each store.  Intra-cycle ``JMP``s
+  emit nothing.
 - **Out of line,** through helpers shared with the block thunks: a
   data-TLB miss, every store (pre-image ``note_write`` before the bytes
   land), every fault, and every exit.  Each call passes the literal
@@ -204,9 +214,11 @@ _U32 = Struct("<I").unpack_from
 class BlockAbort(Exception):
     """Internal control flow: the running block/superblock must stop
     early with the architectural state already settled by the raiser.
-    ``consumed`` is how many instructions completed; ``smc`` marks
-    aborts caused by a store into the running translation's own span
-    (used to tear down pathologically self-modifying superblocks)."""
+    ``consumed`` is how many instructions completed since the block
+    was entered (for a superblock, since the call began: its finished
+    passes count too); ``smc`` marks aborts caused by a store into the
+    running translation's own span (used to tear down pathologically
+    self-modifying superblocks)."""
 
     def __init__(self, consumed: int, smc: bool = False):
         self.consumed = consumed
@@ -310,9 +322,9 @@ class Block:
 
 
 class Superblock:
-    """A fused, unrolled hot cycle: one generated function per pass,
-    one guard vector, one batched accounting update and budget
-    decrement per pass."""
+    """A fused, unrolled hot cycle: one generated function that runs
+    passes until an exit or the budget stops it, one guard check per
+    entry, one batched accounting update per pass."""
 
     __slots__ = (
         "entry", "count", "total_cycles", "run", "flat", "span", "guards",
@@ -323,7 +335,7 @@ class Superblock:
         self.entry = entry
         self.count = count
         self.total_cycles = total_cycles
-        #: The generated pass function ``run(vm)``, compiled from the
+        #: The generated function ``run(vm, budget)``, compiled from the
         #: unrolled member list ``flat`` and the code ``span`` on first
         #: entry, so a superblock that dies before it is entered (or is
         #: never entered) costs no ``compile()``.
@@ -438,39 +450,33 @@ class BlockCache:
 
     def _run_superblock(self, sb: Superblock, budget: int):
         """Execute passes of a fused cycle while the budget covers a
-        full pass.  Returns ``(entered, budget)``; ``entered`` is
-        False when the guard vector was stale (the superblock is then
-        killed and the caller falls back to per-block execution)."""
+        full pass: one call of the generated function, which loops
+        over the passes itself.  Returns ``(entered, budget)``;
+        ``entered`` is False when the guard vector was stale (the
+        superblock is then killed and the caller falls back to
+        per-block execution)."""
         for region, version in sb.guards:
             if region.version != version:
                 self._kill_superblock(sb)
                 return False, budget
+        run = sb.run
+        if run is None:
+            run = self._codegen(sb)
         vm = self.vm
-        entry = sb.entry
-        count = sb.count
-        cycles = sb.total_cycles
-        run_pass = sb.run
-        if run_pass is None:
-            run_pass = self._codegen(sb)
-        while count <= budget:
-            vm.cycles += cycles
-            vm.instructions_executed += count
-            try:
-                run_pass(vm)
-            except BlockAbort as abort:
-                # The raiser already rolled the batched accounting
-                # back and set vm.pc; only the budget needs settling.
-                budget -= abort.consumed
-                if abort.smc and not sb.dead:
-                    sb.smc_aborts += 1
-                    if sb.smc_aborts >= _SB_SMC_LIMIT:
-                        sb.blocks[0].fusable = False
-                        self._kill_superblock(sb)
-                break
-            budget -= count
-            if vm.pc != entry:
-                break
-        return True, budget
+        vm.cycles += sb.total_cycles  # the first pass; later ones account themselves
+        vm.instructions_executed += sb.count
+        try:
+            return True, budget - run(vm, budget)
+        except BlockAbort as abort:
+            # The raiser already rolled the batched accounting back
+            # and set vm.pc; ``consumed`` counts the call's earlier
+            # passes too, so only the budget needs settling.
+            if abort.smc and not sb.dead:
+                sb.smc_aborts += 1
+                if sb.smc_aborts >= _SB_SMC_LIMIT:
+                    sb.blocks[0].fusable = False
+                    self._kill_superblock(sb)
+            return True, budget - abort.consumed
 
     # -- cache management ----------------------------------------------
 

@@ -227,6 +227,7 @@ class Kernel:
         process.signal_handlers.clear()
         process.capabilities = CapabilityTable()
         process.mmap_cursor = MMAP_BASE
+        process.mmap_bytes = 0
         self._drop_jit(process)
         if self.fastpath:
             process.jit = self._new_jit()
@@ -703,6 +704,7 @@ class Kernel:
                 owner=dict(parent_caps.owner),
             ),
             mmap_cursor=parent.mmap_cursor,
+            mmap_bytes=parent.mmap_bytes,
             # A fresh partition: the child's starts empty and a
             # sibling's compiled verifier is never consulted, so a
             # cross-process thunk-poisoning angle does not exist by

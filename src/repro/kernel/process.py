@@ -109,6 +109,8 @@ class Process:
     capabilities: CapabilityTable = field(default_factory=CapabilityTable)
     #: Next anonymous mmap address.
     mmap_cursor: int = MMAP_BASE
+    #: Bytes mapped with mmap so far (bounded by ``MAX_MMAP_BYTES``).
+    mmap_bytes: int = 0
     #: The compiled per-site verifier thunks of the current image (None
     #: with the fast path off, and after exit).
     jit: Optional["VerifierJit"] = None

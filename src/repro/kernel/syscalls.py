@@ -158,6 +158,13 @@ MAX_RW = 1 << 20  # single-call transfer cap, a sanity bound
 #: largest file the tests, batteries and full-scale benchmarks write
 #: is 262,906 bytes, so 16 MiB leaves them 64x headroom.
 MAX_FILE_SIZE = 1 << 24
+#: Most bytes one process may map with ``mmap`` (page-rounded sizes,
+#: summed since its image was loaded, inherited across fork).
+#: ``munmap`` frees nothing, so nothing is credited back; a call that
+#: would pass the cap fails with ENOMEM and changes nothing.  The
+#: largest total any test, battery or benchmark maps is 8 KiB, so
+#: 16 MiB leaves them 2048x headroom.
+MAX_MMAP_BYTES = 1 << 24
 PAGE = 0x1000
 
 
@@ -737,18 +744,22 @@ def _mmap(ctx: SyscallContext) -> int:
     fd = ctx.args[4] if len(ctx.args) > 4 else 0xFFFFFFFF
     if length == 0:
         return Errno.EINVAL.as_result()
+    process = ctx.process
+    description = None
+    if fd != 0xFFFFFFFF and fd < 0x8000_0000:
+        description = process.fd(fd)  # EBADF before anything is mapped
     size = (length + PAGE - 1) & ~(PAGE - 1)
-    base = ctx.process.mmap_cursor
-    if base + size > 0x1_0000_0000:
-        return Errno.ENOMEM.as_result()  # past the top of the address space
-    ctx.process.mmap_cursor = base + size + PAGE
+    base = process.mmap_cursor
+    if base + size > 0x1_0000_0000 or process.mmap_bytes + size > MAX_MMAP_BYTES:
+        return Errno.ENOMEM.as_result()  # past the address space or the cap
+    process.mmap_cursor = base + size + PAGE
+    process.mmap_bytes += size
     from repro.cpu.memory import PROT_READ, PROT_WRITE
 
     region = ctx.vm.memory.map_region(
         base, size, PROT_READ | PROT_WRITE, name=f"[mmap:{base:#x}]"
     )
-    if fd != 0xFFFFFFFF and fd < 0x8000_0000:
-        description = ctx.process.fd(fd)
+    if description is not None:
         if description.inode is not None and description.inode.is_file:
             content = bytes(description.inode.data[:size])
             region.data[: len(content)] = content

@@ -3,7 +3,10 @@
 import struct
 
 from repro.kernel.errors import Errno, errno_of, is_error
+from repro.kernel.process import MMAP_BASE
+from repro.kernel.syscalls import MAX_MMAP_BYTES, PAGE
 from tests.kernel.conftest import run_guest
+from tests.kernel.sched.conftest import run_sched_guest
 
 EXIT0 = """
     li r1, 0
@@ -390,6 +393,67 @@ class TestMemoryCalls:
     call sys_exit
 """, ["open", "mmap"], data='.section .rodata\npath:\n  .asciz "/tmp/f"')
         assert result.exit_status == ord("Q")
+
+    def test_mmap_of_an_unopened_fd_maps_nothing(self, kernel):
+        result = run_guest(kernel, _mmap_call(0x100000, fd=77) + _exit_with_r0(), ["mmap"])
+        assert result.exit_status == Errno.EBADF.as_result() & 0xFF
+        assert (result.process.mmap_cursor, result.process.mmap_bytes) == (MMAP_BASE, 0)
+        assert not [r for r in result.vm.memory.regions() if r.name.startswith("[mmap")]
+
+    def test_mmap_up_to_the_cap_then_one_page_past_it(self, kernel):
+        result = run_guest(kernel, _mmap_call(MAX_MMAP_BYTES) + """
+    mov r13, r0
+""" + _mmap_call(PAGE) + """
+    mov r12, r0
+""" + EXIT0, ["mmap"])
+        assert result.exit_status == 0
+        assert result.vm.regs[13] == MMAP_BASE
+        assert result.vm.regs[12] == Errno.ENOMEM.as_result()
+        process = result.process
+        assert process.mmap_bytes == MAX_MMAP_BYTES
+        assert process.mmap_cursor == MMAP_BASE + MAX_MMAP_BYTES + PAGE
+        mapped = [r for r in result.vm.memory.regions() if r.name.startswith("[mmap")]
+        assert [len(r.data) for r in mapped] == [MAX_MMAP_BYTES]
+
+    def test_fork_child_starts_from_its_parents_mmap_total(self, kernel):
+        # The parent maps all but one page; the child may map that page
+        # and no more.
+        multi = run_sched_guest(kernel, _mmap_call(MAX_MMAP_BYTES - PAGE) + """
+    call sys_fork
+    cmpi r0, 0
+    beq child
+    mov r1, r0
+    li r2, wstatus
+    li r3, 0
+    li r4, 0
+    call sys_wait4
+""" + EXIT0 + """
+child:
+""" + _mmap_call(2 * PAGE) + """
+    mov r12, r0
+""" + _mmap_call(PAGE) + """
+    mov r13, r0
+""" + EXIT0, ["mmap", "fork", "wait4"], data=".section .data\nwstatus:\n    .space 4")
+        parent, child = (multi.scheduler.tasks[pid] for pid in sorted(multi.scheduler.tasks))
+        assert parent.process.mmap_bytes == MAX_MMAP_BYTES - PAGE
+        assert child.vm.regs[12] == Errno.ENOMEM.as_result()
+        assert child.vm.regs[13] == MMAP_BASE + MAX_MMAP_BYTES
+        assert child.process.mmap_bytes == MAX_MMAP_BYTES
+
+
+def _mmap_call(length: int, fd: int = 0xFFFFFFFF) -> str:
+    """Guest code for ``mmap(0, length, RW, flags, fd, 0)`` (anonymous
+    by default); the result lands in r0."""
+    flags = 0x22 if fd == 0xFFFFFFFF else 0x2
+    return f"""
+    li r1, 0
+    li r2, {length}
+    li r3, 3
+    li r4, {flags}
+    li r5, {fd}
+    li r6, 0
+    call sys_mmap
+"""
 
 
 class TestVectoredIo:
