@@ -123,15 +123,12 @@ def _measure(
     kernel = Kernel(key=BENCH_KEY, fastpath=fastpath)
     result = kernel.run(binary, max_instructions=200_000_000)
     assert result.ok, result.kill_reason
-    # Read the fast-path counters through the reset snapshot: reset()
-    # returns the pre-reset values as one immutable triple, so phases
-    # measured back to back can't race a bare reset against the next
-    # phase's accumulation.
-    fastpath_stats = kernel.audit.fastpath.reset()
+    hits = kernel.metrics.get("fastpath.hits")
+    lookups = hits + kernel.metrics.get("fastpath.misses")
     if authenticated and fastpath:
-        assert fastpath_stats.hits > 0, f"{syscall}: per-site cache never warmed"
+        assert hits > 0, f"{syscall}: per-site cache never warmed"
     else:
-        assert fastpath_stats.lookups == 0, (syscall, fastpath_stats)
+        assert lookups == 0, (syscall, lookups)
     image = link(binary)
     cells = image.address_of("cells")
     start = result.vm.memory.read_u32(cells, force=True)

@@ -42,10 +42,9 @@ def main() -> None:
     master_pid = min(tasks)
     for pid, task in sorted(tasks.items()):
         role = "master" if pid == master_pid else "worker"
-        switches = kernel.metrics.get(f"sched.switches.pid{pid}")
         print(f"  pid {pid} ({role}): exit={task.exit_status} "
               f"handled={len(task.process.stdout) // 8} records, "
-              f"switched in {switches}x")
+              f"switched in {task.switches}x")
     print(f"context switches: {kernel.metrics.get('sched.context_switches')}, "
           f"preemptions: {kernel.metrics.get('sched.preemptions')}, "
           f"blocked waits: {kernel.metrics.get('sched.blocks')}, "

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.configs import configs_named
 from repro.crypto import Key
+from repro.obs import MetricsRegistry
 
 from repro.conformance.corpus import make_entry, write_entry
 from repro.conformance.grammar import DEFAULT_TIMESLICE, generate_specs
@@ -127,9 +128,12 @@ def run_conformance(
     docstring for the contract).
 
     With ``corpus_dir`` set, each diverging program is minimized and
-    written there as a reproducer entry.  ``metrics`` and ``recorder``
-    receive ``conform.*`` counters and per-config spans; both are
-    host-side observability and never feed back into outcomes."""
+    written there as a reproducer entry.  ``metrics`` (a private
+    registry when omitted) receives the ``conform.*`` counters and
+    ``recorder`` per-config spans; both are host-side observability and
+    never feed back into outcomes."""
+    if metrics is None:
+        metrics = MetricsRegistry()
     key = key or Key.generate()
     configs = configs_named(config_names)
     names = tuple(config.name for config in configs)
@@ -163,9 +167,9 @@ def run_conformance(
         for out in outcomes.values():
             report.shadow_checked += out.shadow_checked
             report.shadow_disagreements += len(out.shadow_disagreements)
-        _count(metrics, recorder, "conform.programs")
-        _count(metrics, recorder, "conform.runs", len(outcomes))
-        _count(metrics, recorder, "conform.superblocks_fused", fused)
+        metrics.inc("conform.programs")
+        metrics.inc("conform.runs", len(outcomes))
+        metrics.inc("conform.superblocks_fused", fused)
         report.programs.append(
             {
                 "program_id": spec.program_id,
@@ -179,7 +183,7 @@ def run_conformance(
         if not diverged:
             continue
 
-        _count(metrics, recorder, "conform.divergences")
+        metrics.inc("conform.divergences")
         entry = {
             "program_id": spec.program_id,
             "configs": diverged,
@@ -202,10 +206,7 @@ def run_conformance(
             max_evaluations=shrink_budget,
         )
         totals["shrink_evaluations"] += result.evaluations
-        _count(
-            metrics, recorder, "conform.shrink_evaluations",
-            result.evaluations,
-        )
+        metrics.inc("conform.shrink_evaluations", result.evaluations)
         entry["minimized_ops"] = [op.to_json() for op in result.spec.ops]
         if corpus_dir is not None:
             reproducer = make_entry(
@@ -225,10 +226,3 @@ def run_conformance(
     totals["families"] = dict(sorted(family_totals.items()))
     report.totals = totals
     return report
-
-
-def _count(metrics, recorder, name: str, delta: int = 1) -> None:
-    if metrics is not None:
-        metrics.inc(name, delta)
-    if recorder is not None:
-        recorder.inc(name, delta)

@@ -28,6 +28,7 @@ from repro.crypto import Key
 from repro.faults.harness import classify, portable_signature, run_workload
 from repro.faults.plan import generate_plans
 from repro.faults.targets import build_workloads, section_sizes
+from repro.obs import MetricsRegistry
 
 OUTCOMES = ("detected", "benign", "missed")
 
@@ -120,10 +121,12 @@ def run_sweep(
     """Generate ``count`` plans from ``seed`` and replay each on every
     selected engine config (see module docstring for the contract).
 
-    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) and
-    ``recorder`` receive ``faults.*`` counters and per-run spans; both
-    are optional and, being host-side observability, never feed back
+    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`; a private one
+    when omitted) receives the ``faults.*`` counters and ``recorder``
+    per-run spans; being host-side observability, neither feeds back
     into outcomes."""
+    if metrics is None:
+        metrics = MetricsRegistry()
     key = key or Key.generate()
     configs = configs_named(config_names)
     workloads = build_workloads(key)
@@ -191,12 +194,8 @@ def run_sweep(
             by_config.setdefault(config.name, dict.fromkeys(OUTCOMES, 0))[
                 verdict
             ] += 1
-            if metrics is not None:
-                metrics.inc("faults.injected")
-                metrics.inc(f"faults.{verdict}")
-            if recorder is not None:
-                recorder.inc("faults.injected")
-                recorder.inc(f"faults.{verdict}")
+            metrics.inc("faults.injected")
+            metrics.inc(f"faults.{verdict}")
             run = {
                 "plan": asdict(plan),
                 "config": config.name,

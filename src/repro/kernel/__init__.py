@@ -19,11 +19,14 @@ Stands in for the paper's modified Linux kernel.  The pieces:
 - :mod:`repro.kernel.verifierjit` -- the per-process verification fast
   path: compiled per-site verifier thunks, guarded by region write
   versions (see DESIGN.md "Performance architecture").
+- :mod:`repro.kernel.audit` -- the audit log of kills, blocks and
+  alerts.  Counters are not kept here: each kernel's one
+  :class:`~repro.obs.MetricsRegistry` (``Kernel.metrics``) holds every
+  one, fast-path hits and misses included.
 """
 
 from repro.kernel.errors import Errno
 from repro.kernel.vfs import Vfs, VfsError
-from repro.kernel.audit import FastPathSnapshot, FastPathStats
 from repro.kernel.costs import CostModel
 from repro.kernel.kernel import EnforcementMode, Kernel, RunResult
 from repro.kernel.verifierjit import SiteThunk, VerifierJit
@@ -32,8 +35,6 @@ __all__ = [
     "CostModel",
     "EnforcementMode",
     "Errno",
-    "FastPathSnapshot",
-    "FastPathStats",
     "Kernel",
     "RunResult",
     "SiteThunk",

@@ -24,7 +24,7 @@ from repro.cpu.memory import (
 from repro.cpu.vm import VM, ProcessExit
 from repro.crypto import Key, MacProvider, mac_provider_for_key
 from repro.isa import INSTRUCTION_SIZE
-from repro.kernel.audit import AuditEvent, AuditLog, FastPathStats
+from repro.kernel.audit import AuditEvent, AuditLog
 from repro.kernel.auth import AuthChecker, AuthViolation
 from repro.kernel.costs import CostModel
 from repro.kernel.errors import Errno
@@ -126,11 +126,11 @@ class Kernel:
         #: Observability (see DESIGN.md "Observability").  ``obs`` is
         #: the span recorder — the shared NullRecorder unless the caller
         #: passes a :class:`repro.obs.TraceRecorder` — and ``metrics``
-        #: is the machine-wide counter registry that the audit log's
-        #: fast-path stats and the engines' post-run tallies feed.
+        #: is the machine-wide counter registry, the only place a
+        #: counter lives.
         self.obs: Recorder = recorder if recorder is not None else NULL_RECORDER
         self.metrics = MetricsRegistry()
-        self.audit = AuditLog(fastpath=FastPathStats(registry=self.metrics))
+        self.audit = AuditLog()
         self.capability_tracking = capability_tracking
         self.cycles_per_second = cycles_per_second
         #: No-execute enforcement.  The paper's 2005-era testbed had no
@@ -249,8 +249,6 @@ class Kernel:
         dropped = jit.invalidate()
         if dropped:
             self.metrics.inc("verifier.thunks_invalidated", dropped)
-            if self.obs.enabled:
-                self.obs.inc("verifier.thunks_invalidated", dropped)
 
     def _map_image(self, image) -> tuple[Memory, int]:
         """Map a linked image's segments plus a fresh heap."""
@@ -361,20 +359,20 @@ class Kernel:
         never outlives the address space it was compiled against."""
         self._vm_process.pop(id(vm), None)
         self._drop_jit(process)
-        self._sync_engine_metrics(vm)
+        self._fold_vm_tallies(vm)
 
     def _allocate_pid(self) -> int:
         pid = self._next_pid
         self._next_pid += 1
         return pid
 
-    def _sync_engine_metrics(self, vm: VM) -> None:
-        """Fold the engine-local tallies a run accumulated into the
-        machine-wide registry.  Done once per process teardown so the
-        hot loops only ever touch plain attribute counters."""
+    def _fold_vm_tallies(self, vm: VM) -> None:
+        """Add a retiring VM's decode- and block-cache tallies to the
+        registry (at exit, and for the image an execve replaces), so
+        the hot loops only ever touch plain attribute counters.  A fork
+        child and an exec'd image inherit instruction and trap totals,
+        so the scheduler counts those per slice instead."""
         metrics = self.metrics
-        metrics.inc("engine.instructions_retired", vm.instructions_executed)
-        metrics.inc("engine.syscalls", vm.syscall_count)
         metrics.inc("decode.invalidations", vm.decode_invalidations)
         block_cache = vm._block_cache
         if block_cache is not None:
@@ -384,17 +382,6 @@ class Kernel:
             metrics.inc("engine.chains_severed", block_cache.chains_severed)
             metrics.inc("engine.superblocks_fused", block_cache.superblocks_fused)
             metrics.inc("engine.superblocks_killed", block_cache.superblocks_killed)
-        if self.obs.enabled:
-            self.obs.inc("engine.instructions_retired", vm.instructions_executed)
-            self.obs.inc("engine.syscalls", vm.syscall_count)
-            self.obs.inc("decode.invalidations", vm.decode_invalidations)
-            if block_cache is not None:
-                self.obs.inc("engine.blocks_compiled", block_cache.compiles)
-                self.obs.inc("engine.blocks_evicted", block_cache.invalidations)
-                self.obs.inc("engine.chains_linked", block_cache.chains_linked)
-                self.obs.inc("engine.chains_severed", block_cache.chains_severed)
-                self.obs.inc("engine.superblocks_fused", block_cache.superblocks_fused)
-                self.obs.inc("engine.superblocks_killed", block_cache.superblocks_killed)
 
     # -- trap handling (TrapHandler protocol) --------------------------------
 
@@ -460,15 +447,7 @@ class Kernel:
         if traced:
             rec.end()  # syscall-verify
         if jit is not None:
-            if hit:
-                process.fastpath_hits += 1
-                outcome = "fastpath.hits"
-            else:
-                process.fastpath_misses += 1
-                outcome = "fastpath.misses"
-            self.metrics.inc(outcome)
-            if traced:
-                rec.inc(outcome)
+            self.metrics.inc("fastpath.hits" if hit else "fastpath.misses")
         if result.fd_mask and self.capability_tracking:
             self._check_capability(vm, process, result)
         try:
@@ -645,6 +624,7 @@ class Kernel:
         binary, image = self._resolve_executable(ctx.process, path)
         self._vm_process.pop(id(old_vm), None)
         new_vm = self._start_image(ctx.process, binary, image, argv)
+        self._fold_vm_tallies(old_vm)
         # Accounting continuity: the scheduler's slice bookkeeping and
         # the guest-visible clock see one uninterrupted process.
         new_vm.cycles = old_vm.cycles

@@ -31,6 +31,7 @@ from typing import Optional
 from repro.kernel.errors import Errno
 from repro.kernel.sched.blocking import WouldBlock
 from repro.kernel.vfs import VfsError
+from repro.obs import MetricsRegistry
 
 #: Address/protocol families (Linux numbering).
 AF_UNIX = 1
@@ -245,8 +246,9 @@ class NetStack:
     matching TCP/UDP port independence.
     """
 
-    def __init__(self, metrics=None):
-        self.metrics = metrics
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
+        #: The owning kernel's registry (a private one when standalone).
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         #: (type, address) -> bound Socket (listener or dgram receiver).
         self.ports: dict[tuple, Socket] = {}
         self._next_ident = 0
@@ -257,15 +259,11 @@ class NetStack:
         self._next_ident += 1
         return self._next_ident
 
-    def _inc(self, name: str, value: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(name, value)
-
     # -- socket lifecycle ----------------------------------------------
 
     def create(self, domain: int, type: int) -> Socket:
         sock = Socket(self, self._ident(), domain, type)
-        self._inc("net.sockets_created")
+        self.metrics.inc("net.sockets_created")
         return sock
 
     def _teardown(self, sock: Socket) -> None:
@@ -284,7 +282,7 @@ class NetStack:
         if sock.conn is not None:
             sock.conn.close(sock.side)
         sock.dgrams.clear()
-        self._inc("net.sockets_closed")
+        self.metrics.inc("net.sockets_closed")
 
     # -- naming --------------------------------------------------------
 
@@ -298,7 +296,7 @@ class NetStack:
             raise VfsError(Errno.EADDRINUSE)
         self.ports[key] = sock
         sock.address = address
-        self._inc("net.binds")
+        self.metrics.inc("net.binds")
 
     def listen(self, sock: Socket, backlog: int) -> None:
         if sock.type != SOCK_STREAM:
@@ -311,7 +309,7 @@ class NetStack:
             raise VfsError(Errno.EDESTADDRREQ)
         if sock.listener is None:
             sock.listener = ListenQueue(sock.ident, sock.address, backlog)
-            self._inc("net.listens")
+            self.metrics.inc("net.listens")
         else:
             sock.listener.backlog = max(1, min(backlog, MAX_BACKLOG))
 
@@ -330,7 +328,7 @@ class NetStack:
             raise VfsError(Errno.EISCONN)
         target = self.ports.get((SOCK_STREAM, address))
         if target is None or target.listener is None or not target.listener.open:
-            self._inc("net.connect_refused")
+            self.metrics.inc("net.connect_refused")
             raise VfsError(Errno.ECONNREFUSED)
         queue = target.listener
         if len(queue.pending) >= queue.backlog:
@@ -340,7 +338,7 @@ class NetStack:
         sock.side = 0
         sock.peer_address = address
         queue.pending.append(conn)
-        self._inc("net.connections")
+        self.metrics.inc("net.connections")
 
     def accept(self, sock: Socket) -> Socket:
         if sock.listener is None:
@@ -353,7 +351,7 @@ class NetStack:
         child.conn = conn
         child.side = 1
         child.address = sock.address
-        self._inc("net.accepts")
+        self.metrics.inc("net.accepts")
         return child
 
     # -- datagrams -----------------------------------------------------
@@ -365,8 +363,8 @@ class NetStack:
         if len(target.dgrams) >= DGRAM_QUEUE_MAX:
             raise WouldBlock(f"sock:{target.ident}:dgram")
         target.dgrams.append((sock.address or "", bytes(data)))
-        self._inc("net.dgrams_sent")
-        self._inc("net.bytes_sent", len(data))
+        self.metrics.inc("net.dgrams_sent")
+        self.metrics.inc("net.bytes_sent", len(data))
         return len(data)
 
     def recv_dgram(self, sock: Socket, count: int):
@@ -376,7 +374,7 @@ class NetStack:
         if not sock.dgrams:
             raise WouldBlock(f"sock:{sock.ident}:recvfrom")
         source, payload = sock.dgrams.popleft()
-        self._inc("net.dgrams_received")
+        self.metrics.inc("net.dgrams_received")
         return (source, payload[:count])
 
     # -- readiness (select/poll over sockets) --------------------------

@@ -114,9 +114,6 @@ class Process:
     #: The compiled per-site verifier thunks of the current image (None
     #: with the fast path off, and after exit).
     jit: Optional["VerifierJit"] = None
-    #: Verified traps: thunk hits and full checks, across execs.
-    fastpath_hits: int = 0
-    fastpath_misses: int = 0
 
     def __post_init__(self) -> None:
         if not self.fds:

@@ -295,7 +295,6 @@ class Scheduler:
             self._last_pid = pid
             task.switches += 1
             metrics.inc("sched.context_switches")
-            metrics.inc(f"sched.switches.pid{pid}")
             if self.on_switch is not None:
                 self.on_switch(self, task)
         rec = kernel.obs
@@ -304,6 +303,7 @@ class Scheduler:
             depth = rec.open_spans
             rec.begin(f"pid{pid}", "sched")
         before = task.vm.instructions_executed
+        traps_before = task.vm.syscall_count
         budget = min(self.timeslice, self.max_instructions - self._instructions)
         try:
             task.vm.run_slice(budget)
@@ -321,7 +321,7 @@ class Scheduler:
             metrics.inc("sched.blocks")
         except ImageReplaced as replaced:
             # The new image's VM carries the old one's counters, so the
-            # consumed computation below stays exact.
+            # deltas below stay exact.
             task.vm = replaced.vm
             self._runq.append(pid)
             metrics.inc("sched.execs")
@@ -344,6 +344,10 @@ class Scheduler:
         consumed = task.vm.instructions_executed - before
         self._instructions += consumed
         self.interleaving.append((pid, consumed))
+        # Counted per slice, not from a VM's totals at exit: a fork
+        # child starts with its parent's totals.
+        metrics.inc("engine.instructions_retired", consumed)
+        metrics.inc("engine.syscalls", task.vm.syscall_count - traps_before)
 
     def _deliver_signal(self, task: Task) -> None:
         sig = task.pending_signal or 0

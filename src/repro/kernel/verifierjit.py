@@ -179,7 +179,7 @@ class VerifierJit:
         self,
         provider: MacProvider,
         costs: CostModel,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry,
         recorder: Recorder = NULL_RECORDER,
     ):
         self._provider = provider
@@ -187,11 +187,6 @@ class VerifierJit:
         self._metrics = metrics
         self._recorder = recorder
         self._thunks: dict[int, SiteThunk] = {}
-        #: Verified traps of this partition's pid: thunk hits and full
-        #: checks (the kernel counts both; the scheduler reports them
-        #: per task).
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._thunks)
@@ -277,12 +272,7 @@ class VerifierJit:
             except MemoryFault:
                 return None  # unwritable polstate; the full check fail-stops
             process.auth_counter = new_counter
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc("verifier.thunk_hits")
-        rec = self._recorder
-        if rec.enabled:
-            rec.inc("verifier.thunk_hits")
+        self._metrics.inc("verifier.thunk_hits")
         return CheckResult(
             syscall_number=thunk.syscall_number,
             block_id=thunk.block_id,
@@ -303,7 +293,7 @@ class VerifierJit:
             thunk.guards = _guards(vm.memory, thunk.record_ptr, live)
         except (AuthViolation, MemoryFault):
             return False
-        self._count("verifier.thunks_refreshed")
+        self._metrics.inc("verifier.thunks_refreshed")
         return True
 
     # -- compilation -----------------------------------------------------
@@ -329,10 +319,10 @@ class VerifierJit:
         if thunk is None:
             return None
         if len(self._thunks) >= self.MAX_SITES:
-            self._count("verifier.thunks_invalidated", len(self._thunks))
+            self._metrics.inc("verifier.thunks_invalidated", len(self._thunks))
             self._thunks.clear()
         self._thunks[vm.pc] = thunk
-        self._count("verifier.thunks_compiled")
+        self._metrics.inc("verifier.thunks_compiled")
         return thunk
 
     def _build(self, vm: VM, result: CheckResult) -> SiteThunk:
@@ -372,17 +362,9 @@ class VerifierJit:
 
     # -- lifecycle -------------------------------------------------------
 
-    def _count(self, name: str, delta: int = 1) -> None:
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.inc(name, delta)
-        rec = self._recorder
-        if rec.enabled:
-            rec.inc(name, delta)
-
     def _drop(self, call_site: int) -> None:
         del self._thunks[call_site]
-        self._count("verifier.thunks_invalidated")
+        self._metrics.inc("verifier.thunks_invalidated")
 
     def invalidate(self) -> int:
         """Drop every thunk (process exit/execve); returns the count.

@@ -15,13 +15,14 @@ the cross-cutting layer that provides it:
   attribute load + branch per stage and performs no allocations.
 - :class:`TraceRecorder` — captures nested spans (per-syscall
   verification stages, engine block-compile/block-chain/execute) with exact
-  self-time accounting, exportable as Chrome ``trace_event`` JSON.
-- :class:`MetricsRegistry` — the machine-wide counter registry
-  (fast-path hits, decode-cache invalidations, blocks compiled and
-  evicted, chain links formed and severed, superblocks fused and
-  killed, guest instructions retired, ...), exportable as a
-  Prometheus-style text dump.  :class:`repro.kernel.audit.FastPathStats`
-  is a view over this registry.
+  self-time accounting, exportable as Chrome ``trace_event`` JSON.  It
+  holds no counters: the export takes a registry snapshot.
+- :class:`MetricsRegistry` — the kernel's counter registry and the
+  only place a counter lives (fast-path hits and misses, thunk
+  compiles, blocks compiled and evicted, chain links, superblocks,
+  guest instructions retired, scheduler and loopback-network events,
+  ...).  ``repro run --stats``, ``repro metrics`` (a Prometheus-style
+  text dump) and ``repro run --trace`` all read it.
 
 See DESIGN.md "Observability" for the architecture and the overhead
 contract.

@@ -3,22 +3,25 @@
 One :class:`MetricsRegistry` per :class:`~repro.kernel.kernel.Kernel`
 holds every runtime counter as a named integer: fast-path thunk
 traffic, decode-cache invalidations, translation-cache compiles and
-evictions, guest instructions retired.  Counters are plain dict slots
-— maintaining them costs an integer add, so unlike spans they are
-always on.
+evictions, guest instructions retired, scheduler and loopback-network
+events.  It is the only counter store: ``repro run --stats``, the
+Prometheus dump and the Chrome trace's ``counters`` map all read it.
+Counters are plain dict slots — maintaining them costs an integer add,
+so unlike spans they are always on.
 
 Names are dotted (``fastpath.hits``, ``engine.blocks_compiled``); the
 Prometheus dump mangles them into the conventional
-``repro_fastpath_hits`` form.
+``repro_engine_blocks_compiled`` form.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
-#: Documentation strings for the well-known counters; used as HELP
-#: lines in the Prometheus dump.  Counters not listed here still render
-#: (with no HELP line) — the registry is open.
+#: Documentation strings for the counters; used as HELP lines in the
+#: Prometheus dump.  Every name the kernel, scheduler, net stack and
+#: sweeps emit has one (tests/obs/test_metrics.py checks); a name not
+#: listed here still renders, with no HELP line.
 COUNTER_HELP = {
     "fastpath.hits": "ASYS traps accepted by a compiled per-site verifier thunk",
     "fastpath.misses": "ASYS traps accepted by the full check (fast path on)",
@@ -31,6 +34,10 @@ COUNTER_HELP = {
     "engine.blocks_evicted": "cached translations invalidated by stores or stale guards",
     "engine.instructions_retired": "guest instructions executed",
     "engine.syscalls": "traps serviced by the kernel",
+    "engine.chains_linked": "direct block-to-block links formed by the threaded engine",
+    "engine.chains_severed": "block-to-block links cut because their target block was dropped",
+    "engine.superblocks_fused": "hot loops fused into compiled superblock functions",
+    "engine.superblocks_killed": "superblocks discarded because a member block was dropped",
     "sched.context_switches": "times the scheduler switched to a different pid",
     "sched.preemptions": "timeslices ended by budget exhaustion",
     "sched.blocks": "dispatches parked on a wait condition",
@@ -45,6 +52,17 @@ COUNTER_HELP = {
     "sched.signal_kills": "processes terminated by a cross-process signal",
     "sched.unsatisfiable_waits": "blocked calls no task could satisfy, completed with -EAGAIN",
     "sched.runq_peak": "largest observed run-queue length",
+    "net.sockets_created": "loopback sockets created",
+    "net.sockets_closed": "loopback sockets whose last reference was released",
+    "net.binds": "sockets bound to a loopback address",
+    "net.listens": "stream sockets turned into listeners",
+    "net.connections": "stream connections established by connect",
+    "net.accepts": "queued connections taken by accept",
+    "net.connect_refused": "stream connects refused for want of an open listener",
+    "net.bytes_sent": "payload bytes written to stream connections and datagrams",
+    "net.bytes_received": "payload bytes read from stream connections and datagrams",
+    "net.dgrams_sent": "datagrams queued at a bound receiver",
+    "net.dgrams_received": "datagrams taken off a receive queue",
     "faults.injected": "seeded fault runs executed by the injection sweep",
     "faults.detected": "injected faults killed with a correctly attributed violation",
     "faults.benign": "injected faults that landed on dead state (run bit-identical)",
@@ -108,11 +126,3 @@ class MetricsRegistry:
             lines.append(f"{metric} {value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-
-def merge_counters(
-    registry: MetricsRegistry, counters: dict, prefix: Optional[str] = None
-) -> None:
-    """Fold a plain dict of counters into ``registry`` (used to sync
-    engine-local tallies after a run)."""
-    for name, value in counters.items():
-        registry.inc(f"{prefix}.{name}" if prefix else name, value)

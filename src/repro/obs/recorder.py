@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from time import perf_counter_ns
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Mapping, Optional, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -52,8 +52,6 @@ class Recorder(Protocol):
 
     def end(self) -> None: ...
 
-    def inc(self, name: str, delta: int = 1) -> None: ...
-
     @property
     def open_spans(self) -> int: ...
 
@@ -69,9 +67,6 @@ class NullRecorder:
         return None
 
     def end(self) -> None:
-        return None
-
-    def inc(self, name: str, delta: int = 1) -> None:
         return None
 
     @property
@@ -108,7 +103,7 @@ class SpanRecord:
 
 
 class TraceRecorder:
-    """Captures spans and counters for one (or several) kernel runs.
+    """Captures spans for one (or several) kernel runs.
 
     ``clock`` must be a zero-argument callable returning integer
     nanoseconds; tests inject a fake for determinism.
@@ -121,7 +116,6 @@ class TraceRecorder:
         #: Open-span stack: [name, cat, start_ns, child_ns] frames.
         self._stack: list[list] = []
         self.spans: list[SpanRecord] = []
-        self.counters: dict[str, int] = {}
 
     # -- span API --------------------------------------------------------
 
@@ -146,15 +140,6 @@ class TraceRecorder:
         """Close every span opened above ``depth`` (exception unwind)."""
         while len(self._stack) > depth:
             self.end()
-
-    # -- counter API -----------------------------------------------------
-
-    def inc(self, name: str, delta: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + delta
-
-    def merge_counters(self, counters: dict) -> None:
-        for name, value in counters.items():
-            self.inc(name, value)
 
     # -- aggregates ------------------------------------------------------
 
@@ -181,14 +166,16 @@ class TraceRecorder:
 
     # -- export ----------------------------------------------------------
 
-    def chrome_trace(self) -> dict:
+    def chrome_trace(self, counters: Optional[Mapping[str, int]] = None) -> dict:
         """The capture as a Chrome ``trace_event`` JSON object.
 
-        Spans become complete ("X") events with microsecond timestamps;
-        counters ride along both as a final counter ("C") event and as a
-        top-level ``counters`` key (tooling-friendly; trace viewers
-        ignore unknown top-level keys).
+        Spans become complete ("X") events with microsecond timestamps.
+        ``counters`` (a kernel's ``metrics.snapshot()``) rides along both
+        as a final counter ("C") event and as a top-level ``counters``
+        key (tooling-friendly; trace viewers ignore unknown top-level
+        keys); without it the ``counters`` key is empty.
         """
+        counters = dict(sorted((counters or {}).items()))
         events = []
         for span in sorted(self.spans, key=lambda s: (s.start_ns, -s.dur_ns)):
             events.append(
@@ -202,7 +189,7 @@ class TraceRecorder:
                     "tid": 1,
                 }
             )
-        if self.counters:
+        if counters:
             end_ts = max(
                 (s.start_ns + s.dur_ns for s in self.spans), default=0
             ) / 1000.0
@@ -213,16 +200,18 @@ class TraceRecorder:
                     "ts": end_ts,
                     "pid": 1,
                     "tid": 1,
-                    "args": dict(sorted(self.counters.items())),
+                    "args": counters,
                 }
             )
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
-            "counters": dict(sorted(self.counters.items())),
+            "counters": counters,
         }
 
-    def write_chrome_trace(self, path) -> None:
+    def write_chrome_trace(
+        self, path, counters: Optional[Mapping[str, int]] = None
+    ) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.chrome_trace(), handle, indent=1)
+            json.dump(self.chrome_trace(counters), handle, indent=1)
             handle.write("\n")

@@ -160,7 +160,7 @@ def _run_under_kernel(args, trace_path: Optional[str] = None):
             for event in kernel.audit.alerts():
                 print(f"[audit] {event.render()}", file=sys.stderr)
     if trace_path:
-        recorder.write_chrome_trace(trace_path)
+        recorder.write_chrome_trace(trace_path, kernel.metrics.snapshot())
         totals = recorder.stage_totals()
         traced_ms = recorder.total_traced_ns() / 1e6
         print(
@@ -238,7 +238,14 @@ def _cmd_run(args) -> int:
             f"syscalls={result.syscalls}",
             file=sys.stderr,
         )
-        print(f"[stats] {kernel.audit.fastpath.render()}", file=sys.stderr)
+        hits = kernel.metrics.get("fastpath.hits")
+        misses = kernel.metrics.get("fastpath.misses")
+        rate = 100.0 * hits / (hits + misses) if hits + misses else 0.0
+        print(
+            f"[stats] fastpath: {hits} hits / {misses} misses "
+            f"({rate:.1f}% hit rate)",
+            file=sys.stderr,
+        )
     return result.exit_status
 
 

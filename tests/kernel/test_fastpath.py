@@ -1,8 +1,9 @@
 """The verification fast path as the kernel reports it.
 
-Covers the kernel-level counters surfaced through the audit log, the
-``fastpath=False`` escape hatch, and the cycle accounting that makes a
-thunk hit visibly cheaper than the full check.  The thunks themselves
+Covers the kernel's ``fastpath.*`` counters and the ``repro run
+--stats`` line that reports them, the ``fastpath=False`` escape hatch,
+and the cycle accounting that makes a thunk hit visibly cheaper than
+the full check.  The thunks themselves
 are covered in tests/kernel/test_verifierjit.py; the *security*
 boundary — tampering after warm-up — in
 tests/attacks/test_fastpath_boundary.py.
@@ -13,7 +14,8 @@ import pytest
 from repro.asm import assemble
 from repro.crypto import Key
 from repro.installer import install
-from repro.kernel import FastPathStats, Kernel
+from repro.kernel import Kernel
+from repro.tools.cli import main as cli_main
 from repro.workloads.runtime import runtime_source
 
 KEY = Key.from_passphrase("test-fastpath", provider="fast-hmac")
@@ -42,19 +44,32 @@ def installed():
 
 
 class TestFastPathStats:
-    def test_hit_rate(self):
-        stats = FastPathStats(hits=3, misses=1)
-        assert stats.lookups == 4
-        assert stats.hit_rate() == pytest.approx(0.75)
+    """``repro run --stats`` reports the registry's fast-path counts."""
 
-    def test_hit_rate_no_lookups(self):
-        assert FastPathStats().hit_rate() == 0.0
+    def _stats_line(self, installed, tmp_path, capsys, cli_kernels, *flags):
+        path = tmp_path / "fploop.sef"
+        path.write_bytes(installed.binary.to_bytes())
+        status = cli_main(["--fast-mac", "--key", "test-fastpath", "run",
+                           str(path), "--stats", *flags])
+        assert status == 0
+        (kernel,) = cli_kernels
+        (line,) = [text for text in capsys.readouterr().err.splitlines()
+                   if text.startswith("[stats] fastpath:")]
+        return line, kernel.metrics
 
-    def test_render_and_reset(self):
-        stats = FastPathStats(hits=9, misses=1)
-        assert "90.0% hit rate" in stats.render()
-        stats.reset()
-        assert stats.lookups == 0
+    def test_hit_rate(self, installed, tmp_path, capsys, cli_kernels):
+        line, metrics = self._stats_line(installed, tmp_path, capsys, cli_kernels)
+        # A full check at the getpid and exit sites, thunk hits after.
+        assert line == "[stats] fastpath: 49 hits / 2 misses (96.1% hit rate)"
+        assert metrics.get("fastpath.hits") == 49
+        assert metrics.get("fastpath.misses") == 2
+
+    def test_hit_rate_no_lookups(self, installed, tmp_path, capsys, cli_kernels):
+        line, metrics = self._stats_line(
+            installed, tmp_path, capsys, cli_kernels, "--no-fastpath"
+        )
+        assert line == "[stats] fastpath: 0 hits / 0 misses (0.0% hit rate)"
+        assert metrics.get("fastpath.hits") == metrics.get("fastpath.misses") == 0
 
 
 class TestKernelCounters:
@@ -62,18 +77,19 @@ class TestKernelCounters:
         kernel = Kernel(key=KEY)
         result = kernel.run(installed.binary)
         assert result.ok
-        stats = kernel.audit.fastpath
+        hits = kernel.metrics.get("fastpath.hits")
+        misses = kernel.metrics.get("fastpath.misses")
         # One getpid site (miss on first trap, hits after) plus exit.
-        assert stats.hits >= LOOP_ITERATIONS - 2
-        assert stats.misses <= 2
-        assert stats.hit_rate() > 0.9
+        assert hits >= LOOP_ITERATIONS - 2
+        assert misses <= 2
+        assert hits / (hits + misses) > 0.9
 
     def test_no_fastpath_never_probes(self, installed):
         kernel = Kernel(key=KEY, fastpath=False)
         result = kernel.run(installed.binary)
         assert result.ok
-        stats = kernel.audit.fastpath
-        assert stats.hits == 0 and stats.misses == 0 and stats.lookups == 0
+        assert kernel.metrics.get("fastpath.hits") == 0
+        assert kernel.metrics.get("fastpath.misses") == 0
 
     def test_both_modes_agree_on_outcome(self, installed):
         fast = Kernel(key=KEY).run(installed.binary)
@@ -91,10 +107,3 @@ class TestKernelCounters:
         # property to stay robust to cost-model recalibration).
         saved = cold.cycles - fast.cycles
         assert saved > LOOP_ITERATIONS * 1000
-
-    def test_audit_clear_resets_fastpath_stats(self, installed):
-        kernel = Kernel(key=KEY)
-        kernel.run(installed.binary)
-        assert kernel.audit.fastpath.lookups > 0
-        kernel.audit.clear()
-        assert kernel.audit.fastpath.lookups == 0

@@ -1,6 +1,7 @@
 """End-to-end observability: a traced kernel run must produce a
-well-nested span tree whose counters agree with the kernel's own
-books, and a disabled recorder must never be called from the hot path.
+well-nested span tree, the kernel's one counter registry must agree
+with the run's own books (and is what the trace and the CLI report),
+and a disabled recorder must never be called from the hot path.
 """
 
 import json
@@ -84,19 +85,24 @@ class TestTracedRun:
 
     def test_counters_match_kernel_books(self, traced):
         recorder, kernel, result = traced
-        assert recorder.counters["engine.instructions_retired"] == result.instructions
-        assert recorder.counters["engine.syscalls"] == result.syscalls
-        assert recorder.counters["fastpath.hits"] == kernel.audit.fastpath.hits
-        assert recorder.counters["fastpath.misses"] == kernel.audit.fastpath.misses
-        assert recorder.counters["fastpath.hits"] >= LOOP_ITERATIONS - 1
+        metrics = kernel.metrics
+        assert metrics.get("engine.instructions_retired") == result.instructions
+        assert metrics.get("engine.syscalls") == result.syscalls
+        assert (metrics.get("fastpath.hits") + metrics.get("fastpath.misses")
+                == result.syscalls)
+        assert metrics.get("fastpath.hits") >= LOOP_ITERATIONS - 1
         # Threaded engine: the loop compiles a handful of blocks once.
-        assert recorder.counters["engine.blocks_compiled"] > 0
+        assert metrics.get("engine.blocks_compiled") > 0
         assert "block-compile" in {s.name for s in recorder.spans}
 
     def test_metrics_registry_mirrors_trace_counters(self, traced):
+        # The trace carries the registry's snapshot as its counters,
+        # both as the final "C" event and as the top-level map.
         recorder, kernel, _ = traced
-        for name, value in recorder.counters.items():
-            assert kernel.metrics.get(name) == value, name
+        snapshot = kernel.metrics.snapshot()
+        doc = recorder.chrome_trace(snapshot)
+        (counter_event,) = [e for e in doc["traceEvents"] if e["ph"] == "C"]
+        assert counter_event["args"] == doc["counters"] == snapshot
 
     def test_syscall_span_count_matches_verified_calls(self, traced):
         recorder, _, result = traced
@@ -104,14 +110,14 @@ class TestTracedRun:
         assert len(verifies) == result.syscalls
 
     def test_chrome_export_loads(self, traced, tmp_path):
-        recorder, _, _ = traced
+        recorder, kernel, _ = traced
         out = tmp_path / "trace.json"
-        recorder.write_chrome_trace(out)
+        recorder.write_chrome_trace(out, kernel.metrics.snapshot())
         doc = json.loads(out.read_text())
         events = doc["traceEvents"]
         assert all(e["ph"] in ("X", "C") for e in events)
         assert all(e["dur"] >= 0 for e in events if e["ph"] == "X")
-        assert doc["counters"] == dict(sorted(recorder.counters.items()))
+        assert doc["counters"] == kernel.metrics.snapshot()
 
 
 class TestViolationUnwind:
@@ -130,7 +136,7 @@ class TestViolationUnwind:
 
 
 class RaisingRecorder:
-    """enabled=False recorder whose span/counter methods all raise:
+    """enabled=False recorder whose span methods all raise:
     passing it through a full run proves the hot path never calls a
     disabled recorder."""
 
@@ -139,7 +145,7 @@ class RaisingRecorder:
     def _boom(self, *args, **kwargs):
         raise AssertionError("disabled recorder was called from the hot path")
 
-    begin = end = inc = close_to = _boom
+    begin = end = close_to = _boom
 
     @property
     def open_spans(self):
@@ -164,6 +170,22 @@ class TestCliSurface:
         path = tmp_path / "obsloop.sef"
         path.write_bytes(installed.to_bytes())
         return path
+
+    def test_run_trace_counters_are_the_registry_snapshot(
+        self, tmp_path, installed_on_disk, cli_kernels
+    ):
+        out = tmp_path / "trace.json"
+        rc = cli_main(["--fast-mac", "--key", "test-obs", "run",
+                       str(installed_on_disk), "--trace", str(out)])
+        assert rc == 0
+        (kernel,) = cli_kernels
+        counters = json.loads(out.read_text())["counters"]
+        assert counters == kernel.metrics.snapshot()
+        # The scheduler's counters included.
+        assert counters["sched.exits"] == 1
+        assert counters["sched.context_switches"] == 1
+        assert counters["fastpath.hits"] == 24
+        assert counters["engine.instructions_retired"] > 0
 
     def test_run_trace_flag_writes_chrome_json(self, tmp_path, installed_on_disk,
                                                capsys):

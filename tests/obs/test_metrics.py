@@ -1,8 +1,16 @@
-"""The counter registry and its FastPathStats facade."""
+"""The counter registry, and a HELP line for every counter it holds."""
 
-from repro.kernel import FastPathStats
+import ast
+from pathlib import Path
+
+import repro
+from repro.faults.sweep import OUTCOMES
 from repro.obs import MetricsRegistry
-from repro.obs.metrics import COUNTER_HELP, merge_counters
+from repro.obs.metrics import COUNTER_HELP
+
+#: Counter names built at run time, keyed by their f-string's literal
+#: prefix, with every value each can take.
+DYNAMIC_NAMES = {"faults.": {f"faults.{outcome}" for outcome in OUTCOMES}}
 
 
 class TestMetricsRegistry:
@@ -30,13 +38,6 @@ class TestMetricsRegistry:
         assert reg.snapshot() == {}
         assert reg.get("fastpath.hits") == 0
 
-    def test_merge_counters_with_prefix(self):
-        reg = MetricsRegistry()
-        merge_counters(reg, {"compiles": 2, "evictions": 1}, prefix="engine")
-        merge_counters(reg, {"engine.compiles": 3})
-        assert reg.get("engine.compiles") == 5
-        assert reg.get("engine.evictions") == 1
-
     def test_prometheus_rendering(self):
         reg = MetricsRegistry()
         reg.inc("fastpath.hits", 12)
@@ -51,30 +52,42 @@ class TestMetricsRegistry:
         assert MetricsRegistry().render_prometheus() == ""
 
 
-class TestFastPathStatsFacade:
-    def test_kwargs_constructor_still_works(self):
-        stats = FastPathStats(hits=3, misses=1)
-        assert stats.hits == 3
-        assert stats.misses == 1
-        assert stats.lookups == 4
+def _emitted_names() -> tuple[set, list]:
+    """Every counter name passed to a registry ``inc`` or ``set`` call
+    anywhere under ``src/repro``, plus the call sites whose name the
+    scan cannot enumerate."""
+    root = Path(repro.__file__).parent
+    names: set = set()
+    unknown: list = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("inc", "set")
+                and node.args
+            ):
+                continue
+            arg = node.args[0]
+            for name in (arg.body, arg.orelse) if isinstance(arg, ast.IfExp) else (arg,):
+                if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                    names.add(name.value)
+                    continue
+                prefix = name.values[0] if isinstance(name, ast.JoinedStr) else None
+                if isinstance(prefix, ast.Constant) and prefix.value in DYNAMIC_NAMES:
+                    names |= DYNAMIC_NAMES[prefix.value]
+                else:
+                    unknown.append(f"{path.relative_to(root)}:{node.lineno}")
+    return names, unknown
 
-    def test_backed_by_shared_registry(self):
-        reg = MetricsRegistry()
-        stats = FastPathStats(registry=reg)
-        stats.hits += 5
-        stats.misses += 2
-        assert reg.get("fastpath.hits") == 5
-        assert reg.get("fastpath.misses") == 2
-        reg.inc("fastpath.hits", 1)  # registry writes are visible back
-        assert stats.hits == 6
 
-    def test_reset_returns_snapshot(self):
-        stats = FastPathStats(hits=7, misses=3)
-        snap = stats.reset()
-        assert (snap.hits, snap.misses) == (7, 3)
-        assert snap.lookups == 10
-        assert snap.hit_rate() == 0.7
-        assert stats.hits == stats.misses == 0
-        # The snapshot is immutable and detached from the live stats.
-        stats.hits += 1
-        assert snap.hits == 7
+def test_every_emitted_counter_has_a_help_line():
+    names, unknown = _emitted_names()
+    assert not unknown, f"counter names the scan cannot enumerate: {unknown}"
+    # The kernel, scheduler, net stack, verifier and both sweeps.
+    assert {"fastpath.hits", "engine.instructions_retired", "sched.runq_peak",
+            "net.bytes_sent", "verifier.thunk_hits", "faults.missed",
+            "conform.runs"} <= names
+    assert sorted(names - COUNTER_HELP.keys()) == []
+    # ...and no HELP line outlives its counter.
+    assert sorted(COUNTER_HELP.keys() - names) == []
