@@ -48,7 +48,10 @@ REPEATS = 5
 #: fails it.  G2 read 4.17-4.37x, and 0.86-1x with the verifier
 #: thunks off.  With register-local superblock loops G1 reads 41.2x
 #: and 43.9x, and 14.2x with chaining and fusion off; G2 4.37x and
-#: 4.68x.
+#: 4.68x.  With the AES block in libcrypto G1 reads 64.2x and 60.7x
+#: and G2 4.17x and 4.39x; the table cipher, run in between on the
+#: same host, read 48.3x and 4.11x.  The faster block shortens the
+#: chained spec-cpu pass and both sides of G2.
 #:
 #: Both thresholds hold on Python 3.11 only, which is what CI runs this
 #: gate on.  On 3.12.1 (same host, 3 runs) the interp engine's best

@@ -1,6 +1,6 @@
-"""Pure-Python AES-128 block cipher (FIPS-197).
+"""AES-128 block cipher (FIPS-197).
 
-Two implementations share one interface:
+Three implementations share one interface:
 
 - :class:`AES` is the straightforward table-free *reference* version:
   the S-box is precomputed, and MixColumns uses xtime (multiplication
@@ -9,19 +9,29 @@ Two implementations share one interface:
   would have linked (Gladman-style): SubBytes, ShiftRows, and
   MixColumns are fused into four precomputed 256-entry 32-bit T-tables
   and the rounds work on four column words instead of sixteen byte
-  cells.  Its core is :meth:`TableAES.encrypt_words`, which CMAC chains
-  on directly.  It is the default block cipher behind
-  :class:`repro.crypto.cmac.AesCmac` and is cross-checked against the
-  reference implementation by the property tests in ``tests/crypto``.
+  cells.  It is the pure-Python floor, and the fallback.
+- :class:`NativeAES` runs each block in OpenSSL's libcrypto, which
+  CPython already maps for :mod:`hashlib`, through :mod:`ctypes`.  It
+  is used only where the binding gives FIPS-197's known answers.
 
-Both expose ``encrypt_block`` (16 bytes in and out) and
-``encrypt_words`` (four big-endian 32-bit column words in and out).
+:func:`default_cipher` picks the block cipher behind
+:class:`repro.crypto.cmac.AesCmac`: :class:`NativeAES` where that
+binding was accepted, :class:`TableAES` otherwise.  All three are
+cross-checked against each other by the property tests in
+``tests/crypto``.
+
+Each exposes ``encrypt_block`` (16 bytes in and out),
+``encrypt_words`` (four big-endian 32-bit column words in and out,
+which CMAC chains on) and a ``name``.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
+import weakref
 from itertools import chain
+from typing import Optional
 
 BLOCK_SIZE = 16
 
@@ -98,6 +108,8 @@ class AES:
     >>> cipher.decrypt_block(cipher.encrypt_block(block)) == block
     True
     """
+
+    name = "reference"
 
     rounds = 10
 
@@ -262,6 +274,8 @@ class TableAES(AES):
     than the byte-cell reference.
     """
 
+    name = "table"
+
     def __init__(self, key: bytes):
         super().__init__(key)
         # All 11 round keys as one flat tuple of 44 column words.
@@ -332,3 +346,165 @@ class TableAES(AES):
             (s24[t2 >> 24] | s16[(t3 >> 16) & 255] | s8[(t0 >> 8) & 255] | sbox[t1 & 255]) ^ k42,
             (s24[t3 >> 24] | s16[(t0 >> 16) & 255] | s8[(t1 >> 8) & 255] | sbox[t2 & 255]) ^ k43,
         )
+
+
+# -- libcrypto variant ---------------------------------------------------
+#
+# ``_hashlib`` links OpenSSL's libcrypto, so importing it maps the
+# library into the process, and ``ctypes`` opens that same library by
+# its versioned soname.  An unversioned name is never tried: it can
+# resolve to another copy, and on macOS loading the unversioned system
+# library aborts the process.
+
+#: The sonames tried, in order; nothing else is loaded.
+LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")
+
+#: FIPS-197 Appendix B and C.1, as (key, plaintext, ciphertext).  The
+#: libcrypto binding is used only if it gives both.
+KNOWN_ANSWERS = (
+    (
+        bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"),
+        bytes.fromhex("3243f6a8885a308d313198a2e0370734"),
+        bytes.fromhex("3925841d02dc09fbdc118597196a0b32"),
+    ),
+    (
+        bytes.fromhex("000102030405060708090a0b0c0d0e0f"),
+        bytes.fromhex("00112233445566778899aabbccddeeff"),
+        bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a"),
+    ),
+)
+
+
+class _Evp:
+    """libcrypto's EVP entry points for AES-128-ECB encryption, with
+    every C signature declared.  Raises :class:`AttributeError` if the
+    library lacks one of them."""
+
+    def __init__(self, lib):
+        from ctypes import c_char_p, c_int, c_void_p
+
+        self.ctx_new = _declare(lib.EVP_CIPHER_CTX_new, c_void_p)
+        self.ctx_free = _declare(lib.EVP_CIPHER_CTX_free, None, c_void_p)
+        self.aes_128_ecb = _declare(lib.EVP_aes_128_ecb, c_void_p)
+        # (ctx, cipher, engine, key, iv)
+        self.init = _declare(
+            lib.EVP_EncryptInit_ex, c_int, c_void_p, c_void_p, c_void_p, c_char_p, c_char_p
+        )
+        self.set_padding = _declare(lib.EVP_CIPHER_CTX_set_padding, c_int, c_void_p, c_int)
+        # (ctx, out, &outl, in, inl): plain addresses and bytes, since
+        # POINTER(...) argtypes nearly double the cost of a call.
+        self.update = _declare(
+            lib.EVP_EncryptUpdate, c_int, c_void_p, c_void_p, c_void_p, c_char_p, c_int
+        )
+
+
+def _declare(function, restype, *argtypes):
+    function.restype = restype
+    function.argtypes = argtypes
+    return function
+
+
+def _open_libcrypto() -> Optional[_Evp]:
+    """libcrypto's AES entry points, or None where the interpreter has
+    no ``_hashlib`` or ``ctypes``, no library answers to a versioned
+    soname, or the library lacks a symbol."""
+    try:
+        # Importing _hashlib maps the libcrypto opened below.
+        import _hashlib  # noqa: F401
+        import ctypes
+    except ImportError:
+        return None
+    for soname in LIBCRYPTO_SONAMES:
+        try:
+            # PyDLL keeps the interpreter lock over a call of about a
+            # microsecond, where CDLL would release and retake it.
+            lib = ctypes.PyDLL(soname)
+        except OSError:
+            continue
+        try:
+            return _Evp(lib)
+        except AttributeError:
+            return None
+    return None
+
+
+@functools.cache
+def libcrypto_binding() -> Optional[_Evp]:
+    """The binding :class:`NativeAES` runs on, or None.  It is opened
+    once per process and accepted only if it gives
+    :data:`KNOWN_ANSWERS`."""
+    evp = _open_libcrypto()
+    if evp is None:
+        return None
+    try:
+        for key, plaintext, ciphertext in KNOWN_ANSWERS:
+            if NativeAES(key, evp).encrypt_block(plaintext) != ciphertext:
+                return None
+    except RuntimeError:
+        return None
+    return evp
+
+
+class NativeAES:
+    """AES-128 encryption in libcrypto, behind the :class:`TableAES`
+    interface.
+
+    Each instance holds one EVP context keyed for AES-128-ECB with
+    padding off, freed when the instance is collected, and its own
+    16-byte output buffer and length cell, which libcrypto writes by
+    address.  So an instance serves one thread at a time, as the
+    kernel that owns it does.  A block costs one foreign call.
+    """
+
+    name = "libcrypto"
+
+    def __init__(self, key: bytes, evp: Optional[_Evp] = None):
+        """``evp`` defaults to :func:`libcrypto_binding`; only its
+        known-answer check passes another."""
+        if len(key) != 16:
+            raise ValueError(f"AES-128 requires a 16-byte key, got {len(key)}")
+        if evp is None:
+            evp = libcrypto_binding()
+            if evp is None:
+                raise RuntimeError("libcrypto's AES-128 is unavailable")
+        from ctypes import addressof, c_int, create_string_buffer
+
+        ctx = evp.ctx_new()
+        if not ctx:
+            raise MemoryError("EVP_CIPHER_CTX_new failed")
+        # Not at exit: the process's memory goes anyway.
+        weakref.finalize(self, evp.ctx_free, ctx).atexit = False
+        if not (
+            evp.init(ctx, evp.aes_128_ecb(), None, bytes(key), None)
+            and evp.set_padding(ctx, 0)
+        ):
+            raise RuntimeError("cannot key an AES-128-ECB context")
+        self._ctx = ctx
+        self._update = evp.update
+        self._out = create_string_buffer(BLOCK_SIZE)
+        self._outl = c_int()
+        self._out_address = addressof(self._out)
+        self._outl_address = addressof(self._outl)
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        if len(block) != BLOCK_SIZE:
+            raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
+        return BLOCK_WORDS.pack(*self.encrypt_words(*BLOCK_WORDS.unpack(block)))
+
+    def encrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> tuple:
+        """Encrypt one block given and returned as four column words."""
+        if not self._update(
+            self._ctx, self._out_address, self._outl_address,
+            BLOCK_WORDS.pack(s0, s1, s2, s3), BLOCK_SIZE,
+        ):
+            raise RuntimeError("EVP_EncryptUpdate failed")
+        return BLOCK_WORDS.unpack_from(self._out)
+
+
+def default_cipher(key: bytes):
+    """The block cipher :class:`repro.crypto.cmac.AesCmac` runs on by
+    default: :class:`NativeAES` where :func:`libcrypto_binding` was
+    accepted, :class:`TableAES` otherwise."""
+    if libcrypto_binding() is not None:
+        return NativeAES(key)
+    return TableAES(key)

@@ -5,10 +5,9 @@ The paper uses "AES-CBC-OMAC" [Iwata & Kurosawa 2002], which produces a
 CMAC (RFC 4493, NIST SP 800-38B).  The unit tests check the RFC 4493
 vectors, so this implementation is interoperable with any standard CMAC.
 
-CBC chaining runs on four 32-bit column words per block
-(:meth:`repro.crypto.aes.TableAES.encrypt_words`), with the subkeys K1
-and K2 held as words too, so a block costs one ``struct`` unpack and one
-cipher call.
+CBC chaining runs on four 32-bit column words per block (the block
+cipher's ``encrypt_words``), with the subkeys K1 and K2 held as words
+too, so a block costs one ``struct`` unpack and one cipher call.
 
 Two ways to MAC:
 
@@ -26,9 +25,9 @@ Two ways to MAC:
 from __future__ import annotations
 
 import hmac
-from typing import Optional
+from typing import Optional, Union
 
-from repro.crypto.aes import AES, BLOCK_SIZE, BLOCK_WORDS, TableAES
+from repro.crypto.aes import AES, BLOCK_SIZE, BLOCK_WORDS, NativeAES, default_cipher
 
 MAC_SIZE = 16
 
@@ -64,9 +63,12 @@ class AesCmac:
     >>> mac.verify(b"hellp", tag)
     False
 
-    The block cipher defaults to the table-driven :class:`TableAES`;
-    pass ``cipher=AES(key)`` to run over the byte-cell reference
-    implementation instead (the equivalence tests do exactly that).
+    The block cipher defaults to
+    :func:`repro.crypto.aes.default_cipher`: libcrypto's AES
+    (:class:`NativeAES`) where its binding passed its known answers,
+    else the table-driven :class:`TableAES`.  Pass ``cipher=AES(key)``
+    (or any of the three) to run over that one instead; the equivalence
+    tests do exactly that.  :attr:`block_cipher` names the one in use.
 
     **Tag memo.**  The tags of messages of at most one block are kept
     in a dict keyed by the exact message bytes, holding at most
@@ -85,13 +87,19 @@ class AesCmac:
     #: Bound on the single-block tag memo; it is cleared when full.
     MEMO_ENTRIES = 256
 
-    def __init__(self, key: bytes, cipher: Optional[AES] = None):
-        aes = cipher if cipher is not None else TableAES(key)
+    def __init__(self, key: bytes, cipher: Optional[Union[AES, NativeAES]] = None):
+        aes = cipher if cipher is not None else default_cipher(key)
+        self._block_cipher = aes.name
         self._encrypt = aes.encrypt_words
         k1 = _dbl(aes.encrypt_block(bytes(BLOCK_SIZE)))
         self._k1 = BLOCK_WORDS.unpack(k1)
         self._k2 = BLOCK_WORDS.unpack(_dbl(k1))
         self._memo: dict[bytes, bytes] = {}
+
+    @property
+    def block_cipher(self) -> str:
+        """The AES block in use: ``libcrypto``, ``table`` or ``reference``."""
+        return self._block_cipher
 
     def tag(self, message: bytes) -> bytes:
         """Compute the 16-byte CMAC tag of ``message`` (any bytes-like)."""

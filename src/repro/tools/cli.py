@@ -10,7 +10,7 @@ from typing import Optional
 from repro.asm import assemble
 from repro.binfmt import SefBinary
 from repro.cpu import ENGINES
-from repro.crypto import Key
+from repro.crypto import AesCmac, Key
 from repro.installer import InstallerOptions, install
 from repro.kernel import EnforcementMode, Kernel
 from repro.plto import disassemble
@@ -246,6 +246,10 @@ def _cmd_run(args) -> int:
             f"({rate:.1f}% hit rate)",
             file=sys.stderr,
         )
+        mac = f"[stats] mac: {kernel.mac.name}"
+        if isinstance(kernel.mac, AesCmac):
+            mac += f" (AES block: {kernel.mac.block_cipher})"
+        print(mac, file=sys.stderr)
     return result.exit_status
 
 

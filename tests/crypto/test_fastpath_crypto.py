@@ -1,18 +1,29 @@
-"""Fast-path crypto: table-driven AES, the word-level CMAC core, its
-single-block tag memo, and the incremental CMAC API.
+"""Fast-path crypto: libcrypto's AES block and its table-driven
+fallback, the word-level CMAC core, its single-block tag memo, and the
+incremental CMAC API.
 
-The table-driven cipher, the memo and the prefix-state CMAC exist purely
-for speed; these tests pin them bit-for-bit to the reference
-implementations so the optimization can never drift from the spec.
+The libcrypto block, the table-driven cipher, the memo and the
+prefix-state CMAC exist purely for speed; these tests pin them
+bit-for-bit to the reference implementations so the optimization can
+never drift from the spec.
 """
 
+import ctypes
+import gc
+import itertools
 import struct
+import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES, BLOCK_SIZE, BLOCK_WORDS, TableAES
+from repro.crypto import aes
+from repro.crypto.aes import (
+    AES, BLOCK_SIZE, BLOCK_WORDS, LIBCRYPTO_SONAMES, NativeAES, TableAES,
+    libcrypto_binding,
+)
 from repro.crypto.cmac import MAC_SIZE, AesCmac, CmacState
 
 RFC_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -28,6 +39,32 @@ RFC_TAGS = {
     40: "dfa66747de9ae63030ca32611497c827",
     64: "51f0bebf7e3b9d92fc49741779363cfe",
 }
+
+FIPS197_B = (
+    bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"),
+    bytes.fromhex("3243f6a8885a308d313198a2e0370734"),
+    bytes.fromhex("3925841d02dc09fbdc118597196a0b32"),
+)
+FIPS197_C1 = (
+    bytes.fromhex("000102030405060708090a0b0c0d0e0f"),
+    bytes.fromhex("00112233445566778899aabbccddeeff"),
+    bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a"),
+)
+
+HAVE_LIBCRYPTO = libcrypto_binding() is not None
+
+needs_libcrypto = pytest.mark.skipif(
+    not HAVE_LIBCRYPTO,
+    reason="no libcrypto AES-128 binding here (no _hashlib or ctypes, no "
+    "versioned libcrypto soname, a missing symbol or a wrong known answer)",
+)
+
+#: Every block cipher AesCmac can run on.
+CIPHERS = [
+    pytest.param(TableAES, id="table"),
+    pytest.param(AES, id="reference"),
+    pytest.param(NativeAES, id="libcrypto", marks=needs_libcrypto),
+]
 
 
 class TestTableAes:
@@ -76,11 +113,184 @@ class TestTableAes:
         assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
 
 
+class TestNativeAes:
+    pytestmark = needs_libcrypto
+
+    @pytest.mark.parametrize("vector", [FIPS197_B, FIPS197_C1], ids=["B", "C.1"])
+    def test_fips197_known_answers(self, vector):
+        key, plaintext, ciphertext = vector
+        cipher = NativeAES(key)
+        assert cipher.encrypt_block(plaintext) == ciphertext
+        assert cipher.encrypt_words(*BLOCK_WORDS.unpack(plaintext)) == (
+            BLOCK_WORDS.unpack(ciphertext)
+        )
+
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        block=st.binary(min_size=BLOCK_SIZE, max_size=BLOCK_SIZE),
+    )
+    def test_matches_reference_aes(self, key, block):
+        expected = AES(key).encrypt_block(block)
+        cipher = NativeAES(key)
+        assert cipher.encrypt_block(block) == expected
+        words = cipher.encrypt_words(*BLOCK_WORDS.unpack(block))
+        # The output buffer is reused: the next block must not change a
+        # result already returned.
+        assert cipher.encrypt_block(expected) == AES(key).encrypt_block(expected)
+        assert words == BLOCK_WORDS.unpack(expected)
+
+    def test_accepts_any_bytes_like_block(self):
+        key, plaintext, ciphertext = FIPS197_C1
+        cipher = NativeAES(bytearray(key))
+        assert cipher.encrypt_block(bytearray(plaintext)) == ciphertext
+        assert cipher.encrypt_block(memoryview(plaintext)) == ciphertext
+
+    @pytest.mark.parametrize("length", [15, 17])
+    def test_rejects_a_wrong_sized_block(self, length):
+        with pytest.raises(ValueError):
+            NativeAES(RFC_KEY).encrypt_block(bytes(length))
+
+
+class TestNativeKeyCheck:
+    @pytest.mark.parametrize("length", [15, 17])
+    def test_wrong_key_length_rejected_before_any_native_call(self, monkeypatch, length):
+        calls = []
+
+        class Recording:
+            def __getattr__(self, name):
+                calls.append(name)
+                raise AssertionError(f"native {name} reached")
+
+        monkeypatch.setattr(aes, "libcrypto_binding", lambda: calls.append("binding"))
+        with pytest.raises(ValueError, match="16-byte key"):
+            NativeAES(bytes(length))
+        with pytest.raises(ValueError, match="16-byte key"):
+            NativeAES(bytes(length), Recording())
+        assert calls == []
+
+    @pytest.mark.parametrize("length", [15, 17])
+    def test_aes_cmac_rejects_a_wrong_key_length(self, length):
+        with pytest.raises(ValueError, match="16-byte key"):
+            AesCmac(bytes(length))
+
+
+class _IdentityLib:
+    """Answers to every EVP name the binding needs, but its "cipher"
+    copies each block unchanged, so the known answers come out wrong."""
+
+    contexts = itertools.count(1)
+    freed: list = []
+
+    @staticmethod
+    def EVP_CIPHER_CTX_new():
+        return next(_IdentityLib.contexts)
+
+    @staticmethod
+    def EVP_CIPHER_CTX_free(ctx):
+        _IdentityLib.freed.append(ctx)
+
+    @staticmethod
+    def EVP_aes_128_ecb():
+        return 2
+
+    @staticmethod
+    def EVP_EncryptInit_ex(ctx, cipher, engine, key, iv):
+        return 1
+
+    @staticmethod
+    def EVP_CIPHER_CTX_set_padding(ctx, padding):
+        return 1
+
+    @staticmethod
+    def EVP_EncryptUpdate(ctx, out, outl, data, length):
+        ctypes.memmove(out, data, length)
+        return 1
+
+
+class TestLibcryptoFallback:
+    """Wherever the binding cannot be had or gives a wrong answer,
+    AesCmac runs on TableAES and its tags do not change."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_binding(self):
+        libcrypto_binding.cache_clear()
+        yield
+        libcrypto_binding.cache_clear()
+
+    @staticmethod
+    def _assert_table_fallback():
+        assert libcrypto_binding() is None
+        mac = AesCmac(RFC_KEY)
+        assert mac.block_cipher == "table"
+        for length, expected in RFC_TAGS.items():
+            assert mac.tag(RFC_MSG[:length]) == bytes.fromhex(expected)
+        with pytest.raises(RuntimeError):
+            NativeAES(RFC_KEY)
+
+    def test_a_library_that_opens_passes_its_known_answers(self):
+        # The fallback must not hide a NativeAES bug: where libcrypto
+        # opens and binds, its known answers have to come out right.
+        if aes._open_libcrypto() is None:
+            pytest.skip("no libcrypto opens under a versioned soname here")
+        assert libcrypto_binding() is not None
+
+    def test_no_soname_loads(self, monkeypatch):
+        tried = []
+
+        def missing(name):
+            tried.append(name)
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "PyDLL", missing)
+        self._assert_table_fallback()
+        # Only the versioned sonames are ever tried.
+        assert tried == list(LIBCRYPTO_SONAMES)
+        assert all(".so." in name for name in tried)
+
+    def test_no_hashlib(self, monkeypatch):
+        # An interpreter built without OpenSSL has no _hashlib.
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+        self._assert_table_fallback()
+
+    def test_missing_symbol(self, monkeypatch):
+        symbols = {
+            name: getattr(_IdentityLib, name)
+            for name in dir(_IdentityLib)
+            if name.startswith("EVP_") and name != "EVP_EncryptUpdate"
+        }
+        monkeypatch.setattr(ctypes, "PyDLL", lambda name: SimpleNamespace(**symbols))
+        self._assert_table_fallback()
+
+    def test_wrong_known_answer(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "PyDLL", lambda name: _IdentityLib())
+        self._assert_table_fallback()
+
+    def test_context_is_freed_with_its_cipher(self):
+        cipher = NativeAES(RFC_KEY, aes._Evp(_IdentityLib()))
+        ctx = cipher._ctx
+        assert ctx not in _IdentityLib.freed
+        del cipher
+        gc.collect()
+        assert _IdentityLib.freed.count(ctx) == 1
+
+
 class TestCmacDefaultCipher:
     def test_rfc4493_vectors_with_table_cipher(self):
-        # AesCmac defaults to TableAES; the RFC vectors must still hold.
+        # TableAES is the fallback block; the RFC vectors must hold on it.
         for length, expected in RFC_TAGS.items():
-            assert AesCmac(RFC_KEY).tag(RFC_MSG[:length]) == bytes.fromhex(expected)
+            mac = AesCmac(RFC_KEY, cipher=TableAES(RFC_KEY))
+            assert mac.tag(RFC_MSG[:length]) == bytes.fromhex(expected)
+
+    @pytest.mark.parametrize("cipher", CIPHERS)
+    def test_block_cipher_names_the_block(self, cipher):
+        mac = AesCmac(RFC_KEY, cipher=cipher(RFC_KEY))
+        assert mac.block_cipher == cipher.name
+        with pytest.raises(AttributeError):
+            mac.block_cipher = "table"
+
+    def test_default_block_is_libcrypto_where_its_binding_was_accepted(self):
+        expected = "libcrypto" if HAVE_LIBCRYPTO else "table"
+        assert AesCmac(RFC_KEY).block_cipher == expected
 
     def test_explicit_reference_cipher_agrees(self):
         table = AesCmac(RFC_KEY)
@@ -94,15 +304,19 @@ class TestCmacDefaultCipher:
     )
     def test_matches_reference_cipher_cold_and_memoized(self, key, message, kind):
         expected = AesCmac(key, cipher=AES(key)).tag(message)
-        for mac in (AesCmac(key), AesCmac(key, cipher=AES(key))):
+        macs = [AesCmac(key), AesCmac(key, cipher=AES(key)), AesCmac(key, cipher=TableAES(key))]
+        if HAVE_LIBCRYPTO:
+            macs.append(AesCmac(key, cipher=NativeAES(key)))
+        for mac in macs:
             # Cold, then (for single-block messages) a memo hit.
             assert mac.tag(kind(message)) == expected
             assert mac.tag(kind(message)) == expected
             assert mac.verify(kind(message), expected)
 
+    @pytest.mark.parametrize("cipher", CIPHERS)
     @pytest.mark.parametrize("length", sorted(RFC_TAGS))
-    def test_rfc4493_vectors_through_tag_verify_and_prefix(self, length):
-        mac = AesCmac(RFC_KEY)
+    def test_rfc4493_vectors_through_tag_verify_and_prefix(self, length, cipher):
+        mac = AesCmac(RFC_KEY, cipher=cipher(RFC_KEY))
         message = RFC_MSG[:length]
         expected = bytes.fromhex(RFC_TAGS[length])
         for _ in range(2):  # the second round is served from the memo
@@ -253,3 +467,4 @@ def test_cmac_state_exported():
 
     assert crypto.CmacState is CmacState
     assert crypto.TableAES is TableAES
+    assert crypto.NativeAES is NativeAES

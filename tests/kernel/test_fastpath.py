@@ -1,9 +1,9 @@
 """The verification fast path as the kernel reports it.
 
-Covers the kernel's ``fastpath.*`` counters and the ``repro run
---stats`` line that reports them, the ``fastpath=False`` escape hatch,
-and the cycle accounting that makes a thunk hit visibly cheaper than
-the full check.  The thunks themselves
+Covers the kernel's ``fastpath.*`` counters, the ``repro run
+--stats`` lines that report them and name the MAC that ran, the
+``fastpath=False`` escape hatch, and the cycle accounting that makes a
+thunk hit visibly cheaper than the full check.  The thunks themselves
 are covered in tests/kernel/test_verifierjit.py; the *security*
 boundary — tampering after warm-up — in
 tests/attacks/test_fastpath_boundary.py.
@@ -13,6 +13,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.crypto import Key
+from repro.crypto.aes import libcrypto_binding
 from repro.installer import install
 from repro.kernel import Kernel
 from repro.tools.cli import main as cli_main
@@ -70,6 +71,35 @@ class TestFastPathStats:
         )
         assert line == "[stats] fastpath: 0 hits / 0 misses (0.0% hit rate)"
         assert metrics.get("fastpath.hits") == metrics.get("fastpath.misses") == 0
+
+
+class TestMacStats:
+    """``repro run --stats`` names the MAC provider and, for AES-CMAC,
+    the AES block that ran, since host times differ by backend."""
+
+    def _mac_line(self, binary, tmp_path, capsys, cli_kernels, *flags):
+        path = tmp_path / "fploop.sef"
+        path.write_bytes(binary.to_bytes())
+        status = cli_main([*flags, "--key", "test-fastpath", "run", str(path), "--stats"])
+        assert status == 0
+        (kernel,) = cli_kernels
+        (line,) = [text for text in capsys.readouterr().err.splitlines()
+                   if text.startswith("[stats] mac:")]
+        return line, kernel.mac
+
+    def test_aes_cmac_names_its_block(self, tmp_path, capsys, cli_kernels):
+        binary = assemble(LOOP_PROGRAM, metadata={"program": "fploop"})
+        installed = install(binary, Key.from_passphrase("test-fastpath"))
+        line, mac = self._mac_line(installed.binary, tmp_path, capsys, cli_kernels)
+        block = "libcrypto" if libcrypto_binding() is not None else "table"
+        assert line == f"[stats] mac: aes-cmac (AES block: {block})"
+        assert mac.block_cipher == block
+
+    def test_fast_hmac_names_only_the_provider(self, installed, tmp_path, capsys, cli_kernels):
+        line, mac = self._mac_line(installed.binary, tmp_path, capsys, cli_kernels,
+                                   "--fast-mac")
+        assert line == "[stats] mac: fast-hmac"
+        assert mac.name == "fast-hmac"
 
 
 class TestKernelCounters:
