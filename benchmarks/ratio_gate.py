@@ -51,7 +51,11 @@ REPEATS = 5
 #: 4.68x.  With the AES block in libcrypto G1 reads 64.2x and 60.7x
 #: and G2 4.17x and 4.39x; the table cipher, run in between on the
 #: same host, read 48.3x and 4.11x.  The faster block shortens the
-#: chained spec-cpu pass and both sides of G2.
+#: chained spec-cpu pass and both sides of G2.  With lean warm traps
+#: (pre-resolved polstate, the thunk as its own verdict, a slotted
+#: syscall context, CMAC on 128-bit ints) G2 reads 5.97x and 5.99x and
+#: G1 77.1x and 86.3x; the parent, run in between, read 4.69x and
+#: 54.8x.  Only G2's chained side runs thunk hits, so G2 moves most.
 #:
 #: Both thresholds hold on Python 3.11 only, which is what CI runs this
 #: gate on.  On 3.12.1 (same host, 3 runs) the interp engine's best

@@ -60,6 +60,19 @@ class Region:
     def end(self) -> int:
         return self.start + len(self.data)
 
+    def store(self, offset: int, data: bytes) -> None:
+        """Write ``data`` at ``offset``: the one canonical write, shared
+        by :meth:`Memory.write` and the verifier thunks' polstate
+        commit.  The watchers run while the old bytes are still
+        readable, then the bytes change and the version is bumped.  The
+        caller has already checked bounds and protection."""
+        if self.watchers:
+            address = self.start + offset
+            for watcher in self.watchers:
+                watcher(address, len(data))
+        self.data[offset : offset + len(data)] = data
+        self.version += 1
+
 
 class Memory:
     """Sparse 32-bit address space."""
@@ -174,12 +187,7 @@ class Memory:
             raise MemoryFault(region.end, "unmapped")
         if not force:
             self._check(region, PROT_WRITE, address)
-        if region.watchers:
-            for watcher in region.watchers:
-                watcher(address, len(data))
-        offset = address - region.start
-        region.data[offset : offset + len(data)] = data
-        region.version += 1
+        region.store(address - region.start, data)
 
     def flip_bit(self, address: int, bit: int, force: bool = False) -> None:
         """Flip one bit of the byte at ``address`` (the fault-injection

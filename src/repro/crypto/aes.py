@@ -20,9 +20,9 @@ binding was accepted, :class:`TableAES` otherwise.  All three are
 cross-checked against each other by the property tests in
 ``tests/crypto``.
 
-Each exposes ``encrypt_block`` (16 bytes in and out),
-``encrypt_words`` (four big-endian 32-bit column words in and out,
-which CMAC chains on) and a ``name``.
+Each exposes ``encrypt_block`` (16 bytes in and out, which CMAC
+chains on), ``encrypt_words`` (four big-endian 32-bit column words in
+and out) and a ``name``.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ class AES:
         return bytes(state)
 
     def encrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> tuple:
-        """The block as column words, so this cipher can stand in for
-        :class:`TableAES` under CMAC."""
+        """The block as column words, the interface all three ciphers
+        share."""
         return BLOCK_WORDS.unpack(self.encrypt_block(BLOCK_WORDS.pack(s0, s1, s2, s3)))
 
     def decrypt_block(self, block: bytes) -> bytes:
@@ -487,18 +487,20 @@ class NativeAES:
         self._outl_address = addressof(self._outl)
 
     def encrypt_block(self, block: bytes) -> bytes:
+        """Encrypt one 16-byte block: one ``EVP_EncryptUpdate`` call."""
+        if type(block) is not bytes:
+            block = bytes(block)  # the binding passes ``bytes`` as char *
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"block must be {BLOCK_SIZE} bytes, got {len(block)}")
-        return BLOCK_WORDS.pack(*self.encrypt_words(*BLOCK_WORDS.unpack(block)))
+        if not self._update(
+            self._ctx, self._out_address, self._outl_address, block, BLOCK_SIZE
+        ):
+            raise RuntimeError("EVP_EncryptUpdate failed")
+        return self._out.raw
 
     def encrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> tuple:
         """Encrypt one block given and returned as four column words."""
-        if not self._update(
-            self._ctx, self._out_address, self._outl_address,
-            BLOCK_WORDS.pack(s0, s1, s2, s3), BLOCK_SIZE,
-        ):
-            raise RuntimeError("EVP_EncryptUpdate failed")
-        return BLOCK_WORDS.unpack_from(self._out)
+        return BLOCK_WORDS.unpack(self.encrypt_block(BLOCK_WORDS.pack(s0, s1, s2, s3)))
 
 
 def default_cipher(key: bytes):

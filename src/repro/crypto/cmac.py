@@ -5,9 +5,12 @@ The paper uses "AES-CBC-OMAC" [Iwata & Kurosawa 2002], which produces a
 CMAC (RFC 4493, NIST SP 800-38B).  The unit tests check the RFC 4493
 vectors, so this implementation is interoperable with any standard CMAC.
 
-CBC chaining runs on four 32-bit column words per block (the block
-cipher's ``encrypt_words``), with the subkeys K1 and K2 held as words
-too, so a block costs one ``struct`` unpack and one cipher call.
+CBC chaining runs on 128-bit ints: each block is read as one
+big-endian int, XORed onto the chaining value, and encrypted through
+the block cipher's bytes ``encrypt_block`` (one ``EVP_EncryptUpdate``
+call on :class:`NativeAES`), with the subkeys K1 and K2 held as ints
+too, so a block costs one ``int.from_bytes``, one ``int.to_bytes`` and
+one cipher call, with no per-word packing.
 
 Two ways to MAC:
 
@@ -27,13 +30,11 @@ from __future__ import annotations
 import hmac
 from typing import Optional, Union
 
-from repro.crypto.aes import AES, BLOCK_SIZE, BLOCK_WORDS, NativeAES, default_cipher
+from repro.crypto.aes import AES, BLOCK_SIZE, NativeAES, default_cipher
 
 MAC_SIZE = 16
 
 _R128 = 0x87  # the constant for doubling in GF(2^128)
-
-_ZERO = (0, 0, 0, 0)
 
 #: ``_PADDING[n]`` completes an ``n``-byte final block: 0x80, then zeros.
 _PADDING = tuple(b"\x80" + bytes(BLOCK_SIZE - 1 - n) for n in range(BLOCK_SIZE))
@@ -90,10 +91,11 @@ class AesCmac:
     def __init__(self, key: bytes, cipher: Optional[Union[AES, NativeAES]] = None):
         aes = cipher if cipher is not None else default_cipher(key)
         self._block_cipher = aes.name
-        self._encrypt = aes.encrypt_words
+        #: The one block entry: 16 bytes in, 16 bytes out.
+        self._encrypt = aes.encrypt_block
         k1 = _dbl(aes.encrypt_block(bytes(BLOCK_SIZE)))
-        self._k1 = BLOCK_WORDS.unpack(k1)
-        self._k2 = BLOCK_WORDS.unpack(_dbl(k1))
+        self._k1 = int.from_bytes(k1, "big")
+        self._k2 = int.from_bytes(_dbl(k1), "big")
         self._memo: dict[bytes, bytes] = {}
 
     @property
@@ -107,13 +109,13 @@ class AesCmac:
             message = bytes(message)  # memo keys must be immutable
         if len(message) > BLOCK_SIZE:
             last = _last_block_start(len(message))
-            return self._finish(self._chain(_ZERO, message, last), message[last:])
+            return self._finish(self._chain(0, message, last), message[last:])
         memo = self._memo
         tag = memo.get(message)
         if tag is None:
             if len(memo) >= self.MEMO_ENTRIES:
                 memo.clear()
-            tag = memo[message] = self._finish(_ZERO, message)
+            tag = memo[message] = self._finish(0, message)
         return tag
 
     def verify(self, message: bytes, tag: bytes) -> bool:
@@ -124,31 +126,27 @@ class AesCmac:
         """Absorb ``prefix`` into a reusable incremental state."""
         return CmacState(self).update(prefix)
 
-    # -- CBC on column words -------------------------------------------------
+    # -- CBC on 128-bit ints --------------------------------------------------
 
-    def _chain(self, state: tuple, data: bytes, stop: int) -> tuple:
+    def _chain(self, state: int, data: bytes, stop: int) -> int:
         """CBC-encrypt the whole blocks of ``data[:stop]`` onto ``state``."""
         encrypt = self._encrypt
-        unpack = BLOCK_WORDS.unpack_from
-        s0, s1, s2, s3 = state
+        from_bytes = int.from_bytes
         for offset in range(0, stop, BLOCK_SIZE):
-            w0, w1, w2, w3 = unpack(data, offset)
-            s0, s1, s2, s3 = encrypt(s0 ^ w0, s1 ^ w1, s2 ^ w2, s3 ^ w3)
-        return s0, s1, s2, s3
+            block = state ^ from_bytes(data[offset : offset + BLOCK_SIZE], "big")
+            state = from_bytes(encrypt(block.to_bytes(BLOCK_SIZE, "big")), "big")
+        return state
 
-    def _finish(self, state: tuple, last: bytes) -> bytes:
+    def _finish(self, state: int, last: bytes) -> bytes:
         """The tag: mask the final 0..16 bytes with K1 (a complete block)
         or K2 (padded), then encrypt them onto ``state``."""
         if len(last) == BLOCK_SIZE:
-            k0, k1, k2, k3 = self._k1
+            mask = self._k1
         else:
             last += _PADDING[len(last)]
-            k0, k1, k2, k3 = self._k2
-        w0, w1, w2, w3 = BLOCK_WORDS.unpack(last)
-        s0, s1, s2, s3 = state
-        return BLOCK_WORDS.pack(
-            *self._encrypt(s0 ^ w0 ^ k0, s1 ^ w1 ^ k1, s2 ^ w2 ^ k2, s3 ^ w3 ^ k3)
-        )
+            mask = self._k2
+        block = state ^ mask ^ int.from_bytes(last, "big")
+        return self._encrypt(block.to_bytes(BLOCK_SIZE, "big"))
 
 
 class CmacState:
@@ -164,7 +162,7 @@ class CmacState:
 
     __slots__ = ("_mac", "_state", "_buffer")
 
-    def __init__(self, mac: AesCmac, state: tuple = _ZERO, buffer: bytes = b""):
+    def __init__(self, mac: AesCmac, state: int = 0, buffer: bytes = b""):
         self._mac = mac
         self._state = state
         self._buffer = buffer

@@ -235,6 +235,24 @@ def _build_lastblock_flip(plan: FaultPlan, image) -> Callable[[VM], None]:
     return inject
 
 
+# -- control-flow upset --------------------------------------------------------
+
+
+def _build_trap_replay(plan: FaultPlan, image) -> Callable[[VM], None]:
+    """Service the live trap twice with the same registers, as if an
+    upset re-executed the trap instruction.  The first service is the
+    legitimate trap; the replay then presents a lastBlock that is the
+    site's own block under a current lbMAC, which no loop site lists
+    as its predecessor, so the control-flow check must reject it."""
+
+    def inject(vm: VM) -> None:
+        registers = list(vm.regs)
+        _kernel_for(vm).handle_trap(vm, True)
+        vm.regs[:] = registers  # the replay traps with the same registers
+
+    return inject
+
+
 def _kernel_for(vm: VM):
     """The spy wraps the kernel as ``vm.trap_handler``; unwrap it."""
     handler = vm.trap_handler
@@ -251,4 +269,5 @@ _BUILDERS = {
     "sock-reg-tamper": _build_sock_reg_tamper,
     "counter-desync": _build_counter_desync,
     "lastblock-flip": _build_lastblock_flip,
+    "trap-replay": _build_trap_replay,
 }

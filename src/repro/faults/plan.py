@@ -16,8 +16,9 @@ re-runs with the same seed.
 The fault model follows the hardware-fault literature the motivation
 cites (SFP, SFIP): single-event upsets in policy material and MAC
 state, tampered trap-time register/immediate values, desynchronized
-replay nonces, and perturbed preemption points — not crafted inputs
-(those are the attack battery's job).
+replay nonces, a re-executed trap instruction, and perturbed
+preemption points — not crafted inputs (those are the attack
+battery's job).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ KINDS = (
     "prewarm-flip",     # post-warm-up bit in a pre-verified span
     "counter-desync",   # bump the kernel's per-process auth counter
     "lastblock-flip",   # bit in the .polstate lastBlock/lbMAC cell
+    "trap-replay",      # the live trap serviced twice, same registers
     "sched-jitter",     # seeded timeslice under the scheduler
     "sched-preempt",    # tiny timeslice + seeded run-queue rotation
 )
@@ -60,6 +62,7 @@ EXPECTATIONS = {
     "prewarm-flip": "any",
     "counter-desync": "detected",
     "lastblock-flip": "detected",
+    "trap-replay": "detected",
     "sched-jitter": "benign",
     "sched-preempt": "benign",
 }
@@ -92,6 +95,9 @@ ALLOWED_FAMILIES = {
     },
     "counter-desync": {"policy-state"},
     "lastblock-flip": {"policy-state"},
+    # The replayed copy carries a current lbMAC, so only the
+    # predecessor test can reject it.
+    "trap-replay": {"control-flow"},
     "sched-jitter": set(),
     "sched-preempt": set(),
 }
@@ -180,7 +186,7 @@ def _trap_plan(
     traps_by_workload: dict,
     section_sizes: dict,
 ) -> FaultPlan:
-    if kind == "prewarm-flip":
+    if kind in ("prewarm-flip", "trap-replay"):
         workload = "loop"  # needs repeated traps per site to warm up
     elif kind in NET_KINDS:
         workload = "netserver"  # sockets + scheduler; forked clients
@@ -192,6 +198,11 @@ def _trap_plan(
     if kind == "prewarm-flip":
         trap_index = rng.randrange(WARMUP_TRAPS, traps)
         section = rng.choice((".authdata", ".authstr"))
+    elif kind == "trap-replay":
+        # A warm write, open or close: never the final exit, whose first
+        # service would end the run before the replay is checked.
+        trap_index = rng.randrange(WARMUP_TRAPS, traps - 1)
+        section = ""
     elif kind in ("record-flip",):
         trap_index = rng.randrange(traps)
         section = ".authdata"

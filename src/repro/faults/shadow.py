@@ -9,8 +9,11 @@ paper's full check (:meth:`~repro.kernel.auth.AuthChecker.check`) on
 that private copy.  The full check must accept too, with the same
 syscall number, block id, fd mask and allowed set, the same post-trap
 counter and lastBlock/lbMAC bytes, and exactly the thunk's AES blocks
-plus the call MAC's.  Anything else is a disagreement, which the
-sweeps report as a MISSED fault or a divergence.
+plus the call MAC's.  A thunk that falls back instead must leave the
+counter and the lastBlock/lbMAC bytes as it found them, so the full
+check that decides the trap sees the pre-trap state.  Anything else is
+a disagreement, which the sweeps report as a MISSED fault or a
+divergence.
 
 The oracle only reads the run under test: its checker has its own MAC
 provider and no recorder, and it writes only its private copy, so
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+from repro.cpu.memory import MemoryFault
 from repro.kernel import Kernel
 from repro.kernel.auth import AuthChecker, AuthViolation
 from repro.kernel.costs import mac_blocks
@@ -52,23 +56,42 @@ class ShadowVerifier:
         execute = jit.execute
 
         def execute_and_compare(vm, process):
-            if jit.thunk_at(vm.pc) is None:
+            thunk = jit.thunk_at(vm.pc)
+            if thunk is None:
                 return execute(vm, process)
             shadow_vm = SimpleNamespace(
                 regs=list(vm.regs), pc=vm.pc, memory=fork_address_space(vm.memory)
             )
             shadow_process = SimpleNamespace(auth_counter=process.auth_counter)
             result = execute(vm, process)
-            if result is not None:
+            if result is None:
+                problem = self._untouched(vm, process, thunk, shadow_vm, shadow_process)
+            else:
                 self.checked += 1
                 problem = self._compare(vm, process, result, shadow_vm, shadow_process)
-                if problem:
-                    self.disagreements.append(
-                        f"pid {process.pid} site {shadow_vm.pc:#010x}: {problem}"
-                    )
+            if problem:
+                self.disagreements.append(
+                    f"pid {process.pid} site {shadow_vm.pc:#010x}: {problem}"
+                )
             return result
 
         return execute_and_compare
+
+    @staticmethod
+    def _untouched(vm, process, thunk, shadow_vm, shadow_process) -> str:
+        """Why a thunk that fell back left changed state behind ('' if
+        it left the counter and the lastBlock/lbMAC bytes alone)."""
+        if process.auth_counter != shadow_process.auth_counter:
+            return (
+                f"fell back after moving the counter from "
+                f"{shadow_process.auth_counter} to {process.auth_counter}"
+            )
+        record = thunk.call.record
+        if record.descriptor.control_flow_constrained and _polstate(
+            vm, record
+        ) != _polstate(shadow_vm, record):
+            return "fell back after rewriting lastBlock/lbMAC"
+        return ""
 
     def _compare(self, vm, process, result, shadow_vm, shadow_process) -> str:
         """Why the full check disagrees with the thunk ('' if it agrees)."""
@@ -95,8 +118,14 @@ class ShadowVerifier:
             )
         record = full.call.record
         if record.descriptor.control_flow_constrained:
-            live = vm.memory.read(record.lastblock_ptr, POLSTATE_SIZE, force=True)
-            shadow = shadow_vm.memory.read(record.lastblock_ptr, POLSTATE_SIZE, force=True)
-            if live != shadow:
+            if _polstate(vm, record) != _polstate(shadow_vm, record):
                 return "lastBlock/lbMAC differs from the full check's"
         return ""
+
+
+def _polstate(vm, record):
+    """The lastBlock/lbMAC bytes ``record`` names, or None if unmapped."""
+    try:
+        return vm.memory.read(record.lastblock_ptr, POLSTATE_SIZE, force=True)
+    except MemoryFault:
+        return None

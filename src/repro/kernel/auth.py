@@ -226,8 +226,9 @@ class CheckResult:
     #: bitmask and the permitted producing-site block ids.
     fd_mask: int = 0
     fd_allowed: frozenset = frozenset()
-    #: The decode the full check accepted (None for a thunk hit); the
-    #: verifier JIT compiles the site's thunk from it.
+    #: The decode the full check accepted; the verifier JIT compiles
+    #: the site's thunk from it.  (A thunk hit's verdict is the
+    #: :class:`~repro.kernel.verifierjit.SiteThunk` itself.)
     call: Optional[DecodedCall] = None
 
 

@@ -418,7 +418,9 @@ class Kernel:
         so a thunk hit and the full check's staged pipeline present the
         same span tree shape to the recorder.  With the fast path on,
         each verified trap counts once: a thunk hit in
-        ``fastpath.hits``, a full check in ``fastpath.misses``."""
+        ``fastpath.hits``, a full check in ``fastpath.misses``.  The
+        verdict is the full check's ``CheckResult`` or, on a hit, the
+        ``SiteThunk`` itself, which carries the same fields."""
         rec = self.obs
         traced = rec.enabled
         if traced:
@@ -492,14 +494,7 @@ class Kernel:
         if name is None:
             vm.regs[0] = 0xFFFFFFDA  # -ENOSYS
             return self.costs.syscall_cost("unknown")
-        ctx = SyscallContext(
-            kernel=self,
-            process=process,
-            vm=vm,
-            name=name,
-            args=tuple(vm.regs[1:7]),
-            retry=retry,
-        )
+        ctx = SyscallContext(self, process, vm, name, tuple(vm.regs[1:7]), retry)
         try:
             result = dispatch(ctx)
         except WouldBlock as would_block:

@@ -14,7 +14,6 @@ bad pointers, as a real kernel's ``copy_from_user`` would).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.cpu.memory import MemoryFault
@@ -168,20 +167,33 @@ MAX_MMAP_BYTES = 1 << 24
 PAGE = 0x1000
 
 
-@dataclass
 class SyscallContext:
-    """Everything a handler needs, bundled."""
+    """Everything a handler needs, bundled.  Every dispatch builds one,
+    blocked-dispatch retries included, so it is a slotted class the
+    kernel constructs positionally."""
 
-    kernel: "Kernel"  # noqa: F821 - forward ref, avoids an import cycle
-    process: Process
-    vm: VM
-    name: str
-    args: tuple[int, ...]
-    #: Bytes moved for per-byte cost accounting (read/write family).
-    transferred: int = 0
-    #: True when the scheduler is re-running a dispatch that blocked;
-    #: handlers with once-only side effects (yield, tracing) key on it.
-    retry: bool = False
+    __slots__ = ("kernel", "process", "vm", "name", "args", "transferred", "retry")
+
+    def __init__(
+        self,
+        kernel: "Kernel",  # noqa: F821 - forward ref, avoids an import cycle
+        process: Process,
+        vm: VM,
+        name: str,
+        args: tuple[int, ...],
+        retry: bool = False,
+    ):
+        self.kernel = kernel
+        self.process = process
+        self.vm = vm
+        self.name = name
+        self.args = args
+        #: Bytes moved for per-byte cost accounting (read/write family).
+        self.transferred = 0
+        #: True when the scheduler is re-running a dispatch that
+        #: blocked; handlers with once-only side effects (yield,
+        #: tracing) key on it.
+        self.retry = retry
 
     # -- guest memory helpers -------------------------------------------
 
@@ -227,7 +239,7 @@ def syscall(name: str) -> Callable[[Handler], Handler]:
 
 def dispatch(ctx: SyscallContext) -> int:
     """Run the handler for ``ctx.name``; map errors to -errno."""
-    tracer = getattr(ctx.kernel, "tracer", None)
+    tracer = ctx.kernel.tracer
     if tracer is not None and not ctx.retry:
         tracer.record(ctx)
     handler = _HANDLERS.get(ctx.name)

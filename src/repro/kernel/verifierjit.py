@@ -32,7 +32,18 @@ per-process counter or to runtime values: the lastBlock/lbMAC state is
 read from guest memory, MAC-verified against the current counter,
 probed against the predecessor set, then advanced and re-MAC'd;
 pattern-constrained runtime arguments are re-matched against live
-memory and r8 hints.
+memory and r8 hints.  Only *where* the state lives is pre-resolved: the
+compiler binds the :class:`~repro.cpu.memory.Region` and offset of the
+site's 20 state bytes, so a hit reads them with one ``unpack_from``
+(after re-checking that the region still holds them) and commits them
+with :meth:`Region.store <repro.cpu.memory.Region.store>`, the write
+:meth:`Memory.write <repro.cpu.memory.Memory.write>` itself makes:
+watchers first, then the bytes, then the version bump.
+
+A hit returns the :class:`SiteThunk` itself as the verdict: it carries
+the syscall number, block id, AES blocks, cycles and §5.3 fd mask and
+allowed set the kernel reads from a
+:class:`~repro.kernel.auth.CheckResult`, so a hit allocates nothing.
 
 Soundness mirrors the block-chaining pre-image invalidation story
 (DESIGN.md "Execution engines"): any store into a region holding
@@ -66,7 +77,7 @@ from typing import Optional
 
 from repro.cpu.memory import Memory, MemoryFault
 from repro.cpu.vm import VM
-from repro.crypto import MacProvider
+from repro.crypto import MAC_SIZE, MacProvider
 from repro.kernel.auth import (
     MAX_RUNTIME_STRING,
     AuthViolation,
@@ -87,10 +98,15 @@ from repro.policy.record import POLSTATE_SIZE
 #: through a pre-compiled Struct so the hot path skips format parsing.
 _STATE_PAYLOAD = struct.Struct("<IQ")
 _LASTBLOCK = struct.Struct("<I")
+#: The polstate bytes (see ``pack_policy_state``): lastBlock, lbMAC.
+_POLSTATE = struct.Struct(f"<I{MAC_SIZE}s")
+_COUNTER_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 class SiteThunk:
-    """One compiled per-site verifier (see module docstring).
+    """One compiled per-site verifier (see module docstring), and the
+    verdict of each of its hits: it has the attributes of a
+    :class:`~repro.kernel.auth.CheckResult` the kernel reads.
 
     Everything but ``guards`` is immutable after compilation; per-call
     state (the counter, the polstate bytes, runtime pattern arguments)
@@ -106,7 +122,7 @@ class SiteThunk:
         "patterns",
         "control",
         "block_id",
-        "blocks",
+        "mac_blocks",
         "cycles",
         "fd_mask",
         "fd_allowed",
@@ -121,7 +137,7 @@ class SiteThunk:
         reg_checks: tuple,
         patterns: tuple,
         control: Optional[tuple],
-        blocks: int,
+        mac_blocks: int,
         cycles: int,
         fd_allowed: frozenset,
     ):
@@ -138,11 +154,13 @@ class SiteThunk:
         self.reg_checks = reg_checks
         #: ((register index, Pattern, hint slots), ...) for §5.1 sites.
         self.patterns = patterns
-        #: (lastblock_ptr, predecessor frozenset, packed block id) for
-        #: control-flow-constrained sites, else None.
+        #: (polstate region, offset in it, predecessor frozenset,
+        #: packed block id) for control-flow-constrained sites, else
+        #: None.
         self.control = control
         self.block_id = call.record.block_id
-        self.blocks = blocks
+        #: AES blocks a hit MACs: the full check's minus the call MAC's.
+        self.mac_blocks = mac_blocks
         self.cycles = cycles
         self.fd_mask = call.record.fd_mask
         self.fd_allowed = fd_allowed
@@ -197,12 +215,13 @@ class VerifierJit:
 
     # -- the fast path ---------------------------------------------------
 
-    def execute(self, vm: VM, process: Process) -> Optional[CheckResult]:
+    def execute(self, vm: VM, process: Process) -> Optional[SiteThunk]:
         """Run the compiled verifier for the pending trap, if any.
 
-        Returns the :class:`CheckResult` of a hit, or ``None`` to fall
-        back to the full check.  Never raises and never mutates state
-        (counter, polstate) unless every check has already passed."""
+        Returns the hit's :class:`SiteThunk` as its verdict, or
+        ``None`` to fall back to the full check.  Never raises and
+        never mutates state (counter, polstate) unless every check has
+        already passed."""
         thunk = self._thunks.get(vm.pc)
         if thunk is None:
             return None
@@ -221,24 +240,20 @@ class VerifierJit:
         for index, expected in thunk.reg_checks:
             if regs[index] != expected:
                 return None
-        memory = vm.memory
-        counter = process.auth_counter
         control = thunk.control
         if control is not None:
-            lastblock_ptr, predecessors, block_prefix = control
-            try:
-                state = memory.read(lastblock_ptr, POLSTATE_SIZE, force=True)
-            except MemoryFault:
-                return None
-            (last_block,) = _LASTBLOCK.unpack_from(state, 0)
-            payload = _STATE_PAYLOAD.pack(
-                last_block, counter & 0xFFFFFFFFFFFFFFFF
-            )
-            if not self._provider.verify(payload, bytes(state[4:])):
+            polstate, offset, predecessors, block_prefix = control
+            if offset + POLSTATE_SIZE > len(polstate.data):
+                return None  # the state's region shrank; the full check reports it
+            last_block, lb_mac = _POLSTATE.unpack_from(polstate.data, offset)
+            counter = process.auth_counter
+            payload = _STATE_PAYLOAD.pack(last_block, counter & _COUNTER_MASK)
+            if not self._provider.verify(payload, lb_mac):
                 return None  # replay/corruption; the full check fail-stops
             if last_block not in predecessors:
                 return None  # control-flow violation; the full check reports
         if thunk.patterns:
+            memory = vm.memory
             try:
                 hints = read_hint_words(vm)
             except AuthViolation:
@@ -259,28 +274,17 @@ class VerifierJit:
                     return None
         # Every check passed; commit in the full check's order but only
         # after nothing can fail, so a fallback never re-runs the
-        # memory checker against half-advanced state.
+        # memory checker against half-advanced state.  The bounds
+        # checked above still hold: nothing since has written memory.
         if control is not None:
             new_counter = counter + 1
             new_mac = self._provider.tag(
-                _STATE_PAYLOAD.pack(
-                    thunk.block_id, new_counter & 0xFFFFFFFFFFFFFFFF
-                )
+                _STATE_PAYLOAD.pack(thunk.block_id, new_counter & _COUNTER_MASK)
             )
-            try:
-                memory.write(lastblock_ptr, block_prefix + new_mac, force=True)
-            except MemoryFault:
-                return None  # unwritable polstate; the full check fail-stops
+            polstate.store(offset, block_prefix + new_mac)
             process.auth_counter = new_counter
         self._metrics.inc("verifier.thunk_hits")
-        return CheckResult(
-            syscall_number=thunk.syscall_number,
-            block_id=thunk.block_id,
-            mac_blocks=thunk.blocks,
-            cycles=thunk.cycles,
-            fd_mask=thunk.fd_mask,
-            fd_allowed=thunk.fd_allowed,
-        )
+        return thunk
 
     def _refresh(self, vm: VM, thunk: SiteThunk) -> bool:
         """Re-validate a thunk whose guards went stale: True (with fresh
@@ -340,8 +344,12 @@ class VerifierJit:
                 reg_checks.append((1 + index, address))
         control = None
         if descriptor.control_flow_constrained:
+            # The full check just read and wrote these bytes, so the
+            # lookup cannot fault.
+            polstate = vm.memory.region_at(record.lastblock_ptr)
             control = (
-                record.lastblock_ptr,
+                polstate,
+                record.lastblock_ptr - polstate.start,
                 unpack_predecessor_set(call.predset.content),
                 _LASTBLOCK.pack(record.block_id),
             )
@@ -355,7 +363,7 @@ class VerifierJit:
             reg_checks=tuple(sorted(reg_checks)),
             patterns=tuple(patterns),
             control=control,
-            blocks=blocks,
+            mac_blocks=blocks,
             cycles=self._costs.auth_cost_fastpath(blocks, 1),
             fd_allowed=result.fd_allowed,
         )

@@ -214,6 +214,21 @@ def _allocate_sites(
     args_sum = sum(arity[n] * c for n, c in counts.items())
     outs_sum = sum(outs_of[n] * c for n, c in counts.items())
     fd_slots = sum(fds_of[n] * c for n, c in counts.items())
+    # A move's effect depends only on the two calls' (arity, outputs,
+    # fd args) class, and the first pair in scan order wins a tie, so
+    # only the first donor and the first receiver of each class can
+    # win: the scan below tries those, in call order, and picks the
+    # move the all-pairs scan would.  A move within a class changes no
+    # sum, so it never beats the current score.
+    class_of = {n: (arity[n], outs_of[n], fds_of[n]) for n in calls}
+
+    def first_of_each_class(names) -> list:
+        first: dict[tuple, str] = {}
+        for name in names:
+            first.setdefault(class_of[name], name)
+        return list(first.values())
+
+    receivers = first_of_each_class(calls)
 
     def score(args, outs, slots) -> int:
         shortfall = max(0, target.fds - slots)
@@ -226,11 +241,9 @@ def _allocate_sites(
     for _ in range(800):
         best = score(args_sum, outs_sum, fd_slots)
         best_move = None
-        for donor in calls:
-            if counts[donor] <= 1:
-                continue
-            for receiver in calls:
-                if receiver == donor:
+        for donor in first_of_each_class(n for n in calls if counts[n] > 1):
+            for receiver in receivers:
+                if class_of[receiver] == class_of[donor]:
                     continue
                 candidate = score(
                     args_sum - arity[donor] + arity[receiver],

@@ -112,6 +112,23 @@ def test_lastblock_flip_dies_as_policy_state(workloads, references):
     assert verdict == "detected"
 
 
+@pytest.mark.parametrize("config", [INTERP, CHAINED], ids=lambda c: c.name)
+def test_trap_replay_dies_as_control_flow(workloads, references, config):
+    # Trap 10 is a warm open: its replay presents the open site's own
+    # block under a current lbMAC, and the thunk (on chained) must
+    # reject it at the predecessor test, as the full check does.
+    plan = FaultPlan(
+        fault_id=6, kind="trap-replay", workload="loop",
+        trap_index=10, expected="detected",
+    )
+    outcome, verdict = _fault(plan, workloads, references, config=config)
+    assert outcome.killed
+    assert "control flow violation" in outcome.kill_reason
+    assert violation_family(outcome.kill_reason) == "control-flow"
+    assert outcome.shadow_disagreements == ()
+    assert verdict == "detected"
+
+
 def test_dead_state_flip_is_benign(workloads, references):
     # The victim's final authenticated trap is execve; a .authdata flip
     # injected at that trap can only be observed if some *later* trap

@@ -49,10 +49,13 @@ def test_every_kind_represented_and_bounded():
         assert plan.trap_index < TRAPS[plan.workload]
         if plan.section:
             assert plan.offset < SIZES[(plan.workload, plan.section)]
-        if plan.kind == "prewarm-flip":
+        if plan.kind in ("prewarm-flip", "trap-replay"):
             # Post-warm-up by construction: the caches are hot.
             assert plan.trap_index >= WARMUP_TRAPS
             assert plan.workload == "loop"
+        if plan.kind == "trap-replay":
+            # Never the final exit trap.
+            assert plan.trap_index < TRAPS["loop"] - 1
 
 
 def test_kind_filter():

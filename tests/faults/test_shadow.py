@@ -13,6 +13,7 @@ from repro.faults.plan import WARMUP_TRAPS, FaultPlan
 from repro.faults.targets import build_workloads
 from repro.kernel.auth import AuthViolation, decode_call
 from repro.kernel.verifierjit import VerifierJit, _guards
+from repro.policy.record import read_policy_state, state_mac_payload
 
 KEY = Key.from_passphrase("shadow-oracle-tests", provider="fast-hmac")
 CHAINED, NO_FASTPATH = configs_named(["chained", "no-fastpath"])
@@ -51,6 +52,56 @@ def _weak_refresh(self, vm, thunk):
         return False
     thunk.guards = _guards(vm.memory, vm.regs[7], live)
     return True
+
+
+_EXECUTE = VerifierJit.execute
+
+
+class _AnyBlock:
+    def __contains__(self, block):
+        return True
+
+
+def _no_predecessor_test(self, vm, process):
+    """A planted bug: the thunk accepts any lastBlock whose lbMAC
+    verifies, as if its predecessor test were gone."""
+    thunk = self.thunk_at(vm.pc)
+    if thunk is not None and thunk.control is not None:
+        polstate, offset, _, block_prefix = thunk.control
+        thunk.control = (polstate, offset, _AnyBlock(), block_prefix)
+    return _EXECUTE(self, vm, process)
+
+
+def _commit_before_verify(self, vm, process):
+    """A planted bug: the thunk advances the counter and rewrites the
+    polstate before its lbMAC verify, so a trap it then rejects leaves
+    state the full check accepts behind.  Traps this bug cannot touch
+    (no thunk, no control flow, a stale guard, a wrong register) take
+    the real path."""
+    thunk = self.thunk_at(vm.pc)
+    regs = vm.regs
+    if (
+        thunk is None
+        or thunk.control is None
+        or thunk.patterns
+        or (regs[0], regs[7]) != (thunk.syscall_number, thunk.record_ptr)
+        or any(region.version != version for region, version in thunk.guards)
+        or any(regs[index] != value for index, value in thunk.reg_checks)
+    ):
+        return _EXECUTE(self, vm, process)
+    polstate, offset, predecessors, block_prefix = thunk.control
+    address = polstate.start + offset
+    last_block, lb_mac = read_policy_state(vm.memory, address)
+    counter = process.auth_counter
+    process.auth_counter = counter + 1
+    new_mac = self._provider.tag(state_mac_payload(thunk.block_id, counter + 1))
+    vm.memory.write(address, block_prefix + new_mac, force=True)
+    if not self._provider.verify(state_mac_payload(last_block, counter), lb_mac):
+        return None
+    if last_block not in predecessors:
+        return None
+    self._metrics.inc("verifier.thunk_hits")
+    return thunk
 
 
 @pytest.mark.parametrize("workload", ["loop", "victim", "loop-sched", "netserver"])
@@ -95,3 +146,39 @@ def test_weakened_refresh_fails_the_sweep(monkeypatch):
     missed = [run for run in report.runs if run["outcome"] == "missed"]
     assert all(run["shadow_disagreements"] for run in missed)
     assert all(run["plan"]["section"] == ".authstr" for run in missed)
+
+
+def test_dropped_predecessor_test_fails_the_sweep(monkeypatch):
+    # A replayed trap carries a current lbMAC; only the predecessor
+    # test rejects it, so without it the thunk accepts the replay and
+    # the oracle's full check does not.
+    monkeypatch.setattr(VerifierJit, "execute", _no_predecessor_test)
+    report = run_sweep(
+        key=KEY, seed=3, count=6, config_names=["chained"], kinds=["trap-replay"],
+    )
+    assert not report.ok
+    missed = [run for run in report.runs if run["outcome"] == "missed"]
+    assert missed and all(
+        any("full check rejects: control flow violation" in line
+            for line in run.get("shadow_disagreements", ()))
+        for run in missed
+    )
+
+
+def test_commit_before_the_lbmac_verify_fails_the_sweep(monkeypatch):
+    # The premature commit launders a corrupted polstate or a desynced
+    # counter: the full check then sees a fresh, valid state and kills
+    # for the wrong reason.  The oracle sees the fallback move the
+    # counter.
+    monkeypatch.setattr(VerifierJit, "execute", _commit_before_verify)
+    report = run_sweep(
+        key=KEY, seed=3, count=12, config_names=["chained"],
+        kinds=["counter-desync", "lastblock-flip"],
+    )
+    assert not report.ok
+    missed = [run for run in report.runs if run["outcome"] == "missed"]
+    assert missed and all(
+        any("fell back after moving the counter" in line
+            for line in run.get("shadow_disagreements", ()))
+        for run in missed
+    )

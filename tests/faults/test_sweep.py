@@ -38,7 +38,7 @@ def test_detection_counts_identical_across_configs(report):
 
 def test_must_detect_kinds_all_detected(report):
     for kind in ("mac-flip", "mac-transplant", "reg-tamper",
-                 "counter-desync", "lastblock-flip", "as-flip"):
+                 "counter-desync", "lastblock-flip", "as-flip", "trap-replay"):
         counts = report.by_kind[kind]
         assert counts["detected"] > 0
         assert counts["benign"] == 0, kind

@@ -4,6 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.crypto import Key
+from repro.faults.shadow import ShadowVerifier
 from repro.installer import InstallError, InstallerOptions, install
 from repro.kernel import Kernel
 from repro.workloads.runtime import runtime_source
@@ -127,3 +128,128 @@ class TestInstallGuards:
     def test_double_install_rejected(self, installed):
         with pytest.raises(InstallError, match="already installed"):
             install(installed.binary, KEY)
+
+
+WARM_ITERATIONS = 25
+#: Read traps before the confused one: the read site's thunk has then
+#: served 21 hits.
+WARM_READS = 22
+
+#: The capability-tracked read in a loop: after its first full check,
+#: every read is a thunk hit whose fd the kernel checks against the
+#: thunk's allowed producers.
+WARM_PROGRAM = f"""
+.section .text
+.global _start
+_start:
+    li r1, patha
+    li r2, 0
+    call sys_open
+    mov r13, r0          ; fd A  (the permitted producer for the read)
+    li r1, pathb
+    li r2, 0
+    call sys_open
+    mov r14, r0          ; fd B
+    li r12, {WARM_ITERATIONS}
+loop:
+    mov r1, r13
+    li r2, buf
+    li r3, 1
+    call sys_read
+    subi r12, r12, 1
+    cmpi r12, 0
+    bgt loop
+    li r1, 0
+    call sys_exit
+.section .rodata
+patha:
+    .asciz "/etc/a"
+pathb:
+    .asciz "/etc/b"
+.section .bss
+buf:
+    .space 16
+""" + runtime_source("linux", ("open", "read", "exit"))
+
+
+@pytest.fixture(scope="module")
+def warm_installed():
+    return install(
+        assemble(WARM_PROGRAM, metadata={"program": "capdemo-loop"}), KEY,
+        InstallerOptions(capability_tracking=True),
+    )
+
+
+class TestWarmCapabilitySite:
+    """§5.3 at a warm site: the thunk hit carries the site's fd mask
+    and allowed producers, and the kernel checks each live fd against
+    them exactly as after a full check."""
+
+    @staticmethod
+    def _load(installed, fastpath=True):
+        kernel = Kernel(key=KEY, capability_tracking=True, fastpath=fastpath)
+        shadow = ShadowVerifier(kernel)
+        kernel.vfs.write_file("/etc/a", b"A" * 64)
+        kernel.vfs.write_file("/etc/b", b"B" * 64)
+        process, vm = kernel.load(installed.binary)
+        return kernel, shadow, process, vm
+
+    def test_read_site_is_tracked(self, warm_installed):
+        read_policy = warm_installed.policy.sites[warm_installed.site_for_syscall("read")]
+        first_open = min(
+            site for site, policy in warm_installed.policy.sites.items()
+            if policy.syscall == "open"
+        )
+        assert read_policy.fd_producers[0] == frozenset(
+            {warm_installed.policy.sites[first_open].block_id}
+        )
+
+    def test_warm_hits_agree_with_the_full_check(self, warm_installed):
+        kernel, shadow, process, vm = self._load(warm_installed)
+        read_site = warm_installed.site_for_syscall("read")
+        hits = []
+
+        class CountReadHits:
+            def handle_trap(self, inner, authenticated):
+                before = kernel.metrics.get("verifier.thunk_hits")
+                cycles = kernel.handle_trap(inner, authenticated)
+                if inner.pc == read_site:
+                    hits.append(kernel.metrics.get("verifier.thunk_hits") - before)
+                    # A hit's verdict is the thunk, with the site's mask.
+                    assert process.jit.thunk_at(read_site).fd_mask == 1
+                return cycles
+
+        vm.trap_handler = CountReadHits()
+        vm.run()
+        assert not vm.killed, vm.kill_reason
+        assert vm.exit_status == 0
+        assert hits == [0] + [1] * (WARM_ITERATIONS - 1)
+        assert shadow.disagreements == []
+        assert shadow.checked == kernel.metrics.get("verifier.thunk_hits") >= 20
+
+    def test_confused_fd_at_warm_site_killed_as_by_the_full_check(
+        self, warm_installed
+    ):
+        reasons = []
+        for fastpath in (True, False):
+            kernel, shadow, process, vm = self._load(warm_installed, fastpath)
+            read_site = warm_installed.site_for_syscall("read")
+            reads = []
+
+            class ConfuseLateRead:
+                def handle_trap(self, inner, authenticated):
+                    if inner.pc == read_site:
+                        reads.append(inner.pc)
+                        if len(reads) > WARM_READS:
+                            inner.regs[1] = inner.regs[14]  # swap in fd B
+                    return kernel.handle_trap(inner, authenticated)
+
+            vm.trap_handler = ConfuseLateRead()
+            vm.run()
+            assert vm.killed and "capability violation" in vm.kill_reason
+            assert len(reads) == WARM_READS + 1
+            if fastpath:
+                assert kernel.metrics.get("verifier.thunk_hits") == WARM_READS
+            assert shadow.disagreements == []
+            reasons.append(vm.kill_reason)
+        assert reasons[0] == reasons[1]

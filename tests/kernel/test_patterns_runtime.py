@@ -5,9 +5,12 @@ The guest program passes its proof hint in ``r8`` (a pointer to
 with one linear scan; a wrong or missing hint is a fail-stop.
 """
 
+import pytest
 
 from repro.asm import assemble
+from repro.binfmt import link
 from repro.crypto import Key
+from repro.faults.shadow import ShadowVerifier
 from repro.installer import InstallerOptions, install
 from repro.kernel import Kernel
 from repro.workloads.runtime import runtime_source
@@ -112,3 +115,113 @@ class TestPatternRuntime:
         vm.run()
         assert vm.killed
         assert "integrity" in vm.kill_reason or "MAC" in vm.kill_reason
+
+
+WARM_ITERATIONS = 25
+#: Traps before the planted fault: 22 loop iterations of open and
+#: close, so the open site's thunk has served 21 hits.
+WARM_TRAPS = 44
+
+#: The pattern-constrained open in a loop: after the first full check,
+#: every open is a thunk hit that re-reads the argument and the r8
+#: hint block from live memory.
+WARM_PROGRAM = f"""
+.section .text
+.global _start
+_start:
+    li r13, {WARM_ITERATIONS}
+loop:
+    li r9, cell
+    ld r1, [r9+0]        ; dynamic path argument
+    li r2, 0
+    li r8, hint          ; proof hint block
+    call sys_open
+    mov r1, r0
+    call sys_close
+    subi r13, r13, 1
+    cmpi r13, 0
+    bgt loop
+    li r1, 0
+    call sys_exit
+.section .data
+cell:
+    .word pathstr
+pathstr:
+    .asciz "/tmp/foofoobaz"
+hint:
+    .word 2, 0, 3        ; branch 0 ("foo"), star consumes 3
+""" + runtime_source("linux", ("open", "close", "exit"))
+
+
+@pytest.fixture(scope="module")
+def warm_installed():
+    binary = assemble(WARM_PROGRAM, metadata={"program": "patterned-loop"})
+    return install(
+        binary, KEY,
+        InstallerOptions(template_fills={("open", 0): "/tmp/{foo,bar}*baz"}),
+    )
+
+
+def _wrong_hint(vm, image):
+    vm.memory.write_u32(image.address_of("hint") + 4, 1, force=True)  # "bar"
+
+
+def _non_matching_argument(vm, image):
+    vm.memory.write(image.address_of("pathstr"), b"/etc/passwd\0", force=True)
+
+
+class TestWarmPatternSite:
+    """The pattern checks of a warm thunk: live arguments and hints are
+    re-matched on every hit, and a fault planted after warm-up is
+    killed exactly as the full check on every trap kills it."""
+
+    def _load(self, installed, fastpath=True):
+        kernel = Kernel(key=KEY, fastpath=fastpath)
+        shadow = ShadowVerifier(kernel)
+        kernel.vfs.write_file("/tmp/foofoobaz", b"x")
+        process, vm = kernel.load(installed.binary)
+        return kernel, shadow, vm
+
+    def test_warm_hits_agree_with_the_full_check(self, warm_installed):
+        kernel, shadow, vm = self._load(warm_installed)
+        open_site = warm_installed.site_for_syscall("open")
+        hits = []
+
+        class CountOpenHits:
+            def handle_trap(self, inner, authenticated):
+                before = kernel.metrics.get("verifier.thunk_hits")
+                cycles = kernel.handle_trap(inner, authenticated)
+                if inner.pc == open_site:
+                    hits.append(kernel.metrics.get("verifier.thunk_hits") - before)
+                return cycles
+
+        vm.trap_handler = CountOpenHits()
+        vm.run()
+        assert not vm.killed, vm.kill_reason
+        assert vm.exit_status == 0
+        # Every open but the first is a thunk hit at the pattern site.
+        assert hits == [0] + [1] * (WARM_ITERATIONS - 1)
+        assert shadow.disagreements == []
+        assert shadow.checked == kernel.metrics.get("verifier.thunk_hits") >= 20
+
+    @pytest.mark.parametrize(
+        "plant", [_wrong_hint, _non_matching_argument],
+        ids=["wrong-hint", "non-matching-argument"],
+    )
+    def test_fault_at_warm_site_killed_as_by_the_full_check(
+        self, warm_installed, plant
+    ):
+        reasons = []
+        for fastpath in (True, False):
+            kernel, shadow, vm = self._load(warm_installed, fastpath)
+            while vm.syscall_count < WARM_TRAPS:
+                assert vm.step()
+            if fastpath:
+                assert kernel.metrics.get("verifier.thunk_hits") >= 40
+            plant(vm, link(warm_installed.binary))
+            vm.run()
+            assert vm.killed and "pattern" in vm.kill_reason
+            assert vm.syscall_count == WARM_TRAPS + 1
+            assert shadow.disagreements == []
+            reasons.append(vm.kill_reason)
+        assert reasons[0] == reasons[1]

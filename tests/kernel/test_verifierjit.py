@@ -21,6 +21,7 @@ from repro.installer import install
 from repro.kernel import Kernel
 from repro.kernel.auth import violation_family
 from repro.obs import TraceRecorder
+from repro.policy.record import POLSTATE_SIZE
 from repro.workloads.runtime import runtime_source
 
 KEY = Key.from_passphrase("verifier-jit", provider="fast-hmac")
@@ -296,6 +297,53 @@ class TestGuardInvalidation:
         assert kernel.metrics.get("fastpath.misses") == compiled
         vm.run()
         assert not vm.killed
+
+
+class TestPolstateCommit:
+    """A thunk binds the region and offset of its site's lastBlock/lbMAC
+    state at compile time; each hit re-checks that the region still
+    holds the state and commits it through the same write as
+    ``Memory.write``."""
+
+    def test_commit_runs_watchers_then_bumps_the_version(self, installed_open):
+        kernel, process, vm = _warm(installed_open)
+        address = link(installed_open.binary).address_of("__asc_polstate")
+        region = vm.memory.region_at(address)
+        offset = address - region.start
+        seen = []
+
+        def watcher(start, size):
+            # Runs before the bytes change: the pre-image is readable.
+            seen.append((start, size, bytes(region.data[offset : offset + POLSTATE_SIZE])))
+
+        region.watchers.append(watcher)
+        version = region.version
+        hits = kernel.metrics.get("fastpath.hits")
+        before = []
+        for _ in range(6):
+            before.append(bytes(region.data[offset : offset + POLSTATE_SIZE]))
+            _step_traps(vm, 1)
+        region.watchers.remove(watcher)
+        assert kernel.metrics.get("fastpath.hits") == hits + 6
+        assert region.version == version + 6
+        assert seen == [(address, POLSTATE_SIZE, state) for state in before]
+        vm.run()
+        assert not vm.killed, vm.kill_reason
+
+    def test_shrunk_state_region_falls_back_to_the_full_check(self, installed_open):
+        # Cut the .polstate region mid-state after warm-up: the thunk
+        # must notice before reading and let the full check kill for
+        # the unreadable state, as it does with the fast path off.
+        reasons = []
+        for fastpath in (True, False):
+            kernel, process, vm = _warm(installed_open, fastpath=fastpath)
+            address = link(installed_open.binary).address_of("__asc_polstate")
+            region = vm.memory.region_at(address)
+            vm.memory.grow_region(region.name, address - region.start + 10)
+            vm.run()
+            assert vm.killed and "unreadable policy state" in vm.kill_reason
+            reasons.append(vm.kill_reason)
+        assert reasons[0] == reasons[1]
 
 
 def _mutate_record_field(vm, image, installed):

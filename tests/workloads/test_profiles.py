@@ -1,5 +1,7 @@
 """Profile programs reproduce the published static structure."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto import Key
@@ -33,7 +35,28 @@ class TestInventories:
             assert len(calls) == len(set(calls))
 
 
+#: sha256 of every profile binary (``SefBinary.to_bytes()``), pinned
+#: from the all-pairs site allocation: the per-class scan must pick the
+#: same moves, so Tables 1-3 and the cold-sites programs cannot move.
+BINARY_SHA256 = {
+    ("bison", "linux"): "8de1fcabcc120982dcfa9efffb5668f211348afe624eafa7ef9c68a36604fbfb",
+    ("calc", "linux"): "647d59922d53a3d104a286940049f440f3961060ba9388a26fddccde04bda8e3",
+    ("screen", "linux"): "2616065503f314f86105951fdb6cda9baced20b2d5e98a9da0e5c56ab46f62b3",
+    ("tar", "linux"): "f9ca84f9d7d9810382ba487c6ba89476e84756188215cfe475475aef838ccecd",
+    ("bison", "openbsd"): "f93919d24c1bae5dd81bed29557ea910b9c0501e7898a4464185a7b2b8b2da91",
+    ("calc", "openbsd"): "fdae4ca36297ea982f057e94773fbc8debd6c07dd97231df1e24060371c9d9db",
+    ("screen", "openbsd"): "018a47eae68a4360b7371328a7250c7cb3de156ce8643dd58d861bb9b9a80907",
+    ("tar", "openbsd"): "c5c553e6a89e3a9804340780e147fe54f95dc2897b1f7b6dd5ecd3fa74d57785",
+}
+
+
 class TestPlanning:
+    @pytest.mark.parametrize("name, personality", sorted(BINARY_SHA256))
+    def test_binaries_are_pinned(self, name, personality):
+        binary = build_profile_program(name, personality)
+        digest = hashlib.sha256(binary.to_bytes()).hexdigest()
+        assert digest == BINARY_SHA256[name, personality]
+
     def test_site_totals(self):
         for name, profile in PROFILE_PROGRAMS.items():
             plans = plan_sites(profile, "linux")
