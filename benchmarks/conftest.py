@@ -14,9 +14,8 @@ from repro.crypto import Key
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: One deterministic machine key for the whole bench session; fast-hmac
-#: keeps wall-clock sane while charging identical simulated cycles.
-BENCH_KEY = Key.from_passphrase("benchmark-machine", provider="fast-hmac")
+#: One deterministic machine key for the whole bench session.
+BENCH_KEY = Key.from_passphrase("benchmark-machine")
 
 
 @pytest.fixture

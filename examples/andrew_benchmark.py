@@ -18,7 +18,7 @@ from repro.workloads import AndrewBenchmark
 
 def main() -> None:
     iterations = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    key = Key.from_passphrase("andrew-demo", provider="fast-hmac")
+    key = Key.from_passphrase("andrew-demo")
 
     print(f"running {iterations} iteration(s) with original binaries...")
     original = AndrewBenchmark(key=key, iterations=iterations, authenticated=False).run()

@@ -23,7 +23,7 @@ paper-vs-measured record of every table.
 
 from repro.asm import AsmBuilder, assemble
 from repro.binfmt import SefBinary, link
-from repro.crypto import AesCmac, FastMac, Key, KeyRing
+from repro.crypto import AesCmac, Key
 from repro.installer import InstalledProgram, InstallerOptions, install
 from repro.kernel import CostModel, EnforcementMode, Kernel, RunResult, Vfs
 from repro.policy import MetaPolicy, Pattern, PolicyDescriptor, ProgramPolicy
@@ -35,12 +35,10 @@ __all__ = [
     "AsmBuilder",
     "CostModel",
     "EnforcementMode",
-    "FastMac",
     "InstalledProgram",
     "InstallerOptions",
     "Kernel",
     "Key",
-    "KeyRing",
     "MetaPolicy",
     "Pattern",
     "PolicyDescriptor",

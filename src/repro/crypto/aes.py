@@ -21,8 +21,8 @@ cross-checked against each other by the property tests in
 ``tests/crypto``.
 
 Each exposes ``encrypt_block`` (16 bytes in and out, which CMAC
-chains on), ``encrypt_words`` (four big-endian 32-bit column words in
-and out) and a ``name``.
+chains on) and a ``name``; :class:`TableAES` runs its rounds in
+``encrypt_words``, on four big-endian 32-bit column words.
 """
 
 from __future__ import annotations
@@ -205,11 +205,6 @@ class AES:
         state = self._shift_rows(state)
         self._add_round_key(state, self._round_keys[self.rounds])
         return bytes(state)
-
-    def encrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> tuple:
-        """The block as column words, the interface all three ciphers
-        share."""
-        return BLOCK_WORDS.unpack(self.encrypt_block(BLOCK_WORDS.pack(s0, s1, s2, s3)))
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_SIZE:
@@ -497,10 +492,6 @@ class NativeAES:
         ):
             raise RuntimeError("EVP_EncryptUpdate failed")
         return self._out.raw
-
-    def encrypt_words(self, s0: int, s1: int, s2: int, s3: int) -> tuple:
-        """Encrypt one block given and returned as four column words."""
-        return BLOCK_WORDS.unpack(self.encrypt_block(BLOCK_WORDS.pack(s0, s1, s2, s3)))
 
 
 def default_cipher(key: bytes):

@@ -1,111 +1,42 @@
-"""Key management for the installer/kernel trust model.
+"""The MAC key of the installer/kernel trust model.
 
 The paper's threat model (§3.1): the MAC key is specified at
 installation time, is accessible *only* to the trusted installer and to
 the kernel, and it is computationally infeasible for an attacker to
 forge a tag without it.  Applications carry policies and MACs in plain
-text but never the key.
-
-:class:`KeyRing` models a machine's key store: the security
-administrator provisions a key, the installer borrows it while signing
-binaries, and the simulated kernel holds it for verification.  Nothing
-in :mod:`repro.cpu` or the application address space can reach it.
+text but never the key.  Nothing in :mod:`repro.cpu` or the application
+address space can reach a :class:`Key`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Protocol, Union
-
-from repro.crypto.cmac import AesCmac
-from repro.crypto.fastmac import FastMac
 
 KEY_SIZE = 16
 
 
-class MacProvider(Protocol):
-    """Anything that can tag and verify byte strings with 128-bit MACs."""
-
-    name: str
-
-    def tag(self, message: bytes) -> bytes: ...
-
-    def verify(self, message: bytes, tag: bytes) -> bool: ...
-
-
 @dataclass(frozen=True)
 class Key:
-    """An opaque 16-byte MAC key.
+    """An opaque 16-byte AES-CMAC key.
 
     ``repr`` deliberately omits the material so keys never leak into
     logs or audit records.
     """
 
     material: bytes = field(repr=False)
-    provider: str = "aes-cmac"
 
     def __post_init__(self) -> None:
         if len(self.material) != KEY_SIZE:
             raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(self.material)}")
-        if self.provider not in ("aes-cmac", "fast-hmac"):
-            raise ValueError(f"unknown MAC provider {self.provider!r}")
 
     @classmethod
-    def generate(cls, provider: str = "aes-cmac") -> "Key":
-        return cls(material=os.urandom(KEY_SIZE), provider=provider)
+    def generate(cls) -> "Key":
+        return cls(material=os.urandom(KEY_SIZE))
 
     @classmethod
-    def from_passphrase(cls, passphrase: str, provider: str = "aes-cmac") -> "Key":
+    def from_passphrase(cls, passphrase: str) -> "Key":
         """Deterministic key derivation for reproducible experiments."""
-        import hashlib
-
         digest = hashlib.sha256(passphrase.encode("utf-8")).digest()
-        return cls(material=digest[:KEY_SIZE], provider=provider)
-
-
-def mac_provider_for_key(key: Key) -> MacProvider:
-    """Instantiate the MAC implementation a key was provisioned for."""
-    if key.provider == "fast-hmac":
-        return FastMac(key.material)
-    return AesCmac(key.material)
-
-
-class KeyRing:
-    """The machine key store shared by the installer and the kernel.
-
-    Keys are referenced by name so that an administrator can rotate the
-    installation key without touching installer or kernel code.
-    """
-
-    def __init__(self) -> None:
-        self._keys: dict[str, Key] = {}
-
-    def provision(self, name: str, key: Union[Key, None] = None) -> Key:
-        """Store (or generate) a key under ``name``; returns the key."""
-        if name in self._keys:
-            raise KeyError(f"key {name!r} already provisioned")
-        key = key if key is not None else Key.generate()
-        self._keys[name] = key
-        return key
-
-    def get(self, name: str) -> Key:
-        try:
-            return self._keys[name]
-        except KeyError:
-            raise KeyError(f"no key provisioned under {name!r}") from None
-
-    def mac(self, name: str) -> MacProvider:
-        return mac_provider_for_key(self.get(name))
-
-    def rotate(self, name: str) -> Key:
-        """Replace the key under ``name``; previously signed binaries
-        will fail verification against the new key (fail-stop)."""
-        if name not in self._keys:
-            raise KeyError(f"no key provisioned under {name!r}")
-        old = self._keys[name]
-        self._keys[name] = Key.generate(provider=old.provider)
-        return self._keys[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._keys
+        return cls(material=digest[:KEY_SIZE])

@@ -15,8 +15,9 @@ check that decides the trap sees the pre-trap state.  Anything else is
 a disagreement, which the sweeps report as a MISSED fault or a
 divergence.
 
-The oracle only reads the run under test: its checker has its own MAC
-provider and no recorder, and it writes only its private copy, so
+The oracle only reads the run under test: its checker has its own
+:class:`~repro.crypto.AesCmac` (so it never shares the kernel's tag
+memo) and no recorder, and it writes only its private copy, so
 signatures, counters and reports are the same as without it.
 """
 
@@ -29,7 +30,7 @@ from repro.kernel import Kernel
 from repro.kernel.auth import AuthChecker, AuthViolation
 from repro.kernel.costs import mac_blocks
 from repro.kernel.kernel import fork_address_space
-from repro.crypto import mac_provider_for_key
+from repro.crypto import AesCmac
 from repro.policy.record import POLSTATE_SIZE
 
 
@@ -38,7 +39,7 @@ class ShadowVerifier:
     thunk partition is then shadowed."""
 
     def __init__(self, kernel: Kernel):
-        self._checker = AuthChecker(mac_provider_for_key(kernel.key), kernel.costs)
+        self._checker = AuthChecker(AesCmac(kernel.key.material), kernel.costs)
         #: Thunk-accepted traps re-verified so far.
         self.checked = 0
         #: One line per trap the full check did not confirm.

@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.binfmt import SefBinary
 from repro.binfmt.image import assign_addresses
-from repro.crypto import Key, MacProvider, mac_provider_for_key
+from repro.crypto import AesCmac, Key
 from repro.installer.policygen import (
     GenerationOptions,
     analyze,
@@ -85,7 +85,7 @@ def install(
 ) -> InstalledProgram:
     """Run the full installation pipeline on a relocatable binary."""
     options = options or InstallerOptions()
-    mac = mac_provider_for_key(key)
+    mac = AesCmac(key.material)
 
     if binary.metadata.get("authenticated") == "yes":
         raise InstallError(
@@ -225,7 +225,7 @@ def _apply_fills_directly(policy: ProgramPolicy, fills: dict) -> None:
                 )
 
 
-def _sign(installed: SefBinary, rewrite: RewriteResult, mac: MacProvider) -> None:
+def _sign(installed: SefBinary, rewrite: RewriteResult, mac: AesCmac) -> None:
     """Fill every record's call MAC now that addresses are final."""
     section_bases = assign_addresses(installed)
 

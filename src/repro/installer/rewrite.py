@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.binfmt import Relocation
 from repro.binfmt.symbols import Symbol
-from repro.crypto import MAC_SIZE, MacProvider
+from repro.crypto import MAC_SIZE, AesCmac
 from repro.isa import Instruction, SymbolRef
 from repro.isa.opcodes import Op
 from repro.installer.policygen import AnalysisResult
@@ -75,7 +75,7 @@ def rewrite_unit(
     unit: IrUnit,
     analysis: AnalysisResult,
     program_policy: ProgramPolicy,
-    mac: MacProvider,
+    mac: AesCmac,
 ) -> RewriteResult:
     binary = unit.binary
     authstr = binary.get_or_create_section(".authstr")

@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.cpu.memory import MemoryFault
 from repro.cpu.vm import VM
-from repro.crypto import MacProvider
+from repro.crypto import AesCmac
 from repro.kernel.costs import CostModel, mac_blocks
 from repro.kernel.process import Process
 from repro.obs import NULL_RECORDER, Recorder
@@ -233,11 +233,11 @@ class CheckResult:
 
 
 class AuthChecker:
-    """Stateless checker bound to the kernel's MAC provider."""
+    """Stateless checker bound to the kernel's AES-CMAC."""
 
     def __init__(
         self,
-        provider: MacProvider,
+        provider: AesCmac,
         costs: CostModel,
         recorder: Recorder = NULL_RECORDER,
     ):

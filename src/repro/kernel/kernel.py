@@ -22,7 +22,7 @@ from repro.cpu.memory import (
     PROT_WRITE,
 )
 from repro.cpu.vm import VM, ProcessExit
-from repro.crypto import Key, MacProvider, mac_provider_for_key
+from repro.crypto import AesCmac, Key
 from repro.isa import INSTRUCTION_SIZE
 from repro.kernel.audit import AuditEvent, AuditLog
 from repro.kernel.auth import AuthChecker, AuthViolation
@@ -118,7 +118,7 @@ class Kernel:
         recorder: Optional[Recorder] = None,
     ):
         self.key = key or Key.generate()
-        self.mac: MacProvider = mac_provider_for_key(self.key)
+        self.mac = AesCmac(self.key.material)
         self.mode = mode
         self.personality = personality
         self.costs = costs or CostModel()

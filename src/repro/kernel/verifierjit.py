@@ -77,7 +77,7 @@ from typing import Optional
 
 from repro.cpu.memory import Memory, MemoryFault
 from repro.cpu.vm import VM
-from repro.crypto import MAC_SIZE, MacProvider
+from repro.crypto import MAC_SIZE, AesCmac
 from repro.kernel.auth import (
     MAX_RUNTIME_STRING,
     AuthViolation,
@@ -195,7 +195,7 @@ class VerifierJit:
 
     def __init__(
         self,
-        provider: MacProvider,
+        provider: AesCmac,
         costs: CostModel,
         metrics: MetricsRegistry,
         recorder: Recorder = NULL_RECORDER,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.crypto import MAC_SIZE, MacProvider
+from repro.crypto import MAC_SIZE, AesCmac
 from repro.cpu.memory import Memory, MemoryFault
 
 AS_HEADER_SIZE = 4 + MAC_SIZE  # length + MAC
@@ -34,13 +34,13 @@ class AuthenticatedString:
     mac: bytes
     content: bytes
 
-    def verify(self, provider: MacProvider) -> bool:
+    def verify(self, provider: AesCmac) -> bool:
         return len(self.content) == self.length and provider.verify(
             self.content, self.mac
         )
 
 
-def build_authenticated_string(content: bytes, provider: MacProvider) -> bytes:
+def build_authenticated_string(content: bytes, provider: AesCmac) -> bytes:
     """Serialize an AS record (header + content + NUL).
 
     The trailing NUL is not part of the authenticated length; it exists

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto import MacProvider
+from repro.crypto import AesCmac
 
 
 class CapabilityError(Exception):
@@ -78,7 +78,7 @@ class AuthenticatedDictionary:
     fails because the counter participates in the MAC.
     """
 
-    provider: MacProvider
+    provider: AesCmac
     # -- untrusted half (application memory) --
     contents: tuple[int, ...] = ()
     mac: bytes = b""

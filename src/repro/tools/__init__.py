@@ -11,8 +11,7 @@ security administrator would run:
 - ``attacks``   — run the §4.1/§5.5 attack battery
 
 Keys are derived from a passphrase (``--key``) so the installer and the
-kernel invocation can share one; in production they would come from a
-key store (see :class:`repro.crypto.KeyRing`).
+kernel invocation can share one.
 """
 
 from repro.tools.cli import main

@@ -10,7 +10,7 @@ from typing import Optional
 from repro.asm import assemble
 from repro.binfmt import SefBinary
 from repro.cpu import ENGINES
-from repro.crypto import AesCmac, Key
+from repro.crypto import Key
 from repro.installer import InstallerOptions, install
 from repro.kernel import EnforcementMode, Kernel
 from repro.plto import disassemble
@@ -18,8 +18,7 @@ from repro.plto.printer import render_disassembly, render_policy, render_unit
 
 
 def _key_from(args) -> Key:
-    provider = "fast-hmac" if args.fast_mac else "aes-cmac"
-    return Key.from_passphrase(args.key, provider=provider)
+    return Key.from_passphrase(args.key)
 
 
 def _load_binary(path: str) -> SefBinary:
@@ -246,10 +245,10 @@ def _cmd_run(args) -> int:
             f"({rate:.1f}% hit rate)",
             file=sys.stderr,
         )
-        mac = f"[stats] mac: {kernel.mac.name}"
-        if isinstance(kernel.mac, AesCmac):
-            mac += f" (AES block: {kernel.mac.block_cipher})"
-        print(mac, file=sys.stderr)
+        print(
+            f"[stats] mac: {kernel.mac.name} (AES block: {kernel.mac.block_cipher})",
+            file=sys.stderr,
+        )
     return result.exit_status
 
 
@@ -396,11 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--key", default="machine-key",
         help="key passphrase shared by installer and kernel",
-    )
-    parser.add_argument(
-        "--fast-mac", action="store_true",
-        help="use the HMAC-based MAC provider (faster host runs; "
-             "identical simulated costs)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

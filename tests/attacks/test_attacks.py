@@ -17,7 +17,7 @@ from repro.attacks import (
 from repro.configs import configs_named
 from repro.crypto import Key
 
-KEY = Key.from_passphrase("attack-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("attack-tests")
 
 
 class TestShellcode:

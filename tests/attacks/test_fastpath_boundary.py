@@ -23,7 +23,7 @@ from repro.installer import install
 from repro.kernel import Kernel
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("fastpath-boundary", provider="fast-hmac")
+KEY = Key.from_passphrase("fastpath-boundary")
 
 ITERATIONS = 40
 WARMUP_SYSCALLS = 10

@@ -23,7 +23,7 @@ from repro.kernel.auth import violation_family
 
 @pytest.fixture(scope="module")
 def key():
-    return Key.from_passphrase("net-attack-tests", provider="fast-hmac")
+    return Key.from_passphrase("net-attack-tests")
 
 
 class TestNetworkAttacks:

@@ -19,7 +19,7 @@ from repro.conformance.corpus import (
 from repro.conformance.grammar import GenOp, ProgramSpec, render
 from repro.conformance.oracle import divergences, run_all_configs
 
-KEY = Key.from_passphrase("conformance-corpus-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("conformance-corpus-tests")
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 

@@ -15,7 +15,7 @@ from repro.conformance.oracle import (
     spec_diverges,
 )
 
-KEY = Key.from_passphrase("conformance-oracle-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("conformance-oracle-tests")
 
 #: One op from each syscall family plus a near-budget spin: the
 #: broadest single program the oracle tests run.

@@ -9,7 +9,7 @@ from repro.conformance import corpus as corpus_mod
 from repro.conformance import sweep as sweep_mod
 from repro.conformance.sweep import run_conformance
 
-KEY = Key.from_passphrase("conformance-sweep-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("conformance-sweep-tests")
 
 SWEEP_ARGS = dict(key=KEY, seed=0, count=6)
 

@@ -23,7 +23,7 @@ from repro.isa.opcodes import Op
 from repro.kernel import Kernel
 from repro.workloads.spec import build_spec_program
 
-KEY = Key.from_passphrase("engines", provider="fast-hmac")
+KEY = Key.from_passphrase("engines")
 
 #: label -> engine; ``chained`` is the default configuration.
 CONFIGS = {

@@ -95,8 +95,6 @@ class TestTableAes:
         words = BLOCK_WORDS.unpack(block)
         expected = BLOCK_WORDS.unpack(AES(key).encrypt_block(block))
         assert TableAES(key).encrypt_words(*words) == expected
-        # The reference's adapter, which lets it stand in under CMAC.
-        assert AES(key).encrypt_words(*words) == expected
 
     def test_encrypt_words_fips197_appendix_c(self):
         key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -121,9 +119,6 @@ class TestNativeAes:
         key, plaintext, ciphertext = vector
         cipher = NativeAES(key)
         assert cipher.encrypt_block(plaintext) == ciphertext
-        assert cipher.encrypt_words(*BLOCK_WORDS.unpack(plaintext)) == (
-            BLOCK_WORDS.unpack(ciphertext)
-        )
 
     @given(
         key=st.binary(min_size=16, max_size=16),
@@ -132,12 +127,11 @@ class TestNativeAes:
     def test_matches_reference_aes(self, key, block):
         expected = AES(key).encrypt_block(block)
         cipher = NativeAES(key)
-        assert cipher.encrypt_block(block) == expected
-        words = cipher.encrypt_words(*BLOCK_WORDS.unpack(block))
+        first = cipher.encrypt_block(block)
         # The output buffer is reused: the next block must not change a
         # result already returned.
         assert cipher.encrypt_block(expected) == AES(key).encrypt_block(expected)
-        assert words == BLOCK_WORDS.unpack(expected)
+        assert first == expected
 
     def test_accepts_any_bytes_like_block(self):
         key, plaintext, ciphertext = FIPS197_C1

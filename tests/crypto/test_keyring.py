@@ -1,10 +1,8 @@
-"""KeyRing / key model tests — the installer/kernel trust boundary."""
+"""The key model: the installer/kernel trust boundary."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.crypto import AesCmac, FastMac, Key, KeyRing, mac_provider_for_key
+from repro.crypto import Key
 
 
 class TestKey:
@@ -24,74 +22,3 @@ class TestKey:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             Key(material=b"short")
-
-    def test_rejects_unknown_provider(self):
-        with pytest.raises(ValueError):
-            Key(material=bytes(16), provider="rot13")
-
-
-class TestProviderSelection:
-    def test_default_is_cmac(self):
-        assert isinstance(mac_provider_for_key(Key(bytes(16))), AesCmac)
-
-    def test_fast_provider(self):
-        provider = mac_provider_for_key(Key(bytes(16), provider="fast-hmac"))
-        assert isinstance(provider, FastMac)
-
-    @given(msg=st.binary(max_size=120))
-    def test_fastmac_round_trip(self, msg):
-        provider = FastMac(bytes(16))
-        assert provider.verify(msg, provider.tag(msg))
-        assert len(provider.tag(msg)) == 16
-
-    def test_fastmac_rejects_bad_key_length(self):
-        with pytest.raises(ValueError):
-            FastMac(b"short")
-
-    def test_providers_disagree(self):
-        # Different constructions must not collide on tags (would hint at
-        # a degenerate provider selection bug).
-        key = Key.from_passphrase("x")
-        cmac = AesCmac(key.material)
-        fast = FastMac(key.material)
-        assert cmac.tag(b"m") != fast.tag(b"m")
-
-
-class TestKeyRing:
-    def test_provision_and_get(self):
-        ring = KeyRing()
-        key = ring.provision("install")
-        assert ring.get("install") is key
-        assert "install" in ring
-
-    def test_provision_explicit_key(self):
-        ring = KeyRing()
-        key = Key.from_passphrase("fixed")
-        assert ring.provision("install", key) is key
-
-    def test_double_provision_rejected(self):
-        ring = KeyRing()
-        ring.provision("install")
-        with pytest.raises(KeyError):
-            ring.provision("install")
-
-    def test_get_missing_raises(self):
-        with pytest.raises(KeyError):
-            KeyRing().get("nope")
-
-    def test_mac_helper_tags_and_verifies(self):
-        ring = KeyRing()
-        ring.provision("install", Key.from_passphrase("k"))
-        mac = ring.mac("install")
-        assert mac.verify(b"syscall", mac.tag(b"syscall"))
-
-    def test_rotate_invalidates_old_tags(self):
-        ring = KeyRing()
-        ring.provision("install", Key.from_passphrase("k"))
-        old_tag = ring.mac("install").tag(b"syscall")
-        ring.rotate("install")
-        assert not ring.mac("install").verify(b"syscall", old_tag)
-
-    def test_rotate_missing_raises(self):
-        with pytest.raises(KeyError):
-            KeyRing().rotate("nope")

@@ -15,7 +15,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.targets import build_workloads
 from repro.kernel.auth import violation_family
 
-KEY = Key.from_passphrase("fault-injector-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("fault-injector-tests")
 INTERP = CONFIGS[0]
 CHAINED = CONFIGS[1]
 

@@ -15,7 +15,7 @@ from repro.kernel.auth import AuthViolation, decode_call
 from repro.kernel.verifierjit import VerifierJit, _guards
 from repro.policy.record import read_policy_state, state_mac_payload
 
-KEY = Key.from_passphrase("shadow-oracle-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("shadow-oracle-tests")
 CHAINED, NO_FASTPATH = configs_named(["chained", "no-fastpath"])
 
 

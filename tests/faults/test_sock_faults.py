@@ -23,7 +23,7 @@ from repro.faults.plan import (
 from repro.faults.targets import build_workloads
 from repro.kernel.auth import violation_family
 
-KEY = Key.from_passphrase("sock-fault-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("sock-fault-tests")
 INTERP = CONFIGS[0]
 CHAINED = CONFIGS[1]
 

@@ -18,7 +18,7 @@ from repro.policy import MetaPolicy
 from repro.policy.descriptor import ParamClass
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("installer-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("installer-tests")
 
 PROGRAM = """
 .section .text

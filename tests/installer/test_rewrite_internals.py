@@ -6,14 +6,14 @@ import pytest
 
 from repro.asm import assemble
 from repro.binfmt import link
-from repro.crypto import Key
+from repro.crypto import AesCmac, Key
 from repro.installer import install
 from repro.policy.authstrings import AS_HEADER_SIZE
 from repro.policy.record import read_auth_record
 from repro.cpu.memory import Memory, PROT_READ
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("rewrite-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("rewrite-tests")
 
 #: The same string constant is an argument at two different call sites.
 SHARED_STRING = """
@@ -129,11 +129,10 @@ class TestRecordWiring:
             assert record.block_id == installed.policy.sites[call_site].block_id
 
     def test_polstate_initial_contents(self, installed):
-        from repro.crypto import mac_provider_for_key
         from repro.policy.record import state_mac_payload
 
         section = installed.binary.section(".polstate")
         (last_block,) = struct.unpack_from("<I", section.data, 0)
         assert last_block == 0  # program id 0 << 20
-        mac = mac_provider_for_key(KEY)
+        mac = AesCmac(KEY.material)
         assert mac.verify(state_mac_payload(0, 0), bytes(section.data[4:20]))

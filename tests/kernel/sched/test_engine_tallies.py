@@ -14,7 +14,7 @@ from repro.workloads.netserver import build_netserver
 
 from tests.kernel.sched.conftest import guest_binary, run_sched_guest
 
-KEY = Key.from_passphrase("engine-tallies", provider="fast-hmac")
+KEY = Key.from_passphrase("engine-tallies")
 
 
 def test_fork_children_count_only_their_own_work():

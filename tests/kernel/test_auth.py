@@ -9,12 +9,12 @@ import pytest
 
 from repro.asm import assemble
 from repro.binfmt import link
-from repro.crypto import Key
+from repro.crypto import AesCmac, Key
 from repro.installer import InstallerOptions, install
 from repro.kernel import EnforcementMode, Kernel
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("test-auth", provider="fast-hmac")
+KEY = Key.from_passphrase("test-auth")
 
 PROGRAM = """
 .section .text
@@ -83,7 +83,7 @@ class TestHappyPath:
 
 class TestWrongKey:
     def test_key_mismatch_fail_stops(self, installed):
-        kernel = Kernel(key=Key.from_passphrase("other", provider="fast-hmac"))
+        kernel = Kernel(key=Key.from_passphrase("other"))
         kernel.vfs.write_file("/etc/motd", b"x")
         result = kernel.run(installed.binary)
         assert result.killed
@@ -93,10 +93,9 @@ class TestWrongKey:
         kernel = _kernel()
         assert kernel.run(installed.binary).ok
         kernel.key = Key.generate()
-        from repro.crypto import mac_provider_for_key
         from repro.kernel.auth import AuthChecker
 
-        kernel.mac = mac_provider_for_key(kernel.key)
+        kernel.mac = AesCmac(kernel.key.material)
         kernel._checker = AuthChecker(kernel.mac, kernel.costs)
         assert kernel.run(installed.binary).killed
 

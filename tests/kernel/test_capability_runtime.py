@@ -9,7 +9,7 @@ from repro.installer import InstallError, InstallerOptions, install
 from repro.kernel import Kernel
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("cap-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("cap-tests")
 
 #: Opens two files; reads from the first fd.  With capability tracking,
 #: the read's fd must descend from the *first* open site.

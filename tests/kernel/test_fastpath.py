@@ -19,7 +19,7 @@ from repro.kernel import Kernel
 from repro.tools.cli import main as cli_main
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("test-fastpath", provider="fast-hmac")
+KEY = Key.from_passphrase("test-fastpath")
 
 LOOP_ITERATIONS = 50
 
@@ -50,7 +50,7 @@ class TestFastPathStats:
     def _stats_line(self, installed, tmp_path, capsys, cli_kernels, *flags):
         path = tmp_path / "fploop.sef"
         path.write_bytes(installed.binary.to_bytes())
-        status = cli_main(["--fast-mac", "--key", "test-fastpath", "run",
+        status = cli_main(["--key", "test-fastpath", "run",
                            str(path), "--stats", *flags])
         assert status == 0
         (kernel,) = cli_kernels
@@ -74,32 +74,20 @@ class TestFastPathStats:
 
 
 class TestMacStats:
-    """``repro run --stats`` names the MAC provider and, for AES-CMAC,
-    the AES block that ran, since host times differ by backend."""
+    """``repro run --stats`` names the MAC and the AES block that ran,
+    since host times differ by block."""
 
-    def _mac_line(self, binary, tmp_path, capsys, cli_kernels, *flags):
+    def test_aes_cmac_names_its_block(self, installed, tmp_path, capsys, cli_kernels):
         path = tmp_path / "fploop.sef"
-        path.write_bytes(binary.to_bytes())
-        status = cli_main([*flags, "--key", "test-fastpath", "run", str(path), "--stats"])
+        path.write_bytes(installed.binary.to_bytes())
+        status = cli_main(["--key", "test-fastpath", "run", str(path), "--stats"])
         assert status == 0
         (kernel,) = cli_kernels
         (line,) = [text for text in capsys.readouterr().err.splitlines()
                    if text.startswith("[stats] mac:")]
-        return line, kernel.mac
-
-    def test_aes_cmac_names_its_block(self, tmp_path, capsys, cli_kernels):
-        binary = assemble(LOOP_PROGRAM, metadata={"program": "fploop"})
-        installed = install(binary, Key.from_passphrase("test-fastpath"))
-        line, mac = self._mac_line(installed.binary, tmp_path, capsys, cli_kernels)
         block = "libcrypto" if libcrypto_binding() is not None else "table"
         assert line == f"[stats] mac: aes-cmac (AES block: {block})"
-        assert mac.block_cipher == block
-
-    def test_fast_hmac_names_only_the_provider(self, installed, tmp_path, capsys, cli_kernels):
-        line, mac = self._mac_line(installed.binary, tmp_path, capsys, cli_kernels,
-                                   "--fast-mac")
-        assert line == "[stats] mac: fast-hmac"
-        assert mac.name == "fast-hmac"
+        assert kernel.mac.block_cipher == block
 
 
 class TestKernelCounters:

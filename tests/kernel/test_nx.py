@@ -16,7 +16,7 @@ from repro.crypto import Key
 from repro.kernel.sched.scheduler import FAULT_STATUS
 from tests.kernel.conftest import run_guest
 
-KEY = Key.from_passphrase("nx-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("nx-tests")
 
 
 class TestMprotect:

@@ -15,7 +15,7 @@ from repro.installer import InstallerOptions, install
 from repro.kernel import Kernel
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("pattern-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("pattern-tests")
 
 #: Opens a dynamically-computed path (so analysis cannot constrain it);
 #: the administrator's metapolicy fill imposes the pattern

@@ -24,7 +24,7 @@ from repro.obs import TraceRecorder
 from repro.policy.record import POLSTATE_SIZE
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("verifier-jit", provider="fast-hmac")
+KEY = Key.from_passphrase("verifier-jit")
 #: The default provider, whose single-block tag memo serves the warm
 #: thunks' lbMAC verifies.
 CMAC_KEY = Key.from_passphrase("verifier-jit")

@@ -16,7 +16,7 @@ from repro.obs import TraceRecorder
 from repro.tools.cli import main as cli_main
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("test-obs", provider="fast-hmac")
+KEY = Key.from_passphrase("test-obs")
 
 LOOP_ITERATIONS = 25
 
@@ -125,8 +125,7 @@ class TestViolationUnwind:
         # Wrong kernel key: the call MAC fails mid-verification, the
         # span stack must still unwind to balance.
         recorder = TraceRecorder()
-        kernel = Kernel(key=Key.from_passphrase("other", provider="fast-hmac"),
-                        recorder=recorder)
+        kernel = Kernel(key=Key.from_passphrase("other"), recorder=recorder)
         result = kernel.run(installed)
         assert result.killed
         assert recorder.open_spans == 0
@@ -175,7 +174,7 @@ class TestCliSurface:
         self, tmp_path, installed_on_disk, cli_kernels
     ):
         out = tmp_path / "trace.json"
-        rc = cli_main(["--fast-mac", "--key", "test-obs", "run",
+        rc = cli_main(["--key", "test-obs", "run",
                        str(installed_on_disk), "--trace", str(out)])
         assert rc == 0
         (kernel,) = cli_kernels
@@ -190,7 +189,7 @@ class TestCliSurface:
     def test_run_trace_flag_writes_chrome_json(self, tmp_path, installed_on_disk,
                                                capsys):
         out = tmp_path / "trace.json"
-        rc = cli_main(["--fast-mac", "--key", "test-obs", "run",
+        rc = cli_main(["--key", "test-obs", "run",
                        str(installed_on_disk), "--trace", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -200,8 +199,7 @@ class TestCliSurface:
 
     def test_metrics_subcommand_emits_prometheus(self, tmp_path, installed_on_disk,
                                                  capsys):
-        rc = cli_main(["--fast-mac", "--key", "test-obs", "metrics",
-                       str(installed_on_disk)])
+        rc = cli_main(["--key", "test-obs", "metrics", str(installed_on_disk)])
         assert rc == 0
         text = capsys.readouterr().out
         assert "# TYPE repro_fastpath_hits counter" in text

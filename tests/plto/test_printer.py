@@ -68,7 +68,7 @@ class TestRenderDisassembly:
         assert "section .rodata" in listing
 
     def test_installed_binary_renders(self):
-        key = Key.from_passphrase("printer", provider="fast-hmac")
+        key = Key.from_passphrase("printer")
         installed = install(assemble(SOURCE, metadata={"program": "demo"}), key)
         listing = render_disassembly(installed.binary)
         assert "asys" in listing
@@ -77,7 +77,7 @@ class TestRenderDisassembly:
 
 class TestRenderPolicy:
     def test_policy_dump(self):
-        key = Key.from_passphrase("printer", provider="fast-hmac")
+        key = Key.from_passphrase("printer")
         installed = install(assemble(SOURCE, metadata={"program": "demo"}), key)
         dump = render_policy(installed.policy)
         assert "program: demo" in dump

@@ -5,14 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cpu.memory import Memory, MemoryFault, PROT_READ
-from repro.crypto import AesCmac, FastMac
+from repro.crypto import AesCmac
 from repro.policy import (
     AS_HEADER_SIZE,
     build_authenticated_string,
     read_authenticated_string,
 )
 
-MAC = FastMac(bytes(16))
+MAC = AesCmac(bytes(16))
 
 
 def _memory_with_as(content: bytes, at: int = 0x1000):
@@ -53,9 +53,9 @@ class TestVerification:
         memory.write(pointer + 5, b"h", force=True)  # /bin/ls -> /bin/hs
         assert not read_authenticated_string(memory, pointer).verify(MAC)
 
-    def test_wrong_provider_fails(self):
+    def test_wrong_key_fails(self):
         memory, pointer = _memory_with_as(b"x")
-        other = AesCmac(bytes(16))
+        other = AesCmac(bytes(range(16)))
         assert not read_authenticated_string(memory, pointer).verify(other)
 
     def test_shrunk_length_fails(self):

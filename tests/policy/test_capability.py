@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto import FastMac
+from repro.crypto import AesCmac
 from repro.policy import CapabilityError, CapabilityTable
 from repro.policy.capability import AuthenticatedDictionary
 
@@ -51,7 +51,7 @@ class TestCapabilityTable:
 
 class TestAuthenticatedDictionary:
     def _dict(self):
-        return AuthenticatedDictionary(provider=FastMac(bytes(16)))
+        return AuthenticatedDictionary(provider=AesCmac(bytes(16)))
 
     def test_add_contains_remove(self):
         d = self._dict()

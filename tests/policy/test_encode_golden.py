@@ -17,12 +17,12 @@ between installer and kernel versions — fails loudly.
 
 import struct
 
-from repro.crypto import FastMac
+from repro.crypto import AesCmac
 from repro.kernel.syscalls import SYSCALL_NUMBERS
 from repro.policy import ParamEncoding, PolicyDescriptor, encode_policy
 from repro.policy.encode import pack_predecessor_set
 
-MAC = FastMac(bytes(16))
+MAC = AesCmac(bytes(16))
 
 
 def _paper_example():

@@ -38,7 +38,7 @@ def _assemble(workspace):
 def _install(workspace, *extra):
     binary = _assemble(workspace)
     out = binary.with_suffix(".asc.sef")
-    args = ["--fast-mac", "install", str(binary), "-o", str(out)]
+    args = ["install", str(binary), "-o", str(out)]
     args.extend(extra)
     assert main(args) == 0
     return out
@@ -84,7 +84,7 @@ class TestRun:
     def test_run_prints_guest_stdout(self, workspace, capsys):
         installed = _install(workspace)
         capsys.readouterr()
-        status = main(["--fast-mac", "run", str(installed), "--stats"])
+        status = main(["run", str(installed), "--stats"])
         captured = capsys.readouterr()
         assert status == 0
         assert "cli!" in captured.out
@@ -93,9 +93,7 @@ class TestRun:
     def test_wrong_key_fail_stops(self, workspace, capsys):
         installed = _install(workspace)
         capsys.readouterr()
-        status = main(
-            ["--fast-mac", "--key", "other-key", "run", str(installed)]
-        )
+        status = main(["--key", "other-key", "run", str(installed)])
         captured = capsys.readouterr()
         assert status == 128 + 9
         assert "MAC mismatch" in captured.err
@@ -103,14 +101,22 @@ class TestRun:
     def test_chaining_is_not_an_option(self, workspace, capsys):
         installed = _install(workspace)
         with pytest.raises(SystemExit) as exit_info:
-            main(["--fast-mac", "run", str(installed), "--no-chain"])
+            main(["run", str(installed), "--no-chain"])
         assert exit_info.value.code == 2
         assert "--no-chain" in capsys.readouterr().err
+
+    def test_fast_mac_is_not_an_option(self, capsys):
+        # AES-CMAC is the only MAC; the old HMAC switch is an argparse
+        # error, not a silent no-op.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--fast-mac", "attacks"])
+        assert exit_info.value.code == 2
+        assert "--fast-mac" in capsys.readouterr().err
 
     def test_enforce_refuses_legacy(self, workspace, capsys):
         binary = _assemble(workspace)
         capsys.readouterr()
-        status = main(["--fast-mac", "run", "--enforce", str(binary)])
+        status = main(["run", "--enforce", str(binary)])
         assert status == 128 + 9
 
     def test_vfs_prepopulation(self, workspace, capsys, tmp_path):
@@ -142,7 +148,7 @@ b:
         assert main(["assemble", str(source)]) == 0
         capsys.readouterr()
         status = main([
-            "--fast-mac", "run", str(tmp_path / "reader.sef"),
+            "run", str(tmp_path / "reader.sef"),
             "--file", "/etc/x=payload",
         ])
         captured = capsys.readouterr()
@@ -176,7 +182,7 @@ class TestInspection:
 
 class TestAttacks:
     def test_battery_via_cli(self, capsys):
-        assert main(["--fast-mac", "attacks"]) == 0
+        assert main(["attacks"]) == 0
         out = capsys.readouterr().out
         assert "shellcode" in out
         assert "UNEXPECTED" not in out
@@ -234,7 +240,7 @@ class TestReport:
 class TestRunNet:
     def test_run_net_completes_and_reports_stats(self, capsys):
         assert main([
-            "--fast-mac", "run", "--net", "--clients", "2", "--requests", "3",
+            "run", "--net", "--clients", "2", "--requests", "3",
         ]) == 0
         out = capsys.readouterr().out
         assert "(server): exit 0" in out
@@ -255,7 +261,7 @@ class TestConform:
         report = tmp_path / "conform.json"
         prom = tmp_path / "conform.prom"
         assert main([
-            "--fast-mac", "conform", "--seed", "0", "--count", "4",
+            "conform", "--seed", "0", "--count", "4",
             "--json", str(report), "--metrics", str(prom),
         ]) == 0
         out = capsys.readouterr().out
@@ -266,7 +272,7 @@ class TestConform:
 
     def test_conform_config_subset(self, capsys):
         assert main([
-            "--fast-mac", "conform", "--count", "2",
+            "conform", "--count", "2",
             "--config", "interp", "--config", "no-fastpath",
         ]) == 0
         assert "configs=2" in capsys.readouterr().out

@@ -17,7 +17,7 @@ from repro.crypto import Key
 from repro.kernel import Kernel
 from repro.kernel.sched.scheduler import Scheduler, TaskState
 
-KEY = Key.from_passphrase("fuzz", provider="fast-hmac")
+KEY = Key.from_passphrase("fuzz")
 
 
 def _run_one_task(kernel, process, vm, max_instructions):

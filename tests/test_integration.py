@@ -1,7 +1,5 @@
 """End-to-end integration: the whole paper pipeline in one place."""
 
-import pytest
-
 from repro import (
     AsmBuilder,
     EnforcementMode,
@@ -12,7 +10,7 @@ from repro import (
 )
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("integration", provider="fast-hmac")
+KEY = Key.from_passphrase("integration")
 
 
 class TestFullPipeline:
@@ -141,12 +139,10 @@ target:
         assert any(e.kind == "blocked" for e in kernel.audit.events)
 
 
-class TestCryptoProviderEquivalence:
-    """The real AES-CMAC and the fast provider enforce identically."""
+class TestAesCmac:
+    """The kernel's one MAC admits a clean run and kills a tampered one."""
 
-    @pytest.mark.parametrize("provider", ["aes-cmac", "fast-hmac"])
-    def test_end_to_end_with_each_provider(self, provider):
-        key = Key.from_passphrase("prov", provider=provider)
+    def test_end_to_end(self):
         source = """
 .section .text
 .global _start
@@ -155,13 +151,11 @@ _start:
     li r1, 0
     call sys_exit
 """ + runtime_source("linux", ("getpid", "exit"))
-        installed = install(assemble(source, metadata={"program": "p"}), key)
-        result = Kernel(key=key).run(installed.binary)
+        installed = install(assemble(source, metadata={"program": "p"}), KEY)
+        result = Kernel(key=KEY).run(installed.binary)
         assert result.ok
 
-    @pytest.mark.parametrize("provider", ["aes-cmac", "fast-hmac"])
-    def test_tamper_detected_with_each_provider(self, provider):
-        key = Key.from_passphrase("prov", provider=provider)
+    def test_tamper_detected(self):
         source = """
 .section .text
 .global _start
@@ -175,26 +169,10 @@ _start:
 path:
     .asciz "/etc/motd"
 """ + runtime_source("linux", ("open", "exit"))
-        installed = install(assemble(source, metadata={"program": "p"}), key)
+        installed = install(assemble(source, metadata={"program": "p"}), KEY)
         installed.binary.section(".authstr").data[25] ^= 0x01
-        result = Kernel(key=key).run(installed.binary)
+        result = Kernel(key=KEY).run(installed.binary)
         assert result.killed
-
-    def test_identical_cycle_accounting_across_providers(self):
-        source = """
-.section .text
-.global _start
-_start:
-    call sys_getpid
-    li r1, 0
-    call sys_exit
-""" + runtime_source("linux", ("getpid", "exit"))
-        cycles = []
-        for provider in ("aes-cmac", "fast-hmac"):
-            key = Key.from_passphrase("prov", provider=provider)
-            installed = install(assemble(source, metadata={"program": "p"}), key)
-            cycles.append(Kernel(key=key).run(installed.binary).cycles)
-        assert cycles[0] == cycles[1]
 
 
 class TestMultiProcessIsolation:

@@ -17,7 +17,7 @@ from repro.kernel import Kernel
 from repro.monitor.systrace import SyscallTracer
 from repro.workloads.runtime import runtime_source
 
-KEY = Key.from_passphrase("property-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("property-tests")
 
 #: Operation menu for generated programs.  Each op is (asm body, stubs).
 _WRITE_OP = (

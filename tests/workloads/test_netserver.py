@@ -14,7 +14,7 @@ from repro.installer import install
 from repro.kernel import Kernel
 from repro.workloads.netserver import build_netserver
 
-KEY = Key.from_passphrase("netserver-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("netserver-tests")
 CLIENTS = 3
 REQUESTS = 3
 TIMESLICE = 350

@@ -14,7 +14,7 @@ from repro.workloads.profiles import (
     profile_syscalls,
 )
 
-KEY = Key.from_passphrase("profile-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("profile-tests")
 
 
 class TestInventories:

@@ -7,7 +7,7 @@ from repro.installer import InstallerOptions, install
 from repro.kernel import EnforcementMode, Kernel
 from repro.workloads.tools import build_tool
 
-KEY = Key.from_passphrase("shell-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("shell-tests")
 
 
 @pytest.fixture

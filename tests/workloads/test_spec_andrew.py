@@ -12,7 +12,7 @@ from repro.workloads.spec import (
     build_spec_program,
 )
 
-KEY = Key.from_passphrase("spec-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("spec-tests")
 
 
 class TestSpecPrograms:

@@ -7,7 +7,7 @@ from repro.installer import install
 from repro.kernel import Kernel
 from repro.workloads.tools import TOOLS, build_tool
 
-KEY = Key.from_passphrase("tools-tests", provider="fast-hmac")
+KEY = Key.from_passphrase("tools-tests")
 
 
 @pytest.fixture
