@@ -67,9 +67,7 @@ def test_ablations(benchmark, report):
         cap = install(
             raw, BENCH_KEY, InstallerOptions(capability_tracking=True)
         )
-        data["auth-cap"] = _cycles_per_call(
-            cap.binary, iterations, Kernel(key=BENCH_KEY, capability_tracking=True)
-        )
+        data["auth-cap"] = _cycles_per_call(cap.binary, iterations)
         frank = install(raw, BENCH_KEY, InstallerOptions(program_id=7))
         data["auth-progid"] = _cycles_per_call(frank.binary, iterations)
 

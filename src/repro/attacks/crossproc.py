@@ -45,6 +45,7 @@ from repro.isa import Instruction
 from repro.isa.opcodes import Op
 from repro.kernel.sched.scheduler import Scheduler, Task
 from repro.kernel.syscalls import SYSCALL_NUMBERS
+from repro.policy.record import POLSTATE_SIZE
 from repro.workloads.runtime import runtime_source
 from repro.attacks.scenarios import (
     _LS_MARKER,
@@ -53,9 +54,6 @@ from repro.attacks.scenarios import (
     _prepare_kernel,
 )
 from repro.attacks.victim import build_victim
-
-#: Bytes of one lastBlock/lbMAC policy-state record.
-_POLSTATE_SIZE = 20
 
 
 def _looper_binary(iterations: int = 12, spin: int = 60) -> SefBinary:
@@ -166,7 +164,7 @@ def cross_process_replay_attack(
             return
         if donor.process.auth_counter == target.process.auth_counter:
             return  # equal nonces would make the transplant trivially valid
-        blob = donor.vm.memory.read(polstate, _POLSTATE_SIZE, force=True)
+        blob = donor.vm.memory.read(polstate, POLSTATE_SIZE, force=True)
         task.vm.memory.write(polstate, blob, force=True)
         injected.append(donor.process.auth_counter)
 
@@ -220,7 +218,7 @@ def fork_counter_confusion_attack(
             return
         if source.process.auth_counter == task.process.auth_counter:
             return  # still the consistent fork-time pair; wait for divergence
-        blob = source.vm.memory.read(polstate, _POLSTATE_SIZE, force=True)
+        blob = source.vm.memory.read(polstate, POLSTATE_SIZE, force=True)
         task.vm.memory.write(polstate, blob, force=True)
         injected.append(
             (source.process.auth_counter, task.process.auth_counter)

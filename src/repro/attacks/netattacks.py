@@ -44,11 +44,9 @@ from repro.crypto import Key
 from repro.installer import InstallerOptions, install
 from repro.kernel.sched.scheduler import Scheduler, Task
 from repro.kernel.syscalls import SYSCALL_NUMBERS
+from repro.policy.record import POLSTATE_SIZE
 from repro.workloads.netserver import build_netserver
 from repro.attacks.scenarios import AttackResult, _prepare_kernel
-
-#: Bytes of one lastBlock/lbMAC policy-state record.
-_POLSTATE_SIZE = 20
 
 #: Netserver shape for the battery: enough clients that the server is
 #: mid-service when the injection window opens, small enough to keep
@@ -123,7 +121,7 @@ def accept_replay_attack(
         counter = task.process.auth_counter
         if not snapshot:
             if counter > 0:  # polstate has been written at least once
-                blob = task.vm.memory.read(polstate, _POLSTATE_SIZE, force=True)
+                blob = task.vm.memory.read(polstate, POLSTATE_SIZE, force=True)
                 snapshot.append((counter, bytes(blob)))
             return
         taken, blob = snapshot[0]
@@ -181,7 +179,7 @@ def socket_state_reuse_attack(
         )
         if donor is None:
             return  # no client with a divergent nonce yet
-        blob = donor.vm.memory.read(polstate, _POLSTATE_SIZE, force=True)
+        blob = donor.vm.memory.read(polstate, POLSTATE_SIZE, force=True)
         task.vm.memory.write(polstate, blob, force=True)
         injected.append(
             (donor.process.auth_counter, task.process.auth_counter)

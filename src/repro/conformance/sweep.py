@@ -39,6 +39,10 @@ from repro.conformance.oracle import (
 )
 from repro.conformance.shrink import shrink_spec
 
+#: Most candidate runs the shrinker may spend minimizing one diverging
+#: program.
+SHRINK_BUDGET = 200
+
 
 @dataclass
 class ConformanceReport:
@@ -121,7 +125,6 @@ def run_conformance(
     metrics=None,
     recorder=None,
     corpus_dir=None,
-    shrink_budget: int = 200,
 ) -> ConformanceReport:
     """Generate ``count`` programs from ``seed``, run each on every
     selected engine config, and compare signatures (see module
@@ -203,7 +206,7 @@ def run_conformance(
                 candidate, key, config_names=config_names,
                 timeslice=timeslice,
             ),
-            max_evaluations=shrink_budget,
+            max_evaluations=SHRINK_BUDGET,
         )
         totals["shrink_evaluations"] += result.evaluations
         metrics.inc("conform.shrink_evaluations", result.evaluations)

@@ -91,7 +91,6 @@ class VM:
         memory: Memory,
         entry: int,
         trap_handler: Optional[TrapHandler] = None,
-        stack_top: int = STACK_TOP,
         stack_size: int = STACK_SIZE,
         nx: bool = False,
         engine: str = "interp",
@@ -118,18 +117,17 @@ class VM:
         self.killed = False
         self.kill_reason = ""
 
-        self.stack_top = stack_top
         if map_stack:
             # A forked VM adopts a memory image whose stack (copied
             # from the parent) is already mapped; it passes
             # map_stack=False and inherits SP with the register file.
             memory.map_region(
-                stack_top - stack_size,
+                STACK_TOP - stack_size,
                 stack_size,
                 PROT_READ | PROT_WRITE,
                 name="[stack]",
             )
-            self.regs[SP] = stack_top
+            self.regs[SP] = STACK_TOP
 
         #: Decode cache: pc -> (region, region.version at decode time,
         #: decoded instruction).  Entries self-invalidate when the

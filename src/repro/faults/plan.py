@@ -140,10 +140,6 @@ class FaultPlan:
     #: Expected outcome class: "detected" | "benign" | "any".
     expected: str = "detected"
 
-    def describe(self) -> str:
-        where = self.section or f"trap {self.trap_index}"
-        return f"{self.kind} on {self.workload} ({where})"
-
 
 def generate_plans(
     seed: int,

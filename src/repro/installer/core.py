@@ -47,9 +47,6 @@ class InstallerOptions:
     #: (syscall name, param index) -> constant (int/bytes) or pattern
     #: (str); applied to every matching template hole.
     template_fills: dict = field(default_factory=dict)
-    #: Run PLTO's baseline optimization passes (on by default, matching
-    #: the paper's measurement methodology).
-    baseline_passes: bool = True
 
 
 @dataclass
@@ -94,8 +91,8 @@ def install(
         )
     source = SefBinary.from_bytes(binary.to_bytes())  # defensive copy
     unit = disassemble(source)
-    if options.baseline_passes:
-        run_baseline_passes(unit)
+    # PLTO's baseline optimizations, as the paper measured the rewrite.
+    run_baseline_passes(unit)
     inline_report = inline_syscall_stubs(unit)
     analysis = analyze(unit)
 
@@ -144,8 +141,7 @@ def generate_policy_only(
     options = options or InstallerOptions()
     source = SefBinary.from_bytes(binary.to_bytes())
     unit = disassemble(source)
-    if options.baseline_passes:
-        run_baseline_passes(unit)
+    run_baseline_passes(unit)
     inline_syscall_stubs(unit)
     analysis = analyze(unit)
     policy = generate_policies(

@@ -25,7 +25,7 @@ Two halves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Fixed cost of entering and leaving the software trap handler
 #: (mode switch, register save/restore, syscall table dispatch).
@@ -75,6 +75,12 @@ MAC_BLOCK_COST = 214
 AUTH_FIXED_HIT = 950
 CACHE_HIT_COST = 50
 
+#: Simulated clock rate: the guest-visible clock (``time``,
+#: ``gettimeofday``, ``times``) and ``nanosleep`` convert between
+#: seconds and cycles at this rate (a 2.4 GHz part, the paper's
+#: testbed generation).
+CYCLES_PER_SECOND = 2_400_000_000
+
 
 def mac_blocks(n_bytes: int) -> int:
     """Number of AES block operations to CMAC ``n_bytes``."""
@@ -83,48 +89,33 @@ def mac_blocks(n_bytes: int) -> int:
 
 @dataclass
 class CostModel:
-    """Pluggable cost model; the defaults are the calibrated constants.
+    """The cycle-cost model: the calibrated module constants above,
+    plus one field, the AES block cost, so an ablation can run the same
+    kernel against a slower MAC (``CostModel(mac_block_cost=...)``)
+    without touching kernel code."""
 
-    Keeping it a dataclass makes ablations trivial: benchmarks can
-    construct variants (e.g. a slower MAC) without touching kernel
-    code.
-    """
-
-    trap_cost: int = TRAP_COST
-    service_cost: dict = field(default_factory=lambda: dict(SERVICE_COST))
-    default_service_cost: int = DEFAULT_SERVICE_COST
-    read_byte_cost: float = READ_BYTE_COST
-    write_byte_cost: float = WRITE_BYTE_COST
-    auth_fixed: int = AUTH_FIXED
     mac_block_cost: int = MAC_BLOCK_COST
-    auth_fixed_hit: int = AUTH_FIXED_HIT
-    cache_hit_cost: int = CACHE_HIT_COST
 
     def syscall_cost(self, name: str, transferred: int = 0) -> int:
         """Cycles for one unauthenticated syscall of ``name``."""
-        cost = self.trap_cost + self.service_cost.get(name, self.default_service_cost)
+        cost = TRAP_COST + SERVICE_COST.get(name, DEFAULT_SERVICE_COST)
         if transferred:
-            rate = self.read_byte_cost if name == "read" else self.write_byte_cost
+            rate = READ_BYTE_COST if name == "read" else WRITE_BYTE_COST
             if name in ("read", "write", "writev", "sendto", "recvfrom", "getdirentries"):
                 cost += int(transferred * rate)
         return cost
 
-    def auth_cost(self, mac_bytes_total: int) -> int:
-        """Cycles added by authentication when the check MACs a total of
-        ``mac_bytes_total`` bytes across all MAC invocations."""
-        return self.auth_fixed + self.mac_block_cost * mac_blocks(mac_bytes_total)
-
     def auth_cost_blocks(self, blocks: int) -> int:
-        """Auth cost expressed directly in AES blocks (for multi-MAC
-        checks the kernel sums blocks across MACs)."""
-        return self.auth_fixed + self.mac_block_cost * blocks
+        """Auth cost of a full check whose MACs total ``blocks`` AES
+        blocks (the kernel sums blocks across MACs)."""
+        return AUTH_FIXED + self.mac_block_cost * blocks
 
     def auth_cost_fastpath(self, blocks: int, hits: int) -> int:
         """Auth cost of a verifier-thunk hit: ``blocks`` counts only
         the MACs still computed in full (string contents, memory-checker
         state), ``hits`` the compares that replaced CMAC invocations."""
         return (
-            self.auth_fixed_hit
+            AUTH_FIXED_HIT
             + self.mac_block_cost * blocks
-            + self.cache_hit_cost * hits
+            + CACHE_HIT_COST * hits
         )

@@ -26,7 +26,7 @@ from repro.crypto import AesCmac, Key
 from repro.isa import INSTRUCTION_SIZE
 from repro.kernel.audit import AuditEvent, AuditLog
 from repro.kernel.auth import AuthChecker, AuthViolation
-from repro.kernel.costs import CostModel
+from repro.kernel.costs import CYCLES_PER_SECOND, CostModel
 from repro.kernel.errors import Errno
 from repro.kernel.net import NetStack
 from repro.kernel.process import MMAP_BASE, Process
@@ -47,6 +47,10 @@ from repro.policy.capability import CapabilityTable
 EPOCH = 1127692800
 
 KILL_STATUS = 128 + 9  # SIGKILL-style status for security terminations
+
+#: The calls whose authenticated dispatch maintains a process's §5.3
+#: capability table: the fd producers grant, ``close`` revokes.
+CAPABILITY_CALLS = frozenset(("open", "socket", "dup", "dup2", "close"))
 
 
 def fork_address_space(memory: Memory) -> Memory:
@@ -102,16 +106,20 @@ class RunResult:
 
 
 class Kernel:
-    """The simulated operating system."""
+    """The simulated operating system.
+
+    Every check a protected binary gets follows its MAC-verified
+    records, so the kernel has no switch for any of them: §5.3
+    capability tracking, like control flow and patterns, applies at
+    exactly the sites whose installed record carries it (a non-zero
+    ``fd_mask``), and the installer's
+    ``InstallerOptions(capability_tracking=True)`` is the one choice."""
 
     def __init__(
         self,
         key: Optional[Key] = None,
         mode: EnforcementMode = EnforcementMode.PERMISSIVE,
-        personality: str = "linux",
         costs: Optional[CostModel] = None,
-        capability_tracking: bool = False,
-        cycles_per_second: int = 2_400_000_000,
         nx: bool = False,
         fastpath: bool = True,
         engine: str = "threaded",
@@ -120,7 +128,6 @@ class Kernel:
         self.key = key or Key.generate()
         self.mac = AesCmac(self.key.material)
         self.mode = mode
-        self.personality = personality
         self.costs = costs or CostModel()
         self.vfs = Vfs()
         #: Observability (see DESIGN.md "Observability").  ``obs`` is
@@ -131,8 +138,6 @@ class Kernel:
         self.obs: Recorder = recorder if recorder is not None else NULL_RECORDER
         self.metrics = MetricsRegistry()
         self.audit = AuditLog()
-        self.capability_tracking = capability_tracking
-        self.cycles_per_second = cycles_per_second
         #: No-execute enforcement.  The paper's 2005-era testbed had no
         #: NX bit (which is what makes stack shellcode expressible);
         #: enabling it supports the hardware-vs-authentication ablation.
@@ -450,7 +455,7 @@ class Kernel:
             rec.end()  # syscall-verify
         if jit is not None:
             self.metrics.inc("fastpath.hits" if hit else "fastpath.misses")
-        if result.fd_mask and self.capability_tracking:
+        if result.fd_mask:
             self._check_capability(vm, process, result)
         try:
             cycles = self._dispatch(
@@ -502,7 +507,7 @@ class Kernel:
                 would_block.wait, number, name, block_id, trap_pc=vm.pc
             ) from None
         vm.regs[0] = result
-        if self.capability_tracking and block_id is not None:
+        if name in CAPABILITY_CALLS and block_id is not None:
             self._track_capability(process, vm, name, result, block_id)
         return self.costs.syscall_cost(name, ctx.transferred)
 
@@ -533,12 +538,18 @@ class Kernel:
     def _track_capability(
         self, process: Process, vm: VM, name: str, result: int, block_id: int
     ) -> None:
+        """§5.3 bookkeeping on every authenticated dispatch of a
+        :data:`CAPABILITY_CALLS` call: a successful close revokes the
+        fd, and an fd a producer returns belongs to the producing
+        site's block from then on, whichever site held its number
+        before (``dup2`` onto an open fd closes and reuses it)."""
         table = process.capabilities
-        if name in ("open", "socket", "dup", "dup2") and result < 0x8000_0000:
-            if result not in table.owner:
-                table.grant(block_id, result)
-        elif name == "close" and result == 0:
-            table.revoke(vm.regs[1])
+        if name == "close":
+            if result == 0:
+                table.revoke(vm.regs[1])
+        elif result < 0x8000_0000:
+            table.revoke(result)
+            table.grant(block_id, result)
 
     def capability_table(self, vm: VM) -> CapabilityTable:
         return self._vm_process[id(vm)].capabilities
@@ -559,11 +570,11 @@ class Kernel:
     # -- services used by syscall handlers -----------------------------------
 
     def current_time(self, vm: VM) -> int:
-        return EPOCH + vm.cycles // self.cycles_per_second
+        return EPOCH + vm.cycles // CYCLES_PER_SECOND
 
     def current_timeofday(self, vm: VM) -> tuple[int, int]:
-        seconds = EPOCH + vm.cycles // self.cycles_per_second
-        micros = (vm.cycles % self.cycles_per_second) * 1_000_000 // self.cycles_per_second
+        seconds = EPOCH + vm.cycles // CYCLES_PER_SECOND
+        micros = (vm.cycles % CYCLES_PER_SECOND) * 1_000_000 // CYCLES_PER_SECOND
         return seconds, micros
 
     # -- execve ----------------------------------------------------------------
@@ -658,7 +669,6 @@ class Kernel:
         child_vm.cycles = parent_vm.cycles
         child_vm.instructions_executed = parent_vm.instructions_executed
         child_vm.syscall_count = parent_vm.syscall_count
-        child_vm.stack_top = parent_vm.stack_top
         child_vm.pc = parent_vm.pc + INSTRUCTION_SIZE  # resume past the trap
         child_vm.regs[0] = 0  # fork() returns 0 in the child
         parent_caps = parent.capabilities

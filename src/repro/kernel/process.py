@@ -97,12 +97,13 @@ class Process:
     #: Whether the image was produced by the trusted installer (carries
     #: the "authenticated" metadata marker).
     authenticated: bool = False
-    exit_status: Optional[int] = None
     stdout: bytearray = field(default_factory=bytearray)
     stderr: bytearray = field(default_factory=bytearray)
     stdin: bytes = b""
     stdin_offset: int = 0
-    network: list[bytes] = field(default_factory=list)
+    #: What the process sent on unconnected sockets (the diagnostic
+    #: sink of ``write``/``sendto``); capped like stdout.
+    network: bytearray = field(default_factory=bytearray)
     #: Signal dispositions recorded by sigaction (number -> handler addr).
     signal_handlers: dict[int, int] = field(default_factory=dict)
     #: §5.3 capability tracking: live fds per producing call site.

@@ -22,9 +22,8 @@ PIPE_CAPACITY = 65536
 class Pipe:
     """A FIFO byte channel with reference-counted endpoints."""
 
-    def __init__(self, ident: int, capacity: int = PIPE_CAPACITY):
+    def __init__(self, ident: int):
         self.ident = ident
-        self.capacity = capacity
         self.buffer = bytearray()
         self.readers = 0
         self.writers = 0
@@ -37,7 +36,7 @@ class Pipe:
 
     @property
     def space(self) -> int:
-        return self.capacity - len(self.buffer)
+        return PIPE_CAPACITY - len(self.buffer)
 
     def retain(self, writer: bool) -> None:
         if writer:

@@ -18,6 +18,7 @@ from typing import Callable
 
 from repro.cpu.memory import MemoryFault
 from repro.cpu.vm import VM, ProcessExit
+from repro.kernel.costs import CYCLES_PER_SECOND
 from repro.kernel.errors import Errno
 from repro.kernel.process import (
     O_ACCMODE,
@@ -155,7 +156,9 @@ MAX_RW = 1 << 20  # single-call transfer cap, a sanity bound
 #: behind; one that would end past it fails with EFBIG and changes
 #: nothing, so one trap cannot make the host allocate gigabytes.  The
 #: largest file the tests, batteries and full-scale benchmarks write
-#: is 262,906 bytes, so 16 MiB leaves them 64x headroom.
+#: is 262,906 bytes, so 16 MiB leaves them 64x headroom.  The output
+#: the kernel holds for a process (console stdout and stderr, the
+#: unconnected-socket sink) is capped the same way, per buffer.
 MAX_FILE_SIZE = 1 << 24
 #: Most bytes one process may map with ``mmap`` (page-rounded sizes,
 #: summed since its image was loaded, inherited across fork).
@@ -355,7 +358,7 @@ def _nanosleep(ctx: SyscallContext) -> int:
     # (capped so a hostile timespec cannot stall a benchmark run).
     raw = ctx.read_buffer(ctx.args[0], 8)
     seconds, nanos = struct.unpack("<II", raw)
-    cycles = min(seconds * ctx.kernel.cycles_per_second + nanos, 10_000_000)
+    cycles = min(seconds * CYCLES_PER_SECOND + nanos, 10_000_000)
     ctx.vm.cycles += cycles
     return 0
 
@@ -450,12 +453,12 @@ def _do_write(ctx: SyscallContext, fd: int, data: bytes) -> int:
         return Errno.EBADF.as_result()
     if description.kind == "console":
         target = ctx.process.stdout if fd != 2 else ctx.process.stderr
-        target.extend(data)
+        return _append_output(ctx, target, data)
     elif description.kind == "socket":
         sock = description.sock
         if sock is not None and sock.conn is not None:
             return _conn_send(ctx, sock, data)
-        ctx.process.network.append(data)
+        return _append_output(ctx, ctx.process.network, data)
     elif description.kind == "pipe":
         assert description.pipe is not None
         try:
@@ -474,6 +477,17 @@ def _do_write(ctx: SyscallContext, fd: int, data: bytes) -> int:
             inode.data.extend(bytes(end - len(inode.data)))
         inode.data[description.offset : end] = data
         description.offset = end
+    ctx.transferred = len(data)
+    return len(data)
+
+
+def _append_output(ctx: SyscallContext, sink: bytearray, data: bytes) -> int:
+    """Append a write to output the kernel holds for the process; one
+    that would take ``sink`` past :data:`MAX_FILE_SIZE` is EFBIG and
+    appends nothing."""
+    if len(sink) + len(data) > MAX_FILE_SIZE:
+        return Errno.EFBIG.as_result()
+    sink.extend(data)
     ctx.transferred = len(data)
     return len(data)
 
@@ -715,7 +729,7 @@ def _getdirentries(ctx: SyscallContext) -> int:
 def _uname(ctx: SyscallContext) -> int:
     fields = [
         b"SVM32",
-        ctx.kernel.personality.encode(),
+        b"linux",
         b"2.4.20-asc",
         b"#1 2005",
         b"svm32",
@@ -971,9 +985,7 @@ def _sendto(ctx: SyscallContext) -> int:
             return Errno.ENOTCONN.as_result()
     # Unconnected, no destination: the pre-net diagnostic sink (bytes
     # land in process.network), kept for the Table 3 profile workloads.
-    ctx.process.network.append(data)
-    ctx.transferred = len(data)
-    return len(data)
+    return _append_output(ctx, ctx.process.network, data)
 
 
 @syscall("recvfrom")
@@ -1127,7 +1139,7 @@ def _sync(ctx: SyscallContext) -> int:
 
 @syscall("times")
 def _times(ctx: SyscallContext) -> int:
-    ticks = ctx.vm.cycles // (ctx.kernel.cycles_per_second // 100)
+    ticks = ctx.vm.cycles // (CYCLES_PER_SECOND // 100)
     if ctx.args[0]:
         ctx.write_buffer(ctx.args[0], struct.pack("<IIII", ticks, 0, 0, 0))
     return ticks & 0x7FFFFFFF

@@ -72,12 +72,11 @@ divergence is isolated by construction.  ``Kernel(fastpath=False)``
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
 from repro.cpu.memory import Memory, MemoryFault
 from repro.cpu.vm import VM
-from repro.crypto import MAC_SIZE, AesCmac
+from repro.crypto import AesCmac
 from repro.kernel.auth import (
     MAX_RUNTIME_STRING,
     AuthViolation,
@@ -92,14 +91,8 @@ from repro.obs import NULL_RECORDER, MetricsRegistry, Recorder
 from repro.policy.authstrings import AS_HEADER_SIZE
 from repro.policy.encode import unpack_predecessor_set
 from repro.policy.patterns import Pattern, match_with_hint
-from repro.policy.record import POLSTATE_SIZE
+from repro.policy.record import LASTBLOCK, POLSTATE, POLSTATE_SIZE, STATE_PAYLOAD
 
-#: lastBlock/lbMAC payload layout (see ``state_mac_payload``); packed
-#: through a pre-compiled Struct so the hot path skips format parsing.
-_STATE_PAYLOAD = struct.Struct("<IQ")
-_LASTBLOCK = struct.Struct("<I")
-#: The polstate bytes (see ``pack_policy_state``): lastBlock, lbMAC.
-_POLSTATE = struct.Struct(f"<I{MAC_SIZE}s")
 _COUNTER_MASK = 0xFFFFFFFFFFFFFFFF
 
 
@@ -245,9 +238,9 @@ class VerifierJit:
             polstate, offset, predecessors, block_prefix = control
             if offset + POLSTATE_SIZE > len(polstate.data):
                 return None  # the state's region shrank; the full check reports it
-            last_block, lb_mac = _POLSTATE.unpack_from(polstate.data, offset)
+            last_block, lb_mac = POLSTATE.unpack_from(polstate.data, offset)
             counter = process.auth_counter
-            payload = _STATE_PAYLOAD.pack(last_block, counter & _COUNTER_MASK)
+            payload = STATE_PAYLOAD.pack(last_block, counter & _COUNTER_MASK)
             if not self._provider.verify(payload, lb_mac):
                 return None  # replay/corruption; the full check fail-stops
             if last_block not in predecessors:
@@ -279,7 +272,7 @@ class VerifierJit:
         if control is not None:
             new_counter = counter + 1
             new_mac = self._provider.tag(
-                _STATE_PAYLOAD.pack(thunk.block_id, new_counter & _COUNTER_MASK)
+                STATE_PAYLOAD.pack(thunk.block_id, new_counter & _COUNTER_MASK)
             )
             polstate.store(offset, block_prefix + new_mac)
             process.auth_counter = new_counter
@@ -351,7 +344,7 @@ class VerifierJit:
                 polstate,
                 record.lastblock_ptr - polstate.start,
                 unpack_predecessor_set(call.predset.content),
-                _LASTBLOCK.pack(record.block_id),
+                LASTBLOCK.pack(record.block_id),
             )
         # A hit computes every MAC the full check did except the call's.
         blocks = result.mac_blocks - mac_blocks(len(call.encoded_call))

@@ -23,7 +23,6 @@ The derivation here is the standard context-insensitive one:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.isa import SymbolRef
 from repro.isa.opcodes import Op
@@ -50,12 +49,6 @@ class CallGraph:
     calls: list[tuple[int, str]]
     #: blocks containing indirect calls
     indirect_call_blocks: list[int]
-
-    def function_of_block(self, block: int) -> Optional[FunctionInfo]:
-        for info in self.functions.values():
-            if block in info.blocks:
-                return info
-        return None
 
 
 def build_call_graph(cfg: ControlFlowGraph) -> CallGraph:

@@ -82,9 +82,6 @@ class SyscallPolicy:
             descriptor = descriptor.with_capability()
         return descriptor
 
-    def constrained_param_count(self) -> int:
-        return len(self.params)
-
     def render(self) -> str:
         """The §3.1 textual form, for logs and documentation."""
         lines = [

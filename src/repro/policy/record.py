@@ -103,21 +103,24 @@ def read_auth_record(memory: Memory, address: int) -> AuthRecord:
     )
 
 
-#: Size of the policy-state blob in ``.polstate``: lastBlock + lbMAC.
-POLSTATE_SIZE = 4 + MAC_SIZE
+#: The policy-state blob in ``.polstate``: lastBlock (u32) + lbMAC.
+POLSTATE = struct.Struct(f"<I{MAC_SIZE}s")
+POLSTATE_SIZE = POLSTATE.size
+#: lastBlock alone: the head of the polstate blob.
+LASTBLOCK = struct.Struct("<I")
+#: What the memory-checker MAC covers: lastBlock (u32) plus the kernel's
+#: per-process counter (u64), the replay nonce.
+STATE_PAYLOAD = struct.Struct("<IQ")
 
 
 def pack_policy_state(last_block: int, lb_mac: bytes) -> bytes:
-    return struct.pack("<I", last_block) + lb_mac
+    return POLSTATE.pack(last_block, lb_mac)
 
 
 def read_policy_state(memory: Memory, address: int) -> tuple[int, bytes]:
-    blob = memory.read(address, POLSTATE_SIZE, force=True)
-    (last_block,) = struct.unpack_from("<I", blob, 0)
-    return last_block, blob[4:]
+    return POLSTATE.unpack(memory.read(address, POLSTATE_SIZE, force=True))
 
 
 def state_mac_payload(last_block: int, counter: int) -> bytes:
-    """What the memory-checker MAC covers: lastBlock plus the kernel's
-    per-process counter (the replay nonce)."""
-    return struct.pack("<IQ", last_block & 0xFFFFFFFF, counter & 0xFFFFFFFFFFFFFFFF)
+    """The memory-checker MAC's input (see :data:`STATE_PAYLOAD`)."""
+    return STATE_PAYLOAD.pack(last_block & 0xFFFFFFFF, counter & 0xFFFFFFFFFFFFFFFF)

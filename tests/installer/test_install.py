@@ -134,7 +134,7 @@ class TestOptions:
         inst = install(binary, KEY, InstallerOptions(capability_tracking=True))
         read_policy = inst.policy.sites[inst.site_for_syscall("read")]
         assert 0 in read_policy.fd_producers
-        kernel = Kernel(key=KEY, capability_tracking=True)
+        kernel = Kernel(key=KEY)
         kernel.vfs.write_file("/etc/motd", b"ok")
         assert kernel.run(inst.binary).ok
 

@@ -43,10 +43,27 @@ buf:
 
 
 def _kernel():
-    kernel = Kernel(key=KEY, capability_tracking=True)
+    kernel = Kernel(key=KEY)
     kernel.vfs.write_file("/etc/a", b"AAAA")
     kernel.vfs.write_file("/etc/b", b"BBBB")
     return kernel
+
+
+def _run_confused(kernel, installed):
+    """Run ``installed`` with its read redirected to fd B (produced by
+    the *other* open site); returns the finished VM."""
+    process, vm = kernel.load(installed.binary)
+    read_site = installed.site_for_syscall("read")
+
+    class Confuser:
+        def handle_trap(self, inner_vm, authenticated):
+            if inner_vm.pc == read_site:
+                inner_vm.regs[1] = inner_vm.regs[14]  # swap in fd B
+            return kernel.handle_trap(inner_vm, authenticated)
+
+    vm.trap_handler = Confuser()
+    vm.run()
+    return vm
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +72,12 @@ def installed():
         assemble(PROGRAM, metadata={"program": "capdemo"}), KEY,
         InstallerOptions(capability_tracking=True),
     )
+
+
+@pytest.fixture(scope="module")
+def untracked():
+    """The same program installed without §5.3."""
+    return install(assemble(PROGRAM, metadata={"program": "capdemo"}), KEY)
 
 
 class TestCapabilityRuntime:
@@ -71,21 +94,31 @@ class TestCapabilityRuntime:
         """An attacker redirects the read to fd B (produced by the
         *other* open site): the capability check catches it even though
         B is a perfectly valid descriptor."""
-        kernel = _kernel()
-        process, vm = kernel.load(installed.binary)
-        read_site = installed.site_for_syscall("read")
-        original = kernel.handle_trap
-
-        class Confuser:
-            def handle_trap(self, inner_vm, authenticated):
-                if inner_vm.pc == read_site:
-                    inner_vm.regs[1] = inner_vm.regs[14]  # swap in fd B
-                return original(inner_vm, authenticated)
-
-        vm.trap_handler = Confuser()
-        vm.run()
+        vm = _run_confused(_kernel(), installed)
         assert vm.killed
         assert "capability violation" in vm.kill_reason
+
+    def test_default_kernel_enforces_the_installed_record(self, installed):
+        """No kernel option turns §5.3 on: a kernel built with nothing
+        but the key grants each opened fd to its producing site and
+        kills the read whose MAC-verified record allows only fd A's."""
+        kernel = Kernel(key=KEY)
+        kernel.vfs.write_file("/etc/a", b"A")
+        kernel.vfs.write_file("/etc/b", b"B")
+        vm = _run_confused(kernel, installed)
+        assert vm.killed
+        opens = sorted(
+            policy.block_id for policy in installed.policy.sites.values()
+            if policy.syscall == "open"
+        )
+        assert kernel.capability_table(vm).owner == {3: opens[0], 4: opens[1]}
+        [event] = kernel.audit.alerts()
+        assert event.syscall == "read"
+        assert "capability violation: fd 4" in event.reason
+
+    def test_kernel_has_no_tracking_switch(self):
+        with pytest.raises(TypeError):
+            Kernel(key=KEY, capability_tracking=True)
 
     def test_closed_fd_fail_stops(self, installed):
         """Reusing the fd after a (forced) close is caught: capability
@@ -104,24 +137,62 @@ class TestCapabilityRuntime:
         vm.run()
         assert vm.killed
 
-    def test_tracking_disabled_kernel_allows_confusion(self, installed):
-        """Ablation: without the extension the confused fd sails
-        through — exactly the gap §5.3 exists to close."""
-        kernel = Kernel(key=KEY, capability_tracking=False)
-        kernel.vfs.write_file("/etc/a", b"A")
-        kernel.vfs.write_file("/etc/b", b"B")
-        process, vm = kernel.load(installed.binary)
-        read_site = installed.site_for_syscall("read")
+    def test_tracking_disabled_kernel_allows_confusion(self, untracked):
+        """Ablation: installed without the extension, the same confused
+        fd sails through the same kernel — exactly the gap §5.3 exists
+        to close."""
+        vm = _run_confused(_kernel(), untracked)
+        assert not vm.killed, vm.kill_reason
 
-        class Confuser:
-            def handle_trap(self, inner_vm, authenticated):
-                if inner_vm.pc == read_site:
-                    inner_vm.regs[1] = inner_vm.regs[14]
-                return kernel.handle_trap(inner_vm, authenticated)
 
-        vm.trap_handler = Confuser()
-        vm.run()
-        assert not vm.killed
+#: Opens A and B, then makes B a copy of A with dup2 and reads it: the
+#: read's fd descends from the dup2 site, not from the open of B.
+DUP2_PROGRAM = """
+.section .text
+.global _start
+_start:
+    li r1, patha
+    li r2, 0
+    call sys_open
+    mov r13, r0
+    li r1, pathb
+    li r2, 0
+    call sys_open
+    mov r14, r0
+    mov r1, r13
+    mov r2, r14
+    call sys_dup2
+    mov r1, r0
+    li r2, buf
+    li r3, 4
+    call sys_read
+    li r1, 0
+    call sys_exit
+.section .rodata
+patha:
+    .asciz "/etc/a"
+pathb:
+    .asciz "/etc/b"
+.section .bss
+buf:
+    .space 16
+""" + runtime_source("linux", ("open", "dup2", "read", "exit"))
+
+
+class TestDup2:
+    def test_dup2_onto_an_open_fd_regrants_it(self):
+        """dup2 closes its open target and returns it as a copy of the
+        source, so the fd now descends from the dup2 site."""
+        installed = install(
+            assemble(DUP2_PROGRAM, metadata={"program": "capdup2"}), KEY,
+            InstallerOptions(capability_tracking=True),
+        )
+        read_policy = installed.policy.sites[installed.site_for_syscall("read")]
+        dup2_policy = installed.policy.sites[installed.site_for_syscall("dup2")]
+        assert read_policy.fd_producers[0] == frozenset({dup2_policy.block_id})
+        result = _kernel().run(installed.binary)
+        assert result.ok, result.kill_reason
+        assert result.process.capabilities.owner[4] == dup2_policy.block_id
 
 
 class TestInstallGuards:
@@ -187,7 +258,7 @@ class TestWarmCapabilitySite:
 
     @staticmethod
     def _load(installed, fastpath=True):
-        kernel = Kernel(key=KEY, capability_tracking=True, fastpath=fastpath)
+        kernel = Kernel(key=KEY, fastpath=fastpath)
         shadow = ShadowVerifier(kernel)
         kernel.vfs.write_file("/etc/a", b"A" * 64)
         kernel.vfs.write_file("/etc/b", b"B" * 64)

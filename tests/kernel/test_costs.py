@@ -1,6 +1,12 @@
 """Cost model calibration: the Table 4 baseline column is exact."""
 
-from repro.kernel.costs import CostModel, mac_blocks
+from repro.kernel.costs import (
+    DEFAULT_SERVICE_COST,
+    READ_BYTE_COST,
+    TRAP_COST,
+    CostModel,
+    mac_blocks,
+)
 
 
 class TestCalibration:
@@ -25,7 +31,7 @@ class TestCalibration:
 class TestStructure:
     def test_uncalibrated_call_uses_default(self):
         model = CostModel()
-        assert model.syscall_cost("sigaction") == model.trap_cost + model.default_service_cost
+        assert model.syscall_cost("sigaction") == TRAP_COST + DEFAULT_SERVICE_COST
 
     def test_transfer_only_charged_for_io_calls(self):
         model = CostModel()
@@ -35,7 +41,7 @@ class TestStructure:
         model = CostModel()
         small = model.syscall_cost("read", 1024)
         large = model.syscall_cost("read", 2048)
-        assert large - small == int(1024 * model.read_byte_cost)
+        assert large - small == int(1024 * READ_BYTE_COST)
 
     def test_auth_cost_grows_with_blocks(self):
         model = CostModel()

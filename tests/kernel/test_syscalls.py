@@ -555,7 +555,7 @@ class TestSockets:
             data='.section .rodata\nmsg:\n  .asciz "ping"',
         )
         assert result.exit_status == 4
-        assert result.process.network == [b"ping"]
+        assert result.process.network == b"ping"
 
     def test_sendto_on_file_fd_rejected(self, kernel):
         kernel.vfs.write_file("/tmp/f", b"")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel.errors import Errno
-from repro.kernel.syscalls import MAX_FILE_SIZE
+from repro.kernel.syscalls import MAX_FILE_SIZE, MAX_RW
 from tests.kernel.conftest import run_guest
 
 EXIT0 = """
@@ -247,6 +247,56 @@ again:
 """ + EXIT_ERRNO, ["open", "lseek", "write"], data=PATH_DATA)
         assert result.exit_status == int(Errno.EFBIG)
         assert kernel.vfs.read_file("/tmp/f") == b"0123"
+
+
+class TestOutputBound:
+    """The output the kernel holds for a process (console stdout and
+    stderr, the unconnected-socket sink) is capped like a file: a write
+    that would take it past MAX_FILE_SIZE fails with EFBIG and appends
+    nothing."""
+
+    #: 16 writes of MAX_RW fill the cap exactly; the 17th passes it.
+    WRITES = MAX_FILE_SIZE // MAX_RW + 1
+    BUFFER = f".section .bss\nbuf:\n  .space {MAX_RW}"
+
+    def _flood(self, call):
+        """Up to WRITES calls of MAX_RW bytes to the fd in r12; the
+        first that writes less ends the loop and exits with its errno."""
+        return f"""
+    li r13, {self.WRITES}
+again:
+    mov r1, r12
+    li r2, buf
+    li r3, {MAX_RW}
+    li r4, 0
+    li r5, 0
+    li r6, 0
+    call sys_{call}
+    cmpi r0, {MAX_RW}
+    bne done
+    subi r13, r13, 1
+    cmpi r13, 0
+    bgt again
+done:""" + EXIT_ERRNO
+
+    def test_stdout(self, kernel):
+        result = run_guest(
+            kernel, "    li r12, 1" + self._flood("write"), ["write"],
+            data=self.BUFFER,
+        )
+        assert result.exit_status == int(Errno.EFBIG)
+        assert len(result.stdout) == MAX_FILE_SIZE
+
+    @pytest.mark.parametrize("call", ["write", "sendto"])
+    def test_unconnected_socket(self, kernel, call):
+        result = run_guest(kernel, """
+    li r1, 2
+    li r2, 1
+    li r3, 0
+    call sys_socket
+    mov r12, r0""" + self._flood(call), ["socket", call], data=self.BUFFER)
+        assert result.exit_status == int(Errno.EFBIG)
+        assert len(result.process.network) == MAX_FILE_SIZE
 
 
 class TestResourceTail:

@@ -156,6 +156,69 @@ b:
         assert "payload" in captured.out
 
 
+    def test_capability_tracking_round_trip(self, tmp_path, capsys):
+        """§5.3 is chosen at install time only: ``run`` has no switch,
+        and its kernel's grants and revocations never kill a legitimate
+        run of a capability-tracked binary."""
+        source = tmp_path / "cap.s"
+        source.write_text("""
+.section .text
+.global _start
+_start:
+    li r1, pa
+    li r2, 0
+    call sys_open
+    mov r13, r0
+    li r1, pb
+    li r2, 0
+    call sys_open
+    mov r14, r0
+    mov r1, r13
+    li r2, buf
+    li r3, 8
+    call sys_read
+    mov r3, r0
+    li r1, 1
+    li r2, buf
+    call sys_write
+    mov r1, r13
+    call sys_close
+    mov r1, r14
+    li r2, buf
+    li r3, 8
+    call sys_read
+    mov r3, r0
+    li r1, 1
+    li r2, buf
+    call sys_write
+    mov r1, r14
+    call sys_close
+    li r1, 0
+    call sys_exit
+.section .rodata
+pa:
+    .asciz "/etc/a"
+pb:
+    .asciz "/etc/b"
+.section .bss
+buf:
+    .space 8
+""" + runtime_source("linux", ("open", "read", "write", "close", "exit")))
+        installed = tmp_path / "cap.asc.sef"
+        assert main(["assemble", str(source)]) == 0
+        assert main([
+            "install", str(tmp_path / "cap.sef"), "-o", str(installed),
+            "--capability-tracking",
+        ]) == 0
+        capsys.readouterr()
+        status = main([
+            "run", str(installed), "--file", "/etc/a=alpha", "--file", "/etc/b=beta",
+        ])
+        captured = capsys.readouterr()
+        assert status == 0, captured.err
+        assert captured.out == "alphabeta"
+
+
 class TestInspection:
     def test_objdump_listing(self, workspace, capsys):
         binary = _assemble(workspace)
