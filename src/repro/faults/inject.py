@@ -24,10 +24,7 @@ from repro.crypto import MAC_SIZE
 from repro.kernel.syscalls import SYSCALL_NUMBERS
 from repro.faults.plan import FaultPlan
 from repro.policy.authstrings import AS_HEADER_SIZE
-from repro.policy.record import CORE_SIZE, read_auth_record
-
-#: Offset of the call MAC within an authentication record.
-_MAC_OFFSET = CORE_SIZE - MAC_SIZE
+from repro.policy.record import CALL_MAC_OFFSET, read_auth_record
 
 
 class TrapSpy:
@@ -107,7 +104,7 @@ def _build_mac_flip(plan: FaultPlan, image) -> Callable[[VM], None]:
     carrying into this very trap)."""
 
     def inject(vm: VM) -> None:
-        address = vm.regs[7] + _MAC_OFFSET + plan.offset % MAC_SIZE
+        address = vm.regs[7] + CALL_MAC_OFFSET + plan.offset % MAC_SIZE
         vm.memory.flip_bit(address, plan.bit, force=True)
 
     return inject
@@ -152,8 +149,8 @@ def _build_mac_transplant(plan: FaultPlan, image) -> Callable[[VM], None]:
         live = vm.regs[7]
         candidates = [d for d in donors if d != live] or donors
         donor = candidates[plan.offset % len(candidates)]
-        mac = vm.memory.read(donor + _MAC_OFFSET, MAC_SIZE, force=True)
-        vm.memory.write(live + _MAC_OFFSET, mac, force=True)
+        mac = vm.memory.read(donor + CALL_MAC_OFFSET, MAC_SIZE, force=True)
+        vm.memory.write(live + CALL_MAC_OFFSET, mac, force=True)
 
     return inject
 

@@ -15,25 +15,19 @@ from repro.installer.core import (
 )
 from repro.installer.policygen import (
     AnalysisResult,
-    GenerationOptions,
     PolicyGenerationError,
     analyze,
     generate_policies,
 )
-from repro.installer.signatures import SIGNATURES, SyscallSignature, signature_for
 
 __all__ = [
     "AnalysisResult",
-    "GenerationOptions",
     "InstallError",
     "InstalledProgram",
     "InstallerOptions",
     "PolicyGenerationError",
-    "SIGNATURES",
-    "SyscallSignature",
     "analyze",
     "generate_policies",
     "generate_policy_only",
     "install",
-    "signature_for",
 ]

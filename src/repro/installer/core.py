@@ -19,7 +19,7 @@ from repro.binfmt import SefBinary
 from repro.binfmt.image import assign_addresses
 from repro.crypto import AesCmac, Key
 from repro.installer.policygen import (
-    GenerationOptions,
+    AnalysisResult,
     analyze,
     generate_policies,
 )
@@ -30,6 +30,7 @@ from repro.policy.descriptor import ParamClass
 from repro.policy.encode import ParamEncoding, encode_policy
 from repro.policy.metapolicy import MetaPolicy, PolicyTemplate
 from repro.policy.model import ParamPolicy, ProgramPolicy
+from repro.policy.record import CALL_MAC_OFFSET
 
 
 @dataclass
@@ -89,30 +90,11 @@ def install(
             "binary is already installed; re-installation would double-"
             "rewrite its call sites (install the original instead)"
         )
-    source = SefBinary.from_bytes(binary.to_bytes())  # defensive copy
-    unit = disassemble(source)
-    # PLTO's baseline optimizations, as the paper measured the rewrite.
-    run_baseline_passes(unit)
-    inline_report = inline_syscall_stubs(unit)
-    analysis = analyze(unit)
-
-    program = source.metadata.get("program", source.entry)
-    personality = source.metadata.get("personality", "linux")
-    policy = generate_policies(
-        analysis,
-        program=program,
-        personality=personality,
-        options=GenerationOptions(
-            control_flow=options.control_flow,
-            program_id=options.program_id,
-            capability_tracking=options.capability_tracking,
-        ),
-    )
-
+    analysis, policy, inlined_stubs = _analyze(binary, options, strict=True)
     template = _apply_metapolicy(policy, options)
 
-    rewrite = rewrite_unit(unit, analysis, policy, mac)
-    installed = reassemble(unit)
+    rewrite = rewrite_unit(analysis.unit, analysis, policy, mac)
+    installed = reassemble(analysis.unit)
     installed.metadata["authenticated"] = "yes"
     installed.metadata["program_id"] = str(options.program_id)
 
@@ -123,7 +105,7 @@ def install(
         binary=installed,
         policy=policy,
         sites_rewritten=len(rewrite.sites),
-        inlined_stubs=inline_report.stubs,
+        inlined_stubs=inlined_stubs,
         template=template,
         site_records={
             site.policy.call_site: site.record_symbol for site in rewrite.sites
@@ -138,27 +120,13 @@ def generate_policy_only(
     """Policy generation without rewriting — the configuration used for
     the cross-OS comparison of §4.2 (the OpenBSD port generates
     policies but kernel checking is Linux-only)."""
-    options = options or InstallerOptions()
-    source = SefBinary.from_bytes(binary.to_bytes())
-    unit = disassemble(source)
-    run_baseline_passes(unit)
-    inline_syscall_stubs(unit)
-    analysis = analyze(unit)
-    policy = generate_policies(
-        analysis,
-        program=source.metadata.get("program", source.entry),
-        personality=source.metadata.get("personality", "linux"),
-        options=GenerationOptions(
-            control_flow=options.control_flow,
-            program_id=options.program_id,
-            capability_tracking=options.capability_tracking,
-            strict=False,
-        ),
+    analysis, policy, _ = _analyze(
+        binary, options or InstallerOptions(), strict=False
     )
     # Fill in call-site addresses from the analyzed (stub-inlined)
     # layout and re-key like the full installer does; policy-only
     # output is then directly comparable, renderable, and exportable.
-    text_base = assign_addresses(reassemble(unit))[".text"]
+    text_base = assign_addresses(reassemble(analysis.unit))[".text"]
     by_site = {}
     for block_index, site_policy in sorted(policy.sites.items()):
         insn_index = analysis.sites[block_index].insn_index
@@ -166,6 +134,29 @@ def generate_policy_only(
         by_site[site_policy.call_site] = site_policy
     policy.sites = by_site
     return policy
+
+
+def _analyze(
+    binary: SefBinary, options: InstallerOptions, strict: bool
+) -> tuple[AnalysisResult, ProgramPolicy, list[str]]:
+    """The front half of both pipelines: disassemble a copy of
+    ``binary``, run PLTO's baseline passes (as the paper measured the
+    rewrite), inline the syscall stubs, analyze, and generate the
+    policy.  Returns the analysis, the policy (keyed by CFG block) and
+    the labels of the inlined stubs."""
+    source = SefBinary.from_bytes(binary.to_bytes())  # defensive copy
+    unit = disassemble(source)
+    run_baseline_passes(unit)
+    inline_report = inline_syscall_stubs(unit)
+    analysis = analyze(unit)
+    policy = generate_policies(
+        analysis,
+        program=source.metadata.get("program", source.entry),
+        personality=source.metadata.get("personality", "linux"),
+        options=options,
+        strict=strict,
+    )
+    return analysis, policy, inline_report.stubs
 
 
 def _apply_metapolicy(
@@ -293,7 +284,7 @@ def _sign(installed: SefBinary, rewrite: RewriteResult, mac: AesCmac) -> None:
             capability=capability,
         )
         call_mac = mac.tag(encoded)
-        start = site.record_offset + 16
+        start = site.record_offset + CALL_MAC_OFFSET
         authdata.data[start : start + len(call_mac)] = call_mac
 
 

@@ -14,12 +14,11 @@ propagation) and produces the logical :class:`ProgramPolicy`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.binfmt import SefBinary
 from repro.isa import SymbolRef
-from repro.kernel.syscalls import SYSCALL_NAMES
-from repro.installer.signatures import signature_for
+from repro.kernel.syscalls import syscall_spec
 from repro.plto.callgraph import (
     CallGraph,
     ENTRY_BLOCK_ID,
@@ -31,6 +30,9 @@ from repro.plto.dataflow import ArgValue, SyscallSite, classify_syscall_args
 from repro.plto.ir import IrUnit
 from repro.policy.descriptor import ParamClass
 from repro.policy.model import ParamPolicy, ProgramPolicy, SyscallPolicy
+
+if TYPE_CHECKING:
+    from repro.installer.core import InstallerOptions
 
 
 class PolicyGenerationError(ValueError):
@@ -76,34 +78,23 @@ def _string_constant(binary: SefBinary, ref: SymbolRef) -> Optional[bytes]:
     return bytes(section.data[start:end])
 
 
-@dataclass
-class GenerationOptions:
-    """Knobs for policy generation."""
-
-    control_flow: bool = True
-    #: §5.5 Frankenstein defense: namespace block ids by program id.
-    program_id: int = 0
-    #: §5.3: record fd provenance as capability constraints (extension).
-    capability_tracking: bool = False
-    #: Strict mode (used by full installation) refuses call sites whose
-    #: syscall number is not statically known; non-strict mode (used by
-    #: policy-only generation, as on the paper's OpenBSD port) reports
-    #: and omits them — the §4.2 ``close`` behaviour.
-    strict: bool = True
-
-
-def _block_id(cfg_index_plus_one: int, options: GenerationOptions) -> int:
+def _block_id(cfg_index_plus_one: int, options: InstallerOptions) -> int:
     return (options.program_id << 20) | cfg_index_plus_one
 
 
 def generate_policies(
     analysis: AnalysisResult,
     program: str,
-    personality: str = "linux",
-    options: Optional[GenerationOptions] = None,
+    personality: str,
+    options: InstallerOptions,
+    strict: bool,
 ) -> ProgramPolicy:
-    """Derive the program's overall policy from the analysis."""
-    options = options or GenerationOptions()
+    """Derive the program's overall policy from the analysis.
+
+    Strict mode (full installation) refuses call sites whose syscall
+    number is not statically known; non-strict mode (policy-only
+    generation, as on the paper's OpenBSD port) reports and omits them
+    — the §4.2 ``close`` behaviour."""
     binary = analysis.unit.binary
     policy = ProgramPolicy(
         program=program,
@@ -113,37 +104,36 @@ def generate_policies(
 
     for block_index, site in sorted(analysis.sites.items()):
         if site.number is None:
-            if options.strict:
+            if strict:
                 raise PolicyGenerationError(
                     f"system call number not statically known in block "
                     f"{block_index} — cannot generate a policy"
                 )
             policy.unidentified_sites.append(block_index)
             continue
-        name = SYSCALL_NAMES.get(site.number, f"syscall#{site.number}")
-        signature = signature_for(name)
+        spec = syscall_spec(site.number)
         block_id = _block_id(block_index + 1, options)
 
         site_policy = SyscallPolicy(
-            syscall=name,
+            syscall=spec.name,
             number=site.number,
             call_site=0,  # absolute address filled in at signing time
             block_id=block_id,
-            arg_count=signature.nargs,
+            arg_count=spec.nargs,
             control_flow=options.control_flow,
         )
 
         outputs: set[int] = set()
         multi: set[int] = set()
         fds: set[int] = set()
-        for index in range(signature.nargs):
+        for index in range(spec.nargs):
             value: ArgValue = site.args[index]
-            if index in signature.outputs:
+            if index in spec.outputs:
                 outputs.add(index)
                 continue
             if value.is_fd:
                 fds.add(index)
-                if options.capability_tracking and index in signature.fd_args:
+                if options.capability_tracking and index in spec.fd_args:
                     site_policy.fd_producers[index] = frozenset(
                         _block_id(b, options) for b in value.fd_sites
                     )
@@ -158,7 +148,7 @@ def generate_policies(
                 content = _string_constant(binary, single)
                 if (
                     content is not None
-                    and index in signature.string_args
+                    and index in spec.string_args
                     and single.addend == 0
                 ):
                     site_policy.params[index] = ParamPolicy(
@@ -179,7 +169,7 @@ def generate_policies(
         site_policy.output_params = frozenset(outputs)
         site_policy.multi_value_params = frozenset(multi)
         site_policy.fd_params = frozenset(
-            fd for fd in fds if fd in signature.fd_args
+            fd for fd in fds if fd in spec.fd_args
         )
 
         if options.control_flow:

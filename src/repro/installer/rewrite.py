@@ -20,7 +20,6 @@ Call MACs depend on final absolute addresses, so they are filled in by
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,14 +34,15 @@ from repro.policy.authstrings import AS_HEADER_SIZE, build_authenticated_string
 from repro.policy.descriptor import ParamClass
 from repro.policy.encode import pack_predecessor_set
 from repro.policy.model import ProgramPolicy, SyscallPolicy
-from repro.policy.record import pack_policy_state, state_mac_payload
+from repro.policy.record import (
+    LASTBLOCK_PTR_OFFSET,
+    PREDSET_PTR_OFFSET,
+    AuthRecord,
+    pack_policy_state,
+    state_mac_payload,
+)
 
 POLSTATE_SYMBOL = "__asc_polstate"
-
-#: Record field offsets (see repro.policy.record).
-_REC_PREDSET_PTR = 8
-_REC_LBPTR = 12
-_REC_CALLMAC = 16
 
 
 @dataclass
@@ -148,47 +148,32 @@ def rewrite_unit(
                 f"cap_{serial}", site.capability_content
             )
 
-        # -- emit the record ------------------------------------------------
-        record = bytearray()
-        record += struct.pack("<II", int(descriptor), policy.block_id)
-        record += struct.pack("<II", 0, 0)  # predSetPtr, lbPtr (relocated)
-        record += bytes(MAC_SIZE)  # call MAC, signed later
-        pattern_field_offsets = []
-        for index in descriptor.pattern_params():
-            pattern_field_offsets.append(len(record))
-            record += struct.pack("<I", 0)
-        capability_field_offset = None
-        if descriptor.capability_tracked:
-            capability_field_offset = len(record) + 4
-            record += struct.pack("<II", site.fd_mask, 0)
-
-        start = authdata.append(bytes(record))
+        # -- emit the record: pointers zero until relocated, the call MAC
+        #    zero until signed ------------------------------------------
+        pattern_params = descriptor.pattern_params()
+        record = AuthRecord(
+            descriptor,
+            policy.block_id,
+            predset_ptr=0,
+            lastblock_ptr=0,
+            call_mac=bytes(MAC_SIZE),
+            pattern_ptrs=(0,) * len(pattern_params),
+            fd_mask=site.fd_mask,
+        )
+        start = authdata.append(record.pack())
         site.record_offset = start
         binary.define_symbol(site.record_symbol, ".authdata", start)
 
+        def relocate(offset: int, symbol: str) -> None:
+            binary.add_relocation(Relocation(".authdata", start + offset, symbol))
+
         if policy.control_flow:
-            binary.add_relocation(
-                Relocation(".authdata", start + _REC_PREDSET_PTR, site.predset_symbol)
-            )
-            binary.add_relocation(
-                Relocation(".authdata", start + _REC_LBPTR, POLSTATE_SYMBOL)
-            )
-        for field_offset, index in zip(
-            pattern_field_offsets, descriptor.pattern_params()
-        ):
-            binary.add_relocation(
-                Relocation(
-                    ".authdata", start + field_offset, site.string_symbols[index]
-                )
-            )
-        if capability_field_offset is not None:
-            binary.add_relocation(
-                Relocation(
-                    ".authdata",
-                    start + capability_field_offset,
-                    site.capability_symbol,
-                )
-            )
+            relocate(PREDSET_PTR_OFFSET, site.predset_symbol)
+            relocate(LASTBLOCK_PTR_OFFSET, POLSTATE_SYMBOL)
+        for position, index in enumerate(pattern_params):
+            relocate(record.pattern_ptr_offset(position), site.string_symbols[index])
+        if descriptor.capability_tracked:
+            relocate(record.fd_allowed_ptr_offset, site.capability_symbol)
         sites.append(site)
 
     # -- replace each SYS with LI r7, <record>; ASYS --------------------

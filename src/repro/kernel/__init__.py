@@ -6,7 +6,8 @@ Stands in for the paper's modified Linux kernel.  The pieces:
   directories, permissions, and symlinks (symlinks matter for the §5.4
   filename-normalization discussion).
 - :mod:`repro.kernel.syscalls` -- the system call table (80+ calls with
-  Linux-flavoured numbers and errno conventions).
+  Linux-flavoured numbers and errno conventions; each row also gives
+  the call's arity, argument kinds and fd effect) and its handlers.
 - :mod:`repro.kernel.process` -- processes: pid, cwd, fd table, brk,
   and the in-kernel authentication counter (the memory-checker nonce).
 - :mod:`repro.kernel.kernel` -- the kernel object and its software

@@ -34,6 +34,8 @@ from repro.kernel.sched.blocking import ImageReplaced, ProcessBlocked, WouldBloc
 from repro.kernel.sched.scheduler import MAX_TASKS, MultiRunResult, Scheduler, Task
 from repro.kernel.syscalls import (
     SYSCALL_NAMES,
+    SYSCALLS,
+    FdEffect,
     SyscallContext,
     dispatch,
 )
@@ -49,8 +51,11 @@ EPOCH = 1127692800
 KILL_STATUS = 128 + 9  # SIGKILL-style status for security terminations
 
 #: The calls whose authenticated dispatch maintains a process's §5.3
-#: capability table: the fd producers grant, ``close`` revokes.
-CAPABILITY_CALLS = frozenset(("open", "socket", "dup", "dup2", "close"))
+#: capability table: every call with an fd effect in the syscall table
+#: (the producers grant, ``close`` revokes).
+CAPABILITY_CALLS = frozenset(
+    name for name, spec in SYSCALLS.items() if spec.fd_effect is not None
+)
 
 
 def fork_address_space(memory: Memory) -> Memory:
@@ -544,7 +549,7 @@ class Kernel:
         site's block from then on, whichever site held its number
         before (``dup2`` onto an open fd closes and reuses it)."""
         table = process.capabilities
-        if name == "close":
+        if SYSCALLS[name].fd_effect is FdEffect.REVOKES:
             if result == 0:
                 table.revoke(vm.regs[1])
         elif result < 0x8000_0000:

@@ -6,6 +6,12 @@ handful of OpenBSD-flavoured calls the paper's Table 2 mentions
 numbers of our own.  All calls use the Linux ABI convention: the result
 is a non-negative value on success and ``-errno`` on failure.
 
+:data:`SYSCALLS` is the one description of that ABI: each call's
+number, arity, output, fd and string arguments, and fd effect.  The
+installer's argument classification (§4.1, Table 3), its fd dataflow
+and the kernel's capability table (§5.3), and Systrace's path calls
+all read it.
+
 Handlers receive a :class:`SyscallContext` and are responsible for
 reading pointer arguments out of guest memory (raising ``EFAULT`` on
 bad pointers, as a real kernel's ``copy_from_user`` would).
@@ -14,7 +20,9 @@ bad pointers, as a real kernel's ``copy_from_user`` would).
 from __future__ import annotations
 
 import struct
-from typing import Callable
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, Optional
 
 from repro.cpu.memory import MemoryFault
 from repro.cpu.vm import VM, ProcessExit
@@ -43,110 +51,169 @@ from repro.kernel.sched.blocking import WouldBlock
 from repro.kernel.sched.pipe import BrokenPipe, Pipe
 from repro.kernel.vfs import VfsError
 
-#: The canonical syscall name -> number table of the simulated OS.
-SYSCALL_NUMBERS: dict[str, int] = {
-    "exit": 1,
-    "fork": 2,
-    "read": 3,
-    "write": 4,
-    "open": 5,
-    "close": 6,
-    "unlink": 10,
-    "execve": 11,
-    "chdir": 12,
-    "time": 13,
-    "chmod": 15,
-    "lseek": 19,
-    "getpid": 20,
-    "getuid": 24,
-    "access": 33,
-    "kill": 37,
-    "rename": 38,
-    "mkdir": 39,
-    "rmdir": 40,
-    "dup": 41,
-    "pipe": 42,
-    "brk": 45,
-    "geteuid": 49,
-    "ioctl": 54,
-    "fcntl": 55,
-    "umask": 60,
-    "dup2": 63,
-    "getppid": 64,
-    "sigaction": 67,
-    "gettimeofday": 78,
-    "symlink": 83,
-    "readlink": 85,
-    "mmap": 90,
-    "munmap": 91,
-    "socket": 97,
-    "fstatfs": 100,
-    "stat": 106,
-    "fstat": 108,
-    "uname": 122,
-    "sendto": 133,
-    "writev": 146,
-    "nanosleep": 162,
-    "getdirentries": 196,
-    "__syscall": 198,
-    "sysconf": 199,
-    "madvise": 219,
-    # Additional common Unix calls (simple semantics, present so that
-    # large program profiles — screen needs 67 distinct calls — have a
-    # realistic namespace to draw from).
-    "link": 9,
-    "alarm": 27,
-    "utime": 30,
-    "sync": 36,
-    "times": 43,
-    "getgid": 47,
-    "getegid": 50,
-    "setuid": 23,
-    "setgid": 46,
-    "getpgrp": 65,
-    "setsid": 66,
-    "sigprocmask": 126,
-    "getrlimit": 76,
-    "setrlimit": 75,
-    "getrusage": 77,
-    "truncate": 92,
-    "ftruncate": 93,
-    "fchmod": 94,
-    "fchown": 95,
-    "chown": 182,
-    "getcwd": 183,
-    "fchdir": 300,
-    "flock": 143,
-    "fsync": 118,
-    "select": 142,
-    "poll": 168,
-    "mprotect": 125,
-    "getpriority": 96,
-    "setpriority": 98,
-    "statfs": 99,
-    "getgroups": 80,
-    "sched_yield": 158,
-    "wait4": 114,
-    "mlock": 150,
-    "munlock": 151,
-    "readv": 145,
-    "spawn": 400,
-    # Loopback networking (kernel/net/).  Stable numbers of our own in
-    # the 4xx space: the Linux i386 table multiplexes these behind
-    # socketcall(102), which the paper's per-site policies could not
-    # distinguish — separate numbers give each call its own policy row.
-    "bind": 401,
-    "listen": 402,
-    "accept": 403,
-    "connect": 404,
-    "send": 405,
-    "recv": 406,
-    "recvfrom": 407,
-    "shutdown": 408,
+class FdEffect(Enum):
+    """What a call does to the fds a process holds (§5.3)."""
+
+    #: r0 is a new fd: the installer follows it from the producing site
+    #: to the sites that use it, and the kernel grants it to that site.
+    NEW_FD = "new-fd"
+    #: The call revokes its fd argument (arg 0).
+    REVOKES = "revokes"
+
+
+@dataclass(frozen=True)
+class SyscallSpec:
+    """One call of the simulated OS's ABI: one row of :data:`SYSCALLS`."""
+
+    name: str
+    number: int
+    #: Argument count (r1..r6).
+    nargs: int
+    #: Output-only argument indices: the kernel writes through the
+    #: pointer (Table 3's ``o/p`` column; never constrained).
+    outputs: frozenset = frozenset()
+    #: Arguments that are file descriptors returned by earlier calls
+    #: (§5.3 capability-tracking candidates).
+    fd_args: frozenset = frozenset()
+    #: Arguments that are NUL-terminated string/path pointers (AS
+    #: candidates).
+    string_args: frozenset = frozenset()
+    fd_effect: Optional[FdEffect] = None
+
+
+def _call(name, number, nargs, out=(), fd=(), string=(), effect=None) -> SyscallSpec:
+    return SyscallSpec(
+        name, number, nargs, frozenset(out), frozenset(fd), frozenset(string), effect
+    )
+
+
+#: The syscall table of the simulated OS, one row per call: name,
+#: number, arity, output args, fd args, string args and fd effect.
+#: ``pipe`` has no fd effect: its r0 is 0, and its two fds come back
+#: through memory, which neither the installer's dataflow nor the
+#: kernel's capability table follows.
+SYSCALLS: dict[str, SyscallSpec] = {
+    spec.name: spec
+    for spec in (
+        _call("exit", 1, 1),
+        _call("fork", 2, 0),
+        _call("read", 3, 3, out=(1,), fd=(0,)),
+        _call("write", 4, 3, fd=(0,)),
+        _call("open", 5, 3, string=(0,), effect=FdEffect.NEW_FD),
+        _call("close", 6, 1, fd=(0,), effect=FdEffect.REVOKES),
+        _call("unlink", 10, 1, string=(0,)),
+        _call("execve", 11, 3, string=(0,)),
+        _call("chdir", 12, 1, string=(0,)),
+        _call("time", 13, 1, out=(0,)),
+        _call("chmod", 15, 2, string=(0,)),
+        _call("lseek", 19, 3, fd=(0,)),
+        _call("getpid", 20, 0),
+        _call("getuid", 24, 0),
+        _call("access", 33, 2, string=(0,)),
+        _call("kill", 37, 2),
+        _call("rename", 38, 2, string=(0, 1)),
+        _call("mkdir", 39, 2, string=(0,)),
+        _call("rmdir", 40, 1, string=(0,)),
+        _call("dup", 41, 1, fd=(0,), effect=FdEffect.NEW_FD),
+        _call("pipe", 42, 1, out=(0,)),
+        _call("brk", 45, 1),
+        _call("geteuid", 49, 0),
+        _call("ioctl", 54, 3, fd=(0,)),
+        _call("fcntl", 55, 3, fd=(0,)),
+        _call("umask", 60, 1),
+        _call("dup2", 63, 2, fd=(0, 1), effect=FdEffect.NEW_FD),
+        _call("getppid", 64, 0),
+        _call("sigaction", 67, 3, out=(2,)),
+        _call("gettimeofday", 78, 2, out=(0, 1)),
+        _call("symlink", 83, 2, string=(0, 1)),
+        _call("readlink", 85, 3, out=(1,), string=(0,)),
+        _call("mmap", 90, 6, fd=(4,)),
+        _call("munmap", 91, 2),
+        _call("socket", 97, 3, effect=FdEffect.NEW_FD),
+        _call("fstatfs", 100, 2, out=(1,), fd=(0,)),
+        _call("stat", 106, 2, out=(1,), string=(0,)),
+        _call("fstat", 108, 2, out=(1,), fd=(0,)),
+        _call("uname", 122, 1, out=(0,)),
+        _call("sendto", 133, 6, fd=(0,)),
+        _call("writev", 146, 3, fd=(0,)),
+        _call("nanosleep", 162, 2, out=(1,)),
+        _call("getdirentries", 196, 4, out=(1, 3), fd=(0,)),
+        # The OpenBSD indirect syscall: arg 0 is the real number; the
+        # rest are opaque (they belong to the inner call).
+        _call("__syscall", 198, 6),
+        _call("sysconf", 199, 1),
+        _call("madvise", 219, 3),
+        # Additional common Unix calls (simple semantics, present so
+        # that large program profiles — screen needs 67 distinct calls
+        # — have a realistic namespace to draw from).
+        _call("link", 9, 2, string=(0, 1)),
+        _call("alarm", 27, 1),
+        _call("utime", 30, 2, string=(0,)),
+        _call("sync", 36, 0),
+        _call("times", 43, 1, out=(0,)),
+        _call("getgid", 47, 0),
+        _call("getegid", 50, 0),
+        _call("setuid", 23, 1),
+        _call("setgid", 46, 1),
+        _call("getpgrp", 65, 0),
+        _call("setsid", 66, 0),
+        _call("sigprocmask", 126, 3, out=(2,)),
+        _call("getrlimit", 76, 2, out=(1,)),
+        _call("setrlimit", 75, 2),
+        _call("getrusage", 77, 2, out=(1,)),
+        _call("truncate", 92, 2, string=(0,)),
+        _call("ftruncate", 93, 2, fd=(0,)),
+        _call("fchmod", 94, 2, fd=(0,)),
+        _call("fchown", 95, 3, fd=(0,)),
+        _call("chown", 182, 3, string=(0,)),
+        _call("getcwd", 183, 2, out=(0,)),
+        _call("fchdir", 300, 1, fd=(0,)),
+        _call("flock", 143, 2, fd=(0,)),
+        _call("fsync", 118, 1, fd=(0,)),
+        _call("select", 142, 5, out=(1, 2, 3)),
+        _call("poll", 168, 3, out=(0,)),
+        _call("mprotect", 125, 3),
+        _call("getpriority", 96, 2),
+        _call("setpriority", 98, 3),
+        _call("statfs", 99, 2, out=(1,), string=(0,)),
+        _call("getgroups", 80, 2, out=(1,)),
+        _call("sched_yield", 158, 0),
+        _call("wait4", 114, 4, out=(1, 3)),
+        _call("mlock", 150, 2),
+        _call("munlock", 151, 2),
+        _call("readv", 145, 3, out=(1,), fd=(0,)),
+        _call("spawn", 400, 2, string=(0,)),
+        # Loopback networking (kernel/net/).  Stable numbers of our own
+        # in the 4xx space: the Linux i386 table multiplexes these
+        # behind socketcall(102), which the paper's per-site policies
+        # could not distinguish — separate numbers give each call its
+        # own policy row.  Addresses are NUL-terminated strings, so a
+        # constant bind/connect target is an authenticated string
+        # parameter: the name a server listens on (and the name a
+        # client dials) is part of the signed per-site policy.
+        _call("bind", 401, 3, fd=(0,), string=(1,)),
+        _call("listen", 402, 2, fd=(0,)),
+        _call("accept", 403, 3, out=(1, 2), fd=(0,), effect=FdEffect.NEW_FD),
+        _call("connect", 404, 3, fd=(0,), string=(1,)),
+        _call("send", 405, 4, fd=(0,)),
+        _call("recv", 406, 4, out=(1,), fd=(0,)),
+        _call("recvfrom", 407, 6, out=(1, 4, 5), fd=(0,)),
+        _call("shutdown", 408, 2, fd=(0,)),
+    )
 }
 
-SYSCALL_NAMES: dict[int, str] = {num: name for name, num in SYSCALL_NUMBERS.items()}
-assert len(SYSCALL_NAMES) == len(SYSCALL_NUMBERS), "duplicate syscall numbers"
+SYSCALL_NUMBERS: dict[str, int] = {name: spec.number for name, spec in SYSCALLS.items()}
+SYSCALL_NAMES: dict[int, str] = {spec.number: name for name, spec in SYSCALLS.items()}
+assert len(SYSCALL_NAMES) == len(SYSCALLS), "duplicate syscall numbers"
+
+
+def syscall_spec(number: int) -> SyscallSpec:
+    """The table row for ``number``; a number the table lacks reads as
+    a call of six opaque arguments."""
+    name = SYSCALL_NAMES.get(number)
+    if name is None:
+        return SyscallSpec(f"syscall#{number}", number, 6)
+    return SYSCALLS[name]
 
 SEEK_SET, SEEK_CUR, SEEK_END = 0, 1, 2
 F_DUPFD, F_GETFL, F_SETFL = 0, 3, 4

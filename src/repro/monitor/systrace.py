@@ -30,7 +30,7 @@ from repro.cpu.vm import VM, ProcessExit
 from repro.kernel import EnforcementMode, Kernel
 from repro.kernel.audit import AuditEvent
 from repro.kernel.process import Process
-from repro.kernel.syscalls import SYSCALL_NAMES
+from repro.kernel.syscalls import SYSCALL_NAMES, SYSCALLS
 
 #: Hand-edit alias sets (§4.2): "fsread denotes read-related system
 #: calls and fswrite denotes write-related calls."
@@ -52,11 +52,9 @@ POLICY_LOOKUP_COST = 400
 
 #: Syscalls whose first argument is a path (observed for the
 #: argument-level policies §2.1 describes Systrace supporting).
-_PATH_CALLS = frozenset({
-    "open", "stat", "access", "readlink", "unlink", "mkdir", "rmdir",
-    "chmod", "chdir", "truncate", "utime", "execve", "chown", "statfs",
-    "link", "symlink", "rename", "spawn",
-})
+_PATH_CALLS = frozenset(
+    name for name, spec in SYSCALLS.items() if 0 in spec.string_args
+)
 
 
 class SyscallTracer:

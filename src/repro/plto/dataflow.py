@@ -11,8 +11,8 @@ Two refinements feed Table 3's extension columns:
 - *multi-value* (``mv``): an argument whose reaching constants form a
   small finite set (>1 element) rather than a single value;
 - *fd provenance* (``fds``): an argument that is the preserved return
-  value of an earlier fd-producing call (open/socket/dup/...), the §5.3
-  capability-tracking candidates.
+  value of an earlier fd-producing call (open/socket/dup/dup2/accept),
+  the §5.3 capability-tracking candidates.
 
 The lattice per register: ``BOTTOM`` (no path reaches here yet), a set
 of up to :data:`MAX_VALUE_SET` known values (ints or symbol
@@ -30,12 +30,16 @@ from typing import Optional, Union
 
 from repro.isa import SymbolRef
 from repro.isa.opcodes import Op
+from repro.kernel.syscalls import SYSCALLS, FdEffect
 from repro.plto.callgraph import CallGraph
 
 MAX_VALUE_SET = 4
 
-#: Syscall numbers whose result is a file descriptor.
-FD_PRODUCER_NUMBERS = frozenset({5, 41, 42, 63, 97})  # open, dup, pipe, dup2, socket
+#: Syscall numbers whose r0 is a new file descriptor (the table's
+#: ``FdEffect.NEW_FD`` calls).
+FD_PRODUCER_NUMBERS = frozenset(
+    spec.number for spec in SYSCALLS.values() if spec.fd_effect is FdEffect.NEW_FD
+)
 
 
 @unique

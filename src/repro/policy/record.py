@@ -35,7 +35,13 @@ from repro.crypto import MAC_SIZE
 from repro.cpu.memory import Memory
 from repro.policy.descriptor import PolicyDescriptor
 
-CORE_SIZE = 16 + MAC_SIZE  # fixed fields + call MAC
+#: The fixed fields: polDes, blockID, predSetPtr, lbPtr.
+RECORD_HEAD = struct.Struct("<IIII")
+#: Offsets of the fields the installer relocates and signs.
+PREDSET_PTR_OFFSET = 8
+LASTBLOCK_PTR_OFFSET = 12
+CALL_MAC_OFFSET = RECORD_HEAD.size
+CORE_SIZE = CALL_MAC_OFFSET + MAC_SIZE  # fixed fields + call MAC
 
 
 @dataclass
@@ -50,8 +56,7 @@ class AuthRecord:
     fd_allowed_ptr: int = 0
 
     def pack(self) -> bytes:
-        out = struct.pack(
-            "<IIII",
+        out = RECORD_HEAD.pack(
             int(self.descriptor),
             self.block_id,
             self.predset_ptr,
@@ -71,6 +76,15 @@ class AuthRecord:
             size += 8
         return size
 
+    def pattern_ptr_offset(self, position: int) -> int:
+        """Offset of the ``position``-th pattern-AS pointer."""
+        return CORE_SIZE + 4 * position
+
+    @property
+    def fd_allowed_ptr_offset(self) -> int:
+        """Offset of ``fdAllowedPtr`` (capability-tracked records)."""
+        return self.pattern_ptr_offset(len(self.pattern_ptrs)) + 4
+
 
 def read_auth_record(memory: Memory, address: int) -> AuthRecord:
     """Parse the record at ``address`` in guest memory.
@@ -78,8 +92,8 @@ def read_auth_record(memory: Memory, address: int) -> AuthRecord:
     Raises :class:`repro.cpu.memory.MemoryFault` on bad pointers; the
     caller (the trap handler) converts that into a fail-stop."""
     head = memory.read(address, CORE_SIZE, force=True)
-    bits, block_id, predset_ptr, lastblock_ptr = struct.unpack_from("<IIII", head, 0)
-    call_mac = head[16:CORE_SIZE]
+    bits, block_id, predset_ptr, lastblock_ptr = RECORD_HEAD.unpack_from(head)
+    call_mac = head[CALL_MAC_OFFSET:CORE_SIZE]
     descriptor = PolicyDescriptor(bits)
     cursor = address + CORE_SIZE
     pattern_ptrs = []

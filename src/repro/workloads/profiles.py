@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.asm import assemble
 from repro.binfmt import SefBinary
-from repro.installer.signatures import signature_for
+from repro.kernel.syscalls import SYSCALLS
 from repro.workloads.runtime import runtime_source, stub_label
 
 
@@ -208,9 +208,9 @@ def _allocate_sites(
     # between calls keeps `sites` constant while shifting the sums by
     # the signature differences).  Sums are maintained incrementally so
     # each candidate move is O(1).
-    arity = {n: signature_for(n).nargs for n in calls}
-    outs_of = {n: len(signature_for(n).outputs) for n in calls}
-    fds_of = {n: len(signature_for(n).fd_args) for n in calls}
+    arity = {n: SYSCALLS[n].nargs for n in calls}
+    outs_of = {n: len(SYSCALLS[n].outputs) for n in calls}
+    fds_of = {n: len(SYSCALLS[n].fd_args) for n in calls}
     args_sum = sum(arity[n] * c for n, c in counts.items())
     outs_sum = sum(outs_of[n] * c for n, c in counts.items())
     fd_slots = sum(fds_of[n] * c for n, c in counts.items())
@@ -273,10 +273,10 @@ def plan_sites(profile: ProgramProfile, personality: str) -> list[SitePlan]:
 
     plans: list[SitePlan] = []
     for name in calls:
-        signature = signature_for(name)
+        spec = SYSCALLS[name]
         for _ in range(counts[name]):
             plans.append(
-                SitePlan(syscall=name, args=[None] * signature.nargs, rare=name in rare)
+                SitePlan(syscall=name, args=[None] * spec.nargs, rare=name in rare)
             )
 
     # Producer sites: the first two open sites and the first socket site
@@ -302,11 +302,11 @@ def plan_sites(profile: ProgramProfile, personality: str) -> list[SitePlan]:
     fd_budget = target.fds
     mv_budget = target.mv
     for plan in plans:
-        signature = signature_for(plan.syscall)
-        for index in range(signature.nargs):
-            if index in signature.outputs:
+        spec = SYSCALLS[plan.syscall]
+        for index in range(spec.nargs):
+            if index in spec.outputs:
                 plan.args[index] = "out"
-            elif index in signature.fd_args:
+            elif index in spec.fd_args:
                 if fd_budget > 0:
                     plan.args[index] = "fd"
                     fd_budget -= 1
@@ -324,19 +324,19 @@ def plan_sites(profile: ProgramProfile, personality: str) -> list[SitePlan]:
         if kind in ("str", "const")
     )
     for plan in plans:
-        signature = signature_for(plan.syscall)
-        for index in range(signature.nargs):
+        spec = SYSCALLS[plan.syscall]
+        for index in range(spec.nargs):
             if plan.args[index] is not None:
                 continue
             if (
                 mv_budget > 0
-                and index not in signature.string_args
+                and index not in spec.string_args
                 and plan.syscall != "exit"
             ):
                 plan.args[index] = "mv"
                 mv_budget -= 1
             elif auth_budget > 0:
-                plan.args[index] = "str" if index in signature.string_args else "const"
+                plan.args[index] = "str" if index in spec.string_args else "const"
                 auth_budget -= 1
             else:
                 plan.args[index] = "unk"
@@ -419,7 +419,6 @@ def build_profile_program(name: str, personality: str = "linux") -> SefBinary:
     string_label("/tmp")
 
     def emit_site(plan: SitePlan, site_index: int) -> None:
-        signature = signature_for(plan.syscall)
         for index, kind in enumerate(plan.args):
             reg = f"r{1 + index}"
             if kind == "out":

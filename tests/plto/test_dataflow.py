@@ -1,7 +1,10 @@
 """Constant propagation and argument classification (§4.1)."""
 
+import pytest
+
 from repro.asm import assemble
 from repro.isa import SymbolRef
+from repro.kernel.syscalls import SYSCALL_NUMBERS
 from repro.plto import build_cfg, build_call_graph, classify_syscall_args, disassemble
 from repro.plto.dataflow import ArgValue
 
@@ -148,6 +151,31 @@ path:
         open_site = [s for s in sites if s.number == 5][0]
         assert read_site.args[0].is_fd
         assert read_site.args[0].fd_sites == frozenset({open_site.block_index + 1})
+
+    @pytest.mark.parametrize(
+        "producer, is_fd",
+        [("open", True), ("dup", True), ("dup2", True), ("socket", True),
+         ("accept", True), ("pipe", False)],
+    )
+    def test_fd_producers_follow_the_syscall_table(self, producer, is_fd):
+        """r0 after an fd producer is an fd from its site.  pipe's r0 is
+        0 (its two fds come back through memory), so it is unknown."""
+        sites = _sites(f"""
+.section .text
+_start:
+    li r0, {SYSCALL_NUMBERS[producer]}
+    sys
+    mov r1, r0
+    li r0, {SYSCALL_NUMBERS["read"]}
+    sys
+    halt
+""")
+        read_site = [s for s in sites if s.number == SYSCALL_NUMBERS["read"]][0]
+        producer_site = [s for s in sites if s.number == SYSCALL_NUMBERS[producer]][0]
+        if is_fd:
+            assert read_site.args[0] == ArgValue.fd_from(producer_site.block_index + 1)
+        else:
+            assert read_site.args[0] == ArgValue.top()
 
     def test_call_clobbers_everything(self):
         sites = _sites("""

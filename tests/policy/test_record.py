@@ -1,12 +1,17 @@
 """Auth record pack/unpack: the ASYS trap ABI."""
 
+import struct
+
 import pytest
 
 from repro.cpu.memory import Memory, MemoryFault, PROT_READ
 from repro.policy import PolicyDescriptor
 from repro.policy.record import (
-    AuthRecord,
+    CALL_MAC_OFFSET,
     CORE_SIZE,
+    LASTBLOCK_PTR_OFFSET,
+    PREDSET_PTR_OFFSET,
+    AuthRecord,
     pack_policy_state,
     read_auth_record,
     read_policy_state,
@@ -64,6 +69,29 @@ class TestCoreRecord:
         assert parsed.fd_mask == 0b101
         assert parsed.fd_allowed_ptr == 0xC000
         assert parsed.size == CORE_SIZE + 8
+
+    def test_field_offsets_locate_the_packed_fields(self):
+        """The offsets the installer relocates and signs at."""
+        descriptor = (
+            PolicyDescriptor().with_call_site().with_control_flow()
+            .with_pattern_param(1).with_pattern_param(3).with_capability()
+        )
+        record = AuthRecord(
+            descriptor=descriptor, block_id=1, predset_ptr=0x2000,
+            lastblock_ptr=0x3000, call_mac=MAC, pattern_ptrs=(0xA000, 0xB000),
+            fd_mask=0b1, fd_allowed_ptr=0xC000,
+        )
+        blob = record.pack()
+
+        def word(offset):
+            return struct.unpack_from("<I", blob, offset)[0]
+
+        assert word(PREDSET_PTR_OFFSET) == 0x2000
+        assert word(LASTBLOCK_PTR_OFFSET) == 0x3000
+        assert blob[CALL_MAC_OFFSET:CORE_SIZE] == MAC
+        assert [word(record.pattern_ptr_offset(i)) for i in range(2)] == [0xA000, 0xB000]
+        assert word(record.fd_allowed_ptr_offset) == 0xC000
+        assert record.fd_allowed_ptr_offset + 4 == record.size == len(blob)
 
     def test_unmapped_record_faults(self):
         with pytest.raises(MemoryFault):

@@ -10,8 +10,9 @@ import pytest
 
 from repro.configs import CONFIGS
 from repro.crypto import Key
-from repro.installer import install
+from repro.installer import InstallerOptions, install
 from repro.kernel import Kernel
+from repro.kernel.auth import violation_family
 from repro.workloads.netserver import build_netserver
 
 KEY = Key.from_passphrase("netserver-tests")
@@ -96,6 +97,102 @@ class TestEngineBitIdentity:
         run = _run(raw)
         assert run["statuses"] == (0,) + (REQUESTS,) * CLIENTS
         assert not any(run["killed"])
+
+
+#: The calls whose arg 0 is a socket fd at the netserver's sites.
+SOCKET_FD_CALLS = ("bind", "listen", "accept", "connect", "send", "recv", "shutdown", "close")
+
+
+@pytest.fixture(scope="module")
+def tracked():
+    """The netserver installed with §5.3 capability tracking."""
+    return install(
+        build_netserver(clients=CLIENTS, requests=REQUESTS, spin=60), KEY,
+        InstallerOptions(capability_tracking=True),
+    )
+
+
+def _connection_sites(tracked):
+    """The accept site's block id, and the server's recv, send and
+    close of the accepted connection (the sites whose fd descends from
+    accept alone)."""
+    (accept,) = [p for p in tracked.policy.sites.values() if p.syscall == "accept"]
+    sites = {
+        policy.syscall: address
+        for address, policy in tracked.policy.sites.items()
+        if policy.fd_producers.get(0) == frozenset({accept.block_id})
+    }
+    return accept.block_id, sites
+
+
+def _run_tracked(tracked, config, on_recv):
+    """Run the tracked netserver on ``config``, calling ``on_recv(kernel,
+    vm)`` at each trap of the server's connection recv; returns the
+    tasks in pid order (the server first)."""
+    kernel = Kernel(key=KEY, **config.kernel_kwargs())
+    _, sites = _connection_sites(tracked)
+    forward = kernel.handle_trap
+
+    def spy(vm, authenticated):
+        if vm.pc == sites["recv"]:
+            on_recv(kernel, vm)
+        return forward(vm, authenticated)
+
+    kernel.handle_trap = spy  # shadows the bound method for every VM
+    multi = kernel.run_many([tracked.binary], timeslice=TIMESLICE)
+    return [multi.scheduler.tasks[pid] for pid in sorted(multi.scheduler.tasks)]
+
+
+class TestCapabilityTracked:
+    """§5.3 on the netserver: every socket fd argument, the accepted
+    connection's included, is checked against its producing sites."""
+
+    def test_every_socket_fd_site_has_producers(self, tracked):
+        sites = [
+            policy for policy in tracked.policy.sites.values()
+            if policy.syscall in SOCKET_FD_CALLS
+        ]
+        assert len(sites) == 14
+        assert all(policy.fd_producers.get(0) for policy in sites)
+
+    def test_connection_fd_descends_from_accept(self, tracked):
+        _, sites = _connection_sites(tracked)
+        assert sorted(sites) == ["close", "recv", "send"]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
+    def test_serves_every_client(self, tracked, config):
+        accept_block, _ = _connection_sites(tracked)
+        owners = []
+        tasks = _run_tracked(
+            tracked, config,
+            lambda kernel, vm: owners.append(
+                kernel.capability_table(vm).owner.get(vm.regs[1])
+            ),
+        )
+        assert tuple(task.exit_status for task in tasks) == (0,) + (REQUESTS,) * CLIENTS
+        assert not any(task.killed for task in tasks)
+        # Each accepted fd belongs to the accept site when it is read.
+        assert owners and set(owners) == {accept_block}
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda config: config.name)
+    def test_listening_fd_at_the_connection_recv_dies_as_capability(
+        self, tracked, config
+    ):
+        """fd confusion: the server's connection recv is handed the
+        listening fd at trap entry.  The call MAC does not constrain an
+        fd argument, so only the capability check can stop it."""
+        swapped = []
+
+        def confuse(kernel, vm):
+            if not swapped:
+                swapped.append((vm.regs[1], vm.regs[12]))
+                vm.regs[1] = vm.regs[12]  # r12 holds the listening fd
+
+        server, *clients = _run_tracked(tracked, config, confuse)
+        assert swapped and swapped[0][0] != swapped[0][1]
+        assert server.killed
+        assert violation_family(server.kill_reason) == "capability"
+        assert not any(client.killed for client in clients)
 
 
 class TestWorkloadShapeValidation:
