@@ -17,10 +17,11 @@ Each run is reduced to a *portable conformance signature*:
 The enforced property is the paper's: every engine configuration
 implements the *same* authenticated-syscall semantics, so the
 signature must be bit-identical across all of them.  Within each run
-the shadow oracle (:mod:`repro.faults.shadow`) re-verifies every trap
-a verifier thunk accepted with the paper's full check.  A signature
-mismatch or a shadow disagreement is a divergence, which the sweep
-hands to the shrinker.
+the shadow oracles (:mod:`repro.faults.shadow`) re-verify every trap
+a verifier thunk accepted with the paper's full check, and re-run
+every blocked call the wake poll skips (a skipped call that would
+complete is a missed notify).  A signature mismatch or a shadow
+disagreement is a divergence, which the sweep hands to the shrinker.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from repro.configs import configs_named
 from repro.crypto import Key
 from repro.faults.harness import RunOutcome, portable_signature, process_signature
-from repro.faults.shadow import ShadowVerifier
+from repro.faults.shadow import ShadowPoll, ShadowVerifier
 from repro.installer import InstalledProgram, InstallerOptions, install
 from repro.kernel import EnforcementMode, Kernel
 from repro.kernel.auth import violation_family
@@ -77,10 +78,12 @@ class ProgramOutcome:
     #: Superblocks the threaded engine fused during the run (coverage
     #: evidence only; not compared, since it is config-dependent).
     superblocks_fused: int = 0
-    #: Thunk-accepted traps the shadow oracle re-verified, and the
-    #: ones its full check did not confirm (not compared; any
-    #: disagreement is a divergence on its own).
+    #: Thunk-accepted traps the shadow oracle re-verified, skipped
+    #: retries the shadow poll re-ran, and every disagreement of
+    #: either (not compared; any disagreement is a divergence on its
+    #: own).
     shadow_checked: int = 0
+    poll_checked: int = 0
     shadow_disagreements: tuple = ()
 
     def comparable(self) -> tuple:
@@ -129,6 +132,7 @@ def run_program(
     points part of the compared semantics)."""
     kernel = make_kernel(key, config, recorder=recorder)
     shadow = ShadowVerifier(kernel)
+    poll = ShadowPoll(kernel)
     tracer = SyscallTraceRecorder()
     kernel.tracer = tracer
     multi = kernel.run_many(
@@ -168,7 +172,8 @@ def run_program(
         exit_status=multi.results[0].exit_status,
         superblocks_fused=kernel.metrics.get("engine.superblocks_fused"),
         shadow_checked=shadow.checked,
-        shadow_disagreements=tuple(shadow.disagreements),
+        poll_checked=poll.checked,
+        shadow_disagreements=tuple(shadow.disagreements + poll.disagreements),
     )
 
 

@@ -5,9 +5,10 @@ The contract the CI gate enforces:
 1. **Zero divergences.**  Every generated program must produce a
    bit-identical portable conformance signature (per-process results,
    syscall trace, kill families, final memory digests) on every roster
-   configuration (:mod:`repro.configs`), and the shadow oracle must
-   confirm every trap a verifier thunk accepted.  One divergence fails
-   the sweep.
+   configuration (:mod:`repro.configs`), the shadow oracle must
+   confirm every trap a verifier thunk accepted, and the shadow poll
+   must find every blocked call the wake poll skipped still blocked.
+   One divergence fails the sweep.
 2. **Determinism.**  Same seed + same key -> byte-identical report
    JSON, run to run and machine to machine.  Nothing time- or
    path-dependent goes into the report.
@@ -56,10 +57,12 @@ class ConformanceReport:
     divergent: list = field(default_factory=list)
     reproducers: list = field(default_factory=list)
     totals: dict = field(default_factory=dict)
-    #: Thunk-accepted traps the shadow oracle re-verified, and how many
-    #: it did not confirm (summary only; the JSON report is the same
-    #: with or without the oracle).
+    #: Thunk-accepted traps the shadow oracle re-verified, skipped
+    #: retries the shadow poll re-ran, and how many of either
+    #: disagreed (summary only; the JSON report is the same with or
+    #: without the oracles).
     shadow_checked: int = 0
+    poll_checked: int = 0
     shadow_disagreements: int = 0
 
     @property
@@ -98,6 +101,7 @@ class ConformanceReport:
         )
         lines.append(
             f"  shadow-verified {self.shadow_checked} thunk-accepted traps, "
+            f"shadow-polled {self.poll_checked} skipped retries, "
             f"{self.shadow_disagreements} disagreements"
         )
         for entry in self.divergent:
@@ -169,6 +173,7 @@ def run_conformance(
         totals["superblocks_fused"] += fused
         for out in outcomes.values():
             report.shadow_checked += out.shadow_checked
+            report.poll_checked += out.poll_checked
             report.shadow_disagreements += len(out.shadow_disagreements)
         metrics.inc("conform.programs")
         metrics.inc("conform.runs", len(outcomes))

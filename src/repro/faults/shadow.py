@@ -1,4 +1,7 @@
-"""Shadow verification: a per-trap differential oracle for the thunks.
+"""Shadow oracles: per-trap verification and per-poll wakeups.
+
+:class:`ShadowVerifier` is a per-trap differential oracle for the
+thunks.
 
 The fault and conformance sweeps compare whole-run signatures; this
 oracle checks every single trap a compiled verifier thunk accepts,
@@ -19,6 +22,15 @@ The oracle only reads the run under test: its checker has its own
 :class:`~repro.crypto.AesCmac` (so it never shares the kernel's tag
 memo) and no recorder, and it writes only its private copy, so
 signatures, counters and reports are the same as without it.
+
+:class:`ShadowPoll` is the missed-notify oracle for the wake poll.  The
+poll skips a parked call while nothing it waits on has changed; the
+shadow re-runs every call the poll skips, and a re-run that completes
+is a disagreement: some state change that let the call go on bumped
+no counter it watches.  A failed dispatch changes nothing (blocking
+handlers raise before they touch state, and ``dispatch`` skips the
+syscall tracer on retries), so on a correct kernel the shadowed run
+has the results and counters of the run under test.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from repro.kernel import Kernel
 from repro.kernel.auth import AuthChecker, AuthViolation
 from repro.kernel.costs import mac_blocks
 from repro.kernel.kernel import fork_address_space
+from repro.kernel.sched.blocking import ProcessBlocked
 from repro.crypto import AesCmac
 from repro.policy.record import POLSTATE_SIZE
 
@@ -130,3 +143,66 @@ def _polstate(vm, record):
         return vm.memory.read(record.lastblock_ptr, POLSTATE_SIZE, force=True)
     except MemoryFault:
         return None
+
+
+class ShadowPoll:
+    """Attach to a fresh kernel (before it runs anything); every wake
+    poll of every scheduler on it is then shadowed.
+
+    Each parked call's ``watch`` is wrapped in a :class:`_Shadowed`,
+    whose ``count`` the poll reads once per parked task, right where it
+    decides between a retry and a skip."""
+
+    def __init__(self, kernel: Kernel):
+        #: Skipped retries re-run so far.
+        self.checked = 0
+        #: One line per skipped retry that would have completed.
+        self.disagreements: list[str] = []
+        dispatch = kernel._dispatch
+
+        def dispatch_and_shadow(vm, process, number, block_id=None, retry=False):
+            try:
+                return dispatch(vm, process, number, block_id, retry)
+            except ProcessBlocked as blocked:
+                if blocked.watch is not None:
+                    blocked.watch = _Shadowed(self, dispatch, vm, process, blocked)
+                raise
+
+        kernel._dispatch = dispatch_and_shadow
+
+    def _rerun(self, shadowed: "_Shadowed") -> None:
+        """Re-run a dispatch the poll is skipping; it must block again."""
+        self.checked += 1
+        blocked = shadowed.blocked
+        try:
+            shadowed.dispatch(
+                shadowed.vm, shadowed.process, blocked.number, blocked.block_id, True
+            )
+        except ProcessBlocked:
+            return
+        self.disagreements.append(
+            f"pid {shadowed.process.pid}: {blocked.name} skipped by the wake "
+            f"poll, but a retry completes"
+        )
+
+
+class _Shadowed:
+    """A parked call's watch, as the shadow poll sees it."""
+
+    __slots__ = ("shadow", "dispatch", "vm", "process", "blocked", "watch", "stamp")
+
+    def __init__(self, shadow, dispatch, vm, process, blocked):
+        self.shadow = shadow
+        self.dispatch = dispatch
+        self.vm = vm
+        self.process = process
+        self.blocked = blocked
+        self.watch = blocked.watch
+        self.stamp = blocked.stamp
+
+    @property
+    def count(self) -> int:
+        count = self.watch.count
+        if count == self.stamp:
+            self.shadow._rerun(self)
+        return count

@@ -509,7 +509,8 @@ class Kernel:
             result = dispatch(ctx)
         except WouldBlock as would_block:
             raise ProcessBlocked(
-                would_block.wait, number, name, block_id, trap_pc=vm.pc
+                would_block.wait, number, name, block_id, vm.pc,
+                would_block.watch, would_block.stamp,
             ) from None
         vm.regs[0] = result
         if name in CAPABILITY_CALLS and block_id is not None:
@@ -521,19 +522,21 @@ class Kernel:
         verification already happened and advanced the counter).  On
         success the result lands in r0, the deferred verification cost
         is charged, and the PC advances past the trap; returns False if
-        the wait condition still holds."""
-        pending = task.pending
-        assert pending is not None
+        the wait condition still holds, after re-snapshotting what the
+        call now waits on."""
+        blocked = task.blocked
         vm = task.vm
         try:
             cost = self._dispatch(
-                vm, task.process, pending.number, pending.block_id, retry=True
+                vm, task.process, blocked.number, blocked.block_id, retry=True
             )
-        except ProcessBlocked:
+        except ProcessBlocked as again:
+            blocked.watch = again.watch
+            blocked.stamp = again.stamp
             return False
-        vm.cycles += cost + pending.auth_cycles
-        vm.pc = pending.trap_pc + INSTRUCTION_SIZE
-        task.pending = None
+        vm.cycles += cost + blocked.auth_cycles
+        vm.pc = blocked.trap_pc + INSTRUCTION_SIZE
+        task.blocked = None
         return True
 
     def allocate_pipe_ident(self) -> int:

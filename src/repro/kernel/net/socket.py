@@ -5,9 +5,21 @@ from a per-kernel counter, the port table is a plain dict keyed by
 ``(type, address)`` strings, accept queues and datagram queues are
 FIFO, and there is no notion of time — blocking is expressed with
 :class:`~repro.kernel.sched.blocking.WouldBlock` and resolved by the
-scheduler's FIFO wake poll, exactly like pipes.  Two runs with the
-same programs and timeslice therefore produce identical connection
-orders, transfer sizes, and interleavings on every engine config.
+scheduler's wake poll, exactly like pipes.  Two runs with the same
+programs and timeslice therefore produce identical connection orders,
+transfer sizes, and interleavings on every engine config.
+
+Every queue a call can wait on carries a
+:class:`~repro.kernel.sched.blocking.Changes` counter, bumped on each
+state change that could let a waiter go on, and a blocked call names
+the one it waits on.  A connection has one per direction: a send into
+a direction and a recv draining it bump that direction's counter, and
+shutdown and close bump both.  A listen queue's is bumped by a
+connect's backlog entry, an accept's pop, a second ``listen`` changing
+the backlog, and teardown; a bound datagram socket's by enqueue,
+dequeue and teardown.  The wake poll retries a parked call only once
+its counter has moved.  Per direction matters: a client draining its
+reply must not wake a server parked on the other direction.
 
 Addresses are NUL-terminated ASCII strings (e.g. ``"echo:7777"``)
 rather than packed ``sockaddr`` structs: a constant address in
@@ -29,7 +41,7 @@ from collections import deque
 from typing import Optional
 
 from repro.kernel.errors import Errno
-from repro.kernel.sched.blocking import WouldBlock
+from repro.kernel.sched.blocking import Changes, WouldBlock
 from repro.kernel.vfs import VfsError
 from repro.obs import MetricsRegistry
 
@@ -80,8 +92,9 @@ class ConnectionReset(Exception):
 class Connection:
     """One established stream: two bounded FIFO byte queues.
 
-    ``buffers[i]`` holds bytes flowing *toward* side ``i``.  Side 0 is
-    the connecting client, side 1 the accepted server end.  Close and
+    ``buffers[i]`` holds bytes flowing *toward* side ``i``, and
+    ``changes[i]`` counts that direction's changes.  Side 0 is the
+    connecting client, side 1 the accepted server end.  Close and
     shutdown are per side; data queued before a close stays deliverable
     (TCP-like graceful close), after which the reader sees EOF.
     """
@@ -90,6 +103,7 @@ class Connection:
         self.ident = ident
         self.capacity = capacity
         self.buffers = (bytearray(), bytearray())
+        self.changes = (Changes(), Changes())
         self.open_ends = [True, True]
         self.rd_shutdown = [False, False]
         self.wr_shutdown = [False, False]
@@ -115,9 +129,10 @@ class Connection:
             raise SendOnShutdown(self.ident)
         space = self.space_toward(peer)
         if space <= 0:
-            raise WouldBlock(f"sock:{self.ident}:send")
+            raise WouldBlock(f"sock:{self.ident}:send", self.changes[peer])
         accepted = data[:space]
         self.buffers[peer].extend(accepted)
+        self.changes[peer].count += 1
         return len(accepted)
 
     def recv(self, side: int, count: int) -> bytes:
@@ -133,9 +148,10 @@ class Connection:
             peer = 1 - side
             if not self.open_ends[peer] or self.wr_shutdown[peer]:
                 return b""
-            raise WouldBlock(f"sock:{self.ident}:recv")
+            raise WouldBlock(f"sock:{self.ident}:recv", self.changes[side])
         data = bytes(buffer[:count])
         del buffer[: len(data)]
+        self.changes[side].count += 1
         return data
 
     def shutdown(self, side: int, how: int) -> None:
@@ -144,12 +160,19 @@ class Connection:
             self.buffers[side].clear()
         if how in (SHUT_WR, SHUT_RDWR):
             self.wr_shutdown[side] = True
+        self._changed()
 
     def close(self, side: int) -> None:
         """Final close of one side: unread inbound data is discarded;
         in-flight outbound data stays deliverable to the peer."""
         self.open_ends[side] = False
         self.buffers[side].clear()
+        self._changed()
+
+    def _changed(self) -> None:
+        """A shutdown or close can wake a waiter on either direction."""
+        for changes in self.changes:
+            changes.count += 1
 
     # -- readiness (select/poll) ---------------------------------------
 
@@ -177,6 +200,7 @@ class ListenQueue:
         self.backlog = max(1, min(backlog, MAX_BACKLOG))
         self.pending: deque[Connection] = deque()
         self.open = True
+        self.changes = Changes()
 
     def __repr__(self):  # pragma: no cover - debug aid
         return (
@@ -210,6 +234,7 @@ class Socket:
         self.side: int = 0
         #: FIFO of (source address, payload) for bound datagram sockets.
         self.dgrams: deque = deque()
+        self.dgram_changes = Changes()
         self.closed = False
 
     def __repr__(self):  # pragma: no cover - debug aid
@@ -275,6 +300,7 @@ class NetStack:
                 del self.ports[key]
         if sock.listener is not None:
             sock.listener.open = False
+            sock.listener.changes.count += 1
             # Connections the server never accepted: close the server
             # side so parked clients wake to EOF instead of hanging.
             while sock.listener.pending:
@@ -282,6 +308,7 @@ class NetStack:
         if sock.conn is not None:
             sock.conn.close(sock.side)
         sock.dgrams.clear()
+        sock.dgram_changes.count += 1
         self.metrics.inc("net.sockets_closed")
 
     # -- naming --------------------------------------------------------
@@ -312,6 +339,7 @@ class NetStack:
             self.metrics.inc("net.listens")
         else:
             sock.listener.backlog = max(1, min(backlog, MAX_BACKLOG))
+            sock.listener.changes.count += 1
 
     # -- stream establishment ------------------------------------------
 
@@ -332,12 +360,13 @@ class NetStack:
             raise VfsError(Errno.ECONNREFUSED)
         queue = target.listener
         if len(queue.pending) >= queue.backlog:
-            raise WouldBlock(f"sock:{queue.ident}:connect")
+            raise WouldBlock(f"sock:{queue.ident}:connect", queue.changes)
         conn = Connection(self._ident())
         sock.conn = conn
         sock.side = 0
         sock.peer_address = address
         queue.pending.append(conn)
+        queue.changes.count += 1
         self.metrics.inc("net.connections")
 
     def accept(self, sock: Socket) -> Socket:
@@ -345,8 +374,9 @@ class NetStack:
             raise VfsError(Errno.EINVAL)
         queue = sock.listener
         if not queue.pending:
-            raise WouldBlock(f"sock:{queue.ident}:accept")
+            raise WouldBlock(f"sock:{queue.ident}:accept", queue.changes)
         conn = queue.pending.popleft()
+        queue.changes.count += 1
         child = Socket(self, self._ident(), sock.domain, sock.type)
         child.conn = conn
         child.side = 1
@@ -361,8 +391,9 @@ class NetStack:
         if target is None:
             raise VfsError(Errno.ECONNREFUSED)
         if len(target.dgrams) >= DGRAM_QUEUE_MAX:
-            raise WouldBlock(f"sock:{target.ident}:dgram")
+            raise WouldBlock(f"sock:{target.ident}:dgram", target.dgram_changes)
         target.dgrams.append((sock.address or "", bytes(data)))
+        target.dgram_changes.count += 1
         self.metrics.inc("net.dgrams_sent")
         self.metrics.inc("net.bytes_sent", len(data))
         return len(data)
@@ -372,8 +403,9 @@ class NetStack:
         to ``count``).  Datagram boundaries are preserved; excess bytes
         of a truncated datagram are discarded (POSIX SOCK_DGRAM)."""
         if not sock.dgrams:
-            raise WouldBlock(f"sock:{sock.ident}:recvfrom")
+            raise WouldBlock(f"sock:{sock.ident}:recvfrom", sock.dgram_changes)
         source, payload = sock.dgrams.popleft()
+        sock.dgram_changes.count += 1
         self.metrics.inc("net.dgrams_received")
         return (source, payload[:count])
 

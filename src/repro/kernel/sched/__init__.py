@@ -5,7 +5,6 @@ from repro.kernel.sched.blocking import ImageReplaced, ProcessBlocked, WouldBloc
 from repro.kernel.sched.pipe import PIPE_CAPACITY, BrokenPipe, Pipe
 from repro.kernel.sched.scheduler import (
     MultiRunResult,
-    PendingSyscall,
     Scheduler,
     Task,
     TaskState,
@@ -16,7 +15,6 @@ __all__ = [
     "ImageReplaced",
     "MultiRunResult",
     "PIPE_CAPACITY",
-    "PendingSyscall",
     "Pipe",
     "ProcessBlocked",
     "Scheduler",

@@ -7,13 +7,16 @@ empty pipe returns 0 (EOF) only once *every* write end is closed, and a
 write with no read ends left raises EPIPE.
 
 Blocking is expressed with :class:`~repro.kernel.sched.blocking.WouldBlock`
-and resolved by the scheduler: a wake poll retries the call, and a wait
-no task can ever satisfy completes with ``-EAGAIN``.
+and resolved by the scheduler.  A pipe's one :class:`Changes` counter is
+bumped by every read, write and endpoint release (each can let a parked
+reader or writer go on), and the wake poll retries a call parked on the
+pipe only once the counter has moved.  A wait no task can ever satisfy
+completes with ``-EAGAIN``.
 """
 
 from __future__ import annotations
 
-from .blocking import WouldBlock
+from .blocking import Changes, WouldBlock
 
 #: Kernel pipe capacity, matching the classic 64 KiB Linux default.
 PIPE_CAPACITY = 65536
@@ -27,6 +30,7 @@ class Pipe:
         self.buffer = bytearray()
         self.readers = 0
         self.writers = 0
+        self.changes = Changes()
 
     def __repr__(self):  # pragma: no cover - debug aid
         return (
@@ -49,6 +53,7 @@ class Pipe:
             self.writers -= 1
         else:
             self.readers -= 1
+        self.changes.count += 1
 
     def read(self, count: int) -> bytes:
         """Drain up to ``count`` bytes.
@@ -59,9 +64,10 @@ class Pipe:
         if not self.buffer:
             if self.writers <= 0:
                 return b""
-            raise WouldBlock(f"pipe:{self.ident}:read")
+            raise WouldBlock(f"pipe:{self.ident}:read", self.changes)
         data = bytes(self.buffer[:count])
         del self.buffer[: len(data)]
+        self.changes.count += 1
         return data
 
     def write(self, data: bytes) -> int:
@@ -74,9 +80,10 @@ class Pipe:
         if self.readers <= 0:
             raise BrokenPipe(self.ident)
         if self.space <= 0:
-            raise WouldBlock(f"pipe:{self.ident}:write")
+            raise WouldBlock(f"pipe:{self.ident}:write", self.changes)
         accepted = data[: self.space]
         self.buffer.extend(accepted)
+        self.changes.count += 1
         return len(accepted)
 
 

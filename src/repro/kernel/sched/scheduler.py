@@ -21,6 +21,19 @@ with the same programs and timeslice produce identical interleavings,
 audit logs, and metrics — the CI determinism gate asserts exactly
 that.
 
+The wake poll runs before every slice.  It walks the blocked tasks in
+the order they parked, delivers pending signals, and retries a parked
+dispatch only if its wait names no counter (``sched_yield``,
+``select``, ``poll``) or its counter has moved since the call last
+failed (see
+:mod:`~repro.kernel.sched.blocking`).  A skipped retry is one that
+would have failed — the state it found unsatisfiable has not changed —
+and a failed retry changes nothing, so every retry that succeeds
+happens at the same poll and in the same order as under a poll that
+retried everything: the interleaving cannot move.  The child table's
+counter, :attr:`Scheduler.child_changes`, is bumped at every task exit
+for ``wait4``.
+
 The scheduler owns no verification state.  Each task's
 :class:`~repro.kernel.process.Process` carries its own ``auth_counter``
 and verifier-thunk partition, and its image carries its own
@@ -49,7 +62,7 @@ from repro.isa import INSTRUCTION_SIZE
 from repro.kernel.errors import Errno
 from repro.kernel.process import Process
 
-from .blocking import ImageReplaced, ProcessBlocked
+from .blocking import Changes, ImageReplaced, ProcessBlocked
 
 #: Exit status for scheduler-imposed terminations (instruction-budget
 #: exhaustion); matches the kernel's KILL_STATUS.
@@ -74,23 +87,6 @@ class TaskState(Enum):
 
 
 @dataclass
-class PendingSyscall:
-    """A dispatch that blocked after verification completed.
-
-    Only the handler body is retried on wake; the trap itself — and the
-    §3.4 checks, which already advanced the auth counter — never
-    re-execute.  ``auth_cycles`` is the verification cost still owed to
-    the guest clock, charged exactly once at completion."""
-
-    wait: str
-    number: int
-    name: str
-    block_id: Optional[int]
-    trap_pc: int
-    auth_cycles: int
-
-
-@dataclass
 class Task:
     """One scheduled process."""
 
@@ -100,7 +96,9 @@ class Task:
     parent_pid: Optional[int] = None
     seq: int = 0
     state: TaskState = TaskState.RUNNABLE
-    pending: Optional[PendingSyscall] = None
+    #: The parked call of a BLOCKED task: only its dispatch is retried
+    #: on wake, never the trap and its §3.4 checks.
+    blocked: Optional[ProcessBlocked] = None
     #: Signal posted by another process's ``kill``; delivered at the
     #: next schedule point or wake poll.
     pending_signal: Optional[int] = None
@@ -159,6 +157,9 @@ class Scheduler:
         self._last_pid: Optional[int] = None
         self._instructions = 0
         self._seq = 0
+        #: The child table's change counter: every exit can satisfy a
+        #: parent's ``wait4``.
+        self.child_changes = Changes()
         kernel._scheduler = self
 
     # -- admission -----------------------------------------------------
@@ -253,14 +254,17 @@ class Scheduler:
     # -- internals -----------------------------------------------------
 
     def _wake_blocked(self) -> int:
-        """FIFO poll of blocked tasks: deliver pending signals, retry
-        blocked dispatches.  Returns how many tasks changed state."""
+        """FIFO poll of blocked tasks: deliver pending signals, and
+        retry each blocked dispatch that watches nothing or whose
+        counter has moved since it parked.  Returns how many tasks
+        changed state."""
         kernel = self.kernel
         metrics = kernel.metrics
+        tasks = self.tasks
         woke = 0
         still: list[int] = []
         for pid in self._blocked:
-            task = self.tasks[pid]
+            task = tasks[pid]
             if task.state is not TaskState.BLOCKED:
                 woke += 1
                 continue
@@ -268,6 +272,12 @@ class Scheduler:
                 self._deliver_signal(task)
                 woke += 1
                 continue
+            blocked = task.blocked
+            watch = blocked.watch
+            if watch is not None and watch.count == blocked.stamp:
+                still.append(pid)  # unchanged: a retry would fail
+                continue
+            metrics.inc("sched.retries")
             try:
                 completed = kernel.retry_blocked(task)
             except ProcessExit as exit_info:
@@ -308,14 +318,10 @@ class Scheduler:
         try:
             task.vm.run_slice(budget)
         except ProcessBlocked as blocked:
-            task.pending = PendingSyscall(
-                wait=blocked.wait,
-                number=blocked.number,
-                name=blocked.name,
-                block_id=blocked.block_id,
-                trap_pc=blocked.trap_pc,
-                auth_cycles=blocked.auth_cycles,
-            )
+            # Parked as is; its traceback and the WouldBlock it replaced
+            # would only pin the frames that raised them.
+            blocked.__traceback__ = blocked.__context__ = None
+            task.blocked = blocked
             task.state = TaskState.BLOCKED
             self._blocked.append(pid)
             metrics.inc("sched.blocks")
@@ -369,6 +375,7 @@ class Scheduler:
         task.exit_status = status
         task.killed = killed
         task.kill_reason = reason
+        self.child_changes.count += 1
         for fd in list(task.process.fds):
             task.process.close_fd(fd)
         self.kernel.release_process(task.process, task.vm)
@@ -397,14 +404,14 @@ class Scheduler:
         past the trap."""
         pid = self._blocked.pop(0)
         task = self.tasks[pid]
-        pending = task.pending
+        blocked = task.blocked
         vm = task.vm
         vm.regs[0] = Errno.EAGAIN.as_result()
         vm.cycles += (
-            self.kernel.costs.syscall_cost(pending.name, 0) + pending.auth_cycles
+            self.kernel.costs.syscall_cost(blocked.name, 0) + blocked.auth_cycles
         )
-        vm.pc = pending.trap_pc + INSTRUCTION_SIZE
-        task.pending = None
+        vm.pc = blocked.trap_pc + INSTRUCTION_SIZE
+        task.blocked = None
         task.state = TaskState.RUNNABLE
         self._runq.append(pid)
         self.kernel.metrics.inc("sched.unsatisfiable_waits")

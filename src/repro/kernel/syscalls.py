@@ -1531,9 +1531,10 @@ def _getgroups(ctx: SyscallContext) -> int:
 @syscall("sched_yield")
 def _sched_yield(ctx: SyscallContext) -> int:
     if not ctx.retry:
-        # Park once; the very next wake poll completes the call (the
-        # retry path returns 0 below), re-queueing the caller at the
-        # tail of the run queue — a real yield, not a no-op.
+        # Park once, watching nothing: the very next wake poll
+        # completes the call (the retry path returns 0 below),
+        # re-queueing the caller at the tail of the run queue — a real
+        # yield, not a no-op.
         ctx.kernel.metrics.inc("sched.yields")
         raise WouldBlock("yield")
     return 0
@@ -1560,7 +1561,7 @@ def _wait4(ctx: SyscallContext) -> int:
     if found == "waiting":
         if options & 1:  # WNOHANG
             return 0
-        raise WouldBlock(f"wait:{pid_spec}")
+        raise WouldBlock(f"wait:{pid_spec}", scheduler.child_changes)
     from repro.kernel.sched.scheduler import TaskState
 
     if status_ptr:

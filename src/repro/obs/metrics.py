@@ -42,6 +42,7 @@ COUNTER_HELP = {
     "sched.preemptions": "timeslices ended by budget exhaustion",
     "sched.blocks": "dispatches parked on a wait condition",
     "sched.wakeups": "blocked dispatches completed by the wake poll",
+    "sched.retries": "blocked dispatches the wake poll retried",
     "sched.yields": "sched_yield calls that requeued the caller",
     "sched.forks": "processes created by fork",
     "sched.spawns": "processes created by asynchronous spawn",

@@ -7,6 +7,11 @@ from repro.kernel import Kernel
 from repro.workloads.runtime import runtime_source
 
 
+@pytest.fixture(autouse=True)
+def _missed_notify_oracle(shadow_poll):
+    """Every scheduler test runs under the shadow poll."""
+
+
 @pytest.fixture
 def kernel():
     return Kernel()

@@ -15,6 +15,9 @@ from repro.kernel import Kernel
 from repro.kernel.auth import violation_family
 from repro.workloads.netserver import build_netserver
 
+#: Every run here is checked by the missed-notify oracle.
+pytestmark = pytest.mark.usefixtures("shadow_poll")
+
 KEY = Key.from_passphrase("netserver-tests")
 CLIENTS = 3
 REQUESTS = 3
