@@ -672,38 +672,59 @@ class BlockCache:
         nx = vm.nx
         fetched = []  # (pc, op, reg fields, imm)
         guards: list[tuple[Region, int]] = []
-        seen_regions: set[int] = set()
         pc = entry
         terminated = False
+        # The region the last word came from: its bytes, start, and the
+        # last PC whose whole word lies inside it (-1: none yet).
+        data = None
+        base = 0
+        last = -1
         while True:
-            # Mirrors VM._fetch: NX check, read, decode — but a failure
-            # past the first instruction truncates the block instead of
-            # raising, deferring the fault to the dispatch that actually
-            # reaches it (identical accounting and message).
-            if nx and not memory.executable(pc):
-                if not fetched:
-                    raise ExecutionFault(pc, "NX violation: page not executable")
-                break
+            if pc <= last:
+                # Same region as the word before, which already passed
+                # the NX and read checks: decode the word in place.
+                # Such a word is never the block's first, so a decode
+                # error only truncates the block and its text (which
+                # names the offset in the region) is never raised.
+                word = data
+                offset = pc - base
+                region = None
+            else:
+                # Entering a new region (or faulting): VM._fetch's NX
+                # check and read — but a failure past the first
+                # instruction truncates the block instead of raising,
+                # deferring the fault to the dispatch that actually
+                # reaches it (identical accounting and message).
+                if nx and not memory.executable(pc):
+                    if not fetched:
+                        raise ExecutionFault(pc, "NX violation: page not executable")
+                    break
+                try:
+                    word = memory.read(pc, INSTRUCTION_SIZE)
+                except MemoryFault as fault:
+                    if not fetched:
+                        raise ExecutionFault(
+                            pc, f"instruction fetch: {fault}"
+                        ) from fault
+                    break
+                offset = 0
+                region = memory.region_at(pc)
             try:
-                raw = memory.read(pc, INSTRUCTION_SIZE)
-            except MemoryFault as fault:
-                if not fetched:
-                    raise ExecutionFault(
-                        pc, f"instruction fetch: {fault}"
-                    ) from fault
-                break
-            try:
-                op, regs, imm = decode_fields(raw)
+                op, regs, imm = decode_fields(word, offset)
             except EncodingError as err:
                 if not fetched:
                     raise ExecutionFault(
                         pc, f"illegal instruction: {err}"
                     ) from err
                 break
-            region = memory.region_at(pc)
-            if id(region) not in seen_regions:
-                seen_regions.add(id(region))
+            if region is not None:
+                # A region's guard goes in once its first word decodes.
+                # Blocks run forward, so a region once left is never
+                # re-entered.
                 guards.append((region, region.version))
+                data = region.data
+                base = region.start
+                last = base + len(data) - INSTRUCTION_SIZE
             fetched.append((pc, op, regs, imm))
             if op in _ENDS_BLOCK:
                 terminated = True

@@ -20,9 +20,13 @@ binding was accepted, :class:`TableAES` otherwise.  All three are
 cross-checked against each other by the property tests in
 ``tests/crypto``.
 
-Each exposes ``encrypt_block`` (16 bytes in and out, which CMAC
-chains on) and a ``name``; :class:`TableAES` runs its rounds in
-``encrypt_words``, on four big-endian 32-bit column words.
+Each exposes ``encrypt_block`` (16 bytes in and out), the chain entry
+``encrypt_chain`` (CBC over whole blocks from a chaining value,
+returning the last block: the loop CMAC runs on) and a ``name``;
+:class:`TableAES` runs its rounds in ``encrypt_words``, on four
+big-endian 32-bit column words.  :class:`AES` and :class:`TableAES`
+chain with a per-block loop; :class:`NativeAES` chains a whole message
+in libcrypto's CBC mode.
 """
 
 from __future__ import annotations
@@ -221,6 +225,24 @@ class AES:
         self._add_round_key(state, self._round_keys[0])
         return bytes(state)
 
+    def encrypt_chain(self, iv: bytes, data: bytes) -> bytes:
+        """CBC-encrypt the whole blocks of ``data`` onto the chaining
+        value ``iv`` and return the last ciphertext block (``iv`` itself
+        when ``data`` is empty): each block is XORed onto the chaining
+        value as a 128-bit int and run through :meth:`encrypt_block`."""
+        if len(iv) != BLOCK_SIZE or len(data) % BLOCK_SIZE:
+            raise ValueError(
+                f"chain needs a {BLOCK_SIZE}-byte IV and whole blocks, "
+                f"got {len(iv)} and {len(data)} bytes"
+            )
+        encrypt = self.encrypt_block
+        from_bytes = int.from_bytes
+        out = bytes(iv)
+        for offset in range(0, len(data), BLOCK_SIZE):
+            block = from_bytes(data[offset : offset + BLOCK_SIZE], "big")
+            out = encrypt((from_bytes(out, "big") ^ block).to_bytes(BLOCK_SIZE, "big"))
+        return out
+
 
 # -- table-driven variant ----------------------------------------------
 #
@@ -370,10 +392,27 @@ KNOWN_ANSWERS = (
 )
 
 
+#: NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt), as (key, IV, plaintext,
+#: ciphertext).  The binding's chain entry must give the last block of
+#: every prefix of it.
+CBC_KNOWN_ANSWER = (
+    bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"),
+    bytes.fromhex("000102030405060708090a0b0c0d0e0f"),
+    bytes.fromhex(
+        "6bc1bee22e409f96e93d7e117393172a" "ae2d8a571e03ac9c9eb76fac45af8e51"
+        "30c81c46a35ce411e5fbc1191a0a52ef" "f69f2445df4f9b17ad2b417be66c3710"
+    ),
+    bytes.fromhex(
+        "7649abac8119b246cee98e9b12e9197d" "5086cb9b507219ee95db113a917678b2"
+        "73bed6b8e3c1743b7116e69e22229516" "3ff1caa1681fac09120eca307586e1a7"
+    ),
+)
+
+
 class _Evp:
-    """libcrypto's EVP entry points for AES-128-ECB encryption, with
-    every C signature declared.  Raises :class:`AttributeError` if the
-    library lacks one of them."""
+    """libcrypto's EVP entry points for AES-128-ECB and -CBC
+    encryption, with every C signature declared.  Raises
+    :class:`AttributeError` if the library lacks one of them."""
 
     def __init__(self, lib):
         from ctypes import c_char_p, c_int, c_void_p
@@ -381,7 +420,9 @@ class _Evp:
         self.ctx_new = _declare(lib.EVP_CIPHER_CTX_new, c_void_p)
         self.ctx_free = _declare(lib.EVP_CIPHER_CTX_free, None, c_void_p)
         self.aes_128_ecb = _declare(lib.EVP_aes_128_ecb, c_void_p)
-        # (ctx, cipher, engine, key, iv)
+        self.aes_128_cbc = _declare(lib.EVP_aes_128_cbc, c_void_p)
+        # (ctx, cipher, engine, key, iv); with only ``iv`` given it
+        # restarts a keyed CBC context from that chaining value.
         self.init = _declare(
             lib.EVP_EncryptInit_ex, c_int, c_void_p, c_void_p, c_void_p, c_char_p, c_char_p
         )
@@ -426,14 +467,21 @@ def _open_libcrypto() -> Optional[_Evp]:
 @functools.cache
 def libcrypto_binding() -> Optional[_Evp]:
     """The binding :class:`NativeAES` runs on, or None.  It is opened
-    once per process and accepted only if it gives
-    :data:`KNOWN_ANSWERS`."""
+    once per process and accepted only if its block gives
+    :data:`KNOWN_ANSWERS` and its chain entry :data:`CBC_KNOWN_ANSWER`."""
     evp = _open_libcrypto()
     if evp is None:
         return None
     try:
         for key, plaintext, ciphertext in KNOWN_ANSWERS:
             if NativeAES(key, evp).encrypt_block(plaintext) != ciphertext:
+                return None
+        key, iv, plaintext, ciphertext = CBC_KNOWN_ANSWER
+        cipher = NativeAES(key, evp)
+        # Every prefix, on one context: each call restarts from ``iv``.
+        for end in range(BLOCK_SIZE, len(plaintext) + 1, BLOCK_SIZE):
+            last = ciphertext[end - BLOCK_SIZE : end]
+            if cipher.encrypt_chain(iv, plaintext[:end]) != last:
                 return None
     except RuntimeError:
         return None
@@ -444,14 +492,22 @@ class NativeAES:
     """AES-128 encryption in libcrypto, behind the :class:`TableAES`
     interface.
 
-    Each instance holds one EVP context keyed for AES-128-ECB with
-    padding off, freed when the instance is collected, and its own
-    16-byte output buffer and length cell, which libcrypto writes by
-    address.  So an instance serves one thread at a time, as the
-    kernel that owns it does.  A block costs one foreign call.
+    Each instance holds two EVP contexts keyed with its key, padding
+    off, both freed when the instance is collected: one for
+    AES-128-ECB, which :meth:`encrypt_block` runs, and one for
+    AES-128-CBC, which :meth:`encrypt_chain` runs.  It owns their
+    output buffers and length cell, which libcrypto writes by address,
+    so an instance serves one thread at a time, as the kernel that owns
+    it does.  A block costs one foreign call; a chain of up to
+    :attr:`CHAIN_BYTES` bytes costs two.
     """
 
     name = "libcrypto"
+
+    #: The chain's output buffer: a longer message goes through the CBC
+    #: context in chunks of this many bytes, which carries the chaining
+    #: value from one chunk to the next.
+    CHAIN_BYTES = 4096
 
     def __init__(self, key: bytes, evp: Optional[_Evp] = None):
         """``evp`` defaults to :func:`libcrypto_binding`; only its
@@ -464,22 +520,29 @@ class NativeAES:
                 raise RuntimeError("libcrypto's AES-128 is unavailable")
         from ctypes import addressof, c_int, create_string_buffer
 
+        key = bytes(key)
+        self._ctx = self._context(evp, evp.aes_128_ecb(), key, None)
+        self._cbc = self._context(evp, evp.aes_128_cbc(), key, bytes(BLOCK_SIZE))
+        self._init = evp.init
+        self._update = evp.update
+        self._out = create_string_buffer(BLOCK_SIZE)
+        self._chain_out = create_string_buffer(self.CHAIN_BYTES)
+        self._outl = c_int()
+        self._out_address = addressof(self._out)
+        self._chain_out_address = addressof(self._chain_out)
+        self._outl_address = addressof(self._outl)
+
+    def _context(self, evp: _Evp, cipher, key: bytes, iv: Optional[bytes]) -> int:
+        """A new EVP context keyed for ``cipher`` with padding off, freed
+        with this instance."""
         ctx = evp.ctx_new()
         if not ctx:
             raise MemoryError("EVP_CIPHER_CTX_new failed")
         # Not at exit: the process's memory goes anyway.
         weakref.finalize(self, evp.ctx_free, ctx).atexit = False
-        if not (
-            evp.init(ctx, evp.aes_128_ecb(), None, bytes(key), None)
-            and evp.set_padding(ctx, 0)
-        ):
-            raise RuntimeError("cannot key an AES-128-ECB context")
-        self._ctx = ctx
-        self._update = evp.update
-        self._out = create_string_buffer(BLOCK_SIZE)
-        self._outl = c_int()
-        self._out_address = addressof(self._out)
-        self._outl_address = addressof(self._outl)
+        if not (evp.init(ctx, cipher, None, key, iv) and evp.set_padding(ctx, 0)):
+            raise RuntimeError("cannot key an AES-128 context")
+        return ctx
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block: one ``EVP_EncryptUpdate`` call."""
@@ -492,6 +555,41 @@ class NativeAES:
         ):
             raise RuntimeError("EVP_EncryptUpdate failed")
         return self._out.raw
+
+    def encrypt_chain(self, iv: bytes, data: bytes) -> bytes:
+        """CBC-encrypt the whole blocks of ``data`` onto the chaining
+        value ``iv`` and return the last ciphertext block (``iv`` itself
+        when ``data`` is empty): one ``EVP_EncryptInit_ex`` that restarts
+        the CBC context from ``iv``, then one ``EVP_EncryptUpdate`` per
+        :attr:`CHAIN_BYTES` of ``data``."""
+        if type(iv) is not bytes:
+            iv = bytes(iv)
+        if type(data) is not bytes:
+            data = bytes(data)
+        length = len(data)
+        if len(iv) != BLOCK_SIZE or length % BLOCK_SIZE:
+            raise ValueError(
+                f"chain needs a {BLOCK_SIZE}-byte IV and whole blocks, "
+                f"got {len(iv)} and {length} bytes"
+            )
+        if not length:
+            return iv
+        ctx = self._cbc
+        if not self._init(ctx, None, None, None, iv):
+            raise RuntimeError("EVP_EncryptInit_ex failed")
+        update = self._update
+        out = self._chain_out_address
+        step = self.CHAIN_BYTES
+        outl = self._outl_address
+        start = 0
+        while length - start > step:
+            if not update(ctx, out, outl, data[start : start + step], step):
+                raise RuntimeError("EVP_EncryptUpdate failed")
+            start += step
+        end = length - start
+        if not update(ctx, out, outl, data[start:] if start else data, end):
+            raise RuntimeError("EVP_EncryptUpdate failed")
+        return self._chain_out[end - BLOCK_SIZE : end]
 
 
 def default_cipher(key: bytes):

@@ -5,12 +5,16 @@ The paper uses "AES-CBC-OMAC" [Iwata & Kurosawa 2002], which produces a
 CMAC (RFC 4493, NIST SP 800-38B).  The unit tests check the RFC 4493
 vectors, so this implementation is interoperable with any standard CMAC.
 
-CBC chaining runs on 128-bit ints: each block is read as one
-big-endian int, XORed onto the chaining value, and encrypted through
-the block cipher's bytes ``encrypt_block`` (one ``EVP_EncryptUpdate``
-call on :class:`NativeAES`), with the subkeys K1 and K2 held as ints
-too, so a block costs one ``int.from_bytes``, one ``int.to_bytes`` and
-one cipher call, with no per-word packing.
+There is one CMAC path.  The message's last 0..16 bytes become the
+final block (masked with K1 when complete, else padded and masked with
+K2; the subkeys are held as 128-bit ints), and the block cipher's chain
+entry ``encrypt_chain`` CBC-encrypts the earlier whole blocks and that
+final block from the zero IV; its last block is the tag.  On
+:class:`NativeAES` that is one ``EVP_EncryptInit_ex`` and one
+``EVP_EncryptUpdate`` for the whole message; ``TableAES`` and the
+reference cipher loop over the blocks.  A message of at most one block
+is a chain of one block from the zero IV, that is one
+``encrypt_block``.
 
 Two ways to MAC:
 
@@ -18,11 +22,12 @@ Two ways to MAC:
   :meth:`AesCmac.verify` are all the installer and the kernel call.  It
   memoizes the tags of single-block messages (see :class:`AesCmac`).
 - :class:`CmacState` (via :meth:`AesCmac.prefix`) is the incremental
-  API: absorb a message prefix once, then finalize it many times with
-  different suffixes, skipping re-encryption of the shared leading
-  blocks.  Nothing under :mod:`repro` calls it; it is kept as a tested
-  API for callers that MAC many messages sharing a long prefix, and
-  perfbench's traced run wraps its methods.
+  API over the same chain entry: absorb a message prefix once, then
+  finalize it many times with different suffixes, skipping
+  re-encryption of the shared leading blocks.  Nothing under
+  :mod:`repro` calls it; it is kept as a tested API for callers that
+  MAC many messages sharing a long prefix, and perfbench's traced run
+  wraps its methods.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ _R128 = 0x87  # the constant for doubling in GF(2^128)
 
 #: ``_PADDING[n]`` completes an ``n``-byte final block: 0x80, then zeros.
 _PADDING = tuple(b"\x80" + bytes(BLOCK_SIZE - 1 - n) for n in range(BLOCK_SIZE))
+
+#: The chaining value a message starts from.
+_ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 
 def _dbl(block: bytes) -> bytes:
@@ -91,9 +99,12 @@ class AesCmac:
     def __init__(self, key: bytes, cipher: Optional[Union[AES, NativeAES]] = None):
         aes = cipher if cipher is not None else default_cipher(key)
         self._block_cipher = aes.name
-        #: The one block entry: 16 bytes in, 16 bytes out.
+        #: The block entry (16 bytes in, 16 bytes out) and the chain
+        #: entry (CBC over whole blocks from a chaining value, returning
+        #: the last block).
         self._encrypt = aes.encrypt_block
-        k1 = _dbl(aes.encrypt_block(bytes(BLOCK_SIZE)))
+        self._chain = aes.encrypt_chain
+        k1 = _dbl(aes.encrypt_block(_ZERO_BLOCK))
         self._k1 = int.from_bytes(k1, "big")
         self._k2 = int.from_bytes(_dbl(k1), "big")
         self._memo: dict[bytes, bytes] = {}
@@ -109,13 +120,13 @@ class AesCmac:
             message = bytes(message)  # memo keys must be immutable
         if len(message) > BLOCK_SIZE:
             last = _last_block_start(len(message))
-            return self._finish(self._chain(0, message, last), message[last:])
+            return self._chain(_ZERO_BLOCK, message[:last] + self._final(message[last:]))
         memo = self._memo
         tag = memo.get(message)
         if tag is None:
             if len(memo) >= self.MEMO_ENTRIES:
                 memo.clear()
-            tag = memo[message] = self._finish(0, message)
+            tag = memo[message] = self._encrypt(self._final(message))
         return tag
 
     def verify(self, message: bytes, tag: bytes) -> bool:
@@ -126,27 +137,15 @@ class AesCmac:
         """Absorb ``prefix`` into a reusable incremental state."""
         return CmacState(self).update(prefix)
 
-    # -- CBC on 128-bit ints --------------------------------------------------
-
-    def _chain(self, state: int, data: bytes, stop: int) -> int:
-        """CBC-encrypt the whole blocks of ``data[:stop]`` onto ``state``."""
-        encrypt = self._encrypt
-        from_bytes = int.from_bytes
-        for offset in range(0, stop, BLOCK_SIZE):
-            block = state ^ from_bytes(data[offset : offset + BLOCK_SIZE], "big")
-            state = from_bytes(encrypt(block.to_bytes(BLOCK_SIZE, "big")), "big")
-        return state
-
-    def _finish(self, state: int, last: bytes) -> bytes:
-        """The tag: mask the final 0..16 bytes with K1 (a complete block)
-        or K2 (padded), then encrypt them onto ``state``."""
+    def _final(self, last: bytes) -> bytes:
+        """The final block: the message's last 0..16 bytes masked with
+        K1 (a complete block) or padded and masked with K2."""
         if len(last) == BLOCK_SIZE:
             mask = self._k1
         else:
             last += _PADDING[len(last)]
             mask = self._k2
-        block = state ^ mask ^ int.from_bytes(last, "big")
-        return self._encrypt(block.to_bytes(BLOCK_SIZE, "big"))
+        return (mask ^ int.from_bytes(last, "big")).to_bytes(BLOCK_SIZE, "big")
 
 
 class CmacState:
@@ -162,7 +161,7 @@ class CmacState:
 
     __slots__ = ("_mac", "_state", "_buffer")
 
-    def __init__(self, mac: AesCmac, state: int = 0, buffer: bytes = b""):
+    def __init__(self, mac: AesCmac, state: bytes = _ZERO_BLOCK, buffer: bytes = b""):
         self._mac = mac
         self._state = state
         self._buffer = buffer
@@ -174,7 +173,8 @@ class CmacState:
             return self
         buf = self._buffer + data
         last = _last_block_start(len(buf))
-        self._state = self._mac._chain(self._state, buf, last)
+        if last:
+            self._state = self._mac._chain(self._state, buf[:last])
         self._buffer = buf[last:]
         return self
 
@@ -186,7 +186,8 @@ class CmacState:
         mutating this state."""
         if suffix:
             return self.copy().update(suffix).tag()
-        return self._mac._finish(self._state, self._buffer)
+        mac = self._mac
+        return mac._chain(self._state, mac._final(self._buffer))
 
     def verify(self, tag: bytes, suffix: bytes = b"") -> bool:
         return len(tag) == MAC_SIZE and hmac.compare_digest(self.tag(suffix), tag)

@@ -30,7 +30,6 @@ from repro.kernel.costs import CostModel, mac_blocks
 from repro.kernel.process import Process
 from repro.obs import NULL_RECORDER, Recorder
 from repro.policy.authstrings import AuthenticatedString, read_authenticated_string
-from repro.policy.descriptor import PolicyDescriptor
 from repro.policy.encode import ParamEncoding, encode_policy, unpack_predecessor_set
 from repro.policy.patterns import Pattern, match_with_hint
 from repro.policy.record import (
@@ -112,15 +111,16 @@ class DecodedCall:
     encoded_call: bytes
     #: ((register index, value), ...) for constrained immediates.
     immediates: tuple
-    #: ((param index, content address, AS), ...) for string arguments,
-    #: pattern-constrained ones included, in ascending index order.
+    #: ((param index, content address, AS, is pattern), ...) for string
+    #: arguments, pattern-constrained ones included, in ascending index
+    #: order.
     strings: tuple
     predset: Optional[AuthenticatedString] = None
     fd_allowed: Optional[AuthenticatedString] = None
 
     def authenticated_strings(self) -> tuple:
         """((content address, AS), ...) for every AS the call names."""
-        pairs = [(address, auth_string) for _, address, auth_string in self.strings]
+        pairs = [(address, auth_string) for _, address, auth_string, _ in self.strings]
         if self.predset is not None:
             pairs.append((self.record.predset_ptr, self.predset))
         if self.fd_allowed is not None:
@@ -152,16 +152,13 @@ def decode_call(vm: VM) -> DecodedCall:
     descriptor = record.descriptor
     params: list[ParamEncoding] = []
     immediates: list[tuple[int, int]] = []
-    strings: list[tuple[int, int, AuthenticatedString]] = []
+    strings: list[tuple[int, int, AuthenticatedString, bool]] = []
     predset = None
     fd_allowed = None
     pattern_cursor = 0
     try:
-        for index in range(6):
-            is_pattern = descriptor.param_is_pattern(index)
-            if not descriptor.param_constrained(index) and not is_pattern:
-                continue
-            if descriptor.param_is_string(index):
+        for index, is_string, is_pattern in descriptor.params:
+            if is_string:
                 if is_pattern:
                     address = record.pattern_ptrs[pattern_cursor]
                     pattern_cursor += 1
@@ -173,7 +170,7 @@ def decode_call(vm: VM) -> DecodedCall:
                         index, address, auth_string.length, auth_string.mac
                     )
                 )
-                strings.append((index, address, auth_string))
+                strings.append((index, address, auth_string, is_pattern))
             else:
                 params.append(ParamEncoding.immediate(index, regs[1 + index]))
                 immediates.append((1 + index, regs[1 + index]))
@@ -298,7 +295,7 @@ class AuthChecker:
         if traced:
             rec.end()  # mac-check
             rec.begin("string-auth", "verify")
-        for index, _, auth_string in call.strings:
+        for index, _, auth_string, _ in call.strings:
             blocks += mac_blocks(auth_string.length)
             if not auth_string.verify(self._provider):
                 raise AuthViolation(
@@ -333,12 +330,12 @@ class AuthChecker:
                 rec.end()
 
         # ---- Extensions: pattern matching with proof hints (§5.1) ----
-        if descriptor.pattern_params():
+        if record.pattern_ptrs:  # one per pattern parameter
             # Runtime pattern arguments are string authentication work;
             # their span shares the "string-auth" stage bucket.
             if traced:
                 rec.begin("string-auth", "verify")
-            self._check_patterns(vm, descriptor, call.strings, call_site)
+            self._check_patterns(vm, call.strings, call_site)
             if traced:
                 rec.end()
 
@@ -408,19 +405,13 @@ class AuthChecker:
 
     # -- patterns -----------------------------------------------------------
 
-    def _check_patterns(
-        self,
-        vm: VM,
-        descriptor: PolicyDescriptor,
-        strings: tuple,
-        call_site: int,
-    ) -> None:
+    def _check_patterns(self, vm: VM, strings: tuple, call_site: int) -> None:
         """Verify pattern-constrained arguments using the r8 hint block."""
         hints = self._read_hints(vm)
-        as_by_index = {index: auth_string for index, _, auth_string in strings}
         hint_cursor = 0
-        for index in descriptor.pattern_params():
-            pattern_as = as_by_index[index]
+        for index, _, pattern_as, is_pattern in strings:
+            if not is_pattern:
+                continue
             try:
                 pattern = Pattern.parse(pattern_as.content.decode("utf-8"))
             except (UnicodeDecodeError, ValueError) as err:

@@ -25,7 +25,7 @@ from repro.cpu.vm import VM, ProcessExit
 from repro.crypto import AesCmac, Key
 from repro.isa import INSTRUCTION_SIZE
 from repro.kernel.audit import AuditEvent, AuditLog
-from repro.kernel.auth import AuthChecker, AuthViolation
+from repro.kernel.auth import AuthChecker, AuthViolation, violation_family
 from repro.kernel.costs import CYCLES_PER_SECOND, CostModel
 from repro.kernel.errors import Errno
 from repro.kernel.net import NetStack
@@ -563,6 +563,9 @@ class Kernel:
         return self._vm_process[id(vm)].capabilities
 
     def _kill(self, vm: VM, process: Process, syscall: str, reason: str) -> None:
+        # Every caller passes a §3.4 reason, so each kill counts in its
+        # violation family and the counters alone tell why a pid died.
+        self.metrics.inc(f"auth.killed.{violation_family(reason)}")
         self.audit.record(
             AuditEvent(
                 kind="killed",

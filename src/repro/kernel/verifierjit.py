@@ -325,18 +325,17 @@ class VerifierJit:
     def _build(self, vm: VM, result: CheckResult) -> SiteThunk:
         call = result.call
         record = call.record
-        descriptor = record.descriptor
         reg_checks = list(call.immediates)
         patterns = []
-        for index, address, auth_string in call.strings:
-            if descriptor.param_is_pattern(index):
+        for index, address, auth_string, is_pattern in call.strings:
+            if is_pattern:
                 # The full check just parsed this very content.
                 pattern = Pattern.parse(auth_string.content.decode("utf-8"))
                 patterns.append((1 + index, pattern, pattern.hint_slots))
             else:
                 reg_checks.append((1 + index, address))
         control = None
-        if descriptor.control_flow_constrained:
+        if record.descriptor.control_flow_constrained:
             # The full check just read and wrote these bytes, so the
             # lookup cannot fault.
             polstate = vm.memory.region_at(record.lastblock_ptr)

@@ -29,6 +29,14 @@ COUNTER_HELP = {
     "verifier.thunks_refreshed": "stale thunks revalidated byte-for-byte against live policy memory",
     "verifier.thunks_invalidated": "verifier thunks dropped by a failed refresh or exit/exec",
     "verifier.thunk_hits": "ASYS traps verified entirely by a compiled thunk",
+    "auth.killed.record": "processes killed for an unreadable auth record or a bad pointer in it",
+    "auth.killed.call-mac": "processes killed for a call MAC mismatch",
+    "auth.killed.string-auth": "processes killed for an authenticated string failing its MAC",
+    "auth.killed.policy-state": "processes killed for a bad, unreadable or unwritable policy state",
+    "auth.killed.control-flow": "processes killed for a call from a non-permitted predecessor block",
+    "auth.killed.pattern": "processes killed for a pattern argument, its pattern or its hint block",
+    "auth.killed.capability": "processes killed for an fd not produced by a permitted call site",
+    "auth.killed.unauthenticated": "processes killed for an unauthenticated call or binary",
     "decode.invalidations": "interpreter decode-cache entries dropped by write-version guards",
     "engine.blocks_compiled": "basic blocks translated by the threaded engine",
     "engine.blocks_evicted": "cached translations invalidated by stores or stale guards",

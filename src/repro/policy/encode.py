@@ -34,7 +34,16 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from repro.crypto import MAC_SIZE
-from repro.policy.descriptor import MAX_PARAMS, PolicyDescriptor
+from repro.policy.descriptor import (
+    BIT_CALL_SITE,
+    BIT_CAPABILITY,
+    BIT_CONTROL_FLOW,
+    MAX_PARAMS,
+    PARAM_BITS,
+    PARAM_TABLE_ENTRIES,
+    PolicyDescriptor,
+    param_table,
+)
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,29 @@ class EncodeError(ValueError):
     """Raised when the inputs are inconsistent with the descriptor."""
 
 
+#: The descriptor bits an encoded policy's layout depends on: the call
+#: site, control-flow and capability bits and :data:`PARAM_BITS`.
+_LAYOUT_BITS = BIT_CALL_SITE | BIT_CONTROL_FLOW | BIT_CAPABILITY | PARAM_BITS
+_MASK = 0xFFFFFFFF
+
+
+@lru_cache(maxsize=PARAM_TABLE_ENTRIES)
+def _layout(bits: int) -> struct.Struct:
+    """The encoded policy's layout for the descriptor bits ``bits &
+    _LAYOUT_BITS``, precompiled: one ``pack`` builds the whole string."""
+    fmt = "<HI"
+    if bits & BIT_CALL_SITE:
+        fmt += "I"
+    fmt += "I"
+    for _, is_string, _ in param_table(bits & PARAM_BITS):
+        fmt += f"II{MAC_SIZE}s" if is_string else "I"
+    if bits & BIT_CONTROL_FLOW:
+        fmt += f"II{MAC_SIZE}sI"
+    if bits & BIT_CAPABILITY:
+        fmt += f"III{MAC_SIZE}s"
+    return struct.Struct(fmt)
+
+
 def encode_policy(
     descriptor: PolicyDescriptor,
     syscall_number: int,
@@ -76,53 +108,61 @@ def encode_policy(
     by_index = {p.index: p for p in params}
     if len(by_index) != len(params):
         raise EncodeError("duplicate parameter encodings")
+    bits = int(descriptor)
+    table = descriptor.params
+    fields = [syscall_number & 0xFFFF, bits]
+    if bits & BIT_CALL_SITE:
+        fields.append(call_site & _MASK)
+    fields.append(block_id & _MASK)
+    for index, is_string, _ in table:
+        entry = by_index.get(index)
+        if entry is None or not isinstance(entry.value, tuple if is_string else int):
+            _reject_params(table, by_index)
+        if is_string:
+            fields += entry.value  # address, length, mac
+        else:
+            fields.append(entry.value)
+    if len(by_index) != len(table):
+        _reject_params(table, by_index)
 
-    out = bytearray()
-    out += struct.pack("<H", syscall_number & 0xFFFF)
-    out += struct.pack("<I", int(descriptor))
-    if descriptor.call_site_constrained:
-        out += struct.pack("<I", call_site & 0xFFFFFFFF)
-    out += struct.pack("<I", block_id & 0xFFFFFFFF)
+    if bits & BIT_CONTROL_FLOW:
+        if predset is None:
+            raise EncodeError("control flow constrained but no predecessor set")
+        address, length, mac = predset
+        fields += (address & _MASK, length & _MASK, mac, lastblock_address & _MASK)
+    elif predset is not None:
+        raise EncodeError("predecessor set supplied without control flow bit")
 
+    if bits & BIT_CAPABILITY:
+        if capability is None:
+            raise EncodeError("capability bit set but no capability spec")
+        fd_mask, (address, length, mac) = capability
+        fields += (fd_mask & _MASK, address & _MASK, length & _MASK, mac)
+    elif capability is not None:
+        raise EncodeError("capability spec supplied without capability bit")
+
+    return _layout(bits & _LAYOUT_BITS).pack(*fields)
+
+
+def _reject_params(table: tuple, by_index: dict) -> None:
+    """Raise for the lowest-indexed parameter whose encoding does not
+    fit the descriptor: encoded but not constrained, missing, or of the
+    wrong kind.  Indexes outside ``0..MAX_PARAMS-1`` are ignored, so
+    this returns only when every encoding is one of those."""
+    kinds = {index: is_string for index, is_string, _ in table}
     for index in range(MAX_PARAMS):
-        if not descriptor.param_constrained(index) and not descriptor.param_is_pattern(index):
+        if index not in kinds:
             if index in by_index:
                 raise EncodeError(f"parameter {index} encoded but not constrained")
             continue
         if index not in by_index:
             raise EncodeError(f"constrained parameter {index} missing an encoding")
-        entry = by_index[index]
-        if descriptor.param_is_string(index):
-            if not isinstance(entry.value, tuple):
+        value = by_index[index].value
+        if kinds[index]:
+            if not isinstance(value, tuple):
                 raise EncodeError(f"parameter {index} must be an AS triple")
-            address, length, mac = entry.value
-            out += struct.pack("<II", address, length)
-            out += mac
-        else:
-            if not isinstance(entry.value, int):
-                raise EncodeError(f"parameter {index} must be an immediate")
-            out += struct.pack("<I", entry.value)
-
-    if descriptor.control_flow_constrained:
-        if predset is None:
-            raise EncodeError("control flow constrained but no predecessor set")
-        address, length, mac = predset
-        out += struct.pack("<II", address & 0xFFFFFFFF, length & 0xFFFFFFFF)
-        out += mac
-        out += struct.pack("<I", lastblock_address & 0xFFFFFFFF)
-    elif predset is not None:
-        raise EncodeError("predecessor set supplied without control flow bit")
-
-    if descriptor.capability_tracked:
-        if capability is None:
-            raise EncodeError("capability bit set but no capability spec")
-        fd_mask, (address, length, mac) = capability
-        out += struct.pack("<III", fd_mask & 0xFFFFFFFF, address & 0xFFFFFFFF, length & 0xFFFFFFFF)
-        out += mac
-    elif capability is not None:
-        raise EncodeError("capability spec supplied without capability bit")
-
-    return bytes(out)
+        elif not isinstance(value, int):
+            raise EncodeError(f"parameter {index} must be an immediate")
 
 
 def pack_predecessor_set(block_ids: frozenset[int]) -> bytes:

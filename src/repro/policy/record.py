@@ -32,8 +32,8 @@ import struct
 from dataclasses import dataclass
 
 from repro.crypto import MAC_SIZE
-from repro.cpu.memory import Memory
-from repro.policy.descriptor import PolicyDescriptor
+from repro.cpu.memory import Memory, MemoryFault
+from repro.policy.descriptor import MAX_PARAMS, PolicyDescriptor
 
 #: The fixed fields: polDes, blockID, predSetPtr, lbPtr.
 RECORD_HEAD = struct.Struct("<IIII")
@@ -86,32 +86,44 @@ class AuthRecord:
         return self.pattern_ptr_offset(len(self.pattern_ptrs)) + 4
 
 
+#: The fixed fields and the call MAC, as one read.
+_CORE = struct.Struct(f"<IIII{MAC_SIZE}s")
+#: ``_WORDS[n]`` reads ``n`` extension words: one pattern pointer per
+#: pattern parameter, then ``fdMask`` and ``fdAllowedPtr``.
+_WORDS = tuple(struct.Struct(f"<{n}I") for n in range(MAX_PARAMS + 3))
+
+
 def read_auth_record(memory: Memory, address: int) -> AuthRecord:
     """Parse the record at ``address`` in guest memory.
 
     Raises :class:`repro.cpu.memory.MemoryFault` on bad pointers; the
     caller (the trap handler) converts that into a fail-stop."""
-    head = memory.read(address, CORE_SIZE, force=True)
-    bits, block_id, predset_ptr, lastblock_ptr = RECORD_HEAD.unpack_from(head)
-    call_mac = head[CALL_MAC_OFFSET:CORE_SIZE]
+    bits, block_id, predset_ptr, lastblock_ptr, call_mac = _CORE.unpack(
+        memory.read(address, CORE_SIZE, force=True)
+    )
     descriptor = PolicyDescriptor(bits)
-    cursor = address + CORE_SIZE
-    pattern_ptrs = []
-    for _ in descriptor.pattern_params():
-        pattern_ptrs.append(memory.read_u32(cursor, force=True))
-        cursor += 4
-    fd_mask = 0
-    fd_allowed_ptr = 0
-    if descriptor.capability_tracked:
-        fd_mask = memory.read_u32(cursor, force=True)
-        fd_allowed_ptr = memory.read_u32(cursor + 4, force=True)
+    patterns = len(descriptor.pattern_params())
+    count = patterns + 2 if descriptor.capability_tracked else patterns
+    words = ()
+    if count:
+        cursor = address + CORE_SIZE
+        try:
+            words = _WORDS[count].unpack(memory.read(cursor, 4 * count, force=True))
+        except MemoryFault:
+            # The words run off the record's region: read them one by
+            # one, which faults at the first unreadable word, or reads
+            # on into an adjacent region.
+            words = tuple(
+                memory.read_u32(cursor + 4 * i, force=True) for i in range(count)
+            )
+    fd_mask, fd_allowed_ptr = words[patterns:] or (0, 0)
     return AuthRecord(
         descriptor=descriptor,
         block_id=block_id,
         predset_ptr=predset_ptr,
         lastblock_ptr=lastblock_ptr,
         call_mac=call_mac,
-        pattern_ptrs=tuple(pattern_ptrs),
+        pattern_ptrs=words[:patterns],
         fd_mask=fd_mask,
         fd_allowed_ptr=fd_allowed_ptr,
     )

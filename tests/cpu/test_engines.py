@@ -106,6 +106,41 @@ def _encode(instructions) -> bytes:
     return b"".join(encode_instruction(i) for i in instructions)
 
 
+RX = PROT_READ | PROT_EXEC
+
+#: A straight-line block, one encoded word each: r1 = 1 + 2 + 3 + 4,
+#: then ``halt`` with r1 as the exit status.
+_STRAIGHT = [
+    encode_instruction(Instruction(Op.LI, regs=(1,), imm=1)),
+    encode_instruction(Instruction(Op.ADDI, regs=(1, 1), imm=2)),
+    encode_instruction(Instruction(Op.ADDI, regs=(1, 1), imm=3)),
+    encode_instruction(Instruction(Op.ADDI, regs=(1, 1), imm=4)),
+    encode_instruction(Instruction(Op.HALT)),
+]
+
+
+def _vm_for_regions(regions, engine: str, nx: bool = False) -> VM:
+    """Map ``[(prot, [chunk, ...]), ...]`` back to back from 0x1000,
+    each region exactly as long as its chunks, and enter at 0x1000."""
+    memory = Memory()
+    start = 0x1000
+    for prot, chunks in regions:
+        data = b"".join(chunks)
+        memory.map_region(start, len(data), prot, data=data)
+        start += len(data)
+    return VM(memory=memory, entry=0x1000, nx=nx, engine=engine)
+
+
+def _run_regions(regions, engine: str, nx: bool = False) -> dict:
+    vm = _vm_for_regions(regions, engine, nx=nx)
+    fault = None
+    try:
+        vm.run(max_instructions=1000)
+    except ExecutionFault as err:
+        fault = err
+    return _state(vm, fault)
+
+
 def _assert_engines_agree(run) -> dict:
     states = {label: run(engine) for label, engine in CONFIGS.items()}
     for label, state in states.items():
@@ -277,6 +312,79 @@ _start:
                                max_instructions=5000)
         )
         assert "instruction fetch" in state["fault"]
+
+    @pytest.mark.parametrize(
+        "regions, nx, fault",
+        [
+            pytest.param(
+                [(RX, _STRAIGHT[:3]), (RX, _STRAIGHT[3:])], False, None,
+                id="block-runs-into-adjacent-region",
+            ),
+            pytest.param(
+                [(RX, _STRAIGHT[:4])], False,
+                "instruction fetch: memory fault: unmapped at 0x00001020",
+                id="block-ends-at-last-word-next-unmapped",
+            ),
+            pytest.param(
+                [(RX, _STRAIGHT[:4] + [b"\x00" * 4])], False,
+                "instruction fetch: memory fault: unmapped at 0x00001024",
+                id="word-straddles-region-end",
+            ),
+            pytest.param(
+                [(RX, _STRAIGHT[:4] + [b"\x00" * 4]), (RX, [bytes(4)] + _STRAIGHT[4:])],
+                False,
+                "instruction fetch: memory fault: unmapped at 0x00001024",
+                id="word-straddles-into-adjacent-region",
+            ),
+            pytest.param(
+                [(RX, _STRAIGHT[:2] + [b"\xff" + bytes(7)] + _STRAIGHT[2:])], False,
+                "illegal instruction: unknown opcode 0xff at offset 0",
+                id="illegal-opcode-mid-block",
+            ),
+            pytest.param(
+                [(RX, _STRAIGHT[:3]), (PROT_READ | PROT_WRITE, _STRAIGHT[3:])], True,
+                "NX violation: page not executable",
+                id="nx-executable-then-data-region",
+            ),
+            pytest.param(
+                [(RX, _STRAIGHT[:3]), (PROT_READ | PROT_WRITE, _STRAIGHT[3:])], False, None,
+                id="no-nx-executable-then-data-region",
+            ),
+            pytest.param(
+                [(RX, _STRAIGHT[:3]), (PROT_EXEC, _STRAIGHT[3:])], False,
+                "instruction fetch: memory fault: protection (read) at 0x00001018",
+                id="executable-then-unreadable-region",
+            ),
+        ],
+    )
+    def test_fetch_at_region_edges(self, regions, nx, fault):
+        # A block that fetches across a region boundary: the first word
+        # of each region takes the checked fetch; a failure past the
+        # block's first word truncates it, and the next dispatch raises
+        # the interpreter's fault at the same PC and counters.
+        state = _assert_engines_agree(lambda e: _run_regions(regions, e, nx=nx))
+        if fault is None:
+            assert state["fault"] is None
+            assert state["exit_status"] == 10 and state["instructions"] == len(_STRAIGHT)
+        else:
+            assert fault in state["fault"]
+
+    def test_block_spanning_two_regions_guards_both(self):
+        vm = _vm_for_regions([(RX, _STRAIGHT[:3]), (RX, _STRAIGHT[3:])], "threaded")
+        vm.run()
+        first = vm.memory.region_at(0x1000)
+        second = vm.memory.region_at(0x1018)
+        assert first is not second
+        cache = vm._block_cache
+        block = cache._blocks[0x1000]
+        assert block.count == len(_STRAIGHT)
+        assert block.guard_region is first
+        assert block.extra_guards == [(second, second.version)]
+        # A store into the second region drops the block before the
+        # bytes land.
+        vm.memory.write(second.start, bytes(8), force=True)
+        assert 0x1000 not in cache._blocks
+        assert cache.invalidations == 1
 
 
 class TestSelfModifyingCode:

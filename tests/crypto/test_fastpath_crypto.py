@@ -1,6 +1,6 @@
-"""Fast-path crypto: libcrypto's AES block and its table-driven
-fallback, the word-level CMAC core, its single-block tag memo, and the
-incremental CMAC API.
+"""Fast-path crypto: libcrypto's AES block and CBC chain entry and
+their table-driven fallback, the CMAC core, its single-block tag memo,
+and the incremental CMAC API.
 
 The libcrypto block, the table-driven cipher, the memo and the
 prefix-state CMAC exist purely for speed; these tests pin them
@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from repro.crypto import aes
 from repro.crypto.aes import (
-    AES, BLOCK_SIZE, BLOCK_WORDS, LIBCRYPTO_SONAMES, NativeAES, TableAES,
-    libcrypto_binding,
+    AES, BLOCK_SIZE, BLOCK_WORDS, CBC_KNOWN_ANSWER, LIBCRYPTO_SONAMES, NativeAES,
+    TableAES, libcrypto_binding,
 )
 from repro.crypto.cmac import MAC_SIZE, AesCmac, CmacState
 
@@ -168,6 +168,49 @@ class TestNativeKeyCheck:
             AesCmac(bytes(length))
 
 
+class TestChainEntry:
+    """``encrypt_chain``: CBC over whole blocks from a chaining value,
+    returning the last block, the same on all three ciphers."""
+
+    @pytest.mark.parametrize("cipher", CIPHERS)
+    def test_sp800_38a_f21_every_prefix(self, cipher):
+        key, iv, plaintext, ciphertext = CBC_KNOWN_ANSWER
+        chain = cipher(key).encrypt_chain
+        for end in range(BLOCK_SIZE, len(plaintext) + 1, BLOCK_SIZE):
+            assert chain(iv, plaintext[:end]) == ciphertext[end - BLOCK_SIZE : end]
+        # Chaining on from a block continues the same CBC stream.
+        assert chain(ciphertext[16:32], plaintext[32:]) == ciphertext[48:]
+
+    @pytest.mark.parametrize("cipher", CIPHERS)
+    def test_empty_chain_returns_the_chaining_value(self, cipher):
+        iv = bytes(range(16))
+        assert cipher(RFC_KEY).encrypt_chain(iv, b"") == iv
+
+    @pytest.mark.parametrize("cipher", CIPHERS)
+    @pytest.mark.parametrize("iv, data", [(bytes(15), bytes(16)), (bytes(16), bytes(17))])
+    def test_rejects_a_partial_block_or_iv(self, cipher, iv, data):
+        with pytest.raises(ValueError):
+            cipher(RFC_KEY).encrypt_chain(iv, data)
+
+    @needs_libcrypto
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        iv=st.binary(min_size=16, max_size=16),
+        blocks=st.sampled_from([1, 2, 3, 255, 256, 257, 512, 513, 1030]),
+        kind=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    def test_native_matches_table_across_chunks(self, key, iv, blocks, kind):
+        # 256 blocks fill the native chain's buffer; longer messages go
+        # through it in chunks, on one CBC context.
+        assert NativeAES.CHAIN_BYTES == 256 * BLOCK_SIZE
+        data = bytes((7 * i + key[0]) & 0xFF for i in range(blocks * BLOCK_SIZE))
+        native = NativeAES(key)
+        expected = TableAES(key).encrypt_chain(iv, data)
+        assert native.encrypt_chain(kind(iv), kind(data)) == expected
+        # Each call restarts from its own IV, whatever came before.
+        assert native.encrypt_chain(iv, data) == expected
+
+
 class _IdentityLib:
     """Answers to every EVP name the binding needs, but its "cipher"
     copies each block unchanged, so the known answers come out wrong."""
@@ -188,6 +231,10 @@ class _IdentityLib:
         return 2
 
     @staticmethod
+    def EVP_aes_128_cbc():
+        return 3
+
+    @staticmethod
     def EVP_EncryptInit_ex(ctx, cipher, engine, key, iv):
         return 1
 
@@ -199,6 +246,45 @@ class _IdentityLib:
     def EVP_EncryptUpdate(ctx, out, outl, data, length):
         ctypes.memmove(out, data, length)
         return 1
+
+
+def _cbc_lib(flaw=None):
+    """A fake library whose ECB block is right (TableAES behind it) and
+    whose CBC mode has ``flaw``: ``"unchained"`` encrypts each block
+    alone; ``"no-restart"`` keeps chaining from the last call when
+    re-initialized with only a new IV.  ``None``: no flaw."""
+    ecb, cbc = _IdentityLib.EVP_aes_128_ecb(), _IdentityLib.EVP_aes_128_cbc()
+    contexts = {}
+
+    def init(ctx, cipher, engine, key, iv):
+        if key is not None:
+            contexts[ctx] = [TableAES(key), cipher, iv]
+        elif flaw != "no-restart":
+            contexts[ctx][2] = iv
+        return 1
+
+    def update(ctx, out, outl, data, length):
+        block_cipher, cipher, chaining = contexts[ctx]
+        blocks = []
+        for offset in range(0, length, BLOCK_SIZE):
+            block = data[offset : offset + BLOCK_SIZE]
+            if cipher == cbc and flaw != "unchained":
+                block = bytes(a ^ b for a, b in zip(block, chaining))
+            chaining = block_cipher.encrypt_block(block)
+            blocks.append(chaining)
+        contexts[ctx][2] = chaining
+        ctypes.memmove(out, b"".join(blocks), length)
+        return 1
+
+    return SimpleNamespace(
+        EVP_CIPHER_CTX_new=_IdentityLib.EVP_CIPHER_CTX_new,
+        EVP_CIPHER_CTX_free=_IdentityLib.EVP_CIPHER_CTX_free,
+        EVP_aes_128_ecb=lambda: ecb,
+        EVP_aes_128_cbc=lambda: cbc,
+        EVP_EncryptInit_ex=init,
+        EVP_CIPHER_CTX_set_padding=lambda ctx, padding: 1,
+        EVP_EncryptUpdate=update,
+    )
 
 
 class TestLibcryptoFallback:
@@ -259,13 +345,29 @@ class TestLibcryptoFallback:
         monkeypatch.setattr(ctypes, "PyDLL", lambda name: _IdentityLib())
         self._assert_table_fallback()
 
+    def test_a_fake_with_a_right_cbc_is_accepted(self, monkeypatch):
+        # The control for the next test: the fake itself passes.
+        monkeypatch.setattr(ctypes, "PyDLL", lambda name: _cbc_lib())
+        assert libcrypto_binding() is not None
+
+    @pytest.mark.parametrize("flaw", ["unchained", "no-restart"])
+    def test_wrong_cbc_chain(self, monkeypatch, flaw):
+        # The block gives FIPS-197's answers; only the chain entry is
+        # wrong, and that alone sends the whole cipher to TableAES.
+        lib = _cbc_lib(flaw)
+        for key, plaintext, ciphertext in (FIPS197_B, FIPS197_C1):
+            assert NativeAES(key, aes._Evp(lib)).encrypt_block(plaintext) == ciphertext
+        monkeypatch.setattr(ctypes, "PyDLL", lambda name: lib)
+        self._assert_table_fallback()
+
     def test_context_is_freed_with_its_cipher(self):
         cipher = NativeAES(RFC_KEY, aes._Evp(_IdentityLib()))
-        ctx = cipher._ctx
-        assert ctx not in _IdentityLib.freed
+        contexts = (cipher._ctx, cipher._cbc)
+        assert contexts[0] != contexts[1]
+        assert not set(contexts) & set(_IdentityLib.freed)
         del cipher
         gc.collect()
-        assert _IdentityLib.freed.count(ctx) == 1
+        assert [_IdentityLib.freed.count(ctx) for ctx in contexts] == [1, 1]
 
 
 class TestCmacDefaultCipher:
@@ -331,14 +433,22 @@ class TestTagMemo:
 
     @staticmethod
     def _count_blocks(mac):
+        """Record every AES block ``mac`` runs: each block entry call,
+        and each block of each chain entry call."""
         calls = []
         encrypt = mac._encrypt
+        chain = mac._chain
 
         def counting(*words):
             calls.append(words)
             return encrypt(*words)
 
+        def counting_chain(iv, data):
+            calls.extend(data[i : i + BLOCK_SIZE] for i in range(0, len(data), BLOCK_SIZE))
+            return chain(iv, data)
+
         mac._encrypt = counting
+        mac._chain = counting_chain
         return calls
 
     def test_verify_of_a_just_tagged_payload_needs_no_block(self):

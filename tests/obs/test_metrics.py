@@ -5,12 +5,16 @@ from pathlib import Path
 
 import repro
 from repro.faults.sweep import OUTCOMES
+from repro.kernel.auth import VIOLATION_FAMILIES
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import COUNTER_HELP
 
 #: Counter names built at run time, keyed by their f-string's literal
 #: prefix, with every value each can take.
-DYNAMIC_NAMES = {"faults.": {f"faults.{outcome}" for outcome in OUTCOMES}}
+DYNAMIC_NAMES = {
+    "faults.": {f"faults.{outcome}" for outcome in OUTCOMES},
+    "auth.killed.": {f"auth.killed.{family}" for family in VIOLATION_FAMILIES},
+}
 
 
 class TestMetricsRegistry:
