@@ -96,7 +96,8 @@ class _Assembler:
         self._pending_symbols[stmt.name] = (self._section.name, self._cursor())
 
     def _resolve_imm(self, operand, line_no: int):
-        """Return (concrete_value, symbol_ref_or_None)."""
+        """Return (concrete_value, symbol_ref_or_None) for an immediate
+        or a memory operand's displacement (both carry symbol+addend)."""
         if operand.symbol is None:
             return operand.addend, None
         if operand.symbol in self._equs:
@@ -193,12 +194,9 @@ class _Assembler:
                         f"memory operand [reg+disp]"
                     )
                 regs.append(operand.base)
-                imm, symbol_ref = self._resolve_imm(
-                    ImmOperand(operand.symbol, operand.addend), stmt.line_no
-                )
-        offset = self._cursor()
+                imm, symbol_ref = self._resolve_imm(operand, stmt.line_no)
         instruction = Instruction(stmt.op, tuple(regs), imm)
-        self._section.append(encode_instruction(instruction))
+        offset = self._section.append(encode_instruction(instruction))
         if symbol_ref is not None:
             self._binary.add_relocation(
                 Relocation(

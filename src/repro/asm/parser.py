@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.isa.opcodes import MNEMONIC_TO_OP, Op
-from repro.isa.registers import register_number
+from repro.isa.registers import NUM_REGS, register_number
 
 
 class AsmSyntaxError(ValueError):
@@ -49,6 +49,14 @@ class MemOperand:
 
 Operand = Union[RegOperand, ImmOperand, MemOperand]
 
+#: The operand for each plain register spelling (``r0``..``r15`` and
+#: the aliases), keyed lower-case.  Operands are immutable, so one per
+#: register serves every line.
+_REGISTER_OPERANDS = {
+    name: RegOperand(register_number(name))
+    for name in [f"r{n}" for n in range(NUM_REGS)] + ["fp", "lr", "sp"]
+}
+
 
 @dataclass(frozen=True)
 class LabelStmt:
@@ -80,6 +88,14 @@ _ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'", '"': '"', "r"
 
 
 def _strip_comment(line: str) -> str:
+    if '"' not in line:
+        # No string literal to skip: cut at the first ``;`` or ``#``.
+        end = len(line)
+        for mark in ";#":
+            found = line.find(mark, 0, end)
+            if found >= 0:
+                end = found
+        return line[:end].strip()
     out = []
     in_string = False
     i = 0
@@ -147,10 +163,17 @@ def _parse_operand(token: str, line_no: int) -> Operand:
                     disp = ImmOperand(None, -disp.addend)
                 return MemOperand(base, disp.symbol, disp.addend)
         return MemOperand(register_number(inner), None, 0)
-    try:
-        return RegOperand(register_number(token))
-    except ValueError:
-        pass
+    lowered = token.lower()
+    operand = _REGISTER_OPERANDS.get(lowered)
+    if operand is not None:
+        return operand
+    # Only a token starting with "r" can still name a register (say
+    # "r01"); anything else is an immediate without the exception.
+    if lowered.startswith("r"):
+        try:
+            return RegOperand(register_number(token))
+        except ValueError:
+            pass
     return _parse_operand_imm(token, line_no)
 
 
@@ -160,17 +183,22 @@ def _parse_operand_imm(token: str, line_no: int) -> ImmOperand:
 
 def _split_operands(text: str, line_no: int) -> list[str]:
     """Split on commas that are not inside quotes."""
-    parts, current, in_string = [], [], False
-    for ch in text:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "," and not in_string:
+    if '"' not in text:
+        parts = text.split(",")
+        if not parts[-1]:
+            parts.pop()  # a trailing comma ends the list, as below
+    else:
+        parts, current, in_string = [], [], False
+        for ch in text:
+            if ch == '"':
+                in_string = not in_string
+            if ch == "," and not in_string:
+                parts.append("".join(current))
+                current = []
+            else:
+                current.append(ch)
+        if current:
             parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if current:
-        parts.append("".join(current))
     parts = [p.strip() for p in parts]
     if any(not p for p in parts):
         raise AsmSyntaxError(line_no, "empty operand in list")

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import OPCODE_INFO, OperandKind
+from repro.isa.instruction import OPERAND_SHAPE, Instruction, SymbolRef
 
 INSTRUCTION_SIZE = 8
 IMM_OFFSET = 4  # byte offset of the immediate field within an instruction
@@ -26,16 +25,12 @@ IMM_OFFSET = 4  # byte offset of the immediate field within an instruction
 #: ``None`` for an unassigned byte.  Precomputed once so decoding maps
 #: the byte with one tuple index: the enum call ``Op(byte)`` alone
 #: costs about half of a decode.
-_SHAPES = {
-    int(op): (
-        op,
-        sum(1 for kind in info.operands if kind in (OperandKind.REG, OperandKind.MEM)),
-        any(kind in (OperandKind.IMM, OperandKind.MEM) for kind in info.operands),
-    )
-    for op, info in OPCODE_INFO.items()
-}
+_SHAPES = {int(op): (op, *shape) for op, shape in OPERAND_SHAPE.items()}
 _DECODE = tuple(_SHAPES.get(code) for code in range(256))
-_FIELDS = struct.Struct("<BBBBI").unpack_from
+_LAYOUT = struct.Struct("<BBBBI")
+_FIELDS = _LAYOUT.unpack_from
+_PACK = _LAYOUT.pack
+_UNUSED_FIELDS = (0, 0, 0)
 
 
 class EncodingError(ValueError):
@@ -44,17 +39,18 @@ class EncodingError(ValueError):
 
 def encode_instruction(instruction: Instruction) -> bytes:
     """Encode one instruction; the immediate must be concrete by now."""
-    if instruction.is_symbolic:
+    imm = instruction.imm
+    if isinstance(imm, SymbolRef):
         raise EncodingError(
             f"cannot encode unresolved symbolic immediate: {instruction}"
         )
-    regs = list(instruction.regs) + [0] * (3 - len(instruction.regs))
+    regs = instruction.regs
     for reg in regs:
         if not 0 <= reg <= 0xFF:
             raise EncodingError(f"register field out of range: {reg}")
-    imm = instruction.imm or 0
-    imm &= 0xFFFFFFFF
-    return struct.pack("<BBBBI", int(instruction.op), *regs, imm)
+    return _PACK(
+        int(instruction.op), *regs, *_UNUSED_FIELDS[len(regs):], (imm or 0) & 0xFFFFFFFF
+    )
 
 
 def decode_fields(data: bytes, offset: int = 0):

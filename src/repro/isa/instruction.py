@@ -34,6 +34,17 @@ class SymbolRef:
 
 Immediate = Union[int, SymbolRef]
 
+#: Opcode -> ``(register field count, has immediate)``, derived once
+#: from the operand signatures: a ``MEM`` operand is a base register
+#: plus the immediate displacement.
+OPERAND_SHAPE: dict[Op, tuple[int, bool]] = {
+    op: (
+        sum(1 for kind in info.operands if kind in (OperandKind.REG, OperandKind.MEM)),
+        any(kind in (OperandKind.IMM, OperandKind.MEM) for kind in info.operands),
+    )
+    for op, info in OPCODE_INFO.items()
+}
+
 
 @dataclass
 class Instruction:
@@ -52,22 +63,23 @@ class Instruction:
     address: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        info = OPCODE_INFO[self.op]
-        expected_regs = sum(
-            1 for kind in info.operands if kind in (OperandKind.REG, OperandKind.MEM)
-        )
-        has_imm = any(
-            kind in (OperandKind.IMM, OperandKind.MEM) for kind in info.operands
-        )
+        expected_regs, has_imm = OPERAND_SHAPE[self.op]
         if len(self.regs) != expected_regs:
-            raise ValueError(
-                f"{info.mnemonic} expects {expected_regs} register fields, "
-                f"got {len(self.regs)}"
-            )
-        if has_imm and self.imm is None:
-            raise ValueError(f"{info.mnemonic} requires an immediate operand")
-        if not has_imm and self.imm is not None:
-            raise ValueError(f"{info.mnemonic} takes no immediate operand")
+            problem = f"expects {expected_regs} register fields, got {len(self.regs)}"
+        elif has_imm and self.imm is None:
+            problem = "requires an immediate operand"
+        elif not has_imm and self.imm is not None:
+            problem = "takes no immediate operand"
+        else:
+            return
+        raise ValueError(f"{OPCODE_INFO[self.op].mnemonic} {problem}")
+
+    def __copy__(self) -> "Instruction":
+        # What copy.copy does by default, without its reduce protocol
+        # (stub inlining copies every inlined instruction).
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     @property
     def info(self):

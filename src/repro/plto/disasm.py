@@ -55,6 +55,14 @@ def disassemble(binary: SefBinary) -> IrUnit:
             raise DisassemblyError(str(err)) from err
         reloc = relocations.get(offset + IMM_OFFSET)
         if reloc is not None:
+            if instruction.imm is None:
+                # Assigned after construction, so no shape check would
+                # catch it before layout.
+                raise DisassemblyError(
+                    f"relocation at .text offset {offset + IMM_OFFSET:#x} "
+                    f"targets {instruction.info.mnemonic}, which takes no "
+                    "immediate operand"
+                )
             instruction.imm = SymbolRef(reloc.symbol, reloc.addend)
         labels = sorted(labels_by_offset.get(offset, []))
         insns.append(

@@ -16,6 +16,7 @@ only if something still references it (e.g. an indirect call).
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.isa import Instruction, SymbolRef
@@ -43,10 +44,10 @@ class InlineReport:
     stubs_removed: list[str]
 
 
-def _stub_body(unit: IrUnit, entry_label: str) -> list[Instruction]:
-    """Return the stub's instructions (without the trailing RET), or
-    raise ValueError if the function is not a straight-line stub."""
-    start = unit.find_label(entry_label)
+def _stub_body(unit: IrUnit, start: int, entry_label: str) -> list[Instruction]:
+    """Return the stub's instructions from ``start`` (without the
+    trailing RET), or raise ValueError if the function is not a
+    straight-line stub."""
     body: list[Instruction] = []
     has_trap = False
     for position in range(start, min(start + MAX_STUB_INSNS + 1, len(unit.insns))):
@@ -71,12 +72,15 @@ def inline_syscall_stubs(unit: IrUnit) -> InlineReport:
     cfg = build_cfg(unit)
     graph = build_call_graph(cfg)
 
+    # Every function entry is a label (build_cfg resolves each call
+    # target and the entry through the same index).
+    labels = unit.label_index()
     stubs: dict[str, list[Instruction]] = {}
     for label in graph.functions:
         if label == unit.binary.entry:
             continue
         try:
-            stubs[label] = _stub_body(unit, label)
+            stubs[label] = _stub_body(unit, labels[label], label)
         except ValueError:
             continue
 
@@ -110,29 +114,35 @@ def inline_syscall_stubs(unit: IrUnit) -> InlineReport:
     )
 
 
-def _referenced_symbols(unit: IrUnit) -> set[str]:
-    refs = {
+def _remove_dead_stubs(unit: IrUnit, stub_labels: set[str]) -> list[str]:
+    """Delete each stub nothing references, deciding in sorted label
+    order; a removed stub's own references no longer count, so a stub
+    referenced only from an earlier-removed stub goes too.
+
+    One pass counts the references and one builds the label index; the
+    chosen spans are deleted together at the end.  They are disjoint:
+    each runs from its label to its first RET with no label in between
+    (``_stub_body`` admitted it so, and the check below keeps it so)."""
+    refs = Counter(
         insn.instruction.imm.symbol
         for insn in unit.insns
         if isinstance(insn.instruction.imm, SymbolRef)
-    }
-    refs.update(
+    )
+    pinned = {
         reloc.symbol
         for reloc in unit.binary.relocations
         if reloc.section != ".text"
-    )
-    refs.add(unit.binary.entry)
-    return refs
+    }
+    pinned.add(unit.binary.entry)
+    labels = unit.label_index()
 
-
-def _remove_dead_stubs(unit: IrUnit, stub_labels: set[str]) -> list[str]:
     removed: list[str] = []
+    spans: list[tuple[int, int]] = []
     for label in sorted(stub_labels):
-        if label in _referenced_symbols(unit):
+        if label in pinned or refs[label]:
             continue
-        try:
-            start = unit.find_label(label)
-        except KeyError:
+        start = labels.get(label)
+        if start is None:
             continue
         end = start
         while end < len(unit.insns):
@@ -140,11 +150,15 @@ def _remove_dead_stubs(unit: IrUnit, stub_labels: set[str]) -> list[str]:
             end += 1
             if op == Op.RET:
                 break
-        if any(position > start and unit.insns[position].labels
-               for position in range(start, end)):
+        if any(unit.insns[position].labels for position in range(start + 1, end)):
             continue  # something branches into the middle; keep it
-        del unit.insns[start:end]
+        for insn in unit.insns[start:end]:
+            if isinstance(insn.instruction.imm, SymbolRef):
+                refs[insn.instruction.imm.symbol] -= 1
+        spans.append((start, end))
         if label in unit.binary.symbols:
             del unit.binary.symbols[label]
         removed.append(label)
+    for start, end in sorted(spans, reverse=True):
+        del unit.insns[start:end]
     return removed

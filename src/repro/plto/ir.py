@@ -11,9 +11,8 @@ symbols, and relocations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.binfmt import SefBinary
 from repro.isa import Instruction
@@ -51,28 +50,20 @@ class IrUnit:
 
     insns: list[IrInsn]
     binary: SefBinary
-    _fresh_labels: Iterator[int] = field(
-        default_factory=lambda: itertools.count(), repr=False
-    )
 
     def label_index(self) -> dict[str, int]:
-        """Label name -> instruction index (recomputed on demand)."""
+        """Label name -> instruction index, rebuilt from ``insns`` on
+        every call.  The unit keeps no index, because passes edit
+        ``insns`` directly and a kept one would go stale; a pass that
+        looks up many labels builds this once and reads it."""
         index: dict[str, int] = {}
         for position, insn in enumerate(self.insns):
             for label in insn.labels:
                 index[label] = position
         return index
 
-    def fresh_label(self, stem: str = "ir") -> str:
-        existing = {
-            label for insn in self.insns for label in insn.labels
-        } | set(self.binary.symbols)
-        while True:
-            candidate = f".{stem}{next(self._fresh_labels)}"
-            if candidate not in existing:
-                return candidate
-
     def find_label(self, name: str) -> int:
+        """One label's index (builds the whole index: not for loops)."""
         try:
             return self.label_index()[name]
         except KeyError:

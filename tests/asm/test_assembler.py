@@ -3,10 +3,20 @@
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asm import AsmError, AsmSyntaxError, assemble, parse
+from repro.asm.parser import (
+    RegOperand,
+    _parse_operand,
+    _split_operands,
+    _strip_comment,
+    parse_value,
+)
 from repro.binfmt import link
 from repro.isa import INSTRUCTION_SIZE, Op, decode_instruction
+from repro.isa.registers import register_number
 
 HELLO = """
 .equ SYS_write, 4
@@ -157,3 +167,108 @@ class TestAssemble:
     def test_metadata_attached(self):
         binary = assemble(HELLO, metadata={"program": "hello"})
         assert binary.metadata["program"] == "hello"
+
+
+# The character loops the parser ran on every line before its
+# quote-free fast paths; the fast paths must agree with them on every
+# text, quotes or not.
+def _reference_strip_comment(line: str) -> str:
+    out = []
+    in_string = False
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
+            in_string = not in_string
+        if not in_string and ch in ";#":
+            break
+        out.append(ch)
+        i += 1
+    return "".join(out).strip()
+
+
+def _reference_split_operands(text: str, line_no: int) -> list[str]:
+    parts, current, in_string = [], [], False
+    for ch in text:
+        if ch == '"':
+            in_string = not in_string
+        if ch == "," and not in_string:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if current:
+        parts.append("".join(current))
+    parts = [p.strip() for p in parts]
+    if any(not p for p in parts):
+        raise AsmSyntaxError(line_no, "empty operand in list")
+    return parts
+
+
+def _reference_parse_operand(token: str, line_no: int):
+    """Operand parsing for a token that is not a memory reference, as
+    it was before the register table: try a register, else a value."""
+    token = token.strip()
+    try:
+        return RegOperand(register_number(token))
+    except ValueError:
+        pass
+    return parse_value(token, line_no)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except AsmSyntaxError as err:
+        return ("AsmSyntaxError", str(err))
+
+
+_LINE_TEXT = st.text(alphabet='"\\;#, \tab1r9', max_size=24)
+
+
+class TestParserFastPaths:
+    @settings(max_examples=500, deadline=None)
+    @given(line=_LINE_TEXT)
+    def test_strip_comment_matches_character_loop(self, line):
+        assert _strip_comment(line) == _reference_strip_comment(line)
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=_LINE_TEXT)
+    def test_split_operands_matches_character_loop(self, text):
+        assert _outcome(_split_operands, text, 7) == _outcome(
+            _reference_split_operands, text, 7
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(token=st.text(alphabet="rRsSpPfFlL019_+-x' ", max_size=6))
+    def test_operand_matches_register_then_value(self, token):
+        if token.strip().startswith("["):
+            return
+        assert _outcome(_parse_operand, token, 3) == _outcome(
+            _reference_parse_operand, token, 3
+        )
+
+    @pytest.mark.parametrize("token", ["r0", "R15", "sp", "Fp", " lr ", "r01", "r+1"])
+    def test_register_spellings(self, token):
+        assert _parse_operand(token, 1) == RegOperand(register_number(token))
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("li r1, 5 ; five # still comment", "li r1, 5"),
+            ("cmpi r1, ';'", "cmpi r1, '"),  # quote-free: ';' starts a comment
+            ('.asciz "a;b" ; note', '.asciz "a;b"'),
+            ('.asciz "a\\"#b"', '.asciz "a\\"#b"'),
+        ],
+    )
+    def test_strip_comment_examples(self, line, expected):
+        assert _strip_comment(line) == expected == _reference_strip_comment(line)
+
+    @pytest.mark.parametrize("text", ["", "r1,", "r1, r2,"])
+    def test_trailing_comma_ends_the_list(self, text):
+        assert _split_operands(text, 1) == _reference_split_operands(text, 1)
+
+    @pytest.mark.parametrize("text", ["r1,,r2", ",", "r1, ", " "])
+    def test_empty_operand_rejected(self, text):
+        with pytest.raises(AsmSyntaxError, match="empty operand in list"):
+            _split_operands(text, 1)

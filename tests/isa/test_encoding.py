@@ -38,18 +38,56 @@ class TestRegisters:
             register_name(16)
 
 
+def _shape(info) -> tuple[int, bool]:
+    """Register fields and immediate presence, read off the operand
+    signature (a MEM operand is a base register plus a displacement)."""
+    kinds = info.operands
+    n_regs = sum(kind in (OperandKind.REG, OperandKind.MEM) for kind in kinds)
+    has_imm = any(kind in (OperandKind.IMM, OperandKind.MEM) for kind in kinds)
+    return n_regs, has_imm
+
+
+def _shape_error(op, regs, imm) -> str:
+    with pytest.raises(ValueError) as caught:
+        Instruction(op, regs=regs, imm=imm)
+    return str(caught.value)
+
+
 class TestInstructionModel:
     def test_operand_arity_enforced(self):
         with pytest.raises(ValueError):
             Instruction(Op.ADD, regs=(1, 2))  # needs 3 registers
+        for op, info in OPCODE_INFO.items():
+            n_regs, has_imm = _shape(info)
+            imm = 0 if has_imm else None
+            Instruction(op, regs=(1,) * n_regs, imm=imm)  # well-formed
+            for wrong in {n_regs - 1, n_regs + 1} - {-1}:
+                assert _shape_error(op, (1,) * wrong, imm) == (
+                    f"{info.mnemonic} expects {n_regs} register fields, got {wrong}"
+                )
 
     def test_imm_required(self):
         with pytest.raises(ValueError):
             Instruction(Op.LI, regs=(1,))
+        for op, info in OPCODE_INFO.items():
+            n_regs, has_imm = _shape(info)
+            if has_imm:
+                assert _shape_error(op, (1,) * n_regs, None) == (
+                    f"{info.mnemonic} requires an immediate operand"
+                )
 
     def test_imm_rejected_when_absent(self):
         with pytest.raises(ValueError):
             Instruction(Op.RET, imm=5)
+        for op, info in OPCODE_INFO.items():
+            n_regs, has_imm = _shape(info)
+            if not has_imm:
+                assert _shape_error(op, (1,) * n_regs, 5) == (
+                    f"{info.mnemonic} takes no immediate operand"
+                )
+                assert _shape_error(op, (1,) * n_regs, SymbolRef("f")) == (
+                    f"{info.mnemonic} takes no immediate operand"
+                )
 
     def test_symbolic_flag(self):
         instr = Instruction(Op.LI, regs=(1,), imm=SymbolRef("msg", 4))

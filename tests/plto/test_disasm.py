@@ -61,6 +61,20 @@ class TestDisassemble:
         with pytest.raises(DisassemblyError):
             disassemble(binary)
 
+    def test_relocation_on_opcode_without_immediate_rejected(self):
+        # `li r1, msg` carries the first .text relocation; turn its
+        # opcode into `and`, which has register fields only.
+        binary = assemble(SOURCE)
+        reloc = binary.relocations_for(".text")[4]
+        assert reloc.symbol == "msg"
+        binary.sections[".text"].data[0] = Op.AND
+        with pytest.raises(
+            DisassemblyError,
+            match=r"relocation at \.text offset 0x4 targets and, which takes "
+            "no immediate operand",
+        ):
+            disassemble(binary)
+
 
 class TestReassemble:
     def test_identity_round_trip(self):
@@ -127,10 +141,3 @@ _start:
         rebuilt = reassemble(disassemble(binary))
         assert Kernel().run(rebuilt).exit_status == 42
 
-
-class TestFreshLabels:
-    def test_fresh_labels_unique(self):
-        unit = disassemble(assemble(SOURCE))
-        names = {unit.fresh_label() for _ in range(10)}
-        assert len(names) == 10
-        assert all(name not in unit.binary.symbols for name in names)
