@@ -56,6 +56,14 @@ REPEATS = 5
 #: syscall context, CMAC on 128-bit ints) G2 reads 5.97x and 5.99x and
 #: G1 77.1x and 86.3x; the parent, run in between, read 4.69x and
 #: 54.8x.  Only G2's chained side runs thunk hits, so G2 moves most.
+#: With one instruction semantics the interpreter's ALU arm is one dict
+#: probe (``op in ALU_BASE``) where it built two tuples of 19 enum
+#: loads, each a descriptor call, so its best spec-cpu pass fell from
+#: 1,648-1,755 ms to 759-805 ms: G1 reads 29.53x, 30.04x and 30.71x
+#: and G2 4.08x, 4.27x and 4.06x; the parent, run in between, read
+#: 64.09x and 63.02x, and 4.18x twice.  With chaining and fusion off G1
+#: should now read about 6-8x, still under 20x; that is reasoned, not
+#: measured: no switch turns chaining off.
 #:
 #: Both thresholds hold on Python 3.11 only, which is what CI runs this
 #: gate on.  On 3.12.1 (same host, 3 runs) the interp engine's best

@@ -46,40 +46,37 @@ constants, PCs and accounting corrections — and :func:`fill` rejects
 anything else, so no guest byte or string can become source text.
 Operand texts (a register local or a literal) are themselves
 :func:`fill` output.
+
+What an ALU op, a compare or a branch computes is not written here: the
+templates are the text of :mod:`repro.isa.semantics`, the constant
+folding calls the function the table compiles from that text, and a
+branch's test is the table's relation over the compared operands (their
+signed-order keys for an ordering) or, ahead of the pass's first
+compare, its flag test.  :func:`thunk_factories` turns the same text
+into the block engine's ALU, compare and branch thunk factories, once
+per process.
 """
 
 from __future__ import annotations
 
 from repro.isa.encoding import INSTRUCTION_SIZE
 from repro.isa.opcodes import OPCODE_INFO, Op
+from repro.isa.semantics import (
+    ALU,
+    ALU_BASE,
+    ALU_TEXT,
+    BRANCHES,
+    COMPARE,
+    COMPARES,
+    DIVIDES,
+    SHIFTS,
+    SIGNED_ORDER,
+    signed_order,
+)
 
 _MASK = 0xFFFFFFFF
-_SIGN = 0x8000_0000
 _CPUWORK = Op.CPUWORK
 
-#: Two-operand ALU ops -> (source template over the operand texts
-#: ``{a}``/``{b}``, the interpreter's semantics for constant folding).
-#: For the shifts ``{b}`` is the already-masked count.
-_ALU = {
-    Op.ADD: ("({a} + {b}) & 0xFFFFFFFF", lambda a, b: (a + b) & _MASK),
-    Op.SUB: ("({a} - {b}) & 0xFFFFFFFF", lambda a, b: (a - b) & _MASK),
-    Op.MUL: ("({a} * {b}) & 0xFFFFFFFF", lambda a, b: (a * b) & _MASK),
-    Op.DIV: ("({a} // {b}) & 0xFFFFFFFF", lambda a, b: (a // b) & _MASK),
-    Op.MOD: ("({a} % {b}) & 0xFFFFFFFF", lambda a, b: (a % b) & _MASK),
-    Op.AND: ("{a} & {b}", lambda a, b: a & b),
-    Op.OR: ("{a} | {b}", lambda a, b: a | b),
-    Op.XOR: ("{a} ^ {b}", lambda a, b: a ^ b),
-    Op.SHL: ("({a} << {b}) & 0xFFFFFFFF", lambda a, b: (a << b) & _MASK),
-    Op.SHR: ("{a} >> {b}", lambda a, b: a >> b),
-}
-#: Immediate forms -> the register op they apply to ``(ra, imm)``.
-_IMMEDIATE = {
-    Op.ADDI: Op.ADD, Op.SUBI: Op.SUB, Op.MULI: Op.MUL, Op.DIVI: Op.DIV,
-    Op.ANDI: Op.AND, Op.ORI: Op.OR, Op.XORI: Op.XOR, Op.SHLI: Op.SHL,
-    Op.SHRI: Op.SHR,
-}
-_SHIFTS = frozenset((Op.SHL, Op.SHR))
-_DIVIDES = frozenset((Op.DIV, Op.MOD))
 #: Cycle-counter reads: ``c`` is the correction from the batched total.
 _RDTSC = {
     Op.RDTSC: "(vm.cycles - {c}) & 0xFFFFFFFF",
@@ -89,28 +86,14 @@ _RDTSC = {
 #: fault-message prefix in the shared helpers.
 _LOADS = {Op.LD: (4, 0), Op.LDB: (1, 0), Op.POP: (4, 1)}
 _STORES = {Op.ST: (4, 0), Op.STB: (1, 0), Op.PUSH: (4, 1)}
-_COMPARES = frozenset((Op.CMP, Op.CMPI))
 #: Accounting-only opcodes: their cycles are in the batched total.
 _NO_CODE = frozenset((Op.NOP, Op.CPUWORK))
-#: Conditional branch -> the relation between the compare's operands
-#: (signed for the orderings) under which it is taken.
-_TAKEN = {
-    Op.BEQ: "==", Op.BNE: "!=", Op.BLT: "<", Op.BGE: ">=", Op.BLE: "<=", Op.BGT: ">",
-}
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
-#: The same conditions over the flag locals ``z``/``n``, for a branch
-#: that runs before the pass's first compare: (taken, not taken).
-_FROM_FLAGS = {
-    Op.BEQ: ("z", "not z"),
-    Op.BNE: ("not z", "z"),
-    Op.BLT: ("n", "not n"),
-    Op.BGE: ("not n", "n"),
-    Op.BLE: ("n or z", "not (n or z)"),
-    Op.BGT: ("not (n or z)", "n or z"),
+#: Each branch relation's test over the flag locals ``z``/``n``, for a
+#: branch that runs before the pass's first compare.
+_FLAG_TEST = {
+    branch.relation: branch.flags.format(z="z", n="n") for branch in BRANCHES.values()
 }
-#: The flags of the compare recorded in ``fx``/``fy``; XOR with the sign
-#: bit turns the signed order of two u32 values into their plain order.
-_FLAGS = ("fx == fy", "(fx ^ 0x80000000) < (fy ^ 0x80000000)")
 
 
 def prefix_cycles(code) -> list:
@@ -147,18 +130,19 @@ def fill(template: str, **fields) -> _Code:
 _REG = tuple(fill("r{r}", r=reg) for reg in range(16))
 
 
-def _condition(op, taken: bool, compared) -> _Code:
-    """The test for branch ``op`` going the ``taken`` way, over the
-    operands of the compare before it in the pass: ``fx`` and the
-    literal ``compared``, or ``fy`` when that is ``None``."""
-    relation = _TAKEN[op] if taken else _NEGATED[_TAKEN[op]]
-    if relation in ("==", "!="):
-        if compared is None:
-            return fill("fx " + relation + " fy")
-        return fill("fx " + relation + " {v}", v=compared)
+def _condition(relation: str, compared) -> _Code:
+    """The test of ``relation`` between the operands of the compare
+    before it in the pass: ``fx`` and the literal ``compared``, or
+    ``fy`` when that is ``None``.  An ordering compares the operands'
+    signed-order keys."""
+    left, right = "fx", "fy"
+    if relation not in ("==", "!="):
+        left, right = SIGNED_ORDER.format(v=left), SIGNED_ORDER.format(v=right)
+        if compared is not None:
+            compared = signed_order(compared)
     if compared is None:
-        return fill("(fx ^ 0x80000000) " + relation + " (fy ^ 0x80000000)")
-    return fill("(fx ^ 0x80000000) " + relation + " {v}", v=compared ^ _SIGN)
+        return fill(left + " " + relation + " " + right)
+    return fill(left + " " + relation + " {v}", v=compared)
 
 
 def pass_source(flat: list, span_lo: int, span_hi: int):
@@ -236,14 +220,17 @@ def pass_source(flat: list, span_lo: int, span_hi: int):
         corr = dict(c=total - prefix[j], i=last - j, p=pc, k=j + 1)
         d, a, b = (regs + (0, 0, 0))[:3]
 
-        if op in _TAKEN:
+        if op in BRANCHES:
             if off_pc < 0:
                 continue  # both ways stay on the cycle
-            leaves = not on_taken
+            # The relation under which the branch leaves the cycle.
+            relation = BRANCHES[op].relation
+            if on_taken:
+                relation = _NEGATED[relation]
             if seen_compare:
-                test = _condition(op, leaves, compared)
+                test = _condition(relation, compared)
             else:
-                test = fill(_FROM_FLAGS[op][0 if leaves else 1])
+                test = fill(_FLAG_TEST[relation])
                 reads_flags = True
             flush()
             if j == last:
@@ -253,7 +240,7 @@ def pass_source(flat: list, span_lo: int, span_hi: int):
                                  t=test, o=off_pc, **corr))
         elif op is Op.JMP:
             continue  # its target is the next member
-        elif op in _COMPARES:
+        elif op in COMPARES:
             if imm is None:  # CMP ra, rb
                 compared = known.get(a)
                 right = operand(a)
@@ -271,25 +258,25 @@ def pass_source(flat: list, span_lo: int, span_hi: int):
                 assign(d, "{a}", a=_REG[a])
         elif op in _RDTSC:
             assign(d, _RDTSC[op], c=corr["c"])
-        elif op in _ALU or op in _IMMEDIATE:
-            base = _IMMEDIATE.get(op, op)
-            template, evaluate = _ALU[base]
+        elif op in ALU_BASE:
+            base = ALU_BASE[op]
+            template = ALU_TEXT[base]
             left = known.get(a)
             right = known.get(b) if imm is None else imm & _MASK
-            if base in _SHIFTS and right is not None:
+            if base in SHIFTS and right is not None:
                 right &= 31
-            if base in _DIVIDES and right == 0:  # a zero divisor the generator knows
+            if base in DIVIDES and right == 0:  # a zero divisor the generator knows
                 flush()
                 body.append(fill("div_zero(vm, {c}, {i}, {p})", **corr))
                 continue
-            if base in _DIVIDES and right is None:
+            if base in DIVIDES and right is None:
                 flush()
                 body.append(fill("if r{r} == 0: div_zero(vm, {c}, {i}, {p})", r=b, **corr))
             if left is not None and right is not None:
-                constant(d, evaluate(left, right))
+                constant(d, ALU[base](left, right))
             elif right is not None:
                 assign(d, template, a=operand(a), b=right)
-            elif base in _SHIFTS:
+            elif base in SHIFTS:
                 assign(d, template, a=operand(a), b=fill("(r{r} & 31)", r=b))
             else:
                 assign(d, template, a=operand(a), b=operand(b))
@@ -336,12 +323,14 @@ def pass_source(flat: list, span_lo: int, span_hi: int):
     # The pass's end: every local current; leave the cycle, stop where
     # the budget cannot cover another pass, or account the next one.
     flush()
+    # The flags of the compare recorded in ``fx``/``fy``.
+    zero, neg = (text.format(x="fx", y="fy") for text in COMPARE)
     body.append(fill("d += {n}", n=count))
     if closing is not None:
         body.append(closing)
     body.append(fill("if d + {n} > b: vm.pc = {h}; break", n=count, h=flat[0][0]))
     if reads_flags and seen_compare:
-        body += ["z = " + _FLAGS[0], "n = " + _FLAGS[1]]
+        body += ["z = " + zero, "n = " + neg]
     body += [fill("vm.cycles += {t}", t=total),
              fill("vm.instructions_executed += {n}", n=count)]
 
@@ -361,8 +350,8 @@ def pass_source(flat: list, span_lo: int, span_hi: int):
     writeback = [fill("R[{r}] = r{r}", r=reg) for reg in sorted(written)]
     if seen_compare:
         writeback += ["if fx is not None:",
-                      "    vm.flag_zero = " + _FLAGS[0],
-                      "    vm.flag_neg = " + _FLAGS[1]]
+                      "    vm.flag_zero = " + zero,
+                      "    vm.flag_neg = " + neg]
     return "".join([
         fill("def superblock(vm, b={n}):\n", n=count),
         *[f"    {line}\n" for line in head],
@@ -371,3 +360,58 @@ def pass_source(flat: list, span_lo: int, span_hi: int):
         *[f"        {line}\n" for line in writeback or ["pass"]],
         "    return d\n",
     ])
+
+
+def thunk_factories(namespace: dict) -> dict:
+    """Compile the block-thunk factories of the ALU, compare and
+    conditional-branch ops from the semantics table's text, once.
+
+    Each is ``factory(cache, regs, pc, fields, imm, cyc_corr,
+    icnt_corr, consumed, end)`` like the engine's hand-written ones
+    (:mod:`repro.cpu.threaded`), and its thunk evaluates the table's
+    expression inline, with no call per executed instruction.  Only the
+    table's fixed text and local names enter the source.  ``namespace``
+    is the factories' globals: the one helper they call, ``div_zero``
+    (a zero divisor), and no builtins."""
+    sources = {}
+    for op, base in ALU_BASE.items():
+        if op is base:  # op rd, ra, rb
+            lines = ["d, a, b = fields", "def thunk(vm):"]
+            right = "(regs[b] & 31)" if base in SHIFTS else "regs[b]"
+            if base in DIVIDES:
+                lines += ["    divisor = regs[b]",
+                          "    if divisor == 0:",
+                          "        div_zero(vm, cyc_corr, icnt_corr, pc)"]
+                right = "divisor"
+        else:  # op rd, ra, imm
+            lines = ["d, a = fields",
+                     "b = imm & 31" if base in SHIFTS else "b = imm & 0xFFFFFFFF"]
+            if base in DIVIDES:
+                lines += ["if b == 0:",
+                          "    def thunk(vm):",
+                          "        div_zero(vm, cyc_corr, icnt_corr, pc)",
+                          "    return thunk"]
+            lines.append("def thunk(vm):")
+            right = "b"
+        lines.append("    regs[d] = " + ALU_TEXT[base].format(a="regs[a]", b=right))
+        sources[op] = lines
+    zero, neg = (text.format(x="x", y="y") for text in COMPARE)
+    flags = ["    vm.flag_zero = " + zero, "    vm.flag_neg = " + neg]
+    sources[Op.CMP] = ["a, b = fields", "def thunk(vm):", "    x = regs[a]",
+                       "    y = regs[b]", *flags]
+    sources[Op.CMPI] = ["a = fields[0]", "y = imm & 0xFFFFFFFF", "def thunk(vm):",
+                        "    x = regs[a]", *flags]
+    for op, branch in BRANCHES.items():
+        test = branch.flags.format(z="vm.flag_zero", n="vm.flag_neg")
+        sources[op] = ["target = imm & 0xFFFFFFFF", f"nxt = pc + {INSTRUCTION_SIZE}",
+                       "def thunk(vm):", f"    vm.pc = target if ({test}) else nxt"]
+
+    names = {op: "make_" + OPCODE_INFO[op].mnemonic for op in sources}
+    source = "".join(
+        f"def {names[op]}(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):\n"
+        + "".join(f"    {line}\n" for line in lines)
+        + "    return thunk\n"
+        for op, lines in sources.items()
+    )
+    exec(compile(source, "<block-thunk factories>", "exec"), namespace)
+    return {op: namespace[name] for op, name in names.items()}

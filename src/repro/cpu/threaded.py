@@ -10,6 +10,18 @@ block pay one dictionary probe, one guard comparison, and one batched
 cycle/instruction update instead of per-instruction fetch, decode, and
 dispatch.
 
+Each thunk comes from one small factory per opcode (``_FACTORIES``),
+found with one dict lookup per translated instruction and capturing
+only what its thunk uses.  The ALU, compare and conditional-branch
+factories are compiled once, at import, from the text of the semantics
+table (:mod:`repro.isa.semantics`) that the interpreter, the superblock
+generator and the installer's constant folding read too, so their
+thunks evaluate the table's expression inline with no call per
+executed instruction.  The others (memory, stack, control transfer,
+traps, ``LI``, ``MOV``, ``RDTSC``) are written here, because what they
+do differently from the interpreter is the mechanism: the data TLB,
+batched-cycle corrections and rollback.
+
 On top of the translation cache sit two dispatch-elimination layers,
 always on:
 
@@ -155,18 +167,16 @@ from __future__ import annotations
 from struct import Struct, pack_into, unpack_from
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.cpu.codegen import pass_source, prefix_cycles
+from repro.cpu.codegen import pass_source, prefix_cycles, thunk_factories
 from repro.cpu.memory import MemoryFault, PAGE_SHIFT, Region
 from repro.cpu.vm import ExecutionFault
 from repro.isa.encoding import INSTRUCTION_SIZE, EncodingError, decode_fields
-from repro.isa.opcodes import OPCODE_INFO, Op
+from repro.isa.opcodes import CONDITIONAL_BRANCHES, ENDS_BLOCK, TRAPS, Op
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.vm import VM
 
 _MASK = 0xFFFFFFFF
-_SIGN = 0x8000_0000
-_WRAP = 0x1_0000_0000
 
 #: Maximum instructions per block.  Blocks are straight-line, so this
 #: only bounds pathological NOP sleds; real blocks end at a branch.
@@ -186,27 +196,6 @@ _SB_MAX_UNROLL = 16
 #: this many SMC aborts; each abort is exact, just slow.  The same
 #: number bounds how often one head PC may be fused and killed.
 _SB_SMC_LIMIT = 4
-
-# Opcode members as module globals.  ``Op.X`` is a descriptor lookup
-# on the enum class (hundreds of ns on Python 3.11), and translation
-# dispatches on the opcode once per instruction.
-_NOP, _HALT, _LI, _MOV = Op.NOP, Op.HALT, Op.LI, Op.MOV
-_ADD, _SUB, _MUL, _DIV, _MOD = Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD
-_AND, _OR, _XOR, _SHL, _SHR = Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR
-_ADDI, _SUBI, _MULI, _DIVI = Op.ADDI, Op.SUBI, Op.MULI, Op.DIVI
-_ANDI, _ORI, _XORI, _SHLI, _SHRI = Op.ANDI, Op.ORI, Op.XORI, Op.SHLI, Op.SHRI
-_LD, _ST, _LDB, _STB, _PUSH, _POP = Op.LD, Op.ST, Op.LDB, Op.STB, Op.PUSH, Op.POP
-_CMP, _CMPI = Op.CMP, Op.CMPI
-_BEQ, _BNE, _BLT, _BGE, _BLE, _BGT = Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT
-_JMP, _JR, _CALL, _CALLR, _RET = Op.JMP, Op.JR, Op.CALL, Op.CALLR, Op.RET
-_SYS, _ASYS, _RDTSC, _RDTSCH, _CPUWORK = Op.SYS, Op.ASYS, Op.RDTSC, Op.RDTSCH, Op.CPUWORK
-
-#: Opcodes that end a basic block.
-_ENDS_BLOCK = frozenset(
-    op for op, info in OPCODE_INFO.items()
-    if info.is_branch or info.is_trap or op is Op.HALT
-)
-_CONDITIONALS = frozenset((_BEQ, _BNE, _BLT, _BGE, _BLE, _BGT))
 
 _U32 = Struct("<I").unpack_from
 
@@ -346,10 +335,6 @@ class Superblock:
         self.blocks = blocks
         self.dead = False
         self.smc_aborts = 0
-
-
-def _signed(value: int) -> int:
-    return value - _WRAP if value & _SIGN else value
 
 
 class BlockCache:
@@ -710,7 +695,7 @@ class BlockCache:
                 offset = 0
                 region = memory.region_at(pc)
             try:
-                op, regs, imm = decode_fields(word, offset)
+                op, fields, imm = decode_fields(word, offset)
             except EncodingError as err:
                 if not fetched:
                     raise ExecutionFault(
@@ -725,8 +710,8 @@ class BlockCache:
                 data = region.data
                 base = region.start
                 last = base + len(data) - INSTRUCTION_SIZE
-            fetched.append((pc, op, regs, imm))
-            if op in _ENDS_BLOCK:
+            fetched.append((pc, op, fields, imm))
+            if op in ENDS_BLOCK:
                 terminated = True
                 break
             pc += INSTRUCTION_SIZE
@@ -741,20 +726,17 @@ class BlockCache:
         prefix = prefix_cycles(fetched)
         total = prefix[-1]
 
+        # One factory per instruction, found with one dict lookup; the
+        # factory binds the rollback corrections of a fault or exit at
+        # this instruction, and what a store's span check needs.
         thunks: list[Callable] = []
-        stop = False
-        for i, (ipc, op, regs, imm) in enumerate(fetched):
-            thunk = self._make_thunk(
-                ipc, op, regs, imm,
-                cyc_corr=total - prefix[i],
-                icnt_corr=count - (i + 1),
-                consumed=i + 1,
-                end=end,
+        regs = vm.regs  # the register file list is never reassigned
+        for i, (ipc, op, fields, imm) in enumerate(fetched):
+            thunk = _FACTORIES[op](
+                self, regs, ipc, fields, imm, total - prefix[i], count - (i + 1), i + 1, end,
             )
             if thunk is not None:
                 thunks.append(thunk)
-            if op is _HALT:
-                stop = True
 
         # Static successor PCs for direct chaining, and superblock
         # eligibility.  Dynamic exits (JR/CALLR/RET) and stops get the
@@ -762,20 +744,23 @@ class BlockCache:
         s1_pc = -1
         s2_pc = -1
         fusable = False
+        stop = False
         if terminated:
             tpc, top, _, timm = fetched[-1]
             tnxt = tpc + INSTRUCTION_SIZE
-            if top in _CONDITIONALS:
+            if top in CONDITIONAL_BRANCHES:
                 s1_pc = timm & _MASK
                 s2_pc = tnxt
                 fusable = True
-            elif top is _JMP:
+            elif top in TRAPS:
+                s1_pc = tnxt
+            elif top is Op.JMP:
                 s1_pc = timm & _MASK
                 fusable = True
-            elif top is _CALL:
+            elif top is Op.CALL:
                 s1_pc = timm & _MASK
-            elif top is _SYS or top is _ASYS:
-                s1_pc = tnxt
+            elif top is Op.HALT:
+                stop = True
         else:
             # Truncated block: fall through to the next PC; the next
             # dispatch re-enters the cache (or raises the deferred
@@ -887,7 +872,7 @@ class BlockCache:
                 tpc, top, tregs, timm = code[-1]
                 off_pc = -1
                 on_taken = chosen.entry == member.s1_pc
-                if top is not _JMP and member.s1_pc != member.s2_pc:
+                if top is not Op.JMP and member.s1_pc != member.s2_pc:
                     off_pc = member.s2_pc if on_taken else member.s1_pc
                 flat.append((tpc, top, tregs, timm, off_pc, on_taken))
 
@@ -932,367 +917,254 @@ class BlockCache:
         sb.flat = None
         return sb.run
 
-    # -- block thunks --------------------------------------------------
 
-    def _make_thunk(
-        self, pc, op, regs_f, imm, cyc_corr, icnt_corr, consumed, end,
-    ) -> Optional[Callable]:
-        """Compile one instruction of the block ending at ``end`` into a
-        pre-bound closure.
+# -- block thunks ------------------------------------------------------
+#
+# One factory per opcode, looked up once per translated instruction:
+# ``factory(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed,
+# end)`` returns the instruction's pre-bound thunk, capturing only what
+# that thunk uses, or None when the instruction's whole effect lives in
+# the batched accounting.  ``fields`` are its register fields,
+# ``cyc_corr``/``icnt_corr`` the corrections that roll the batched
+# accounting back to a fault or exit at it, ``consumed`` the block's
+# instructions through it and ``end`` the block's end (a store landing
+# in ``[pc + 8, end)`` aborts the block after the write).  The ALU,
+# compare and branch factories are compiled from the semantics table's
+# text (:func:`repro.cpu.codegen.thunk_factories`); these are the rest.
 
-        A store landing in the block's unexecuted remainder
-        ``[pc + 8, end)`` aborts the block after the write (empty for
-        the terminator).  Returns ``None`` for instructions whose
-        entire effect lives in the batched accounting (``NOP``,
-        ``CPUWORK``)."""
-        vm = self.vm
-        regs = vm.regs  # the register file list is never reassigned
-        cache = self
-        load = self._load
-        store = self._store
-        nxt = pc + INSTRUCTION_SIZE
 
-        # -- straight-line operations ---------------------------------
+def _no_code(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    return None  # NOP, CPUWORK: the cycles are in the batched total
 
-        if op is _NOP or op is _CPUWORK:
-            return None  # effect folded into the batched cycle total
 
-        if op is _LI:
-            d = regs_f[0]
-            value = imm & _MASK
+def _li(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    d = fields[0]
+    value = imm & _MASK
 
-            def thunk(vm):
-                regs[d] = value
+    def thunk(vm):
+        regs[d] = value
 
-        elif op is _MOV:
-            d, s = regs_f
+    return thunk
 
-            def thunk(vm):
-                regs[d] = regs[s]
 
-        elif op is _ADD:
-            d, a, b = regs_f
+def _mov(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    d, s = fields
 
-            def thunk(vm):
-                regs[d] = (regs[a] + regs[b]) & _MASK
+    def thunk(vm):
+        regs[d] = regs[s]
 
-        elif op is _SUB:
-            d, a, b = regs_f
+    return thunk
 
-            def thunk(vm):
-                regs[d] = (regs[a] - regs[b]) & _MASK
 
-        elif op is _MUL:
-            d, a, b = regs_f
+def _ld(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    d, base = fields
+    load = cache._load
 
-            def thunk(vm):
-                regs[d] = (regs[a] * regs[b]) & _MASK
+    def thunk(vm):
+        # Data-TLB hit path inlined (no nested call on hit).
+        address = (regs[base] + imm) & _MASK
+        region = cache._dregion
+        offset = address - region.start
+        if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 1:
+            regs[d] = unpack_from("<I", region.data, offset)[0]
+        else:
+            regs[d] = load(vm, address, 4, 0, cyc_corr, icnt_corr, pc)
 
-        elif op is _DIV or op is _MOD:
-            d, a, b = regs_f
-            is_div = op is _DIV
+    return thunk
 
-            def thunk(vm):
-                divisor = regs[b]
-                if divisor == 0:
-                    _div_zero(vm, cyc_corr, icnt_corr, pc)
-                regs[d] = (
-                    regs[a] // divisor if is_div else regs[a] % divisor
-                ) & _MASK
 
-        elif op is _AND:
-            d, a, b = regs_f
+def _ldb(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    d, base = fields
+    load = cache._load
 
-            def thunk(vm):
-                regs[d] = regs[a] & regs[b]
+    def thunk(vm):
+        address = (regs[base] + imm) & _MASK
+        region = cache._dregion
+        offset = address - region.start
+        if 0 <= offset < len(region.data) and region.prot & 1:
+            regs[d] = region.data[offset]
+        else:
+            regs[d] = load(vm, address, 1, 0, cyc_corr, icnt_corr, pc)
 
-        elif op is _OR:
-            d, a, b = regs_f
+    return thunk
 
-            def thunk(vm):
-                regs[d] = regs[a] | regs[b]
 
-        elif op is _XOR:
-            d, a, b = regs_f
+def _storer(size: int):
+    """The factory of ``ST`` (``size`` 4) or ``STB`` (1)."""
 
-            def thunk(vm):
-                regs[d] = regs[a] ^ regs[b]
+    def factory(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+        s, base = fields
+        store = cache._store
+        post_store = _span_check(pc + INSTRUCTION_SIZE, end, cyc_corr, icnt_corr, consumed)
 
-        elif op is _SHL:
-            d, a, b = regs_f
-
-            def thunk(vm):
-                regs[d] = (regs[a] << (regs[b] & 31)) & _MASK
-
-        elif op is _SHR:
-            d, a, b = regs_f
-
-            def thunk(vm):
-                regs[d] = regs[a] >> (regs[b] & 31)
-
-        elif op is _ADDI:
-            d, a = regs_f
-            value = imm & _MASK
-
-            def thunk(vm):
-                regs[d] = (regs[a] + value) & _MASK
-
-        elif op is _SUBI:
-            d, a = regs_f
-            value = imm & _MASK
-
-            def thunk(vm):
-                regs[d] = (regs[a] - value) & _MASK
-
-        elif op is _MULI:
-            d, a = regs_f
-            value = imm & _MASK
-
-            def thunk(vm):
-                regs[d] = (regs[a] * value) & _MASK
-
-        elif op is _DIVI:
-            d, a = regs_f
-            value = imm & _MASK
-            if value == 0:
-
-                def thunk(vm):
-                    _div_zero(vm, cyc_corr, icnt_corr, pc)
-
-            else:
-
-                def thunk(vm):
-                    regs[d] = (regs[a] // value) & _MASK
-
-        elif op is _ANDI:
-            d, a = regs_f
-            value = imm & _MASK
-
-            def thunk(vm):
-                regs[d] = regs[a] & value
-
-        elif op is _ORI:
-            d, a = regs_f
-            value = imm & _MASK
-
-            def thunk(vm):
-                regs[d] = regs[a] | value
-
-        elif op is _XORI:
-            d, a = regs_f
-            value = imm & _MASK
-
-            def thunk(vm):
-                regs[d] = regs[a] ^ value
-
-        elif op is _SHLI:
-            d, a = regs_f
-            shift = imm & 31
-
-            def thunk(vm):
-                regs[d] = (regs[a] << shift) & _MASK
-
-        elif op is _SHRI:
-            d, a = regs_f
-            shift = imm & 31
-
-            def thunk(vm):
-                regs[d] = regs[a] >> shift
-
-        elif op is _LD:
-            d, base = regs_f
-            disp = imm
-
-            def thunk(vm):
-                # Data-TLB hit path inlined (no nested call on hit).
-                address = (regs[base] + disp) & _MASK
-                region = cache._dregion
-                offset = address - region.start
-                if 0 <= offset and offset + 4 <= len(region.data) and region.prot & 1:
-                    regs[d] = unpack_from("<I", region.data, offset)[0]
-                else:
-                    regs[d] = load(vm, address, 4, 0, cyc_corr, icnt_corr, pc)
-
-        elif op is _ST:
-            s, base = regs_f
-            disp = imm
-            post_store = _span_check(nxt, end, cyc_corr, icnt_corr, consumed)
-
-            def thunk(vm):
-                address = (regs[base] + disp) & _MASK
-                store(vm, address, regs[s], 4, 0, cyc_corr, icnt_corr, pc)
-                post_store(vm, address, 4)
-
-        elif op is _LDB:
-            d, base = regs_f
-            disp = imm
-
-            def thunk(vm):
-                address = (regs[base] + disp) & _MASK
-                region = cache._dregion
-                offset = address - region.start
-                if 0 <= offset < len(region.data) and region.prot & 1:
-                    regs[d] = region.data[offset]
-                else:
-                    regs[d] = load(vm, address, 1, 0, cyc_corr, icnt_corr, pc)
-
-        elif op is _STB:
-            s, base = regs_f
-            disp = imm
-            post_store = _span_check(nxt, end, cyc_corr, icnt_corr, consumed)
-
-            def thunk(vm):
-                address = (regs[base] + disp) & _MASK
-                store(vm, address, regs[s], 1, 0, cyc_corr, icnt_corr, pc)
-                post_store(vm, address, 1)
-
-        elif op is _PUSH:
-            s = regs_f[0]
-            post_store = _span_check(nxt, end, cyc_corr, icnt_corr, consumed)
-
-            def thunk(vm):
-                value = regs[s]
-                sp = (regs[15] - 4) & _MASK
-                regs[15] = sp
-                store(vm, sp, value, 4, 1, cyc_corr, icnt_corr, pc)
-                post_store(vm, sp, 4)
-
-        elif op is _POP:
-            d = regs_f[0]
-
-            def thunk(vm):
-                value = load(vm, regs[15], 4, 1, cyc_corr, icnt_corr, pc)
-                regs[15] = (regs[15] + 4) & _MASK
-                regs[d] = value
-
-        elif op is _CMP:
-            a, b = regs_f
-
-            def thunk(vm):
-                x = regs[a]
-                y = regs[b]
-                vm.flag_zero = x == y
-                vm.flag_neg = (x - _WRAP if x & _SIGN else x) < (
-                    y - _WRAP if y & _SIGN else y
-                )
-
-        elif op is _CMPI:
-            a = regs_f[0]
-            value = imm & _MASK
-            signed_value = _signed(value)
-
-            def thunk(vm):
-                x = regs[a]
-                vm.flag_zero = x == value
-                vm.flag_neg = (x - _WRAP if x & _SIGN else x) < signed_value
-
-        elif op is _RDTSC or op is _RDTSCH:
-            # The batched cycle total was added at block entry; subtract
-            # the pre-computed suffix so the guest observes exactly the
-            # interpreter's mid-block counter value.
-            d = regs_f[0]
-            high = op is _RDTSCH
-
-            def thunk(vm):
-                cycles = vm.cycles - cyc_corr
-                regs[d] = ((cycles >> 32) if high else cycles) & _MASK
-
-        # -- terminators ----------------------------------------------
-
-        elif op in _CONDITIONALS:
-            target = imm & _MASK
-
-            if op is _BEQ:
-
-                def thunk(vm):
-                    vm.pc = target if vm.flag_zero else nxt
-
-            elif op is _BNE:
-
-                def thunk(vm):
-                    vm.pc = nxt if vm.flag_zero else target
-
-            elif op is _BLT:
-
-                def thunk(vm):
-                    vm.pc = target if vm.flag_neg else nxt
-
-            elif op is _BGE:
-
-                def thunk(vm):
-                    vm.pc = nxt if vm.flag_neg else target
-
-            elif op is _BLE:
-
-                def thunk(vm):
-                    vm.pc = target if (vm.flag_neg or vm.flag_zero) else nxt
-
-            else:  # BGT
-
-                def thunk(vm):
-                    vm.pc = nxt if (vm.flag_neg or vm.flag_zero) else target
-
-        elif op is _JMP:
-            target = imm & _MASK
-
-            def thunk(vm):
-                vm.pc = target
-
-        elif op is _JR:
-            r = regs_f[0]
-
-            def thunk(vm):
-                vm.pc = regs[r]
-
-        elif op is _CALL:
-            target = imm & _MASK
-
-            def thunk(vm):
-                sp = (regs[15] - 4) & _MASK
-                regs[15] = sp
-                store(vm, sp, nxt, 4, 1, cyc_corr, icnt_corr, pc)
-                vm.pc = target
-
-        elif op is _CALLR:
-            r = regs_f[0]
-
-            def thunk(vm):
-                sp = (regs[15] - 4) & _MASK
-                regs[15] = sp
-                store(vm, sp, nxt, 4, 1, cyc_corr, icnt_corr, pc)
-                vm.pc = regs[r]  # read after the push, like the interpreter
-
-        elif op is _RET:
-
-            def thunk(vm):
-                value = load(vm, regs[15], 4, 1, cyc_corr, icnt_corr, pc)
-                regs[15] = (regs[15] + 4) & _MASK
-                vm.pc = value
-
-        elif op is _SYS or op is _ASYS:
-            authenticated = op is _ASYS
-
-            def thunk(vm):
-                # The kernel reads vm.pc (call site), vm.regs, and
-                # vm.cycles (trap-time clock); all are exact here
-                # because traps always terminate a block.
-                vm.pc = pc
-                handler = vm.trap_handler
-                if handler is None:
-                    raise ExecutionFault(pc, "trap with no kernel attached")
-                vm.syscall_count += 1
-                vm.cycles += handler.handle_trap(vm, authenticated)
-                vm.pc = nxt
-
-        elif op is _HALT:
-
-            def thunk(vm):
-                vm.exit_status = regs[1] & _MASK
-                vm.pc = pc  # the interpreter leaves pc at the HALT
-
-        else:  # pragma: no cover - opcode table is exhaustive
-            def thunk(vm):
-                _rollback(vm, cyc_corr, icnt_corr, pc)
-                raise ExecutionFault(pc, f"unimplemented opcode {op!r}")
+        def thunk(vm):
+            address = (regs[base] + imm) & _MASK
+            store(vm, address, regs[s], size, 0, cyc_corr, icnt_corr, pc)
+            post_store(vm, address, size)
 
         return thunk
+
+    return factory
+
+
+def _push(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    s = fields[0]
+    store = cache._store
+    post_store = _span_check(pc + INSTRUCTION_SIZE, end, cyc_corr, icnt_corr, consumed)
+
+    def thunk(vm):
+        value = regs[s]
+        sp = (regs[15] - 4) & _MASK
+        regs[15] = sp
+        store(vm, sp, value, 4, 1, cyc_corr, icnt_corr, pc)
+        post_store(vm, sp, 4)
+
+    return thunk
+
+
+def _pop(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    d = fields[0]
+    load = cache._load
+
+    def thunk(vm):
+        value = load(vm, regs[15], 4, 1, cyc_corr, icnt_corr, pc)
+        regs[15] = (regs[15] + 4) & _MASK
+        regs[d] = value
+
+    return thunk
+
+
+# The batched cycle total was added at block entry; a counter read
+# subtracts the pre-computed suffix, so the guest observes exactly the
+# interpreter's mid-block counter value.
+
+
+def _rdtsc(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    d = fields[0]
+
+    def thunk(vm):
+        regs[d] = (vm.cycles - cyc_corr) & _MASK
+
+    return thunk
+
+
+def _rdtsch(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    d = fields[0]
+
+    def thunk(vm):
+        regs[d] = ((vm.cycles - cyc_corr) >> 32) & _MASK
+
+    return thunk
+
+
+def _jmp(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    target = imm & _MASK
+
+    def thunk(vm):
+        vm.pc = target
+
+    return thunk
+
+
+def _jr(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    r = fields[0]
+
+    def thunk(vm):
+        vm.pc = regs[r]
+
+    return thunk
+
+
+def _call(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    target = imm & _MASK
+    nxt = pc + INSTRUCTION_SIZE
+    store = cache._store
+
+    def thunk(vm):
+        sp = (regs[15] - 4) & _MASK
+        regs[15] = sp
+        store(vm, sp, nxt, 4, 1, cyc_corr, icnt_corr, pc)
+        vm.pc = target
+
+    return thunk
+
+
+def _callr(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    r = fields[0]
+    nxt = pc + INSTRUCTION_SIZE
+    store = cache._store
+
+    def thunk(vm):
+        sp = (regs[15] - 4) & _MASK
+        regs[15] = sp
+        store(vm, sp, nxt, 4, 1, cyc_corr, icnt_corr, pc)
+        vm.pc = regs[r]  # read after the push, like the interpreter
+
+    return thunk
+
+
+def _ret(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    load = cache._load
+
+    def thunk(vm):
+        value = load(vm, regs[15], 4, 1, cyc_corr, icnt_corr, pc)
+        regs[15] = (regs[15] + 4) & _MASK
+        vm.pc = value
+
+    return thunk
+
+
+def _trap(authenticated: bool):
+    """The factory of ``SYS`` or, ``authenticated``, ``ASYS``."""
+
+    def factory(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+        nxt = pc + INSTRUCTION_SIZE
+
+        def thunk(vm):
+            # The kernel reads vm.pc (call site), vm.regs, and
+            # vm.cycles (trap-time clock); all are exact here
+            # because traps always terminate a block.
+            vm.pc = pc
+            handler = vm.trap_handler
+            if handler is None:
+                raise ExecutionFault(pc, "trap with no kernel attached")
+            vm.syscall_count += 1
+            vm.cycles += handler.handle_trap(vm, authenticated)
+            vm.pc = nxt
+
+        return thunk
+
+    return factory
+
+
+def _halt(cache, regs, pc, fields, imm, cyc_corr, icnt_corr, consumed, end):
+    def thunk(vm):
+        vm.exit_status = regs[1] & _MASK
+        vm.pc = pc  # the interpreter leaves pc at the HALT
+
+    return thunk
+
+
+_FACTORIES: dict[Op, Callable] = {
+    **thunk_factories({"__builtins__": {}, "div_zero": _div_zero}),
+    Op.NOP: _no_code,
+    Op.CPUWORK: _no_code,
+    Op.LI: _li,
+    Op.MOV: _mov,
+    Op.LD: _ld,
+    Op.LDB: _ldb,
+    Op.ST: _storer(4),
+    Op.STB: _storer(1),
+    Op.PUSH: _push,
+    Op.POP: _pop,
+    Op.RDTSC: _rdtsc,
+    Op.RDTSCH: _rdtsch,
+    Op.JMP: _jmp,
+    Op.JR: _jr,
+    Op.CALL: _call,
+    Op.CALLR: _callr,
+    Op.RET: _ret,
+    Op.SYS: _trap(False),
+    Op.ASYS: _trap(True),
+    Op.HALT: _halt,
+}

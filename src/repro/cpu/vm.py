@@ -27,11 +27,21 @@ Both engines are required to produce bit-identical architectural state
 (registers, flags, memory, cycle counts, syscall counts, fault
 PCs/messages, fail-stop reasons) on every program; the differential
 fuzz suite enforces this.
+
+What the computational ops compute (the ALU ops, compares and
+conditional branches) is not the interpreter's own: its arms for them
+read :mod:`repro.isa.semantics`, the one table the block thunks, the
+superblock generator and the installer's constant folding read too.
+Fetch, memory, stack, control transfer and traps are the interpreter's
+own code, the reference the engine machinery is diffed against.  So
+the differential tests check that machinery, and the computation is
+checked against hand-written known answers
+(``tests/isa/test_semantics.py``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.binfmt.image import STACK_SIZE, STACK_TOP
 from repro.cpu.memory import Memory, MemoryFault, PROT_READ, PROT_WRITE, Region
@@ -39,15 +49,12 @@ from repro.isa import INSTRUCTION_SIZE, Instruction, decode_instruction
 from repro.isa.encoding import EncodingError
 from repro.isa.opcodes import Op
 from repro.isa.registers import NUM_REGS, SP
+from repro.isa.semantics import ALU, ALU_BASE, COMPARES, DIVIDES, SHIFTS, TAKEN, compare
 from repro.obs import NULL_RECORDER, Recorder
 
 _MASK = 0xFFFFFFFF
 
 ENGINES = ("interp", "threaded")
-
-
-def _signed(value: int) -> int:
-    return value - 0x1_0000_0000 if value & 0x8000_0000 else value
 
 
 class ExecutionFault(Exception):
@@ -206,15 +213,15 @@ class VM:
             regs[instr.regs[0]] = instr.imm & _MASK
         elif op == Op.MOV:
             regs[instr.regs[0]] = regs[instr.regs[1]]
-        elif op in (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR,
-                    Op.XOR, Op.SHL, Op.SHR):
-            a = regs[instr.regs[1]]
-            b = regs[instr.regs[2]]
-            regs[instr.regs[0]] = self._alu(op, a, b, pc)
-        elif op in (Op.ADDI, Op.SUBI, Op.MULI, Op.DIVI, Op.ANDI, Op.ORI,
-                    Op.XORI, Op.SHLI, Op.SHRI):
-            a = regs[instr.regs[1]]
-            regs[instr.regs[0]] = self._alu(_IMM_TO_REG_OP[op], a, instr.imm & _MASK, pc)
+        elif op in ALU_BASE:  # op rd, ra, rb or op rd, ra, imm
+            base = ALU_BASE[op]
+            fields = instr.regs
+            b = regs[fields[2]] if instr.imm is None else instr.imm & _MASK
+            if base in SHIFTS:
+                b &= 31
+            elif b == 0 and base in DIVIDES:
+                raise ExecutionFault(pc, "division by zero")
+            regs[fields[0]] = ALU[base](regs[fields[1]], b)
         elif op == Op.LD:
             address = (regs[instr.regs[1]] + instr.imm) & _MASK
             regs[instr.regs[0]] = self._read_u32(address, pc)
@@ -231,12 +238,12 @@ class VM:
             self._push_checked(regs[instr.regs[0]], pc)
         elif op == Op.POP:
             regs[instr.regs[0]] = self._pop_checked(pc)
-        elif op == Op.CMP:
-            self._set_flags(regs[instr.regs[0]], regs[instr.regs[1]])
-        elif op == Op.CMPI:
-            self._set_flags(regs[instr.regs[0]], instr.imm & _MASK)
-        elif op in _CONDITIONS:
-            if _CONDITIONS[op](self):
+        elif op in COMPARES:  # cmp ra, rb or cmpi ra, imm
+            fields = instr.regs
+            b = regs[fields[1]] if instr.imm is None else instr.imm & _MASK
+            self.flag_zero, self.flag_neg = compare(regs[fields[0]], b)
+        elif op in TAKEN:
+            if TAKEN[op](self.flag_zero, self.flag_neg):
                 next_pc = instr.imm & _MASK
         elif op == Op.JMP:
             next_pc = instr.imm & _MASK
@@ -321,33 +328,6 @@ class VM:
 
     # -- internals -------------------------------------------------------
 
-    def _alu(self, op: Op, a: int, b: int, pc: int) -> int:
-        if op == Op.ADD:
-            return (a + b) & _MASK
-        if op == Op.SUB:
-            return (a - b) & _MASK
-        if op == Op.MUL:
-            return (a * b) & _MASK
-        if op in (Op.DIV, Op.MOD):
-            if b == 0:
-                raise ExecutionFault(pc, "division by zero")
-            return (a // b if op == Op.DIV else a % b) & _MASK
-        if op == Op.AND:
-            return a & b
-        if op == Op.OR:
-            return a | b
-        if op == Op.XOR:
-            return a ^ b
-        if op == Op.SHL:
-            return (a << (b & 31)) & _MASK
-        if op == Op.SHR:
-            return (a >> (b & 31)) & _MASK
-        raise ExecutionFault(pc, f"bad ALU op {op!r}")  # pragma: no cover
-
-    def _set_flags(self, a: int, b: int) -> None:
-        self.flag_zero = a == b
-        self.flag_neg = _signed(a) < _signed(b)
-
     def _read_u32(self, address: int, pc: int) -> int:
         try:
             return self.memory.read_u32(address)
@@ -383,25 +363,3 @@ class VM:
             return self.pop()
         except MemoryFault as fault:
             raise ExecutionFault(pc, f"stack underflow: {fault}") from fault
-
-
-_IMM_TO_REG_OP = {
-    Op.ADDI: Op.ADD,
-    Op.SUBI: Op.SUB,
-    Op.MULI: Op.MUL,
-    Op.DIVI: Op.DIV,
-    Op.ANDI: Op.AND,
-    Op.ORI: Op.OR,
-    Op.XORI: Op.XOR,
-    Op.SHLI: Op.SHL,
-    Op.SHRI: Op.SHR,
-}
-
-_CONDITIONS: dict[Op, Callable[["VM"], bool]] = {
-    Op.BEQ: lambda vm: vm.flag_zero,
-    Op.BNE: lambda vm: not vm.flag_zero,
-    Op.BLT: lambda vm: vm.flag_neg,
-    Op.BGE: lambda vm: not vm.flag_neg,
-    Op.BLE: lambda vm: vm.flag_neg or vm.flag_zero,
-    Op.BGT: lambda vm: not (vm.flag_neg or vm.flag_zero),
-}

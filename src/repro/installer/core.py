@@ -23,7 +23,7 @@ from repro.installer.policygen import (
     analyze,
     generate_policies,
 )
-from repro.installer.rewrite import RewriteResult, rewrite_unit
+from repro.installer.rewrite import InstallError, RewriteResult, rewrite_unit
 from repro.plto import disassemble, inline_syscall_stubs, reassemble
 from repro.plto.passes import run_baseline_passes
 from repro.policy.descriptor import ParamClass
@@ -70,10 +70,6 @@ class InstalledProgram:
             if policy.syscall == syscall:
                 return address
         raise KeyError(f"no {syscall!r} site in {self.policy.program}")
-
-
-class InstallError(ValueError):
-    """Installation cannot proceed (analysis failure, unfilled holes)."""
 
 
 def install(

@@ -45,6 +45,10 @@ from repro.policy.record import (
 POLSTATE_SYMBOL = "__asc_polstate"
 
 
+class InstallError(ValueError):
+    """Installation cannot proceed (analysis failure, unfilled holes)."""
+
+
 @dataclass
 class SiteRewrite:
     """Bookkeeping for one rewritten call site, consumed by the signer."""
@@ -187,8 +191,11 @@ def rewrite_unit(
         position = analysis.sites[site.cfg_block_index].insn_index
         original = unit.insns[position].instruction
         if original.op != Op.SYS:
-            raise ValueError(
-                f"expected SYS at insn {position}, found {original}"
+            # An input that already holds an ASYS where the analysis
+            # found a trap: it is not an uninstalled binary.
+            raise InstallError(
+                f"{site.policy.syscall} site at insn {position}: expected sys, "
+                f"found {original}"
             )
         unit.replace(
             position,

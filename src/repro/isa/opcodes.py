@@ -140,3 +140,23 @@ OPCODE_INFO: dict[Op, OpcodeInfo] = {
 }
 
 MNEMONIC_TO_OP = {info.mnemonic: op for op, info in OPCODE_INFO.items()}
+
+# Opcode classes, derived once from the table.
+CONDITIONAL_BRANCHES = frozenset(
+    op for op, info in OPCODE_INFO.items() if info.is_conditional
+)
+TRAPS = frozenset(op for op, info in OPCODE_INFO.items() if info.is_trap)
+#: Ops that end a basic block, in the installer's CFG and in the
+#: engine's translation alike: every control transfer, every trap (so
+#: each system call gets a block of its own) and ``HALT``.
+ENDS_BLOCK = frozenset(
+    op for op, info in OPCODE_INFO.items()
+    if info.is_branch or info.is_trap or op is Op.HALT
+)
+#: Ops that write their first register operand: every op whose operands
+#: start with a register, except the register branches and the ops that
+#: only read it (the stores and the compares).
+WRITES_FIRST_REG = frozenset(
+    op for op, info in OPCODE_INFO.items()
+    if info.operands[:1] == (_R,) and not info.is_branch
+) - {Op.ST, Op.STB, Op.PUSH, Op.CMP, Op.CMPI}

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 from repro.cpu.memory import MemoryFault
 from repro.cpu.vm import VM, ProcessExit
+from repro.isa.semantics import signed
 from repro.kernel.costs import CYCLES_PER_SECOND
 from repro.kernel.errors import Errno
 from repro.kernel.process import (
@@ -577,13 +578,13 @@ def _lseek(ctx: SyscallContext) -> int:
     description = ctx.process.fd(fd)
     if description.kind != "file" or description.inode is None:
         return Errno.ESPIPE.as_result()
-    signed = offset - 0x1_0000_0000 if offset & 0x8000_0000 else offset
+    delta = signed(offset)
     if whence == SEEK_SET:
-        new = signed
+        new = delta
     elif whence == SEEK_CUR:
-        new = description.offset + signed
+        new = description.offset + delta
     elif whence == SEEK_END:
-        new = len(description.inode.data) + signed
+        new = len(description.inode.data) + delta
     else:
         return Errno.EINVAL.as_result()
     if new < 0:
@@ -1554,7 +1555,7 @@ def _wait4(ctx: SyscallContext) -> int:
     pid_arg = ctx.args[0]
     status_ptr = ctx.args[1]
     options = ctx.args[2]
-    pid_spec = pid_arg - 0x1_0000_0000 if pid_arg & 0x8000_0000 else pid_arg
+    pid_spec = signed(pid_arg)
     found = scheduler.find_zombie(ctx.process.pid, pid_spec)
     if found is None:
         return Errno.ECHILD.as_result()

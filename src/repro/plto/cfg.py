@@ -14,21 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa import Instruction, SymbolRef
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import CONDITIONAL_BRANCHES, ENDS_BLOCK, TRAPS, Op
 from repro.plto.ir import IrUnit
 
 
 class CfgError(ValueError):
     """Raised when control flow cannot be resolved statically."""
-
-
-_TERMINATORS = {
-    Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT,
-    Op.JMP, Op.JR, Op.CALL, Op.CALLR, Op.RET, Op.HALT,
-    Op.SYS, Op.ASYS,
-}
-
-_CONDITIONAL = {Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT}
 
 
 @dataclass
@@ -61,8 +52,7 @@ class ControlFlowGraph:
         """Blocks whose terminator is a trap instruction."""
         found = []
         for block in self.blocks:
-            op = block.terminator(self.unit).op
-            if op in (Op.SYS, Op.ASYS):
+            if block.terminator(self.unit).op in TRAPS:
                 found.append(block.index)
         return found
 
@@ -95,9 +85,9 @@ def build_cfg(unit: IrUnit) -> ControlFlowGraph:
         if insn.labels:
             leaders.add(position)
         op = insn.instruction.op
-        if op in _TERMINATORS and position + 1 < len(unit.insns):
+        if op in ENDS_BLOCK and position + 1 < len(unit.insns):
             leaders.add(position + 1)
-        if op in _CONDITIONAL or op == Op.JMP:
+        if op in CONDITIONAL_BRANCHES or op == Op.JMP:
             leaders.add(_branch_target(unit, insn.instruction, labels))
         elif op == Op.CALL:
             leaders.add(_branch_target(unit, insn.instruction, labels))
@@ -116,7 +106,7 @@ def build_cfg(unit: IrUnit) -> ControlFlowGraph:
         terminator = block.terminator(unit)
         op = terminator.op
         fallthrough = block.index + 1 if block.end < len(unit.insns) else None
-        if op in _CONDITIONAL:
+        if op in CONDITIONAL_BRANCHES:
             target = block_of[_branch_target(unit, terminator, labels)]
             block.successors.append(target)
             if fallthrough is not None:

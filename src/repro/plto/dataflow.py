@@ -20,6 +20,12 @@ references), ``FdFrom`` (return value of named syscall blocks), and
 ``TOP`` (unknown).  Calls clobber everything (callee-save conventions
 are a compiler fiction our runtime does not promise); the kernel writes
 only ``r0``, so a trap clobbers just the result register.
+
+Constants fold by the machine's own semantics: an ALU op on known ints
+calls the function :mod:`repro.isa.semantics` compiles from the same
+text the engines run, so a folded argument is the value the kernel will
+see in the register (§3.4 accepts the call only if they are equal).  A
+zero divisor folds to unknown, because the machine faults there.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from enum import Enum, unique
 from typing import Optional, Union
 
 from repro.isa import SymbolRef
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import TRAPS, WRITES_FIRST_REG, Op
+from repro.isa.semantics import ALU, ALU_BASE, DIVIDES, SHIFTS
 from repro.kernel.syscalls import SYSCALLS, FdEffect
 from repro.plto.callgraph import CallGraph
 
@@ -123,7 +130,10 @@ def _join_states(a: _State, b: _State) -> _State:
 
 
 def _eval_binop(op: Op, a: ArgValue, b: ArgValue) -> ArgValue:
-    """Constant-fold when both sides are single known values."""
+    """Constant-fold register ALU op ``op`` when both sides are single
+    known values, by the machine's own semantics (the table the
+    interpreter and the engines run); a symbol plus or minus a known
+    int stays symbolic."""
     if not (a.is_single and b.is_single):
         return _TOP
     left, right = a.single, b.single
@@ -137,33 +147,11 @@ def _eval_binop(op: Op, a: ArgValue, b: ArgValue) -> ArgValue:
         return ArgValue.const(SymbolRef(right.symbol, right.addend + left))
     if not (isinstance(left, int) and isinstance(right, int)):
         return _TOP
-    mask = 0xFFFFFFFF
-    try:
-        result = {
-            Op.ADD: lambda: (left + right) & mask,
-            Op.SUB: lambda: (left - right) & mask,
-            Op.MUL: lambda: (left * right) & mask,
-            Op.DIV: lambda: (left // right) & mask,
-            Op.MOD: lambda: (left % right) & mask,
-            Op.AND: lambda: left & right,
-            Op.OR: lambda: left | right,
-            Op.XOR: lambda: left ^ right,
-            Op.SHL: lambda: (left << (right & 31)) & mask,
-            Op.SHR: lambda: (left >> (right & 31)) & mask,
-        }[op]()
-    except (ZeroDivisionError, KeyError):
-        return _TOP
-    return ArgValue.const(result)
-
-
-_IMM_OPS = {
-    Op.ADDI: Op.ADD, Op.SUBI: Op.SUB, Op.MULI: Op.MUL, Op.DIVI: Op.DIV,
-    Op.ANDI: Op.AND, Op.ORI: Op.OR, Op.XORI: Op.XOR,
-    Op.SHLI: Op.SHL, Op.SHRI: Op.SHR,
-}
-
-_REG_OPS = {Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR,
-            Op.XOR, Op.SHL, Op.SHR}
+    if op in SHIFTS:
+        right &= 31
+    elif right == 0 and op in DIVIDES:
+        return _TOP  # the machine faults here; no value reaches a later use
+    return ArgValue.const(ALU[op](left, right))
 
 
 @dataclass
@@ -176,34 +164,28 @@ class SyscallSite:
     args: tuple[ArgValue, ...]  # r1..r6 at the trap
 
 
+def _immediate(imm) -> ArgValue:
+    return ArgValue.const(imm if isinstance(imm, SymbolRef) else imm & 0xFFFFFFFF)
+
+
 def _transfer(state: _State, instruction, block_id: int) -> _State:
     regs = list(state)
     op = instruction.op
     if op == Op.LI:
-        imm = instruction.imm
-        regs[instruction.regs[0]] = ArgValue.const(
-            imm if isinstance(imm, SymbolRef) else imm & 0xFFFFFFFF
-        )
+        regs[instruction.regs[0]] = _immediate(instruction.imm)
     elif op == Op.MOV:
         regs[instruction.regs[0]] = regs[instruction.regs[1]]
-    elif op in _REG_OPS:
-        regs[instruction.regs[0]] = _eval_binop(
-            op, regs[instruction.regs[1]], regs[instruction.regs[2]]
-        )
-    elif op in _IMM_OPS:
+    elif op in ALU_BASE:
+        d, a = instruction.regs[:2]
         imm = instruction.imm
-        rhs = (
-            ArgValue.const(imm if isinstance(imm, SymbolRef) else imm & 0xFFFFFFFF)
-        )
-        regs[instruction.regs[0]] = _eval_binop(
-            _IMM_OPS[op], regs[instruction.regs[1]], rhs
-        )
-    elif op in (Op.LD, Op.LDB, Op.POP, Op.RDTSC, Op.RDTSCH):
+        rhs = regs[instruction.regs[2]] if imm is None else _immediate(imm)
+        regs[d] = _eval_binop(ALU_BASE[op], regs[a], rhs)
+    elif op in WRITES_FIRST_REG:  # loads, POP, RDTSC(H): unknown values
         regs[instruction.regs[0]] = _TOP
     elif op in (Op.CALL, Op.CALLR):
         # Callee may clobber any register.
         return _initial_state(top=True)
-    elif op in (Op.SYS, Op.ASYS):
+    elif op in TRAPS:
         number = regs[0]
         if number.is_single and isinstance(number.single, int) and (
             number.single in FD_PRODUCER_NUMBERS
@@ -243,7 +225,7 @@ def classify_syscall_args(graph: CallGraph) -> dict[int, SyscallSite]:
         block_id = current + 1
         for position in range(block.start, block.end):
             instruction = unit.insns[position].instruction
-            if instruction.op in (Op.SYS, Op.ASYS):
+            if instruction.op in TRAPS:
                 number = state[0]
                 sites[current] = SyscallSite(
                     block_index=current,

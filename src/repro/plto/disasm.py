@@ -41,6 +41,14 @@ def disassemble(binary: SefBinary) -> IrUnit:
         )
 
     relocations = binary.relocations_for(".text")
+    for offset in sorted(relocations):
+        # Only an immediate field can take a relocation; one anywhere
+        # else would be dropped by the lift, so report it instead.
+        if offset % INSTRUCTION_SIZE != IMM_OFFSET:
+            raise DisassemblyError(
+                f"relocation at .text offset {offset:#x} is not at an "
+                "instruction's immediate field"
+            )
     labels_by_offset: dict[int, list[str]] = {}
     for name, symbol in binary.symbols.items():
         if symbol.section == ".text":

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.isa import Instruction, SymbolRef
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import ENDS_BLOCK, TRAPS, Op
 from repro.plto.cfg import build_cfg
 from repro.plto.callgraph import build_call_graph
 from repro.plto.ir import IrInsn, IrUnit
@@ -28,11 +28,6 @@ from repro.plto.ir import IrInsn, IrUnit
 #: Stubs larger than this are not inlined (mirrors compiler practice;
 #: keeps pathological code from exploding the binary).
 MAX_STUB_INSNS = 16
-
-_CONTROL = {
-    Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLE, Op.BGT,
-    Op.JMP, Op.JR, Op.CALL, Op.CALLR, Op.HALT,
-}
 
 
 @dataclass
@@ -59,10 +54,10 @@ def _stub_body(unit: IrUnit, start: int, entry_label: str) -> list[Instruction]:
             if not has_trap:
                 raise ValueError(f"{entry_label}: no trap before RET")
             return body
-        if op in _CONTROL:
-            raise ValueError(f"{entry_label}: control flow inside stub")
-        if op in (Op.SYS, Op.ASYS):
+        if op in TRAPS:
             has_trap = True
+        elif op in ENDS_BLOCK:
+            raise ValueError(f"{entry_label}: control flow inside stub")
         body.append(insn.instruction)
     raise ValueError(f"{entry_label}: stub too long or missing RET")
 

@@ -16,7 +16,7 @@ transformations symmetric:
 
 from __future__ import annotations
 
-from repro.isa.opcodes import OPCODE_INFO, Op, OperandKind
+from repro.isa.opcodes import ENDS_BLOCK, OPCODE_INFO, TRAPS, WRITES_FIRST_REG, Op, OperandKind
 from repro.plto.ir import IrUnit
 
 
@@ -47,16 +47,14 @@ def _reads(instruction) -> set[int]:
         if kind is OperandKind.REG:
             # First REG operand is the destination for value-producing
             # ops; everything else is a source.
-            is_dest = slot == 0 and instruction.op not in (
-                Op.PUSH, Op.ST, Op.STB, Op.CMP, Op.CMPI, Op.JR, Op.CALLR,
-            )
+            is_dest = slot == 0 and instruction.op in WRITES_FIRST_REG
             if not is_dest:
                 read.add(regs[reg_cursor])
             reg_cursor += 1
         elif kind is OperandKind.MEM:
             read.add(regs[reg_cursor])
             reg_cursor += 1
-    if instruction.op in (Op.SYS, Op.ASYS):
+    if instruction.op in TRAPS:
         read.update(range(9))  # r0..r8 are trap inputs
     return read
 
@@ -81,7 +79,7 @@ def remove_dead_li(unit: IrUnit) -> int:
             op = follower.instruction.op
             if target in _reads(follower.instruction):
                 break
-            if OPCODE_INFO[op].is_branch or op in (Op.SYS, Op.ASYS, Op.HALT):
+            if op in ENDS_BLOCK:
                 break
             if op == Op.LI and follower.instruction.regs[0] == target:
                 dead = True

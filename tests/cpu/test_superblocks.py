@@ -1,13 +1,16 @@
 """Compiled superblocks against the interpreter.
 
 Every opcode a superblock member can hold has a source template in
-:mod:`repro.cpu.threaded`; these tests run a hot loop (well past the
-256-execution fusion threshold) holding each one under ``interp`` and
-the chained engine and require bit-identical registers, flags, memory,
-cycles, instruction count and pc — then push the generated code off
-its fast path: off-cycle exits for every condition, data-TLB misses,
-faults, self-modifying stores, the re-fusion bound, preemption between
-passes, and extreme immediates.
+:mod:`repro.cpu.codegen` (the ALU, compare and branch ones are the text
+of :mod:`repro.isa.semantics`); these tests run a hot loop (well past
+the 256-execution fusion threshold) holding each one under ``interp``
+and the chained engine and require bit-identical registers, flags,
+memory, cycles, instruction count and pc — then push the generated code
+off its fast path: off-cycle exits for every condition, data-TLB
+misses, faults, self-modifying stores, the re-fusion bound, preemption
+between passes, and extreme immediates.  Both engines read the same
+semantics table, so what each op computes is checked against known
+answers in ``tests/isa/test_semantics.py``.
 """
 
 import hashlib

@@ -121,6 +121,20 @@ class TestRewriting:
         second = install(binary, KEY).binary.to_bytes()
         assert first == second
 
+    def test_asys_in_uninstalled_input_rejected(self):
+        # An input holding an authenticated trap where the analysis
+        # finds a site is not an uninstalled binary: a typed install
+        # error naming the site, not a bare ValueError.
+        binary = assemble(PROGRAM, metadata={"program": "itest"})
+        text = binary.sections[".text"].data
+        first_sys = next(i for i in range(0, len(text), 8) if text[i] == Op.SYS)
+        text[first_sys] = Op.ASYS
+        with pytest.raises(InstallError) as excinfo:
+            install(binary, KEY)
+        assert type(excinfo.value) is InstallError
+        assert "site at insn" in str(excinfo.value)
+        assert str(excinfo.value).endswith("expected sys, found asys")
+
 
 class TestOptions:
     def test_program_id_namespaces_blocks(self):

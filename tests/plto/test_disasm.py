@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import assemble
-from repro.binfmt import link
+from repro.binfmt import Relocation, link
 from repro.isa import Instruction, SymbolRef
 from repro.isa.opcodes import Op
 from repro.plto import DisassemblyError, disassemble, reassemble
@@ -72,6 +72,21 @@ class TestDisassemble:
             DisassemblyError,
             match=r"relocation at \.text offset 0x4 targets and, which takes "
             "no immediate operand",
+        ):
+            disassemble(binary)
+
+    @pytest.mark.parametrize("offset", [0, 2, 8, 11])
+    def test_relocation_off_an_immediate_field_rejected(self, offset):
+        # The binary validates, but the lift reads relocations only at
+        # immediate fields (offset 4 mod 8), so one elsewhere would be
+        # dropped from the reassembled binary without a word.
+        binary = assemble(".section .text\n_start:\n    li r1, 0\n    halt\n")
+        binary.add_relocation(Relocation(".text", offset, "_start", 0))
+        binary.validate()
+        with pytest.raises(
+            DisassemblyError,
+            match=rf"relocation at \.text offset {offset:#x} is not at an instruction's "
+            "immediate field",
         ):
             disassemble(binary)
 
